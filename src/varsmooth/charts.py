@@ -17,9 +17,9 @@ from itertools import combinations as _combinations
 from typing import Optional
 
 from .errors import ContractError, DegenerateGeneratorError, DescentError
-from .groebner import (GroebnerBasis, Ideal, buchberger, division_with_quotients,
-                       equal_on_chart, ideal_membership, krull_dimension,
-                       lift_power, radical_membership)
+from .groebner import (GroebnerBasis, Ideal, buchberger, equal_on_chart,
+                       ideal_membership, krull_dimension, lift_power,
+                       radical_membership)
 from .limits import Budget, ensure_budget
 from .matrix import PolyMatrix, adjugate, determinant, jacobian, minors
 from .poly import Polynomial
@@ -107,16 +107,14 @@ def _ambient_jacobian(chart: Chart) -> PolyMatrix:
     return jacobian(chart.ring, chart.ambient.generators)
 
 
-def enumerate_frames(chart: Chart, strict: bool = False, track: bool = False,
+def enumerate_frames(chart: Chart, strict: bool = False,
                      budget: Optional[Budget] = None) -> FrameEnumeration:
     """Frames of the chart's ambient Jacobian in lexicographic column order.
 
     Enumeration stops as soon as the yielded determinants q_1..q_t cover the
     chart: by default when g lies in the radical of I_W + (q_1..q_t), in
     strict mode when g lies in the plain ideal (q_1..q_t).  A constant
-    determinant covers immediately.  With track enabled, g is first lifted
-    through the full minors ideal and the enumeration is restricted to the
-    minors that appear in the lift.
+    determinant covers immediately.
     """
     budget = ensure_budget(budget)
     ring = chart.ring
@@ -142,23 +140,6 @@ def enumerate_frames(chart: Chart, strict: bool = False, track: bool = False,
         if q.is_zero():
             continue
         candidates.append(FrameData(rows, cols, m, q, adj))
-
-    if track and candidates:
-        minors_ideal = Ideal(ring, [f.q for f in candidates])
-        gbt = buchberger(minors_ideal, track=True, budget=budget)
-        if gbt.contains(g):
-            quots, rem = division_with_quotients(g, gbt)
-            if rem.is_zero():
-                used = set()
-                for i, u in enumerate(quots):
-                    if u.is_zero():
-                        continue
-                    for j, t in enumerate(gbt.transform[i]):
-                        if not t.is_zero():
-                            used.add(j)
-                narrowed = [f for j, f in enumerate(candidates) if j in used]
-                if narrowed:
-                    candidates = narrowed
 
     frames = []
     dets = []
@@ -248,13 +229,13 @@ def _delta_ideal(chart: Chart, frame: FrameData) -> Ideal:
     return Ideal(ring, gens)
 
 
-def delta_frame_tasks(chart: Chart, strict: bool = False, track: bool = False,
+def delta_frame_tasks(chart: Chart, strict: bool = False,
                       budget: Optional[Budget] = None):
     """(enumeration, checks): checks[i] = (frame, ideal, test polynomial);
     the frame check passes when the test polynomial lies in the radical of
     the ideal.  Used by both the sequential wrapper and the scheduler."""
     budget = ensure_budget(budget)
-    enum = enumerate_frames(chart, strict=strict, track=track, budget=budget)
+    enum = enumerate_frames(chart, strict=strict, budget=budget)
     checks = []
     for frame in enum.frames:
         cm = _delta_ideal(chart, frame)
@@ -262,14 +243,13 @@ def delta_frame_tasks(chart: Chart, strict: bool = False, track: bool = False,
     return enum, checks
 
 
-def delta_check(chart: Chart, strict: bool = False, track: bool = False,
+def delta_check(chart: Chart, strict: bool = False,
                 budget: Optional[Budget] = None) -> bool:
     """Order-one test: for every frame, q*g must vanish on the locus where
     the variety's relative derivatives and I_X vanish.  False exhibits a
     point of order at least two on the variety."""
     budget = ensure_budget(budget)
-    _, checks = delta_frame_tasks(chart, strict=strict, track=track,
-                                  budget=budget)
+    _, checks = delta_frame_tasks(chart, strict=strict, budget=budget)
     for _, cm, test in checks:
         budget.frames += 1
         if not radical_membership(test, cm, budget=budget):
@@ -386,7 +366,6 @@ def descend(chart: Chart, rng, combinations: bool = True,
 
 
 def embedded_frame_tasks(chart: Chart, strict: bool = False,
-                         track: bool = False,
                          budget: Optional[Budget] = None):
     """Frame tasks for the relative Jacobian criterion at this chart:
     (enumeration, checks) like delta_frame_tasks, or (None, None) when the
@@ -402,7 +381,7 @@ def embedded_frame_tasks(chart: Chart, strict: bool = False,
     if c_rel == 0:
         return None, None
     gb_x = buchberger(chart.variety, budget=budget)
-    enum = enumerate_frames(chart, strict=strict, track=track, budget=budget)
+    enum = enumerate_frames(chart, strict=strict, budget=budget)
     ambient_set = set(chart.ambient.generators)
     # generators repeated from the ambient list have exactly zero rows
     fs = [f for f in chart.variety.generators if f not in ambient_set]
@@ -416,14 +395,13 @@ def embedded_frame_tasks(chart: Chart, strict: bool = False,
     return enum, checks
 
 
-def embedded_jacobian(chart: Chart, strict: bool = False, track: bool = False,
+def embedded_jacobian(chart: Chart, strict: bool = False,
                       budget: Optional[Budget] = None) -> bool:
     """Relative Jacobian criterion: on every frame, q*g must lie in the
     radical of I_X plus the ((dim W - dim X)-size) minors of the relative
     Jacobian, the minors being reduced modulo I_X as they are formed."""
     budget = ensure_budget(budget)
-    _, checks = embedded_frame_tasks(chart, strict=strict, track=track,
-                                     budget=budget)
+    _, checks = embedded_frame_tasks(chart, strict=strict, budget=budget)
     if checks is None:
         return True
     for _, j_ideal, test in checks:

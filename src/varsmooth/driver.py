@@ -40,9 +40,8 @@ class Config:
     descents before switching to the relative Jacobian criterion;
     to_codim, when set, overrides it with max(0, codim - to_codim).
     strict_cover switches the frame-cover exit to plain ideal membership,
-    combinations toggles the random-linear-combination shortcut during
-    descent, and lift_frames restricts frame enumeration through a lift
-    of the chart localizer.
+    and combinations toggles the random-linear-combination shortcut during
+    descent.
     """
 
     mode: str = "hironaka"
@@ -53,7 +52,6 @@ class Config:
     limits: Limits = field(default_factory=Limits)
     strict_cover: bool = False
     combinations: bool = True
-    lift_frames: bool = False
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -239,7 +237,7 @@ class _ChartTask(_Task):
                 switch = cfg.descent_depth
 
         enum, checks = delta_frame_tasks(chart, strict=cfg.strict_cover,
-                                         track=cfg.lift_frames, budget=budget)
+                                         budget=budget)
         ctx.observer.on_cover(self.path, chart, enum)
         frame_tasks = [
             _FrameTask(self.path + (i,), chart, "delta", frame.cols,
@@ -316,8 +314,7 @@ class _EmbeddedTask(_Task):
 
     def run(self, ctx, budget):
         enum, checks = embedded_frame_tasks(
-            self.chart, strict=ctx.config.strict_cover,
-            track=ctx.config.lift_frames, budget=budget)
+            self.chart, strict=ctx.config.strict_cover, budget=budget)
         if checks is None:
             return _Outcome()
         ctx.observer.on_cover(self.path, self.chart, enum)

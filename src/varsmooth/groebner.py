@@ -1,12 +1,13 @@
 """Groebner bases under degrevlex, with the derived ideal predicates.
 
-The untracked engine runs Buchberger with normal-strategy pair selection
-and the classical coprime and chain criteria, reducing over the integers
+One Buchberger engine runs with normal-strategy pair selection and the
+classical coprime and chain criteria, reducing over the integers
 (pseudo-division on primitive polynomials) for rational input and over F_p
 directly.  Representation tracking, needed by the covering construction,
-is a separate field-arithmetic path that additionally carries, for every
-basis element, its expression in the original generators; it is opt-in
-because rows roughly double the work and memory.
+rides on the same loop: the reduction kernel logs its steps, and the engine
+replays each log on optional representation rows that express every basis
+element in the original generators.  Rows are opt-in because they roughly
+double the work and memory.
 
 Radical membership uses the extra-variable trick: f lies in the radical of
 I exactly when I together with 1 - t*f generates the unit ideal in the
@@ -23,7 +24,7 @@ from threading import RLock
 from typing import Optional
 
 from .errors import RingMismatchError
-from .kernel import active as _K
+from .fields import mpq
 from .limits import Budget, ensure_budget
 from .poly import Polynomial
 from .ring import Ring
@@ -85,7 +86,7 @@ class GroebnerBasis:
         divs = []
         for e in self.elements:
             zk, zc, _ = e.zform()
-            divs.append(_K.prepare_divisor(zk, zc, p))
+            divs.append(prepare_divisor(zk, zc, p))
         self._divisors = divs
         self._lead_keys = tuple(e.leading_key() for e in self.elements)
 
@@ -98,7 +99,7 @@ class GroebnerBasis:
     def _reduce_raw(self, f: Polynomial):
         zk, zc, scale = f.zform()
         ring = self.ideal.ring
-        rk, rc, mult = _K.reduce_terms(
+        rk, rc, mult = reduce_terms(
             list(zk), list(zc), self._divisors, ring.guards,
             ring.field.characteristic)
         return rk, rc, mult, scale
@@ -157,10 +158,122 @@ def clear_caches():
     _dim_cache.clear()
 
 
+# -- reduction kernel ----------------------------------------------------------
+#
+# Polynomials cross this boundary as parallel lists (packed keys descending,
+# integer coefficients).  Over the rationals the engine works with primitive
+# integer polynomials and pseudo-division: reduce_terms returns a remainder
+# equal to mult * NF(f) for a positive integer mult, which callers divide out
+# when they need the exact field normal form.  Over F_p coefficients are
+# residues and mult is always 1.
+
+
+def prepare_divisor(keys, coeffs, p):
+    """Precompute the tuple shape reduce_terms expects for one divisor."""
+    lead = keys[0]
+    lc = coeffs[0]
+    inv = pow(lc, -1, p) if p else None
+    return (lead, lc, tuple(keys[1:]), tuple(coeffs[1:]), inv)
+
+
+def reduce_terms(fk, fc, divisors, guards, p, log=None):
+    """Fully reduce f by the divisor list (first matching divisor wins).
+
+    divisors: sequence of prepare_divisor tuples, order fixed by the caller.
+    Returns (keys, coeffs, mult) with keys descending.  Over F_p the
+    reduction is exact and mult == 1; over the integers the remainder is
+    mult * NF(f) with mult a positive integer.
+
+    When log is a list, each step f <- beta * f - alpha * x^s * d appends
+    (lead(d), s, alpha, beta), and each division of f by a common factor
+    appends (None, 0, 0, factor), so the steps can be replayed on
+    representation rows.
+    """
+    work = dict(zip(fk, fc))
+    heap = [-k for k in fk]
+    heapq.heapify(heap)
+    rem_keys = []
+    rem_coeffs = []
+    mult = 1
+    steps = 0
+    while heap:
+        m = -heapq.heappop(heap)
+        c = work.pop(m, 0)
+        if not c:
+            continue
+        mg = m | guards
+        hit = None
+        for d in divisors:
+            if ((mg - d[0]) & guards) == guards:
+                hit = d
+                break
+        if hit is None:
+            rem_keys.append(m)
+            rem_coeffs.append(c)
+            continue
+        lead, lc, tkeys, tcoeffs, inv = hit
+        qadd = m - lead
+        if p:
+            t = c * inv % p
+            for tk, tc in zip(tkeys, tcoeffs):
+                kk = tk + qadd
+                v = work.get(kk)
+                if v is None:
+                    work[kk] = -t * tc % p
+                    heapq.heappush(heap, -kk)
+                else:
+                    work[kk] = (v - t * tc) % p
+            if log is not None:
+                log.append((lead, qadd, t, 1))
+            continue
+        g = gcd(c, lc)
+        beta = lc // g
+        alpha = c // g
+        if beta != 1:
+            for k in work:
+                work[k] *= beta
+            if rem_coeffs:
+                rem_coeffs = [v * beta for v in rem_coeffs]
+            mult *= beta
+        for tk, tc in zip(tkeys, tcoeffs):
+            kk = tk + qadd
+            v = work.get(kk)
+            if v is None:
+                work[kk] = -alpha * tc
+                heapq.heappush(heap, -kk)
+            else:
+                work[kk] = v - alpha * tc
+        if log is not None:
+            log.append((lead, qadd, alpha, beta))
+        steps += 1
+        if steps & 63 == 0 and mult > 1:
+            shrink = mult
+            for v in work.values():
+                if v:
+                    shrink = gcd(shrink, v)
+                    if shrink == 1:
+                        break
+            if shrink > 1:
+                for v in rem_coeffs:
+                    shrink = gcd(shrink, v)
+                    if shrink == 1:
+                        break
+            if shrink > 1:
+                mult //= shrink
+                for k in work:
+                    work[k] //= shrink
+                rem_coeffs = [v // shrink for v in rem_coeffs]
+                if log is not None:
+                    log.append((None, 0, 0, shrink))
+    return rem_keys, rem_coeffs, mult
+
+
 # -- shared engine helpers -----------------------------------------------------
 
 
-def _primitive(keys, coeffs):
+def _content(coeffs):
+    """The gcd of coeffs, negated when the leading one is negative: dividing
+    by it leaves a primitive polynomial with positive leading coefficient."""
     g = 0
     for c in coeffs:
         g = gcd(g, c)
@@ -168,9 +281,7 @@ def _primitive(keys, coeffs):
             break
     if coeffs and coeffs[0] < 0:
         g = -g
-    if g in (0, 1):
-        return keys, list(coeffs)
-    return keys, [c // g for c in coeffs]
+    return g
 
 
 def _exps_divides(a, b) -> bool:
@@ -290,51 +401,120 @@ def _merge_scaled(ka, ca, sa, fa, kb, cb, sb, fb, p):
     return keys, coeffs
 
 
-# -- untracked engine ----------------------------------------------------------
+# -- representation rows -------------------------------------------------------
+#
+# A row is a list of key dicts, one per original generator: the element it
+# belongs to equals sum_j row[j] * generator_j.  Coefficients live in the
+# field (rationals or residues), whatever domain the element is reduced in.
 
 
-def _engine(ring: Ring, gens_raw, budget: Budget):
+def _row_axpy(row, src_row, shift, factor, p):
+    """row += factor * x^shift * src_row, in place."""
+    for slot, d in enumerate(src_row):
+        if not d:
+            continue
+        target = row[slot]
+        for k, c in d.items():
+            nk = k + shift
+            v = target.get(nk)
+            nv = factor * c if v is None else v + factor * c
+            if p:
+                nv %= p
+            if nv:
+                target[nk] = nv
+            elif v is not None:
+                del target[nk]
+
+
+def _row_scale(row, factor, p):
+    """row *= factor, in place; factor is a nonzero field scalar."""
+    for d in row:
+        for k in d:
+            d[k] = d[k] * factor % p if p else d[k] * factor
+
+
+def _replay(row, log, rows, p):
+    """Apply a reduce_terms log to row; rows maps divisor leads to rows."""
+    for lead, shift, alpha, beta in log:
+        if lead is None:
+            _row_scale(row, mpq(1, beta), p)
+            continue
+        if beta != 1:
+            _row_scale(row, beta, p)
+        _row_axpy(row, rows[lead], shift, -alpha, p)
+
+
+# -- engine --------------------------------------------------------------------
+
+
+def _engine(ring: Ring, gens_raw, budget: Budget, rows=None):
     """Raw Buchberger; gens_raw are (keys, coeffs) primitive/residue lists.
-    Returns the raw reduced basis as a list of (keys, coeffs)."""
+    Returns the raw reduced basis as a list of (keys, coeffs, row).
+
+    rows, when given, holds one representation row per generator; the engine
+    then carries a row for every element it builds, by replaying the
+    kernel's log of each reduction, and returns it with the element.  Without
+    rows every returned row is None."""
     p = ring.field.characteristic
     one_key = ring.one_key
     guards = ring.guards
+    track = rows is not None
+    if not track:
+        rows = [None] * len(gens_raw)
 
     basis = []      # (keys, coeffs)
     meta = []       # (lead exps, lead degree)
     divisors = []
+    lead_rows = {}  # lead key -> row; leads in the basis are distinct
     queue = _PairQueue(ring)
 
-    def normalize(keys, coeffs):
+    def reduce(keys, coeffs, divs, row):
+        log = None if row is None else []
+        rk, rc, _ = reduce_terms(keys, coeffs, divs, guards, p, log)
+        if log:
+            _replay(row, log, lead_rows, p)
+        return rk, rc
+
+    def normalize(keys, coeffs, row):
         if p:
             inv = pow(coeffs[0], -1, p)
             if inv != 1:
                 coeffs = [c * inv % p for c in coeffs]
+                if row is not None:
+                    _row_scale(row, inv, p)
             return keys, coeffs
-        return _primitive(keys, coeffs)
+        g = _content(coeffs)
+        if g not in (0, 1):
+            coeffs = [c // g for c in coeffs]
+            if row is not None:
+                _row_scale(row, mpq(1, g), p)
+        return keys, coeffs
 
-    def insert(keys, coeffs) -> bool:
+    def insert(keys, coeffs, row) -> bool:
         """Returns True when a constant entered the basis (unit ideal)."""
-        keys, coeffs = normalize(keys, coeffs)
+        keys, coeffs = normalize(keys, coeffs, row)
+        lead_rows[keys[0]] = row
         if keys[0] == one_key:
             basis.clear()
-            basis.append(([one_key], [1 if p else 1]))
+            basis.append(([one_key], [1]))
             return True
         basis.append((keys, coeffs))
         t = len(basis) - 1
         meta.append((ring.unpack(keys[0]), ring.key_degree(keys[0])))
-        divisors.append(_K.prepare_divisor(keys, coeffs, p))
+        divisors.append(prepare_divisor(keys, coeffs, p))
         queue.add_element(meta, t)
         budget.basis_guard(len(basis))
         return False
 
-    for keys, coeffs in gens_raw:
+    def result(elements):
+        return [(k, c, lead_rows[k[0]]) for k, c in elements]
+
+    for (keys, coeffs), row in zip(gens_raw, rows):
         budget.checkpoint()
-        rk, rc, _ = _K.reduce_terms(list(keys), list(coeffs), divisors,
-                                    guards, p)
+        rk, rc = reduce(list(keys), list(coeffs), divisors, row)
         if rk:
-            if insert(rk, rc):
-                return basis
+            if insert(rk, rc, row):
+                return result(basis)
 
     while True:
         budget.checkpoint()
@@ -356,10 +536,15 @@ def _engine(ring: Ring, gens_raw, budget: Budget):
         sk, sc = _merge_scaled(ki, ci, si, fa, kj, cj, sj, fb, p)
         if not sk:
             continue
-        rk, rc, _ = _K.reduce_terms(sk, sc, divisors, guards, p)
+        row = None
+        if track:
+            row = [{} for _ in gens_raw]
+            _row_axpy(row, lead_rows[ki[0]], si, fa, p)
+            _row_axpy(row, lead_rows[kj[0]], sj, fb, p)
+        rk, rc = reduce(sk, sc, divisors, row)
         if rk:
-            if insert(rk, rc):
-                return basis
+            if insert(rk, rc, row):
+                return result(basis)
 
     # minimalize: drop elements whose lead is divisible by another lead
     order = sorted(range(len(basis)), key=lambda t: basis[t][0][0])
@@ -374,174 +559,17 @@ def _engine(ring: Ring, gens_raw, budget: Budget):
         kept_leads.append(lk)
     reduced = [basis[t] for t in kept]
 
-    # interreduce tails (leads are pairwise non-divisible, one pass is exact)
+    # interreduce tails (leads are pairwise non-divisible, one pass is exact,
+    # and each element keeps its lead, so lead_rows stays keyed correctly)
     for idx in range(len(reduced)):
         budget.checkpoint()
-        others = [_K.prepare_divisor(k, c, p)
+        others = [prepare_divisor(k, c, p)
                   for pos, (k, c) in enumerate(reduced) if pos != idx]
         k, c = reduced[idx]
-        rk, rc, _ = _K.reduce_terms(list(k), list(c), others, guards, p)
-        reduced[idx] = normalize(rk, rc)
-    return reduced
-
-
-# -- tracked engine (field arithmetic, carries representations) ----------------
-
-
-class _TrackedElement:
-    __slots__ = ("keys", "coeffs", "row")
-
-    def __init__(self, keys, coeffs, row):
-        self.keys = keys
-        self.coeffs = coeffs
-        self.row = row  # list of dicts, one per original generator
-
-
-def _row_axpy(row, src_row, shift, factor, p):
-    """row += factor * x^shift * src_row, in place."""
-    for slot, d in enumerate(src_row):
-        if not d:
-            continue
-        target = row[slot]
-        for k, c in d.items():
-            nk = k + shift
-            v = target.get(nk)
-            nv = factor * c if v is None else v + factor * c
-            if p:
-                nv %= p
-            if nv:
-                target[nk] = nv
-            elif v is not None:
-                del target[nk]
-
-
-def _tracked_reduce(ring, fk, fc, frow, elements, budget):
-    """Full field reduction of f by tracked elements, updating f's row."""
-    p = ring.field.characteristic
-    fld = ring.field
-    work = dict(zip(fk, fc))
-    heap = [-k for k in fk]
-    heapq.heapify(heap)
-    row = frow
-    rem_keys = []
-    rem_coeffs = []
-    while heap:
-        budget.checkpoint()
-        m = -heapq.heappop(heap)
-        c = work.pop(m, 0)
-        if not c:
-            continue
-        hit = None
-        for el in elements:
-            if ring.divides(el.keys[0], m):
-                hit = el
-                break
-        if hit is None:
-            rem_keys.append(m)
-            rem_coeffs.append(c)
-            continue
-        t = c * fld.inv(hit.coeffs[0])
-        if p:
-            t %= p
-        shift = m - hit.keys[0]
-        for tk, tc in zip(hit.keys[1:], hit.coeffs[1:]):
-            kk = tk + shift
-            v = work.get(kk)
-            nv = -t * tc if v is None else v - t * tc
-            if p:
-                nv %= p
-            if v is None:
-                heapq.heappush(heap, -kk)
-            work[kk] = nv
-        _row_axpy(row, hit.row, shift, fld.neg(t), p)
-    return rem_keys, rem_coeffs, row
-
-
-def _engine_tracked(ring: Ring, gens_raw, budget: Budget):
-    """Field-coefficient Buchberger carrying representation rows.
-    Same pair strategy as the fast engine; returns _TrackedElement list."""
-    p = ring.field.characteristic
-    fld = ring.field
-    one_key = ring.one_key
-    nslots = len(gens_raw)
-
-    elements: list = []
-    meta = []
-    queue = _PairQueue(ring)
-
-    def fresh_row():
-        return [dict() for _ in range(nslots)]
-
-    def insert(keys, coeffs, row) -> bool:
-        inv = fld.inv(coeffs[0])
-        if inv != 1 or p:
-            coeffs = [c * inv % p if p else c * inv for c in coeffs]
-            for d in row:
-                for k in d:
-                    d[k] = d[k] * inv % p if p else d[k] * inv
-        if keys[0] == one_key:
-            elements.clear()
-            elements.append(_TrackedElement(keys, coeffs, row))
-            return True
-        elements.append(_TrackedElement(keys, coeffs, row))
-        meta.append((ring.unpack(keys[0]), ring.key_degree(keys[0])))
-        queue.add_element(meta, len(elements) - 1)
-        budget.basis_guard(len(elements))
-        return False
-
-    for slot, (keys, coeffs) in enumerate(gens_raw):
-        budget.checkpoint()
-        row = fresh_row()
-        row[slot][ring.one_key] = fld.one()
-        rk, rc, row = _tracked_reduce(ring, list(keys), list(coeffs), row,
-                                      elements, budget)
-        if rk:
-            if insert(rk, rc, row):
-                return elements
-
-    while True:
-        budget.checkpoint()
-        item = queue.pop()
-        if item is None:
-            break
-        i, j, L = item
-        Lkey = ring.pack(L)
-        ei, ej = elements[i], elements[j]
-        si = Lkey - ei.keys[0]
-        sj = Lkey - ej.keys[0]
-        fa, fb = fld.one(), fld.neg(fld.one())
-        sk, sc = _merge_scaled(ei.keys, ei.coeffs, si, fa,
-                               ej.keys, ej.coeffs, sj, fb, p)
-        row = fresh_row()
-        _row_axpy(row, ei.row, si, fa, p)
-        _row_axpy(row, ej.row, sj, fb, p)
-        if sk:
-            rk, rc, row = _tracked_reduce(ring, sk, sc, row, elements, budget)
-            if rk:
-                if insert(rk, rc, row):
-                    return elements
-
-    order = sorted(range(len(elements)), key=lambda t: elements[t].keys[0])
-    kept = []
-    for t in order:
-        lk = elements[t].keys[0]
-        if any(ring.divides(e.keys[0], lk) for e in kept):
-            continue
-        kept.append(elements[t])
-    for idx in range(len(kept)):
-        budget.checkpoint()
-        el = kept[idx]
-        others = kept[:idx] + kept[idx + 1:]
-        rk, rc, row = _tracked_reduce(ring, list(el.keys), list(el.coeffs),
-                                      el.row, others, budget)
-        inv = fld.inv(rc[0])
-        if inv != 1 or p:
-            rc = [c * inv % p if p else c * inv for c in rc]
-            for d in row:
-                for k in d:
-                    d[k] = d[k] * inv % p if p else d[k] * inv
-        kept[idx] = _TrackedElement(rk, rc, row)
-    return kept
+        row = lead_rows[k[0]]
+        rk, rc = reduce(list(k), list(c), others, row)
+        reduced[idx] = normalize(rk, rc, row)
+    return result(reduced)
 
 
 # -- public API -----------------------------------------------------------------
@@ -566,41 +594,33 @@ def buchberger(ideal: Ideal, track: bool = False,
     ring = ideal.ring
     p = ring.field.characteristic
 
-    if not track:
-        gens_raw = []
-        for g in ideal.generators:
-            zk, zc, _ = g.zform()
-            gens_raw.append((zk, zc))
-        raw = _engine(ring, gens_raw, budget)
-        elements = []
-        for keys, coeffs in sorted(raw, key=lambda kc: kc[0][0]):
-            if p:
-                elements.append(Polynomial(ring, keys, coeffs))
-            else:
-                lc = coeffs[0]
-                elements.append(Polynomial(
-                    ring, keys, [_mpq_div(c, lc) for c in coeffs]))
-        gb = GroebnerBasis(ideal, elements)
-    else:
-        gens_raw = []
-        for g in ideal.generators:
-            gens_raw.append((list(g.keys), list(g.coeffs)))
-        tracked = _engine_tracked(ring, gens_raw, budget)
-        tracked.sort(key=lambda el: el.keys[0])
-        elements = [Polynomial(ring, el.keys, el.coeffs) for el in tracked]
-        rows = []
-        for el in tracked:
-            rows.append(tuple(Polynomial.from_key_dict(ring, d)
-                              for d in el.row))
-        gb = GroebnerBasis(ideal, elements, transform=tuple(rows))
+    gens_raw = []
+    rows = [] if track else None
+    for slot, g in enumerate(ideal.generators):
+        zk, zc, scale = g.zform()
+        gens_raw.append((zk, zc))
+        if track:
+            row = [{} for _ in ideal.generators]
+            row[slot][ring.one_key] = ring.field.inv(scale)
+            rows.append(row)
+    elements = []
+    transform = [] if track else None
+    for keys, coeffs, row in sorted(_engine(ring, gens_raw, budget, rows),
+                                    key=lambda e: e[0][0]):
+        if not p:
+            lc = mpq(coeffs[0])
+            coeffs = [mpq(c) / lc for c in coeffs]
+            if track:
+                _row_scale(row, 1 / lc, p)
+        elements.append(Polynomial(ring, keys, coeffs))
+        if track:
+            transform.append(tuple(Polynomial.from_key_dict(ring, d)
+                                   for d in row))
+    gb = GroebnerBasis(ideal, elements,
+                       transform=tuple(transform) if track else None)
     if use_cache:
         _cache.put(key, gb)
     return gb
-
-
-def _mpq_div(c, lc):
-    from .fields import mpq
-    return mpq(c) / mpq(lc)
 
 
 def _as_gb(target, budget, use_cache=True) -> GroebnerBasis:

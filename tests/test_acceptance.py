@@ -135,8 +135,9 @@ def _suite_with_codims():
 
 
 def _run_check_cli(path, mode_args, time_s, timeout_s):
-    args = (["varsmooth", "check", "--projective", "--assume-radical",
-             "--json", "--time-limit", str(time_s)] + mode_args + [path])
+    args = ([sys.executable, "-m", "varsmooth", "check", "--projective",
+             "--assume-radical", "--json", "--time-limit", str(time_s)]
+            + mode_args + [path])
     try:
         p = subprocess.run(args, capture_output=True, text=True,
                            timeout=timeout_s)
@@ -343,8 +344,9 @@ def test_criterion_9_descent_beats_baseline_on_i1_8():
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "i1-8.ideal")
         Path(path).write_text(ideal_file_text(inst.ideal))
-        args = ["varsmooth", "check", "--projective", "--assume-radical",
-                "--mode", "jacobian", "--json", "--time-limit", "300", path]
+        args = [sys.executable, "-m", "varsmooth", "check", "--projective",
+                "--assume-radical", "--mode", "jacobian", "--json",
+                "--time-limit", "300", path]
         t0 = time.monotonic()
         try:
             p = subprocess.run(args, capture_output=True, text=True,

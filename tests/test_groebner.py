@@ -3,14 +3,17 @@ from fractions import Fraction
 from itertools import combinations as icombs
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import nonzero_random_poly, random_poly, variables
 from varsmooth.errors import LimitExceededError
 from varsmooth.fields import QQ, GF
-from varsmooth.groebner import (GroebnerBasis, Ideal, buchberger, clear_caches,
-                                division_with_quotients, equal_on_chart,
-                                ideal_membership, krull_dimension, lift_power,
-                                normal_form, radical_membership)
+from varsmooth.groebner import (GroebnerBasis, Ideal, _replay, buchberger,
+                                clear_caches, division_with_quotients,
+                                equal_on_chart, ideal_membership,
+                                krull_dimension, lift_power, normal_form,
+                                prepare_divisor, radical_membership,
+                                reduce_terms)
 from varsmooth.limits import Budget, Limits, ensure_budget
 from varsmooth.poly import Polynomial
 from varsmooth.ring import Ring
@@ -420,11 +423,131 @@ def test_basis_cap_raises():
 
 
 def test_tracked_transform_identity():
-    for ideal in all_systems()[:6]:
+    rp = Ring(GF(101), ("x", "y", "z"))
+    x, y, z = variables(rp)
+    cyclic3_mod_p = Ideal(rp, [2 * x + 3 * y + z, x * y + 5 * y * z + z * x,
+                               7 * x * y * z - 1])
+    for ideal in all_systems()[:6] + [cyclic3_mod_p]:
         gb = buchberger(ideal, track=True)
         assert gb.transform is not None
+        assert gb.elements == buchberger(ideal).elements
         for el, row in zip(gb.elements, gb.transform):
             acc = Polynomial.zero(ideal.ring)
             for c, g in zip(row, ideal.generators):
                 acc = acc + c * g
             assert acc == el, str(el)
+
+
+# -- reduction kernel ----------------------------------------------------------
+
+RING3 = Ring(QQ, ("x", "y", "z"))
+
+
+def pack_poly(term_list):
+    """[(exps, coeff)] -> descending (keys, coeffs), duplicates summed."""
+    acc = {}
+    for exps, c in term_list:
+        k = RING3.pack(exps)
+        acc[k] = acc.get(k, 0) + c
+    items = sorted(((k, c) for k, c in acc.items() if c), reverse=True)
+    return [k for k, _ in items], [c for _, c in items]
+
+
+exps_st = st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5))
+coeff_st = st.integers(-50, 50).filter(bool)
+poly_st = st.lists(st.tuples(exps_st, coeff_st), min_size=0,
+                   max_size=6).map(pack_poly)
+nonzero_poly_st = poly_st.filter(lambda kc: bool(kc[0]))
+
+
+def _positive_leading(dc):
+    # integer divisors reach the kernel zform-normalized: leading coeff > 0
+    return dc if dc[0] > 0 else [-c for c in dc]
+
+
+@given(nonzero_poly_st, st.lists(nonzero_poly_st, min_size=1, max_size=3))
+def test_reduce_terms_integer_contract(f, divisors):
+    # remainder keys strictly descending, none divisible by a divisor lead,
+    # positive mult
+    fk, fc = f
+    divs = [prepare_divisor(list(dk), _positive_leading(list(dc)), 0)
+            for dk, dc in divisors]
+    rk, rc, mult = reduce_terms(list(fk), list(fc), divs, RING3.guards, 0)
+    assert mult >= 1
+    assert all(rk[i] > rk[i + 1] for i in range(len(rk) - 1))
+    assert all(c != 0 for c in rc)
+    for k in rk:
+        for d in divs:
+            assert ((k | RING3.guards) - d[0]) & RING3.guards != RING3.guards
+
+
+@given(nonzero_poly_st, st.lists(nonzero_poly_st, min_size=1, max_size=2))
+def test_reduce_terms_mod_p_exact(f, divisors):
+    p = 101
+    fk, fc = f
+    fc = [c % p for c in fc]
+    if not all(fc):
+        return
+    divs = []
+    for dk, dc in divisors:
+        dc = [c % p for c in dc]
+        if not all(dc):
+            return
+        divs.append(prepare_divisor(list(dk), list(dc), p))
+    rk, rc, mult = reduce_terms(list(fk), list(fc), divs, RING3.guards, p)
+    assert mult == 1
+    assert all(0 < c < p for c in rc)
+
+
+def _random_zpoly(rng, ring, nterms, lo, hi):
+    """zform of a random polynomial whose terms have degree in [lo, hi]."""
+    terms = []
+    for _ in range(nterms):
+        exps = [0] * ring.nvars
+        for _ in range(rng.randint(lo, hi)):
+            exps[rng.randrange(ring.nvars)] += 1
+        terms.append((exps, rng.choice((1, 2, 3, 4, 6, 9, 12, -2, -3))))
+    zk, zc, _ = Polynomial.from_terms(ring, terms).zform()
+    return list(zk), list(zc)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF101"])
+def test_reduce_terms_log_replays_to_the_remainder(field):
+    # Replaying the log on identity rows (slot 0 for f, slot i + 1 for
+    # divisor i) must express the remainder in f and the divisors exactly.
+    ring = Ring(field, ("x", "y", "z"))
+    p = field.characteristic
+
+    def as_poly(keys, coeffs):
+        return Polynomial.from_key_dict(
+            ring, {k: field.coerce(c) for k, c in zip(keys, coeffs)})
+
+    def identity_row(slot, nslots):
+        row = [{} for _ in range(nslots)]
+        row[slot][ring.one_key] = field.one()
+        return row
+
+    rng = random.Random(5)
+    shrinks = 0
+    for _ in range(400):
+        fk, fc = _random_zpoly(rng, ring, 15, 6, rng.randint(6, 14))
+        divs, polys = [], [as_poly(fk, fc)]
+        for _ in range(rng.randint(1, 3)):
+            dk, dc = _random_zpoly(rng, ring, rng.randint(2, 3), 0, 2)
+            if len(dk) >= 2 and dk[0] != ring.one_key:
+                divs.append(prepare_divisor(dk, dc, p))
+                polys.append(as_poly(dk, dc))
+        lead_rows = {}
+        for i, d in enumerate(divs):
+            lead_rows.setdefault(d[0], identity_row(i + 1, len(polys)))
+        log = []
+        rk, rc, _ = reduce_terms(fk, fc, divs, ring.guards, p, log)
+        row = identity_row(0, len(polys))
+        _replay(row, log, lead_rows, p)
+        acc = Polynomial.zero(ring)
+        for d, g in zip(row, polys):
+            acc = acc + Polynomial.from_key_dict(ring, d) * g
+        assert acc == as_poly(rk, rc)
+        shrinks += sum(1 for step in log if step[0] is None)
+    if not p:
+        assert shrinks > 0  # content divisions were logged and replayed

@@ -1,5 +1,6 @@
 import json
 import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -105,8 +106,9 @@ def test_known_suite_texts():
 # -- CLI ----------------------------------------------------------------------
 
 def run_cli(args, stdin_text=None):
-    return subprocess.run(["varsmooth"] + args, input=stdin_text,
-                          capture_output=True, text=True, timeout=300)
+    return subprocess.run([sys.executable, "-m", "varsmooth"] + args,
+                          input=stdin_text, capture_output=True, text=True,
+                          timeout=300)
 
 
 def test_cli_gen_check_pipeline_smooth():
