@@ -111,56 +111,44 @@ def enumerate_frames(chart: Chart, strict: bool = False,
                      budget: Optional[Budget] = None) -> FrameEnumeration:
     """Frames of the chart's ambient Jacobian in lexicographic column order.
 
-    Enumeration stops as soon as the yielded determinants q_1..q_t cover the
-    chart: by default when g lies in the radical of I_W + (q_1..q_t), in
-    strict mode when g lies in the plain ideal (q_1..q_t).  A constant
-    determinant covers immediately.
+    Each candidate submatrix gets its determinant first; zero ones are
+    skipped, and only the frames kept get an adjugate.  Enumeration stops as
+    soon as the yielded determinants q_1..q_t cover the chart: by default
+    when g lies in the radical of I_W + (q_1..q_t), in strict mode when g
+    lies in the plain ideal (q_1..q_t).  A constant determinant covers
+    immediately, so a frameless chart yields the single empty frame.
     """
     budget = ensure_budget(budget)
     ring = chart.ring
     r = len(chart.ambient.generators)
     n = ring.nvars
     g = chart.localizer
-    if r == 0:
-        one = Polynomial.constant(ring, 1)
-        empty = PolyMatrix(ring, 0, 0, ())
-        frame = FrameData((), (), empty, one, empty)
-        return FrameEnumeration([frame], True, [one])
     if r > n:
         raise ContractError(f"{r} ambient generators in {n} variables")
 
     jac = _ambient_jacobian(chart)
     rows = tuple(range(r))
-
-    candidates = []
+    frames = []
+    dets = []
     for cols in _combinations(range(n), r):
         budget.checkpoint()
         m = jac.submatrix(rows, cols)
-        adj, q = adjugate(m)
+        q = determinant(m)
         if q.is_zero():
             continue
-        candidates.append(FrameData(rows, cols, m, q, adj))
-
-    frames = []
-    dets = []
-    cover = False
-    for frame in candidates:
-        budget.checkpoint()
-        frames.append(frame)
-        dets.append(frame.q)
-        if frame.q.is_constant():
-            cover = True
-            break
+        adj, _ = adjugate(m)
+        frames.append(FrameData(rows, cols, m, q, adj))
+        dets.append(q)
+        if q.is_constant():
+            return FrameEnumeration(frames, True, dets)
         if strict:
-            if ideal_membership(g, Ideal(ring, dets), budget=budget):
-                cover = True
-                break
+            covered = ideal_membership(g, Ideal(ring, dets), budget=budget)
         else:
             probe = Ideal(ring, list(chart.ambient.generators) + dets)
-            if radical_membership(g, probe, budget=budget):
-                cover = True
-                break
-    return FrameEnumeration(frames, cover, dets)
+            covered = radical_membership(g, probe, budget=budget)
+        if covered:
+            return FrameEnumeration(frames, True, dets)
+    return FrameEnumeration(frames, False, dets)
 
 
 def relative_jacobian(polys, chart: Chart, frame: FrameData) -> PolyMatrix:

@@ -127,6 +127,8 @@ class Verdict:
     stats: dict
     timing: dict
     reason: Optional[str] = None
+    # indeterminate only: limit | precondition | internal
+    reason_kind: Optional[str] = None
 
     def as_report(self, include_timing: bool = False) -> dict:
         rep = {
@@ -135,6 +137,7 @@ class Verdict:
             "witness": self.witness.as_dict() if self.witness else None,
             "stats": dict(self.stats),
             "reason": self.reason,
+            "reason_kind": self.reason_kind,
         }
         if include_timing:
             rep["timing"] = dict(self.timing)
@@ -354,7 +357,7 @@ class _Pool:
         self.joins = {}          # parent path -> [remaining, continuation]
         self.records = []
         self.event_path = None   # minimal known failure or error path
-        self.event = None        # ("fail", witness) | ("error", reason)
+        self.event = None        # ("fail", witness) | (reason_kind, reason)
         self.committed = False
         self.schedule_rng = schedule_rng
 
@@ -481,13 +484,13 @@ class _Pool:
         except CancelledError:
             outcome = None
         except LimitExceededError as e:
-            outcome = ("error", f"limit: {e}")
+            outcome = ("limit", f"limit: {e}")
         except MemoryError:
-            outcome = ("error", "memory exhausted")
+            outcome = ("limit", "memory exhausted")
         except VarsmoothError as e:
-            outcome = ("error", f"{type(e).__name__}: {e}")
+            outcome = ("precondition", f"{type(e).__name__}: {e}")
         except Exception as e:  # worker panic surfaces as indeterminate
-            outcome = ("error", f"internal {type(e).__name__}: {e}")
+            outcome = ("internal", f"internal {type(e).__name__}: {e}")
         dur = time.monotonic() - t0
         ctx.observer.on_task_done(task.path, task.kind, passed)
         return outcome, dur, budget.gb_queries, budget.frames
@@ -535,7 +538,7 @@ class _Pool:
         if kind == "fail":
             return Verdict("singular", cfg.mode, info, stats, timing)
         return Verdict("indeterminate", cfg.mode, None, stats, timing,
-                       reason=info)
+                       reason=info, reason_kind=kind)
 
 
 def _run(ctx: _RunContext, roots, schedule_seed=None) -> Verdict:

@@ -1,13 +1,18 @@
 """Groebner bases under degrevlex, with the derived ideal predicates.
 
-One Buchberger engine runs with normal-strategy pair selection and the
-classical coprime and chain criteria, reducing over the integers
-(pseudo-division on primitive polynomials) for rational input and over F_p
-directly.  Representation tracking, needed by the covering construction,
-rides on the same loop: the reduction kernel logs its steps, and the engine
-replays each log on optional representation rows that express every basis
-element in the original generators.  Rows are opt-in because they roughly
-double the work and memory.
+One Buchberger engine runs with normal-strategy pair selection, reducing
+over the integers (pseudo-division on primitive polynomials) for rational
+input and over F_p directly.  Its pair queue works on the exponent lanes of
+packed keys: a new element's candidate pairs are pruned by proper lcm
+divisibility, then to the lowest index per lcm, then by coprime leads, and
+the chain criterion deletes queued pairs (see _PairQueue for the exact
+rules, which differ from Gebauer-Moeller in the coprime step).
+
+Representation tracking, needed by the covering construction, rides on the
+same loop: the reduction kernel logs its steps, and the engine replays each
+log on optional representation rows that express every basis element in
+the original generators.  Rows are opt-in because they roughly double the
+work and memory.
 
 Radical membership uses the extra-variable trick: f lies in the radical of
 I exactly when I together with 1 - t*f generates the unit ideal in the
@@ -284,67 +289,70 @@ def _content(coeffs):
     return g
 
 
-def _exps_divides(a, b) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
-def _exps_lcm(a, b):
-    return tuple(map(max, a, b))
-
-
-def _exps_coprime(a, b) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
-
-
 class _PairQueue:
-    """Normal-strategy pair queue with the coprime and chain criteria
-    applied on every insertion (Gebauer-Moeller bookkeeping)."""
+    """Normal-strategy pair queue, keyed on packed monomials.
+
+    Leads are kept as the low halves of their keys (raw exponent lanes), so
+    an lcm is a lane-wise max and divisibility the guard-bit test.  Adding
+    element t forms the candidates (i, t) for every i < t and keeps a pair
+    unless one of these rules drops it, applied in this order:
+
+    - another candidate's lcm properly divides its lcm;
+    - a candidate of lower index has the same lcm;
+    - its leads are coprime (tested after the previous rule, so an
+      equal-lcm class goes only when its lowest-index member is coprime).
+
+    Then every queued pair (i, j) whose lcm is divisible by the new lead,
+    and differs from both lcm(lead_i, lead_t) and lcm(lead_j, lead_t), is
+    deleted (chain criterion).  Pairs pop by ascending lcm key, then by
+    index, which is degree first under degrevlex."""
 
     def __init__(self, ring: Ring):
         self.ring = ring
-        self.alive: dict = {}   # (i, j) -> lcm exponent tuple
+        self.low = (1 << (16 * ring.nvars)) - 1
+        self.leads: list = []   # low halves of the lead keys
+        self.alive: dict = {}   # (i, j) -> packed lcm key
         self.heap: list = []
 
-    def add_element(self, meta, t: int):
-        """meta: list of (lead exps, degree) for elements 0..t."""
+    def add_element(self, lead_key: int):
         ring = self.ring
-        lt = meta[t][0]
+        G = ring.guards
+        LOW = self.low
+        leads = self.leads
+        b = lead_key & LOW
+        t = len(leads)
         cand = []
-        for i in range(t):
-            cand.append((i, _exps_lcm(meta[i][0], lt)))
+        for a in leads:
+            # guard bit of each lane where b >= a, widened to the lane
+            m = ((b | G) - a) & G
+            mask = m | (m - (m >> 15))
+            cand.append((b & mask) | (a & (LOW ^ mask)))
+        leads.append(b)
         kept = []
-        for i, L in cand:
-            drop = False
-            for j, L2 in cand:
-                if i != j and L2 != L and _exps_divides(L2, L):
-                    drop = True
-                    break
-            if not drop:
+        seen = set()
+        for i, L in enumerate(cand):
+            if L in seen:
+                continue
+            seen.add(L)
+            if any(L2 != L and ((L | G) - L2) & G == G for L2 in cand):
+                continue
+            if L != leads[i] + b:   # equal to a + b exactly when coprime
                 kept.append((i, L))
-        seen = {}
-        for i, L in kept:
-            if L not in seen:
-                seen[L] = i
-        kept = [(i, L) for i, L in kept if seen[L] == i]
-        kept = [(i, L) for i, L in kept
-                if not _exps_coprime(meta[i][0], lt)]
-        for (i, j), L in list(self.alive.items()):
-            if (_exps_divides(lt, L)
-                    and _exps_lcm(meta[i][0], lt) != L
-                    and _exps_lcm(meta[j][0], lt) != L):
+        for (i, j), key in list(self.alive.items()):
+            L = key & LOW
+            if ((L | G) - b) & G == G and cand[i] != L and cand[j] != L:
                 del self.alive[(i, j)]
         for i, L in kept:
-            pair = (i, t)
-            self.alive[pair] = L
-            key = self.ring.pack(L)
-            heapq.heappush(self.heap, (sum(L), key, i, t))
+            key = ring.pack(ring.unpack(L))
+            self.alive[(i, t)] = key
+            heapq.heappush(self.heap, (key, i, t))
 
     def pop(self):
+        """(i, j, packed lcm key) of the next live pair, or None."""
         while self.heap:
-            deg, key, i, j = heapq.heappop(self.heap)
-            L = self.alive.pop((i, j), None)
-            if L is not None:
-                return i, j, L
+            key, i, j = heapq.heappop(self.heap)
+            if self.alive.pop((i, j), None) is not None:
+                return i, j, key
         return None
 
 
@@ -463,7 +471,6 @@ def _engine(ring: Ring, gens_raw, budget: Budget, rows=None):
         rows = [None] * len(gens_raw)
 
     basis = []      # (keys, coeffs)
-    meta = []       # (lead exps, lead degree)
     divisors = []
     lead_rows = {}  # lead key -> row; leads in the basis are distinct
     queue = _PairQueue(ring)
@@ -499,10 +506,8 @@ def _engine(ring: Ring, gens_raw, budget: Budget, rows=None):
             basis.append(([one_key], [1]))
             return True
         basis.append((keys, coeffs))
-        t = len(basis) - 1
-        meta.append((ring.unpack(keys[0]), ring.key_degree(keys[0])))
         divisors.append(prepare_divisor(keys, coeffs, p))
-        queue.add_element(meta, t)
+        queue.add_element(keys[0])
         budget.basis_guard(len(basis))
         return False
 
@@ -521,8 +526,7 @@ def _engine(ring: Ring, gens_raw, budget: Budget, rows=None):
         item = queue.pop()
         if item is None:
             break
-        i, j, L = item
-        Lkey = ring.pack(L)
+        i, j, Lkey = item
         ki, ci = basis[i]
         kj, cj = basis[j]
         si = Lkey - ki[0]

@@ -107,15 +107,6 @@ class Ring:
     def mul_key(self, ka: int, kb: int) -> int:
         return ka + kb - self.mul_off
 
-    def quot_key(self, kb: int, ka: int) -> int:
-        """Key of b / a; caller ensures divisibility."""
-        return kb - ka + self.mul_off
-
-    def lcm_key(self, ka: int, kb: int) -> int:
-        ea = self.unpack(ka)
-        eb = self.unpack(kb)
-        return self.pack(tuple(map(max, ea, eb)))
-
     def monomial_str(self, key: int) -> str:
         parts = []
         for name, e in zip(self.variables, self.unpack(key)):

@@ -17,6 +17,8 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import pytest
+
 from varsmooth.bench import (cyclic_polytope_sr, get_suite,
                              random_coordinate_change, rational_normal_curve,
                              veronese_ci)
@@ -144,11 +146,14 @@ def _run_check_cli(path, mode_args, time_s, timeout_s):
     except subprocess.TimeoutExpired:
         return None
     if p.returncode == 3:
+        rep = json.loads(p.stdout)
+        assert rep["reason_kind"] == "limit", (args, rep["reason"])
         return None
     assert p.returncode in (0, 1), (args, p.returncode, p.stderr)
     return json.loads(p.stdout)["status"]
 
 
+@pytest.mark.slow
 @criterion(3)
 def test_criterion_3_mode_equivalence():
     finished = unfinished = 0
@@ -160,6 +165,9 @@ def test_criterion_3_mode_equivalence():
         for label, cfg in _mode_configs(codim, time_s=30.0):
             v = smoothness_test(inst.ideal, cfg)
             if v.status == "indeterminate":
+                # only a resource limit excuses a run; a crash or a broken
+                # precondition could hide a disagreement
+                assert v.reason_kind == "limit", (inst.name, label, v.reason)
                 unfinished += 1
                 continue
             finished += 1
@@ -327,6 +335,7 @@ def test_criterion_8_two_path_descent_example():
             "on, smooth both ways")
 
 
+@pytest.mark.slow
 @criterion(9)
 def test_criterion_9_descent_beats_baseline_on_i1_8():
     inst = rational_normal_curve(8)

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -10,8 +11,12 @@ from varsmooth.charts import (Chart, affine_jacobian_criterion, delta_check,
                               delta_frame_tasks, descend, embedded_jacobian,
                               enumerate_frames, relative_jacobian,
                               singular_locus_ideal)
-from varsmooth.groebner import (Ideal, equal_on_chart, krull_dimension,
-                                radical_membership)
+from varsmooth import charts
+from varsmooth.bench import rational_normal_curve
+from varsmooth.driver import Config, projective_smoothness
+from varsmooth.groebner import (Ideal, equal_on_chart, ideal_membership,
+                                krull_dimension, radical_membership)
+from varsmooth.matrix import PolyMatrix, adjugate, jacobian
 from varsmooth.poly import Polynomial
 from varsmooth.ring import Ring
 
@@ -125,6 +130,92 @@ def test_strict_cover_demands_plain_membership():
     assert enum.cover_complete  # q = -1 on column y covers everything
     only_x = [fr for fr in enum.frames if fr.cols == (0,)]
     assert only_x and only_x[0].q == 3 * x * x
+
+
+def _eager_frames(chart, strict=False):
+    """Reference enumeration: an adjugate for every candidate submatrix,
+    then the cover scan over the nonzero ones.  Returns (frames as
+    (cols, q, adj) triples, cover_complete, determinants)."""
+    ring = chart.ring
+    r = len(chart.ambient.generators)
+    g = chart.localizer
+    if r == 0:
+        one = Polynomial.constant(ring, 1)
+        empty = PolyMatrix(ring, 0, 0, ())
+        return [((), one, empty)], True, [one]
+    jac = jacobian(ring, chart.ambient.generators)
+    rows = tuple(range(r))
+    candidates = []
+    for cols in combinations(range(ring.nvars), r):
+        adj, q = adjugate(jac.submatrix(rows, cols))
+        if not q.is_zero():
+            candidates.append((cols, q, adj))
+    frames, dets = [], []
+    for cols, q, adj in candidates:
+        frames.append((cols, q, adj))
+        dets.append(q)
+        if q.is_constant():
+            return frames, True, dets
+        if strict:
+            covered = ideal_membership(g, Ideal(ring, dets))
+        else:
+            covered = radical_membership(
+                g, Ideal(ring, list(chart.ambient.generators) + dets))
+        if covered:
+            return frames, True, dets
+    return frames, False, dets
+
+
+def _rnc_charts():
+    """Every chart the driver enumerates frames on for I1-4 and I1-5, in
+    hironaka and hybrid mode: frameless roots and descended charts."""
+    seen = []
+    original = charts.enumerate_frames
+
+    def record(chart, strict=False, budget=None):
+        seen.append(chart)
+        return original(chart, strict=strict, budget=budget)
+
+    charts.enumerate_frames = record
+    try:
+        for d in (4, 5):
+            for cfg in (Config(), Config(mode="hybrid", to_codim=2)):
+                projective_smoothness(rational_normal_curve(d).ideal, cfg)
+    finally:
+        charts.enumerate_frames = original
+    return seen
+
+
+def test_lazy_frames_match_eager_reference(monkeypatch):
+    ring, (x, y) = mkvars(QQ, ("x", "y"))
+    cubic = Ideal(ring, [x * x * x - y])
+    # q = 3x^2 and 3y^2: the radical cover fires on the first frame, the
+    # strict one never does and exhausts both
+    fermat = Ideal(ring, [x ** 3 + y ** 3 + 1])
+    cases = [(Chart(cubic, cubic, x, depth=1, check=False), False),
+             (Chart(fermat, fermat, x, depth=1, check=False), False),
+             (Chart(fermat, fermat, x, depth=1, check=False), True)]
+    rnc = _rnc_charts()
+    assert {len(c.ambient.generators) for c in rnc} == {0, 1, 2, 3}
+    cases += [(c, strict) for c in rnc for strict in (False, True)]
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return adjugate(m)
+
+    monkeypatch.setattr(charts, "adjugate", counting)
+    exhausted = 0
+    for chart, strict in cases:
+        del calls[:]
+        enum = enumerate_frames(chart, strict=strict)
+        frames, cover, dets = _eager_frames(chart, strict=strict)
+        assert [(fr.cols, fr.q, fr.adj) for fr in enum.frames] == frames
+        assert enum.cover_complete == cover
+        assert enum.determinants == dets
+        assert len(calls) == len(enum.frames), (chart, strict)
+        exhausted += not cover
+    assert exhausted  # the exhaustion path is exercised too
 
 
 def test_frame_count_exceeding_ambient_raises():

@@ -178,10 +178,30 @@ def test_indeterminate_on_tiny_limits():
                         Config(mode="jacobian", limits=Limits(max_basis=2)))
     assert v.status == "indeterminate"
     assert "limit" in v.reason
+    assert v.reason_kind == v.as_report()["reason_kind"] == "limit"
     clear_caches()
     w = smoothness_test(x2_cone_ideal(),
                         Config(mode="hironaka", limits=Limits(time_s=0.0)))
     assert w.status == "indeterminate"
+    assert w.reason_kind == "limit"
+
+
+def test_reason_kind_tells_preconditions_and_crashes_apart(monkeypatch):
+    from varsmooth import driver
+    from varsmooth.errors import DescentError
+    assert smoothness_test(cusp_ideal(), Config()).reason_kind is None
+
+    def raising(exc):
+        def criterion(*args, **kwargs):
+            raise exc
+        return criterion
+
+    for exc, kind in ((DescentError("no cover"), "precondition"),
+                      (ZeroDivisionError("bug"), "internal")):
+        clear_caches()
+        monkeypatch.setattr(driver, "affine_jacobian_criterion", raising(exc))
+        w = smoothness_test(circle_ideal(), Config(mode="jacobian"))
+        assert (w.status, w.reason_kind) == ("indeterminate", kind), w.reason
 
 
 def test_witness_contents():
@@ -203,8 +223,10 @@ def test_witness_contents():
 def test_report_shape():
     v = smoothness_test(circle_ideal(), Config())
     rep = v.as_report()
-    assert set(rep) == {"status", "mode", "witness", "stats", "reason"}
+    assert set(rep) == {"status", "mode", "witness", "stats", "reason",
+                        "reason_kind"}
     assert rep["status"] == "smooth" and rep["witness"] is None
+    assert rep["reason_kind"] is None
     rep_t = v.as_report(include_timing=True)
     assert "timing" in rep_t
     assert rep_t["timing"]["sim_parallel_s"] <= \

@@ -1,3 +1,4 @@
+import heapq
 import random
 from fractions import Fraction
 from itertools import combinations as icombs
@@ -8,7 +9,8 @@ from hypothesis import given, strategies as st
 from conftest import nonzero_random_poly, random_poly, variables
 from varsmooth.errors import LimitExceededError
 from varsmooth.fields import QQ, GF
-from varsmooth.groebner import (GroebnerBasis, Ideal, _replay, buchberger,
+from varsmooth.groebner import (GroebnerBasis, Ideal, _PairQueue, _replay,
+                                buchberger,
                                 clear_caches, division_with_quotients,
                                 equal_on_chart, ideal_membership,
                                 krull_dimension, lift_power, normal_form,
@@ -16,7 +18,7 @@ from varsmooth.groebner import (GroebnerBasis, Ideal, _replay, buchberger,
                                 reduce_terms)
 from varsmooth.limits import Budget, Limits, ensure_budget
 from varsmooth.poly import Polynomial
-from varsmooth.ring import Ring
+from varsmooth.ring import EXP_LIMIT, Ring
 
 
 # -- independent oracle: textbook division over exponent tuples --------------
@@ -436,6 +438,113 @@ def test_tracked_transform_identity():
             for c, g in zip(row, ideal.generators):
                 acc = acc + c * g
             assert acc == el, str(el)
+
+
+# -- pair queue ----------------------------------------------------------------
+
+
+class _TuplePairQueue:
+    """Reference pair queue on exponent tuples, the rules _PairQueue keeps
+    written the slow way.  `events` counts what each rule removed."""
+
+    def __init__(self, ring):
+        self.ring = ring
+        self.leads = []
+        self.alive = {}   # (i, j) -> lcm exponent tuple
+        self.heap = []
+        self.events = {"divisible": 0, "equal": 0, "coprime": 0, "chain": 0}
+
+    def add_element(self, lt):
+        def lcm(a, b):
+            return tuple(map(max, a, b))
+
+        def divides(a, b):
+            return all(x <= y for x, y in zip(a, b))
+
+        t = len(self.leads)
+        self.leads.append(lt)
+        cand = [(i, lcm(self.leads[i], lt)) for i in range(t)]
+        kept = []
+        for i, L in cand:
+            if any(i != j and L2 != L and divides(L2, L) for j, L2 in cand):
+                self.events["divisible"] += 1
+            else:
+                kept.append((i, L))
+        first = {}
+        for i, L in kept:
+            first.setdefault(L, i)
+        self.events["equal"] += sum(first[L] != i for i, L in kept)
+        kept = [(i, L) for i, L in kept if first[L] == i]
+        coprime = [(i, L) for i, L in kept
+                   if all(x == 0 or y == 0 for x, y in zip(self.leads[i], lt))]
+        self.events["coprime"] += len(coprime)
+        kept = [e for e in kept if e not in coprime]
+        for (i, j), L in list(self.alive.items()):
+            if (divides(lt, L) and lcm(self.leads[i], lt) != L
+                    and lcm(self.leads[j], lt) != L):
+                del self.alive[(i, j)]
+                self.events["chain"] += 1
+        for i, L in kept:
+            self.alive[(i, t)] = L
+            heapq.heappush(self.heap, (sum(L), self.ring.pack(L), i, t))
+
+    def pop(self):
+        while self.heap:
+            _, key, i, j = heapq.heappop(self.heap)
+            if self.alive.pop((i, j), None) is not None:
+                return i, j, key
+        return None
+
+
+RING_PAIRS = {n: Ring(QQ, tuple(f"x{i}" for i in range(n)))
+              for n in range(1, 10)}
+
+
+def test_pair_queue_matches_tuple_reference():
+    rng = random.Random(2024)
+    totals = dict.fromkeys(("divisible", "equal", "coprime", "chain"), 0)
+    for trial in range(300):
+        n = 1 + trial % 9
+        ring = RING_PAIRS[n]
+        queue, oracle = _PairQueue(ring), _TuplePairQueue(ring)
+        top = rng.choice((1, 2, 3, 5))
+        zero_rate = rng.random()
+        for _ in range(rng.randint(2, 40)):
+            if rng.random() < 0.25:
+                assert queue.pop() == oracle.pop(), trial
+                continue
+            lead = tuple(0 if rng.random() < zero_rate else rng.randint(1, top)
+                         for _ in range(n))
+            queue.add_element(ring.pack(lead))
+            oracle.add_element(lead)
+        while True:
+            got = queue.pop()
+            assert got == oracle.pop(), trial
+            if got is None:
+                break
+        assert queue.alive == {} and oracle.alive == {}
+        for name, count in oracle.events.items():
+            totals[name] += count
+    # every rule fired many times, so each of them is pinned
+    assert min(totals.values()) >= 50, totals
+
+
+def test_pair_queue_lane_lcm_at_the_guard_boundary():
+    top = EXP_LIMIT - 1
+    values = (0, 1, 2, 255, 256, top - 1, top)
+    rng = random.Random(7)
+    for n in (1, 2, 3, 9):
+        ring = RING_PAIRS[n]
+        for _ in range(200):
+            a = [rng.choice(values) for _ in range(n)]
+            b = [rng.choice(values) for _ in range(n)]
+            k = rng.randrange(n)   # a shared variable keeps the pair
+            a[k] = a[k] or 1
+            b[k] = b[k] or top
+            queue = _PairQueue(ring)
+            queue.add_element(ring.pack(a))
+            queue.add_element(ring.pack(b))
+            assert queue.pop() == (0, 1, ring.pack(map(max, a, b))), (a, b)
 
 
 # -- reduction kernel ----------------------------------------------------------
