@@ -21,7 +21,7 @@ from typing import Optional
 from .driver import Config, Verdict, projective_smoothness, smoothness_test
 from .errors import SingularMatrixError
 from .fields import QQ
-from .groebner import Ideal
+from .groebner import Ideal, clear_caches
 from .poly import Polynomial, apply_linear_change
 from .ring import Ring
 
@@ -189,8 +189,11 @@ def _peak_mem_bytes():
 
 
 def run_instance(inst: BenchInstance, mode: str, cfg: Config) -> dict:
-    """One report row; limit hits show up as the indeterminate verdict."""
+    """One report row; limit hits show up as the indeterminate verdict.
+    The Groebner caches are cleared first, so every row starts cold.
+    peak_mem_bytes is the process high-water mark so far, not the row's."""
     cfg = replace(cfg, mode=mode)
+    clear_caches()
     t0 = time.monotonic()
     if inst.projective:
         verdict = projective_smoothness(inst.ideal, cfg)

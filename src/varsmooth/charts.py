@@ -70,16 +70,18 @@ class FrameData:
 
     rows/cols are the selected row and column index tuples, m the square
     submatrix, q its determinant, and adj the cofactor matrix normalized so
-    that sum_k adj[l][k] * m[l'][k] == q * delta(l, l')."""
+    that sum_k adj[l][k] * m[l'][k] == q * delta(l, l').  jac is the whole
+    ambient Jacobian the frame was cut from, shared by the chart's frames."""
 
-    __slots__ = ("rows", "cols", "m", "q", "adj")
+    __slots__ = ("rows", "cols", "m", "q", "adj", "jac")
 
-    def __init__(self, rows, cols, m, q, adj):
+    def __init__(self, rows, cols, m, q, adj, jac):
         self.rows = tuple(rows)
         self.cols = tuple(cols)
         self.m = m
         self.q = q
         self.adj = adj
+        self.jac = jac
 
     def __repr__(self):
         return f"<frame cols={self.cols} q={self.q}>"
@@ -103,10 +105,6 @@ class FrameEnumeration:
         self.determinants = determinants
 
 
-def _ambient_jacobian(chart: Chart) -> PolyMatrix:
-    return jacobian(chart.ring, chart.ambient.generators)
-
-
 def enumerate_frames(chart: Chart, strict: bool = False,
                      budget: Optional[Budget] = None) -> FrameEnumeration:
     """Frames of the chart's ambient Jacobian in lexicographic column order.
@@ -126,7 +124,7 @@ def enumerate_frames(chart: Chart, strict: bool = False,
     if r > n:
         raise ContractError(f"{r} ambient generators in {n} variables")
 
-    jac = _ambient_jacobian(chart)
+    jac = jacobian(ring, chart.ambient.generators)
     rows = tuple(range(r))
     frames = []
     dets = []
@@ -137,7 +135,7 @@ def enumerate_frames(chart: Chart, strict: bool = False,
         if q.is_zero():
             continue
         adj, _ = adjugate(m)
-        frames.append(FrameData(rows, cols, m, q, adj))
+        frames.append(FrameData(rows, cols, m, q, adj, jac))
         dets.append(q)
         if q.is_constant():
             return FrameEnumeration(frames, True, dets)
@@ -171,7 +169,7 @@ def relative_jacobian(polys, chart: Chart, frame: FrameData) -> PolyMatrix:
     cols = frame.cols
     free = [j for j in range(n) if j
             not in set(cols)]
-    jac_w = _ambient_jacobian(chart)
+    jac_w = frame.jac
     q = frame.q
     adj = frame.adj
     zero = Polynomial.zero(ring)
@@ -378,7 +376,8 @@ def embedded_frame_tasks(chart: Chart, strict: bool = False,
         rel = relative_jacobian(fs, chart, frame)
         mins = minors(rel, c_rel, reducer=gb_x.normal_form,
                       checkpoint=budget.checkpoint)
-        j_ideal = Ideal(ring, list(chart.variety.generators) + mins)
+        j_ideal = Ideal(ring, list(dict.fromkeys(
+            list(chart.variety.generators) + mins)))
         checks.append((frame, j_ideal, frame.q * chart.localizer))
     return enum, checks
 
@@ -418,5 +417,5 @@ def affine_jacobian_criterion(ideal: Ideal,
     jac = jacobian(ring, ideal.generators)
     mins = minors(jac, c, reducer=gb.normal_form,
                   checkpoint=budget.checkpoint)
-    total = Ideal(ring, list(ideal.generators) + mins)
+    total = Ideal(ring, list(dict.fromkeys(list(ideal.generators) + mins)))
     return buchberger(total, budget=budget).is_unit()

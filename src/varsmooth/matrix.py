@@ -2,19 +2,28 @@
 
 Determinants use fraction-free Bareiss elimination (the two-step division
 is exact, keeping intermediate entries small) with direct cofactor
-expansion below 4x4.  Minors are enumerated in lexicographic subset order
-and computed by memoized Laplace expansion so overlapping submatrices are
-shared; an optional reducer callback normalizes every intermediate result,
-which keeps minors-modulo-an-ideal computations bounded.
+expansion below 4x4.
+
+Minors are enumerated in lexicographic subset order and computed by
+memoized first-row Laplace expansion, so overlapping submatrices are
+shared.  The kernel works on term dicts {monomial key: coefficient}, not on
+Polynomial objects: over QQ integral coefficients are plain ints (mixing
+with rationals stays exact), over F_p residues are reduced once per
+submatrix.  Minors modulo an ideal take a reducer that must be linear and
+idempotent, such as a normal form modulo a Groebner basis.  The kernel then
+reduces monomials only: each distinct monomial's normal form is computed
+once per call and kept in a table local to that call, a product
+entry * subminor is the sum of c_e * c_s * NF(x^(e+s)) over their terms,
+and a sum of normal forms is already one, so it is never reduced again.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .errors import RingMismatchError
+from .errors import DegreeOverflowError, RingMismatchError
 from .poly import Polynomial
-from .ring import Ring
+from .ring import EXP_LIMIT, Ring
 
 
 class PolyMatrix:
@@ -166,10 +175,14 @@ def adjugate(m: PolyMatrix):
 
 def minors(m: PolyMatrix, size: int, reducer=None, checkpoint=None):
     """All size x size minors, row subsets outer / column subsets inner,
-    both lexicographic; zero minors are dropped.  When a reducer is given
-    every intermediate product and sum is passed through it before use.
-    `checkpoint` is called once per subset pair so long enumerations can
-    be interrupted by resource limits."""
+    both lexicographic; zero minors are dropped.  `checkpoint` is called
+    once per subset pair so long enumerations can be interrupted by
+    resource limits.
+
+    `reducer` must be linear and idempotent: a normal form modulo a
+    Groebner basis (`GroebnerBasis.normal_form`), or None for no reduction.
+    Each minor is then the normal form of the true minor.  The reducer is
+    called only on monomials, at most once per distinct monomial key."""
     if size < 0:
         raise ValueError("minor size must be non-negative")
     ring = m.ring
@@ -177,38 +190,72 @@ def minors(m: PolyMatrix, size: int, reducer=None, checkpoint=None):
         return [Polynomial.constant(ring, 1)]
     if size > m.rows or size > m.cols:
         return []
-    red = reducer if reducer is not None else (lambda f: f)
-    memo = {}
+    if size * max(e.total_degree() for e in m.entries) >= EXP_LIMIT:
+        raise DegreeOverflowError(
+            "minor degree exceeds the packed-monomial range")
+    field = ring.field
+    p = field.characteristic
+    off = ring.mul_off
+    one = field.one()
 
-    def det_of(rows, cols):
-        got = memo.get((rows, cols))
+    def scalar(c):
+        # integral rationals become ints: int arithmetic is far cheaper,
+        # and mixing int with mpq stays exact
+        return c if p or c.denominator != 1 else int(c.numerator)
+
+    def terms(f):
+        return tuple((k, scalar(c)) for k, c in zip(f.keys, f.coeffs))
+
+    cols = m.cols
+    ents = [terms(e) for e in m.entries]
+    negs = [tuple((k, -c) for k, c in t) for t in ents]
+    table = {}  # monomial key -> its normal form as (key, coeff) pairs
+
+    def nf(key):
+        got = table.get(key)
+        if got is None:
+            if reducer is None:
+                got = ((key, 1),)
+            else:
+                got = terms(reducer(Polynomial(ring, (key,), (one,))))
+            table[key] = got
+        return got
+
+    memo = {((), ()): {ring.one_key: 1}}  # the 0x0 determinant
+
+    def det_of(rows, cs):
+        got = memo.get((rows, cs))
         if got is not None:
             return got
-        if len(rows) == 1:
-            d = red(m.get(rows[0], cols[0]))
-        else:
-            acc = Polynomial.zero(ring)
-            r0 = rows[0]
-            rest = rows[1:]
-            for idx, c in enumerate(cols):
-                entry = m.get(r0, c)
-                if entry.is_zero():
-                    continue
-                sub = det_of(rest, cols[:idx] + cols[idx + 1:])
-                if sub.is_zero():
-                    continue
-                prod = red(entry * sub)
-                acc = acc - prod if idx & 1 else acc + prod
-            d = red(acc)
-        memo[(rows, cols)] = d
+        acc = {}
+        base = rows[0] * cols
+        rest = rows[1:]
+        for idx, c in enumerate(cs):
+            entry = (negs if idx & 1 else ents)[base + c]
+            if not entry:
+                continue
+            sub = det_of(rest, cs[:idx] + cs[idx + 1:])
+            for ks, cv in sub.items():
+                shift = ks - off
+                for ke, ce in entry:
+                    prod = ce * cv
+                    for nk, nc in nf(ke + shift):
+                        acc[nk] = acc.get(nk, 0) + prod * nc
+        if p:
+            acc = {k: c % p for k, c in acc.items()}
+        d = {k: c for k, c in acc.items() if c}
+        memo[(rows, cs)] = d
         return d
 
+    coerce = field.coerce
     out = []
     for rs in combinations(range(m.rows), size):
-        for cs in combinations(range(m.cols), size):
+        for cs in combinations(range(cols), size):
             if checkpoint is not None:
                 checkpoint()
             d = det_of(rs, cs)
-            if not d.is_zero():
-                out.append(d)
+            if d:
+                keys = sorted(d, reverse=True)
+                out.append(
+                    Polynomial(ring, keys, [coerce(d[k]) for k in keys]))
     return out

@@ -4,6 +4,7 @@ from itertools import combinations as icombs
 
 import pytest
 
+from varsmooth import bench, groebner
 from varsmooth.bench import (BenchInstance, cyclic_polytope_sr, get_suite,
                              format_rows, random_coordinate_change,
                              rational_normal_curve, rows_as_json,
@@ -186,6 +187,20 @@ def test_run_suite_and_formatting():
     for line in rows_as_json(rows).strip().splitlines():
         parsed = json.loads(line)
         assert parsed["verdict"] == "smooth"
+
+
+def test_run_suite_rows_start_cold(monkeypatch):
+    sizes = []
+
+    def spy(ideal, cfg):
+        sizes.append(len(groebner._cache.data))
+        return projective_smoothness(ideal, cfg)
+
+    monkeypatch.setattr(bench, "projective_smoothness", spy)
+    groebner.buchberger(rational_normal_curve(3).ideal)  # a warm cache
+    rows = run_suite([rational_normal_curve(3)], modes=("hironaka", "hybrid"))
+    assert [r["verdict"] for r in rows] == ["smooth", "smooth"]
+    assert sizes == [0, 0]
 
 
 def test_instances_are_frozen():

@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from conftest import nonzero_random_poly, variables
+from corpus import corpus50
 from varsmooth.errors import (ContractError, DegenerateGeneratorError,
                               DescentError)
 from varsmooth.fields import QQ, GF
@@ -11,11 +12,12 @@ from varsmooth.charts import (Chart, affine_jacobian_criterion, delta_check,
                               delta_frame_tasks, descend, embedded_jacobian,
                               enumerate_frames, relative_jacobian,
                               singular_locus_ideal)
-from varsmooth import charts
+from varsmooth import charts, driver
 from varsmooth.bench import rational_normal_curve
-from varsmooth.driver import Config, projective_smoothness
-from varsmooth.groebner import (Ideal, equal_on_chart, ideal_membership,
-                                krull_dimension, radical_membership)
+from varsmooth.driver import Config, projective_smoothness, smoothness_test
+from varsmooth.groebner import (Ideal, buchberger, equal_on_chart,
+                                ideal_membership, krull_dimension,
+                                radical_membership)
 from varsmooth.matrix import PolyMatrix, adjugate, jacobian
 from varsmooth.poly import Polynomial
 from varsmooth.ring import Ring
@@ -351,6 +353,80 @@ def test_affine_jacobian_criterion_known_varieties():
     x1, x2, x3, x4, y1, y2 = vs6
     x2cone = Ideal(r6, [x1 * x3 - y1 * y2, x2 * x4 - y1 * y2])
     assert not affine_jacobian_criterion(x2cone)
+
+
+def _criterion_ideals(monkeypatch, runs):
+    """Run `runs()` with both criteria spied on.  Returns one record per
+    ideal they built from minors: (kind, the ideal, the generators followed
+    by every minor with duplicates kept, its verdict on the ideal, and a
+    function giving that verdict for any ideal)."""
+    records = []
+    got = []
+    real_minors = charts.minors
+    real_buchberger = charts.buchberger
+    real_affine = charts.affine_jacobian_criterion
+    real_embedded = charts.embedded_frame_tasks
+
+    def spy_minors(*args, **kw):
+        got.append(real_minors(*args, **kw))
+        return got[-1]
+
+    def affine(ideal, budget=None):
+        del got[:]
+        built = []
+
+        def spy_buchberger(target, **kw):
+            built.append(target)
+            return real_buchberger(target, **kw)
+
+        monkeypatch.setattr(charts, "buchberger", spy_buchberger)
+        try:
+            ok = real_affine(ideal, budget=budget)
+        finally:
+            monkeypatch.setattr(charts, "buchberger", real_buchberger)
+        if got:
+            records.append(("affine", built[-1],
+                            list(ideal.generators) + got[0], ok,
+                            lambda i: buchberger(i).is_unit()))
+        return ok
+
+    def embedded(chart, strict=False, budget=None):
+        del got[:]
+        enum, checks = real_embedded(chart, strict=strict, budget=budget)
+        assert len(got) == len(checks or ())
+        for (_, ideal, test), mins in zip(checks or (), got):
+            def decide(i, test=test):
+                return radical_membership(test, i)
+            records.append(("embedded", ideal,
+                            list(chart.variety.generators) + mins,
+                            decide(ideal), decide))
+        return enum, checks
+
+    monkeypatch.setattr(charts, "minors", spy_minors)
+    monkeypatch.setattr(driver, "affine_jacobian_criterion", affine)
+    monkeypatch.setattr(driver, "embedded_frame_tasks", embedded)
+    runs()
+    return records
+
+
+def test_criterion_ideals_take_each_minor_once(monkeypatch):
+    def runs():
+        for cfg in (Config(mode="jacobian"),
+                    Config(mode="hybrid", to_codim=2)):
+            projective_smoothness(rational_normal_curve(4).ideal, cfg)
+        for inst in corpus50()[:12]:
+            for cfg in (Config(mode="jacobian"), Config(mode="hybrid")):
+                smoothness_test(inst.ideal, cfg)
+
+    records = _criterion_ideals(monkeypatch, runs)
+    dropped = {"affine": 0, "embedded": 0}
+    for kind, ideal, with_dups, verdict, decide in records:
+        gens = list(ideal.generators)
+        assert len(set(gens)) == len(gens), kind
+        assert gens == list(dict.fromkeys(with_dups)), kind
+        assert decide(Ideal(ideal.ring, with_dups)) == verdict, kind
+        dropped[kind] += len(with_dups) - len(gens)
+    assert all(dropped.values()), dropped  # both criteria met repeats
 
 
 def test_delta_then_descend_chain_settles_circle():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations as icombs
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from conftest import nonzero_random_poly, random_poly, variables
 from varsmooth.errors import SingularMatrixError
 from varsmooth.fields import QQ, GF
+from varsmooth.groebner import Ideal, buchberger
 from varsmooth.matrix import (PolyMatrix, adjugate, determinant, jacobian,
                               minors, poly_exact_div)
 from varsmooth.poly import Polynomial
@@ -168,3 +170,104 @@ def test_minors_checkpoint_called_and_interruptible(rxy):
 
     with pytest.raises(Stop):
         minors(m, 2, checkpoint=bomb)
+
+
+# -- oracle: the Polynomial-based memoized expansion, reducing everything -----
+
+def reference_minors(m, size, reducer=None):
+    """Memoized first-row Laplace expansion on Polynomial entries that passes
+    every entry, product and sum through the reducer."""
+    ring = m.ring
+    if size == 0:
+        return [Polynomial.constant(ring, 1)]
+    if size > m.rows or size > m.cols:
+        return []
+    red = reducer if reducer is not None else (lambda f: f)
+    memo = {}
+
+    def det_of(rows, cols):
+        got = memo.get((rows, cols))
+        if got is not None:
+            return got
+        if len(rows) == 1:
+            d = red(m.get(rows[0], cols[0]))
+        else:
+            acc = Polynomial.zero(ring)
+            for idx, c in enumerate(cols):
+                entry = m.get(rows[0], c)
+                if entry.is_zero():
+                    continue
+                sub = det_of(rows[1:], cols[:idx] + cols[idx + 1:])
+                if sub.is_zero():
+                    continue
+                prod = red(entry * sub)
+                acc = acc - prod if idx & 1 else acc + prod
+            d = red(acc)
+        memo[(rows, cols)] = d
+        return d
+
+    out = []
+    for rs in icombs(range(m.rows), size):
+        for cs in icombs(range(m.cols), size):
+            d = det_of(rs, cs)
+            if not d.is_zero():
+                out.append(d)
+    return out
+
+
+def _fractional_poly(ring, rng):
+    """Random polynomial whose rational coefficients include some 1/k."""
+    f = random_poly(ring, rng, max_terms=4, max_deg=3, coeff_bound=4)
+    if ring.field.characteristic or f.is_zero():
+        return f
+    return f * Fraction(1, rng.randint(1, 6))
+
+
+def _kernel_cases(seed, count):
+    """(matrix, Groebner basis) pairs over QQ, GF(101) and GF(7)."""
+    rng = random.Random(seed)
+    fields = (QQ, GF(101), GF(7))
+    for t in range(count):
+        ring = Ring(fields[t % 3], tuple(f"x{i}" for i in range(
+            rng.randint(2, 4))))
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        ents = [_fractional_poly(ring, rng) if rng.random() < 0.8
+                else Polynomial.zero(ring) for _ in range(rows * cols)]
+        gens = [nonzero_random_poly(ring, rng, max_terms=3, max_deg=2)
+                for _ in range(rng.randint(1, 3))]
+        if not ring.field.characteristic:
+            gens[0] = gens[0] * Fraction(1, rng.randint(2, 5))
+        yield PolyMatrix(ring, rows, cols, ents), buchberger(Ideal(ring, gens))
+
+
+def test_minors_kernel_matches_polynomial_reference():
+    checked = 0
+    for m, gb in _kernel_cases(5150, 90):
+        for size in range(min(m.rows, m.cols) + 2):
+            for red in (None, gb.normal_form):
+                got = minors(m, size, reducer=red)
+                want = reference_minors(m, size, reducer=red)
+                assert got == want, (m, size, red)
+                assert ([[type(c) for c in f.coeffs] for f in got]
+                        == [[type(c) for c in f.coeffs] for f in want])
+                checked += len(got)
+    assert checked > 1000
+
+
+def test_minors_reduces_each_monomial_once():
+    calls = 0
+    for m, gb in _kernel_cases(6160, 60):
+        one = m.ring.field.one()
+        for size in range(1, min(m.rows, m.cols) + 1):
+            seen = []
+
+            def counting(f):
+                assert f.coeffs == (one,), f  # monomials only
+                seen.append(f.leading_key())
+                return gb.normal_form(f)
+
+            got = minors(m, size, reducer=counting)
+            assert len(seen) == len(set(seen))
+            assert got == reference_minors(m, size, reducer=gb.normal_form)
+            calls += len(seen)
+    assert calls > 500
