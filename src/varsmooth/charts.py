@@ -21,7 +21,9 @@ from .groebner import (GroebnerBasis, Ideal, buchberger, equal_on_chart,
                        ideal_membership, krull_dimension, lift_power,
                        radical_membership)
 from .limits import Budget, ensure_budget
-from .matrix import PolyMatrix, adjugate, determinant, jacobian, minors
+from .matrix import (PolyMatrix, _check_degree, _gradient, _mac, _poly,
+                     _settle, _terms, _top_degree, adjugate, determinant,
+                     jacobian, minors)
 from .poly import Polynomial
 from .ring import Ring
 
@@ -68,17 +70,16 @@ class Chart:
 class FrameData:
     """One invertible submatrix of the ambient Jacobian.
 
-    rows/cols are the selected row and column index tuples, m the square
-    submatrix, q its determinant, and adj the cofactor matrix normalized so
-    that sum_k adj[l][k] * m[l'][k] == q * delta(l, l').  jac is the whole
-    ambient Jacobian the frame was cut from, shared by the chart's frames."""
+    rows/cols are the selected row and column index tuples of the ambient
+    Jacobian jac (shared by the chart's frames), q the determinant of that
+    square submatrix m, and adj its cofactor matrix normalized so that
+    sum_k adj[l][k] * m[l'][k] == q * delta(l, l')."""
 
-    __slots__ = ("rows", "cols", "m", "q", "adj", "jac")
+    __slots__ = ("rows", "cols", "q", "adj", "jac")
 
-    def __init__(self, rows, cols, m, q, adj, jac):
+    def __init__(self, rows, cols, q, adj, jac):
         self.rows = tuple(rows)
         self.cols = tuple(cols)
-        self.m = m
         self.q = q
         self.adj = adj
         self.jac = jac
@@ -135,7 +136,7 @@ def enumerate_frames(chart: Chart, strict: bool = False,
         if q.is_zero():
             continue
         adj, _ = adjugate(m)
-        frames.append(FrameData(rows, cols, m, q, adj, jac))
+        frames.append(FrameData(rows, cols, q, adj, jac))
         dets.append(q)
         if q.is_constant():
             return FrameEnumeration(frames, True, dets)
@@ -157,8 +158,12 @@ def relative_jacobian(polys, chart: Chart, frame: FrameData) -> PolyMatrix:
 
         q * d f_i / d x_j  -  sum_l d g_l / d x_j * sum_k adj[l][k] * d f_i / d x_{c_k}
 
-    where g_l are the ambient generators and c_k the frame columns.  For a
-    frameless chart (no ambient generators) this is the plain Jacobian.
+    where g_l are the ambient generators and c_k the frame columns; up to
+    sign it is the determinant of the ambient Jacobian's rows stacked on the
+    gradient of f_i, on the columns c_1..c_r and j.  The sums are formed on
+    term dicts with the matrix kernel's multiply-accumulate step, and each
+    entry becomes a Polynomial once.  For a frameless chart (no ambient
+    generators) this is the plain Jacobian.
     """
     ring = chart.ring
     n = ring.nvars
@@ -167,37 +172,37 @@ def relative_jacobian(polys, chart: Chart, frame: FrameData) -> PolyMatrix:
     if r == 0:
         return jacobian(ring, polys)
     cols = frame.cols
-    free = [j for j in range(n) if j
-            not in set(cols)]
+    colset = set(cols)
+    free = [j for j in range(n) if j not in colset]
     jac_w = frame.jac
-    q = frame.q
-    adj = frame.adj
-    zero = Polynomial.zero(ring)
+    adj = frame.adj.entries
+    # a partial derivative of f has degree below deg f
+    _check_degree(_top_degree(polys) - 1
+                  + max(frame.q.total_degree(),
+                        _top_degree(jac_w.entries) + _top_degree(adj)))
 
-    partials = [[f.derivative(j) for j in range(n)] for f in polys]
-    # b[l][i] = sum_k adj[l][k] * d f_i / d x_{cols[k]}
-    b = []
-    for l in range(r):
-        row = []
-        for i in range(len(polys)):
-            acc = zero
-            for k, c in enumerate(cols):
-                a = adj.get(l, k)
-                d = partials[i][c]
-                if not a.is_zero() and not d.is_zero():
-                    acc = acc + a * d
-            row.append(acc)
-        b.append(row)
-
+    p = ring.field.characteristic
+    off = ring.mul_off
+    q = _terms(frame.q, p)
+    adj = [_terms(a, p) for a in adj]
+    neg_dg = [{j: tuple((k, -c) for k, c in _terms(jac_w.get(l, j), p))
+               for j in free} for l in range(r)]
     entries = []
-    for i in range(len(polys)):
+    for f in polys:
+        df = _gradient(f, p)
+        # b[l] = sum_k adj[l][k] * d f / d x_{cols[k]}
+        b = []
+        for l in range(r):
+            acc = {}
+            for k, c in enumerate(cols):
+                _mac(acc, adj[l * r + k], df[c], off)
+            b.append(tuple(_settle(acc, p).items()))
         for j in free:
-            acc = q * partials[i][j]
+            acc = {}
+            _mac(acc, q, df[j], off)
             for l in range(r):
-                dg = jac_w.get(l, j)
-                if not dg.is_zero() and not b[l][i].is_zero():
-                    acc = acc - dg * b[l][i]
-            entries.append(acc)
+                _mac(acc, neg_dg[l][j], b[l], off)
+            entries.append(_poly(ring, _settle(acc, p)))
     return PolyMatrix(ring, len(polys), len(free), entries)
 
 

@@ -79,27 +79,48 @@ class Ideal:
 class GroebnerBasis:
     """Reduced basis: monic elements, ascending leading keys, pairwise
     non-divisible leads.  transform[i][j] expresses element i in the
-    original generators when tracking was requested."""
+    original generators when tracking was requested.
 
-    __slots__ = ("ideal", "elements", "transform", "_divisors", "_lead_keys")
+    It is built from the engine's rows (keys, coeffs): primitive with
+    positive leading coefficient over QQ, monic residues over F_p, in
+    ascending leading-key order.  Reduction runs on those rows, kept as
+    prepared divisors; the monic Polynomial elements are built only when
+    first read."""
 
-    def __init__(self, ideal: Ideal, elements, transform=None):
-        self.ideal = ideal
-        self.elements = tuple(elements)
-        self.transform = transform
+    __slots__ = ("ideal", "transform", "_elements", "_divisors",
+                 "_lead_keys")
+
+    def __init__(self, ideal: Ideal, rows, transform=None):
         p = ideal.ring.field.characteristic
-        divs = []
-        for e in self.elements:
-            zk, zc, _ = e.zform()
-            divs.append(prepare_divisor(zk, zc, p))
-        self._divisors = divs
-        self._lead_keys = tuple(e.leading_key() for e in self.elements)
+        self.ideal = ideal
+        self.transform = transform
+        self._elements = None
+        self._divisors = [prepare_divisor(k, c, p) for k, c in rows]
+        self._lead_keys = tuple(k[0] for k, _ in rows)
+
+    @property
+    def elements(self):
+        els = self._elements
+        if els is None:
+            # Building is idempotent, so threads racing here make equal
+            # tuples and either may be the one kept.
+            ring = self.ideal.ring
+            p = ring.field.characteristic
+            els = []
+            for lead, lc, tkeys, tcoeffs, _ in self._divisors:
+                coeffs = (lc,) + tcoeffs
+                if not p:
+                    lc = mpq(lc)
+                    coeffs = [mpq(c) / lc for c in coeffs]
+                els.append(Polynomial(ring, (lead,) + tkeys, coeffs))
+            els = self._elements = tuple(els)
+        return els
 
     def is_unit(self) -> bool:
-        return len(self.elements) == 1 and self.elements[0].is_constant()
+        return self._lead_keys == (self.ideal.ring.one_key,)
 
     def is_zero_ideal(self) -> bool:
-        return not self.elements
+        return not self._lead_keys
 
     def _reduce_raw(self, f: Polynomial):
         zk, zc, scale = f.zform()
@@ -127,7 +148,7 @@ class GroebnerBasis:
         return Polynomial(ring, rk, [c * factor for c in rc])
 
     def __repr__(self):
-        return f"<groebner basis, {len(self.elements)} elements>"
+        return f"<groebner basis, {len(self._lead_keys)} elements>"
 
 
 # -- cache -------------------------------------------------------------------
@@ -308,16 +329,26 @@ class _PairQueue:
     index, which is degree first under degrevlex."""
 
     def __init__(self, ring: Ring):
-        self.ring = ring
-        self.low = (1 << (16 * ring.nvars)) - 1
+        n = ring.nvars
+        self.guards = ring.guards
+        self.low = (1 << (16 * n)) - 1
+        # a packed key is deg << 32n | (mul_off - (low << 16n)) | low
+        self.deg_shift = 32 * n
+        self.mul_off = ring.mul_off
+        # lane sums: even and odd lanes are folded into 32-bit slots, which
+        # one multiply then sums exactly into the top slot
+        half = (n + 1) // 2
+        self.even = sum(0xFFFF << (32 * i) for i in range(half))
+        self.fold = sum(1 << (32 * i) for i in range(half))
+        self.top = 32 * (half - 1)
         self.leads: list = []   # low halves of the lead keys
         self.alive: dict = {}   # (i, j) -> packed lcm key
         self.heap: list = []
 
     def add_element(self, lead_key: int):
-        ring = self.ring
-        G = ring.guards
+        G = self.guards
         LOW = self.low
+        EVEN, FOLD, TOP = self.even, self.fold, self.top
         leads = self.leads
         b = lead_key & LOW
         t = len(leads)
@@ -328,24 +359,40 @@ class _PairQueue:
             mask = m | (m - (m >> 15))
             cand.append((b & mask) | (a & (LOW ^ mask)))
         leads.append(b)
-        kept = []
-        seen = set()
+        first = {}              # distinct lcm -> lowest index having it
         for i, L in enumerate(cand):
-            if L in seen:
-                continue
-            seen.add(L)
-            if any(L2 != L and ((L | G) - L2) & G == G for L2 in cand):
-                continue
-            if L != leads[i] + b:   # equal to a + b exactly when coprime
-                kept.append((i, L))
+            if L not in first:
+                first[L] = i
+        ranked = sorted(
+            ((((L & EVEN) + ((L >> 16) & EVEN)) * FOLD >> TOP) & 0xFFFFFFFF, L)
+            for L in first)
+        # a proper divisor of an lcm has lower degree, so each distinct lcm
+        # is tested only against the distinct lcms of lower degree
+        degree = {}             # lcm no other lcm divides -> its degree
+        lower = []
+        level = []
+        prev = -1
+        for d, L in ranked:
+            if d != prev:
+                lower.extend(level)
+                level = []
+                prev = d
+            level.append(L)
+            if not any(((L | G) - L2) & G == G for L2 in lower):
+                degree[L] = d
         for (i, j), key in list(self.alive.items()):
             L = key & LOW
             if ((L | G) - b) & G == G and cand[i] != L and cand[j] != L:
                 del self.alive[(i, j)]
-        for i, L in kept:
-            key = ring.pack(ring.unpack(L))
-            self.alive[(i, t)] = key
-            heapq.heappush(self.heap, (key, i, t))
+        shift, off = self.deg_shift, self.mul_off
+        high = shift >> 1
+        for L, i in first.items():
+            d = degree.get(L)
+            # equal to a + b exactly when the leads are coprime
+            if d is not None and L != leads[i] + b:
+                key = (d << shift) + off - (L << high) + L
+                self.alive[(i, t)] = key
+                heapq.heappush(self.heap, (key, i, t))
 
     def pop(self):
         """(i, j, packed lcm key) of the next live pair, or None."""
@@ -607,21 +654,17 @@ def buchberger(ideal: Ideal, track: bool = False,
             row = [{} for _ in ideal.generators]
             row[slot][ring.one_key] = ring.field.inv(scale)
             rows.append(row)
-    elements = []
-    transform = [] if track else None
-    for keys, coeffs, row in sorted(_engine(ring, gens_raw, budget, rows),
-                                    key=lambda e: e[0][0]):
-        if not p:
-            lc = mpq(coeffs[0])
-            coeffs = [mpq(c) / lc for c in coeffs]
-            if track:
-                _row_scale(row, 1 / lc, p)
-        elements.append(Polynomial(ring, keys, coeffs))
-        if track:
+    out = sorted(_engine(ring, gens_raw, budget, rows), key=lambda e: e[0][0])
+    transform = None
+    if track:
+        transform = []
+        for keys, coeffs, row in out:
+            if not p:
+                _row_scale(row, 1 / mpq(coeffs[0]), p)
             transform.append(tuple(Polynomial.from_key_dict(ring, d)
                                    for d in row))
-    gb = GroebnerBasis(ideal, elements,
-                       transform=tuple(transform) if track else None)
+        transform = tuple(transform)
+    gb = GroebnerBasis(ideal, [(k, c) for k, c, _ in out], transform)
     if use_cache:
         _cache.put(key, gb)
     return gb
@@ -659,14 +702,31 @@ def radical_membership(f: Polynomial, target,
         return gb.is_unit()
     ring = ideal.ring
     ext = ring.extend(ring.fresh_name("t"))
-    lift = [g.map_exponents(ext, lambda e: e + (0,))
-            for g in ideal.generators]
-    f_ext = f.map_exponents(ext, lambda e: e + (0,))
+    lift = [_lift(g, ext) for g in ideal.generators]
     t = Polynomial.variable(ext, ext.nvars - 1)
-    rab = Polynomial.constant(ext, 1) - t * f_ext
+    rab = Polynomial.constant(ext, 1) - t * _lift(f, ext)
     gb = buchberger(Ideal(ext, lift + [rab]), budget=budget,
                     use_cache=use_cache)
     return gb.is_unit()
+
+
+def _lift(f: Polynomial, ext: Ring) -> Polynomial:
+    """f in ext, the ring of f with one more variable appended, at exponent
+    0.  The key deg << 32n | high << 16n | low becomes
+    deg << 32(n+1) | CAP << (32n + 16) | high << (16n + 16) | low, the same
+    as f.map_exponents(ext, lambda e: e + (0,)); a zform already computed
+    for f is carried over."""
+    n = f.ring.nvars
+    low = (1 << (16 * n)) - 1
+    high = ((1 << (32 * n)) - 1) ^ low
+    top = 0xFFFF << (32 * n + 16)
+    keys = [(k >> (32 * n) << (32 * n + 32)) | top | ((k & high) << 16)
+            | (k & low) for k in f.keys]
+    g = Polynomial(ext, keys, f.coeffs)
+    zf = f._zform
+    if zf is not None:
+        g._zform = (keys, zf[1], zf[2])
+    return g
 
 
 def equal_on_chart(i_w: Ideal, i_x: Ideal, g: Polynomial,

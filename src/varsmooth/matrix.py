@@ -1,20 +1,27 @@
 """Matrices of polynomials: determinants, adjugates, minors.
 
-Determinants use fraction-free Bareiss elimination (the two-step division
-is exact, keeping intermediate entries small) with direct cofactor
-expansion below 4x4.
+Every determinant here comes from one kernel, memoized first-row Laplace
+expansion on term dicts {monomial key: coefficient}: _laplace(m) returns
+det_of(rows, cols) over one memo.  `determinant`, `adjugate` and `minors`
+each make one for their matrix and read every subdeterminant they need from
+it, so shared submatrices are expanded once; an adjugate takes q and all of
+its (n-1)-minors from the same memo.  There is no elimination (Bareiss) and
+no polynomial division.  Over QQ integral coefficients are plain ints inside
+the kernel (mixing with rationals stays exact), over F_p residues are
+reduced once per subdeterminant, and a Polynomial is built only for each
+result.
 
-Minors are enumerated in lexicographic subset order and computed by
-memoized first-row Laplace expansion, so overlapping submatrices are
-shared.  The kernel works on term dicts {monomial key: coefficient}, not on
-Polynomial objects: over QQ integral coefficients are plain ints (mixing
-with rationals stays exact), over F_p residues are reduced once per
-submatrix.  Minors modulo an ideal take a reducer that must be linear and
-idempotent, such as a normal form modulo a Groebner basis.  The kernel then
-reduces monomials only: each distinct monomial's normal form is computed
-once per call and kept in a table local to that call, a product
-entry * subminor is the sum of c_e * c_s * NF(x^(e+s)) over their terms,
-and a sum of normal forms is already one, so it is never reduced again.
+Minors modulo an ideal take a reducer that must be linear and idempotent,
+such as a normal form modulo a Groebner basis.  The kernel then reduces
+monomials only: each distinct monomial's normal form is computed once per
+call and kept in a table local to that call, a product entry * subminor is
+the sum of c_e * c_s * NF(x^(e+s)) over their terms, and a sum of normal
+forms is already one, so it is never reduced again.  Without a reducer the
+products are accumulated directly (_mac).
+
+Adding packed keys cannot notice an exponent leaving its 16-bit lane, so
+every entry point first checks that no product it forms reaches the 2^15
+exponent limit, and raises DegreeOverflowError otherwise.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from itertools import combinations
 
 from .errors import DegreeOverflowError, RingMismatchError
 from .poly import Polynomial
-from .ring import EXP_LIMIT, Ring
+from .ring import CAP, EXP_LIMIT, Ring
 
 
 class PolyMatrix:
@@ -78,76 +85,138 @@ def jacobian(ring: Ring, polys) -> PolyMatrix:
     return PolyMatrix(ring, len(rows), ring.nvars, flat)
 
 
-def poly_exact_div(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Exact quotient a / b; raises if the division leaves a remainder.
-    Repeated leading-term cancellation terminates exactly when b | a."""
-    if a.is_zero():
-        return a
-    if b.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    ring = a.ring
-    p = ring.field.characteristic
-    lead_b = b.leading_key()
-    lc_b = b.leading_coefficient()
-    inv_b = ring.field.inv(lc_b)
-    work = dict(zip(a.keys, a.coeffs))
-    quot = {}
-    while work:
-        m = max(work)
-        c = work.pop(m)
-        if not c:
+def _terms(f: Polynomial, p: int):
+    """f as a tuple of (key, coeff) pairs, descending.  Over QQ integral
+    coefficients become ints: int arithmetic is far cheaper, and mixing int
+    with mpq stays exact."""
+    if p:
+        return tuple(zip(f.keys, f.coeffs))
+    return tuple((k, c if c.denominator != 1 else int(c.numerator))
+                 for k, c in zip(f.keys, f.coeffs))
+
+
+def _gradient(f: Polynomial, p: int):
+    """The partial derivatives of f, one (key, coeff) tuple per variable,
+    in the term order of _terms(f, p)."""
+    ring = f.ring
+    terms = _terms(f, p)
+    out = []
+    for i in range(ring.nvars):
+        step = ring.var_key(i) - ring.mul_off
+        shift = 16 * i
+        d = []
+        for k, c in terms:
+            e = (k >> shift) & CAP
+            if e:
+                c = c * e % p if p else c * e
+                if c:
+                    d.append((k - step, c))
+        out.append(tuple(d))
+    return out
+
+
+def _settle(acc: dict, p: int) -> dict:
+    """acc without zero coefficients, residues reduced mod p."""
+    if p:
+        return {k: r for k, c in acc.items() if (r := c % p)}
+    return {k: c for k, c in acc.items() if c}
+
+
+def _poly(ring: Ring, d: dict, sign: int = 1) -> Polynomial:
+    """sign * d as a Polynomial; d must be settled (see _settle)."""
+    coerce = ring.field.coerce
+    keys = sorted(d, reverse=True)
+    return Polynomial(ring, keys, [coerce(sign * d[k]) for k in keys])
+
+
+def _mac(acc: dict, a, b, off: int):
+    """acc += a * b on (key, coeff) pairs; put the shorter factor in a."""
+    get = acc.get
+    for kb, cb in b:
+        shift = kb - off
+        for ka, ca in a:
+            k = ka + shift
+            acc[k] = get(k, 0) + ca * cb
+
+
+def _top_degree(polys) -> int:
+    return max((f.total_degree() for f in polys), default=0)
+
+
+def _check_degree(degree: int):
+    if degree >= EXP_LIMIT:
+        raise DegreeOverflowError(
+            "product degree exceeds the packed-monomial range")
+
+
+def _expand(memo, ctx, rows, cs):
+    """Determinant of the (rows, cs) submatrix by first-row expansion,
+    recorded in memo.  A module function, not a recursive closure, so the
+    memo holds no reference cycle and dies with its caller's reference."""
+    ents, negs, ncols, off, nf, p = ctx
+    known = memo.get
+    acc = {}
+    get = acc.get
+    base = rows[0] * ncols
+    rest = rows[1:]
+    for idx, c in enumerate(cs):
+        entry = (negs if idx & 1 else ents)[base + c]
+        if not entry:
             continue
-        if not ring.divides(lead_b, m):
-            raise ArithmeticError("inexact polynomial division")
-        qk = m - lead_b + ring.mul_off
-        qc = c * inv_b % p if p else c * inv_b
-        quot[qk] = qc
-        base = qk - ring.mul_off
-        for tk, tc in zip(b.keys[1:], b.coeffs[1:]):
-            kk = tk + base
-            v = work.get(kk, 0) - qc * tc
-            work[kk] = v % p if p else v
-    return Polynomial.from_key_dict(ring, quot)
+        sub_cs = cs[:idx] + cs[idx + 1:]
+        sub = known((rest, sub_cs))
+        if sub is None:
+            sub = _expand(memo, ctx, rest, sub_cs)
+        if nf is None:
+            _mac(acc, entry, sub.items(), off)
+            continue
+        for ks, cv in sub.items():
+            shift = ks - off
+            for ke, ce in entry:
+                prod = ce * cv
+                for nk, nc in nf(ke + shift):
+                    acc[nk] = get(nk, 0) + prod * nc
+    d = _settle(acc, p)
+    memo[rows, cs] = d
+    return d
+
+
+def _laplace(m: PolyMatrix, reducer=None):
+    """det_of(rows, cols): the (reduced) determinant of the submatrix on
+    those index tuples, of equal length, as a settled term dict."""
+    ring = m.ring
+    p = ring.field.characteristic
+    memo = {((), ()): {ring.one_key: 1}}  # the 0x0 determinant
+    ents = [_terms(e, p) for e in m.entries]
+    negs = [tuple((k, -c) for k, c in t) for t in ents]
+    nf = None
+    if reducer is not None:
+        one = ring.field.one()
+        table = {}  # monomial key -> its normal form as (key, coeff) pairs
+
+        def nf(key):
+            got = table.get(key)
+            if got is None:
+                got = _terms(reducer(Polynomial(ring, (key,), (one,))), p)
+                table[key] = got
+            return got
+
+    ctx = (ents, negs, m.cols, ring.mul_off, nf, p)
+
+    def det_of(rows, cols):
+        got = memo.get((rows, cols))
+        return _expand(memo, ctx, rows, cols) if got is None else got
+
+    return det_of
 
 
 def determinant(m: PolyMatrix) -> Polynomial:
-    """Determinant via Bareiss elimination (cofactor below 4x4)."""
+    """Determinant by the Laplace kernel; the 0x0 determinant is 1."""
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    ring = m.ring
-    if n == 0:
-        return Polynomial.constant(ring, 1)
-    e = m.entries
-    if n == 1:
-        return e[0]
-    if n == 2:
-        return e[0] * e[3] - e[1] * e[2]
-    if n == 3:
-        return (e[0] * (e[4] * e[8] - e[5] * e[7])
-                - e[1] * (e[3] * e[8] - e[5] * e[6])
-                + e[2] * (e[3] * e[7] - e[4] * e[6]))
-    a = [list(m.row(i)) for i in range(n)]
-    sign = 1
-    prev = Polynomial.constant(ring, 1)
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            piv = next((r for r in range(k + 1, n) if not a[r][k].is_zero()),
-                       None)
-            if piv is None:
-                return Polynomial.zero(ring)
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            for j in range(k + 1, n):
-                num = a[i][j] * pivot - aik * a[k][j]
-                a[i][j] = poly_exact_div(num, prev)
-            a[i][k] = Polynomial.zero(ring)
-        prev = pivot
-    det = a[n - 1][n - 1]
-    return -det if sign < 0 else det
+    _check_degree(m.rows * _top_degree(m.entries))
+    idx = tuple(range(m.rows))
+    return _poly(m.ring, _laplace(m)(idx, idx))
 
 
 def adjugate(m: PolyMatrix):
@@ -159,17 +228,16 @@ def adjugate(m: PolyMatrix):
         raise ValueError("adjugate of a non-square matrix")
     n = m.rows
     ring = m.ring
-    q = determinant(m)
-    if n == 0:
-        return PolyMatrix(ring, 0, 0, ()), q
-    ents = []
+    _check_degree(n * _top_degree(m.entries))
+    det_of = _laplace(m)
     idx = tuple(range(n))
+    q = _poly(ring, det_of(idx, idx))
+    ents = []
     for l in range(n):
         rows = idx[:l] + idx[l + 1:]
         for k in range(n):
-            cols = idx[:k] + idx[k + 1:]
-            d = determinant(m.submatrix(rows, cols))
-            ents.append(-d if (l + k) & 1 else d)
+            d = det_of(rows, idx[:k] + idx[k + 1:])
+            ents.append(_poly(ring, d, -1 if (l + k) & 1 else 1))
     return PolyMatrix(ring, n, n, ents), q
 
 
@@ -190,71 +258,16 @@ def minors(m: PolyMatrix, size: int, reducer=None, checkpoint=None):
         return [Polynomial.constant(ring, 1)]
     if size > m.rows or size > m.cols:
         return []
-    if size * max(e.total_degree() for e in m.entries) >= EXP_LIMIT:
-        raise DegreeOverflowError(
-            "minor degree exceeds the packed-monomial range")
-    field = ring.field
-    p = field.characteristic
-    off = ring.mul_off
-    one = field.one()
-
-    def scalar(c):
-        # integral rationals become ints: int arithmetic is far cheaper,
-        # and mixing int with mpq stays exact
-        return c if p or c.denominator != 1 else int(c.numerator)
-
-    def terms(f):
-        return tuple((k, scalar(c)) for k, c in zip(f.keys, f.coeffs))
-
-    cols = m.cols
-    ents = [terms(e) for e in m.entries]
-    negs = [tuple((k, -c) for k, c in t) for t in ents]
-    table = {}  # monomial key -> its normal form as (key, coeff) pairs
-
-    def nf(key):
-        got = table.get(key)
-        if got is None:
-            if reducer is None:
-                got = ((key, 1),)
-            else:
-                got = terms(reducer(Polynomial(ring, (key,), (one,))))
-            table[key] = got
-        return got
-
-    memo = {((), ()): {ring.one_key: 1}}  # the 0x0 determinant
-
-    def det_of(rows, cs):
-        got = memo.get((rows, cs))
-        if got is not None:
-            return got
-        acc = {}
-        base = rows[0] * cols
-        rest = rows[1:]
-        for idx, c in enumerate(cs):
-            entry = (negs if idx & 1 else ents)[base + c]
-            if not entry:
-                continue
-            sub = det_of(rest, cs[:idx] + cs[idx + 1:])
-            for ks, cv in sub.items():
-                shift = ks - off
-                for ke, ce in entry:
-                    prod = ce * cv
-                    for nk, nc in nf(ke + shift):
-                        acc[nk] = acc.get(nk, 0) + prod * nc
-        if p:
-            acc = {k: c % p for k, c in acc.items()}
-        d = {k: c for k, c in acc.items() if c}
-        memo[(rows, cs)] = d
-        return d
-
-    coerce = field.coerce
+    _check_degree(size * _top_degree(m.entries))
+    det_of = _laplace(m, reducer)
+    coerce = ring.field.coerce
     out = []
     for rs in combinations(range(m.rows), size):
-        for cs in combinations(range(cols), size):
+        for cs in combinations(range(m.cols), size):
             if checkpoint is not None:
                 checkpoint()
             d = det_of(rs, cs)
-            if d:
+            if d:  # _poly, inlined for the many minors of one call
                 keys = sorted(d, reverse=True)
                 out.append(
                     Polynomial(ring, keys, [coerce(d[k]) for k in keys]))

@@ -18,7 +18,7 @@ from varsmooth.driver import Config, projective_smoothness, smoothness_test
 from varsmooth.groebner import (Ideal, buchberger, equal_on_chart,
                                 ideal_membership, krull_dimension,
                                 radical_membership)
-from varsmooth.matrix import PolyMatrix, adjugate, jacobian
+from varsmooth.matrix import PolyMatrix, adjugate, determinant, jacobian
 from varsmooth.poly import Polynomial
 from varsmooth.ring import Ring
 
@@ -218,6 +218,77 @@ def test_lazy_frames_match_eager_reference(monkeypatch):
         assert len(calls) == len(enum.frames), (chart, strict)
         exhausted += not cover
     assert exhausted  # the exhaustion path is exercised too
+
+
+def reference_relative_jacobian(polys, chart, frame):
+    """The relative Jacobian in Polynomial arithmetic, term by term."""
+    ring = chart.ring
+    n = ring.nvars
+    r = len(chart.ambient.generators)
+    if r == 0:
+        return jacobian(ring, polys)
+    cols = frame.cols
+    free = [j for j in range(n) if j not in cols]
+    zero = Polynomial.zero(ring)
+    partials = [[f.derivative(j) for j in range(n)] for f in polys]
+    b = []
+    for l in range(r):
+        row = []
+        for i in range(len(polys)):
+            acc = zero
+            for k, c in enumerate(cols):
+                a = frame.adj.get(l, k)
+                d = partials[i][c]
+                if not a.is_zero() and not d.is_zero():
+                    acc = acc + a * d
+            row.append(acc)
+        b.append(row)
+    entries = []
+    for i in range(len(polys)):
+        for j in free:
+            acc = frame.q * partials[i][j]
+            for l in range(r):
+                dg = frame.jac.get(l, j)
+                if not dg.is_zero() and not b[l][i].is_zero():
+                    acc = acc - dg * b[l][i]
+            entries.append(acc)
+    return PolyMatrix(ring, len(polys), len(free), entries)
+
+
+def test_relative_jacobian_matches_reference_and_schur_identity():
+    checked = 0
+    for chart in _rnc_charts():
+        ring = chart.ring
+        amb = list(chart.ambient.generators)
+        r = len(amb)
+        polys = list(chart.variety.generators)
+        for frame in enumerate_frames(chart).frames:
+            rel = relative_jacobian(polys, chart, frame)
+            want = reference_relative_jacobian(polys, chart, frame)
+            assert rel == want
+            assert ([[type(c) for c in e.coeffs] for e in rel.entries]
+                    == [[type(c) for c in e.coeffs] for e in want.entries])
+            # entry (i, j) is the determinant of the ambient rows stacked on
+            # grad f_i, on columns cols + (j,): sorting j into place costs
+            # one sign per frame column above it
+            free = [j for j in range(ring.nvars) if j not in frame.cols]
+            for i, f in enumerate(polys):
+                stacked = jacobian(ring, amb + [f])
+                for pos, j in enumerate(free):
+                    cs = tuple(sorted(frame.cols + (j,)))
+                    d = determinant(stacked.submatrix(tuple(range(r + 1)), cs))
+                    above = sum(c > j for c in frame.cols)
+                    assert rel.get(i, pos) == (-d if above & 1 else d)
+                    checked += 1
+    assert checked > 1000, checked
+    # random ambients over QQ and F_p, with polynomials outside them
+    rng = random.Random(77)
+    for chart, enum in random_ambient_charts(78, 40):
+        polys = [nonzero_random_poly(chart.ring, rng, max_terms=4, max_deg=3)
+                 for _ in range(2)]
+        for frame in enum.frames:
+            assert (relative_jacobian(polys, chart, frame)
+                    == reference_relative_jacobian(polys, chart, frame))
 
 
 def test_frame_count_exceeding_ambient_raises():

@@ -9,8 +9,8 @@ from hypothesis import given, strategies as st
 from conftest import nonzero_random_poly, random_poly, variables
 from varsmooth.errors import LimitExceededError
 from varsmooth.fields import QQ, GF
-from varsmooth.groebner import (GroebnerBasis, Ideal, _PairQueue, _replay,
-                                buchberger,
+from varsmooth.groebner import (GroebnerBasis, Ideal, _PairQueue, _lift,
+                                _replay, buchberger,
                                 clear_caches, division_with_quotients,
                                 equal_on_chart, ideal_membership,
                                 krull_dimension, lift_power, normal_form,
@@ -195,6 +195,46 @@ def test_reduced_basis_shape():
             others = [g.leading_key() for j, g in enumerate(els) if j != i]
             for key in f.keys:
                 assert not any(ring.divides(lk, key) for lk in others), str(f)
+
+
+def test_basis_rows_are_the_integer_forms_of_its_elements():
+    # buchberger keeps the engine's rows as divisors and builds the monic
+    # elements only when read; the elements' own integer forms must give
+    # the same divisors, and the predicates read from the leads must agree
+    for ideal in all_systems():
+        gb = buchberger(ideal, use_cache=False)
+        p = ideal.ring.field.characteristic
+        els = gb.elements
+        assert gb._divisors == [prepare_divisor(*e.zform()[:2], p)
+                                for e in els]
+        assert gb._lead_keys == tuple(e.leading_key() for e in els)
+        assert gb.is_unit() == (len(els) == 1 and els[0].is_constant())
+        assert gb.is_zero_ideal() == (not els)
+        assert gb.elements is els
+
+
+def test_lift_to_extension_equals_map_exponents():
+    top = EXP_LIMIT - 1
+    rng = random.Random(1515)
+    for trial in range(120):
+        n = 1 + trial % 6
+        field = (QQ, GF(101))[trial % 2]
+        ring = Ring(field, tuple(f"x{i}" for i in range(n)))
+        ext = ring.extend(ring.fresh_name("t"))
+        terms = []
+        for _ in range(rng.randint(1, 6)):
+            exps = [rng.choice((0, 1, 2, 255, top - 1, top))
+                    if rng.random() < 0.5 else 0 for _ in range(n)]
+            c = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            terms.append((exps, c))
+        f = Polynomial.from_terms(ring, terms)
+        if trial % 3 == 0:
+            f.zform()   # a computed integer form is carried over
+        want = f.map_exponents(ext, lambda e: e + (0,))
+        got = _lift(f, ext)
+        assert (got._zform is not None) == (trial % 3 == 0)
+        assert got == want, trial
+        assert got.zform() == want.zform(), trial
 
 
 def test_normal_form_idempotent_and_matches_oracle():

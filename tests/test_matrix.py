@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 from itertools import combinations as icombs
@@ -5,13 +6,13 @@ from itertools import combinations as icombs
 import pytest
 
 from conftest import nonzero_random_poly, random_poly, variables
-from varsmooth.errors import SingularMatrixError
+from varsmooth.errors import DegreeOverflowError, SingularMatrixError
 from varsmooth.fields import QQ, GF
 from varsmooth.groebner import Ideal, buchberger
 from varsmooth.matrix import (PolyMatrix, adjugate, determinant, jacobian,
-                              minors, poly_exact_div)
+                              minors)
 from varsmooth.poly import Polynomial
-from varsmooth.ring import Ring
+from varsmooth.ring import EXP_LIMIT, Ring
 
 
 # -- oracle: first-row Laplace expansion on Polynomial entries ----------------
@@ -97,14 +98,6 @@ def test_adjugate_contract(field, n):
                     acc = acc + adj.get(l, k) * m.get(mm, k)
                 assert acc == (q if l == mm else zero), (l, mm)
         done += 1
-
-
-def test_poly_exact_div_round_trip(rxyz):
-    rng = random.Random(31)
-    for _ in range(30):
-        a = random_poly(rxyz, rng)
-        b = nonzero_random_poly(rxyz, rng)
-        assert poly_exact_div(a * b, b) == a
 
 
 def test_jacobian_entries(rxyz):
@@ -271,3 +264,181 @@ def test_minors_reduces_each_monomial_once():
             assert got == reference_minors(m, size, reducer=gb.normal_form)
             calls += len(seen)
     assert calls > 500
+
+
+# -- oracle: fraction-free Bareiss elimination on Polynomial entries ----------
+
+def bareiss_exact_div(a, b):
+    """Exact quotient a / b by leading-term cancellation."""
+    if a.is_zero():
+        return a
+    ring = a.ring
+    p = ring.field.characteristic
+    lead_b = b.leading_key()
+    inv_b = ring.field.inv(b.leading_coefficient())
+    work = dict(zip(a.keys, a.coeffs))
+    quot = {}
+    while work:
+        m = max(work)
+        c = work.pop(m)
+        if not c:
+            continue
+        assert ring.divides(lead_b, m), "inexact division"
+        qk = m - lead_b + ring.mul_off
+        qc = c * inv_b % p if p else c * inv_b
+        quot[qk] = qc
+        base = qk - ring.mul_off
+        for tk, tc in zip(b.keys[1:], b.coeffs[1:]):
+            kk = tk + base
+            v = work.get(kk, 0) - qc * tc
+            work[kk] = v % p if p else v
+    return Polynomial.from_key_dict(ring, quot)
+
+
+def bareiss_determinant(m):
+    """Bareiss elimination, with direct cofactor expansion below 4x4."""
+    n = m.rows
+    ring = m.ring
+    if n == 0:
+        return Polynomial.constant(ring, 1)
+    e = m.entries
+    if n == 1:
+        return e[0]
+    if n == 2:
+        return e[0] * e[3] - e[1] * e[2]
+    if n == 3:
+        return (e[0] * (e[4] * e[8] - e[5] * e[7])
+                - e[1] * (e[3] * e[8] - e[5] * e[6])
+                + e[2] * (e[3] * e[7] - e[4] * e[6]))
+    a = [list(m.row(i)) for i in range(n)]
+    sign = 1
+    prev = Polynomial.constant(ring, 1)
+    for k in range(n - 1):
+        if a[k][k].is_zero():
+            piv = next((r for r in range(k + 1, n) if not a[r][k].is_zero()),
+                       None)
+            if piv is None:
+                return Polynomial.zero(ring)
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            aik = a[i][k]
+            for j in range(k + 1, n):
+                a[i][j] = bareiss_exact_div(a[i][j] * pivot - aik * a[k][j],
+                                            prev)
+            a[i][k] = Polynomial.zero(ring)
+        prev = pivot
+    det = a[n - 1][n - 1]
+    return -det if sign < 0 else det
+
+
+def bareiss_adjugate(m):
+    n = m.rows
+    q = bareiss_determinant(m)
+    ents = []
+    idx = tuple(range(n))
+    for l in range(n):
+        for k in range(n):
+            d = bareiss_determinant(
+                m.submatrix(idx[:l] + idx[l + 1:], idx[:k] + idx[k + 1:]))
+            ents.append(-d if (l + k) & 1 else d)
+    return PolyMatrix(m.ring, n, n, ents), q
+
+
+def _coeff_types(polys):
+    return [[type(c) for c in f.coeffs] for f in polys]
+
+
+def _bareiss_entry(ring, rng, n):
+    """Entries shrink with the size so the oracle stays quick at 6x6."""
+    if n <= 4:
+        return _fractional_poly(ring, rng)
+    f = random_poly(ring, rng, max_terms=2, max_deg=1, coeff_bound=3)
+    if ring.field.characteristic or f.is_zero():
+        return f
+    return f * Fraction(1, rng.randint(1, 4))
+
+
+def test_determinant_and_adjugate_match_bareiss_reference():
+    rng = random.Random(8080)
+    fields = (QQ, GF(101), GF(7))
+    zero_pivots = checked = 0
+    for t in range(150):
+        field = fields[t % 3]
+        ring = Ring(field, tuple(f"x{i}" for i in range(rng.randint(2, 4))))
+        n = t % 7
+        ents = [_bareiss_entry(ring, rng, n) if rng.random() < 0.75
+                else Polynomial.zero(ring) for _ in range(n * n)]
+        if n and rng.random() < 0.3:
+            ents[0] = Polynomial.zero(ring)  # Bareiss must swap a pivot
+        m = PolyMatrix(ring, n, n, ents)
+        zero_pivots += n > 3 and ents[0].is_zero()
+        q = determinant(m)
+        want = bareiss_determinant(m)
+        assert q == want, (t, m)
+        adj, q2 = adjugate(m)
+        want_adj, _ = bareiss_adjugate(m)
+        assert q2 == want and adj == want_adj, (t, m)
+        assert (_coeff_types([q, q2] + list(adj.entries))
+                == _coeff_types([want, want] + list(want_adj.entries)))
+        checked += not q.is_zero()
+    assert zero_pivots >= 10 and checked >= 100
+
+
+def _rnc_jacobian(d):
+    from varsmooth.bench import rational_normal_curve
+    ideal = rational_normal_curve(d).ideal
+    return jacobian(ideal.ring, ideal.generators)
+
+
+def test_kernel_leaves_no_reference_cycles():
+    from varsmooth.charts import Chart, enumerate_frames, relative_jacobian
+    jac = _rnc_jacobian(4)
+    square = jac.submatrix((0, 1, 2), (0, 1, 2))
+    ring = Ring(QQ, ("x", "y"))
+    x, y = variables(ring)
+    w = Ideal(ring, [x * x + y * y - 1])
+    chart = Chart(w, w, Polynomial.constant(ring, 1), depth=1, check=False)
+    frame = enumerate_frames(chart).frames[0]
+    gb = buchberger(Ideal(jac.ring, [jac.get(0, 0)]))
+    calls = [lambda: minors(jac, 3),
+             lambda: minors(jac, 2, reducer=gb.normal_form),
+             lambda: determinant(square),
+             lambda: adjugate(square),
+             lambda: relative_jacobian([x * y], chart, frame)]
+    gc.collect()
+    gc.disable()
+    try:
+        for call in calls:
+            gc.collect()
+            call()
+            assert gc.collect() == 0, call
+    finally:
+        gc.enable()
+
+
+def test_kernel_entry_points_guard_the_exponent_range():
+    from varsmooth.charts import Chart, enumerate_frames, relative_jacobian
+    ring = Ring(QQ, ("x", "y"))
+    x, y = variables(ring)
+    half = EXP_LIMIT // 2
+    big = PolyMatrix(ring, 2, 2, [x ** half, y, y, x ** half])
+    for call in (lambda: determinant(big), lambda: adjugate(big),
+                 lambda: minors(big, 2)):
+        with pytest.raises(DegreeOverflowError):
+            call()
+    # one below the limit still fits every lane
+    fits = PolyMatrix(ring, 2, 2, [x ** (half - 1), y, y, x ** (half - 1)])
+    want = x ** (2 * half - 2) - y * y
+    assert determinant(fits) == want
+    assert adjugate(fits)[1] == want
+    assert minors(fits, 2) == [want]
+
+    g = y + x ** (half + 8)   # frame on y: q = 1, free column x
+    w = Ideal(ring, [g])
+    chart = Chart(w, w, Polynomial.constant(ring, 1), depth=1, check=False)
+    frame = next(fr for fr in enumerate_frames(chart).frames
+                 if fr.cols == (1,))
+    with pytest.raises(DegreeOverflowError):
+        relative_jacobian([x ** (half + 8) * y], chart, frame)
