@@ -9,7 +9,8 @@ from .fields import GF, QQ, FieldSpec
 from .ring import Ring
 from .poly import (Polynomial, apply_linear_change, dehomogenize,
                    partial_derivative, variables)
-from .matrix import PolyMatrix, adjugate, determinant, jacobian, minors
+from .matrix import (PolyMatrix, adjugate, determinant, iter_minors,
+                     jacobian, minors)
 from .groebner import (GroebnerBasis, Ideal, buchberger, ideal_membership,
                        krull_dimension, lift_power, normal_form,
                        radical_membership)
@@ -27,7 +28,7 @@ from .parser import ideal_file_text, parse_ideal_file
 __all__ = [
     "GF", "QQ", "FieldSpec", "Ring", "Polynomial", "apply_linear_change",
     "dehomogenize", "partial_derivative", "variables", "PolyMatrix",
-    "adjugate", "determinant", "jacobian", "minors",
+    "adjugate", "determinant", "iter_minors", "jacobian", "minors",
     "GroebnerBasis", "Ideal", "buchberger", "ideal_membership",
     "krull_dimension", "lift_power", "normal_form", "radical_membership",
     "Budget", "Limits",

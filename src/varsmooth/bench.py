@@ -209,6 +209,8 @@ def run_instance(inst: BenchInstance, mode: str, cfg: Config) -> dict:
             verdict.timing.get("sim_parallel_s", 0.0) * 1000.0, 3),
         "charts": verdict.stats["charts"],
         "frames": verdict.stats["frames"],
+        "minors": verdict.stats["minors"],
+        "minors_possible": verdict.stats["minors_possible"],
     }
     mem = _peak_mem_bytes()
     if mem is not None:
@@ -229,7 +231,8 @@ def run_suite(instances, modes, cfg: Optional[Config] = None):
 
 def format_rows(rows) -> str:
     headers = ["name", "mode", "verdict", "wall_ms", "sim_parallel_ms",
-               "charts", "frames", "peak_mem_bytes"]
+               "charts", "frames", "minors", "minors_possible",
+               "peak_mem_bytes"]
     present = [h for h in headers if any(h in r for r in rows)]
     table = [present] + [
         [("-" if r.get(h) is None else str(r.get(h, ""))) for h in present]

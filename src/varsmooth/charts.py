@@ -14,6 +14,7 @@ into the recursive test and supplies parallel scheduling.
 from __future__ import annotations
 
 from itertools import combinations as _combinations
+from math import comb
 from typing import Optional
 
 from .errors import ContractError, DegenerateGeneratorError, DescentError
@@ -23,7 +24,7 @@ from .groebner import (GroebnerBasis, Ideal, buchberger, equal_on_chart,
 from .limits import Budget, ensure_budget
 from .matrix import (PolyMatrix, _check_degree, _gradient, _mac, _poly,
                      _settle, _terms, _top_degree, adjugate, determinant,
-                     jacobian, minors)
+                     iter_minors, jacobian, minors)
 from .poly import Polynomial
 from .ring import Ring
 
@@ -248,6 +249,19 @@ def delta_check(chart: Chart, strict: bool = False,
     return True
 
 
+def _counting_checkpoint(budget: Budget, m: PolyMatrix, size: int):
+    """The checkpoint for one walk over the size-minors of m: the budget
+    gains their number, C(rows, size) * C(cols, size), at once, and one
+    minor formed per call, since the walk calls it once per determinant."""
+    budget.minors_possible += comb(m.rows, size) * comb(m.cols, size)
+
+    def checkpoint():
+        budget.minors += 1
+        budget.checkpoint()
+
+    return checkpoint
+
+
 def singular_locus_ideal(chart: Chart, f: Polynomial,
                          budget: Optional[Budget] = None) -> Ideal:
     """Ideal of the singular points of V(I_W + f) as a hypersurface in W:
@@ -260,7 +274,8 @@ def singular_locus_ideal(chart: Chart, f: Polynomial,
     r = len(chart.ambient.generators)
     stacked_polys = list(chart.ambient.generators) + [f]
     jac = jacobian(ring, stacked_polys)
-    mins = minors(jac, r + 1, checkpoint=budget.checkpoint)
+    mins = minors(jac, r + 1,
+                  checkpoint=_counting_checkpoint(budget, jac, r + 1))
     gens = list(chart.ambient.generators) + [f] + mins
     return Ideal(ring, gens)
 
@@ -379,10 +394,11 @@ def embedded_frame_tasks(chart: Chart, strict: bool = False,
     checks = []
     for frame in enum.frames:
         rel = relative_jacobian(fs, chart, frame)
-        mins = minors(rel, c_rel, reducer=gb_x.normal_form,
-                      checkpoint=budget.checkpoint)
+        mins = iter_minors(
+            rel, c_rel, reducer=gb_x.normal_form,
+            checkpoint=_counting_checkpoint(budget, rel, c_rel))
         j_ideal = Ideal(ring, list(dict.fromkeys(
-            list(chart.variety.generators) + mins)))
+            [*chart.variety.generators, *mins])))
         checks.append((frame, j_ideal, frame.q * chart.localizer))
     return enum, checks
 
@@ -407,7 +423,13 @@ def affine_jacobian_criterion(ideal: Ideal,
                               budget: Optional[Budget] = None) -> bool:
     """Classical criterion for an equidimensional radical ideal: smooth iff
     1 lies in I plus the codimension-size minors of the Jacobian, the minors
-    reduced modulo I as they are formed."""
+    reduced modulo I as they are formed.
+
+    The distinct minors are walked as a stream, and I plus the minors so far
+    is tested after the 1st, 2nd, 4th, 8th, ... new minor and at once after
+    a constant one.  A unit ideal on a prefix proves the answer, since I
+    plus some minors lies in I plus all of them; only "not smooth" needs
+    the whole stream and one last test."""
     budget = ensure_budget(budget)
     ring = ideal.ring
     if not ideal.generators:
@@ -420,7 +442,17 @@ def affine_jacobian_criterion(ideal: Ideal,
     if c == 0:
         return True
     jac = jacobian(ring, ideal.generators)
-    mins = minors(jac, c, reducer=gb.normal_form,
-                  checkpoint=budget.checkpoint)
-    total = Ideal(ring, list(dict.fromkeys(list(ideal.generators) + mins)))
-    return buchberger(total, budget=budget).is_unit()
+    gens = list(dict.fromkeys(ideal.generators))
+    new = tested = 0  # minors in the ideal, and in the last one tested
+    # a nonzero minor in normal form modulo I is not in I, so it is new
+    for new, f in enumerate(iter_minors(
+            jac, c, reducer=gb.normal_form,
+            checkpoint=_counting_checkpoint(budget, jac, c)), 1):
+        gens.append(f)
+        if f.is_constant() or not new & (new - 1):
+            tested = new
+            if buchberger(Ideal(ring, gens), budget=budget).is_unit():
+                return True
+    if tested == new:
+        return False
+    return buchberger(Ideal(ring, gens), budget=budget).is_unit()

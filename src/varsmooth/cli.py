@@ -165,7 +165,8 @@ def _cmd_check(args) -> int:
         s = verdict.stats
         print(f"charts: {s['charts']}  frames: {s['frames']}  "
               f"groebner_queries: {s['gb_queries']}  "
-              f"max_depth: {s['max_depth']}")
+              f"max_depth: {s['max_depth']}  "
+              f"minors: {s['minors']} of {s['minors_possible']}")
         print(f"wall_s: {verdict.timing['wall_s']:.3f}  "
               f"sim_parallel_s: {verdict.timing['sim_parallel_s']:.3f}")
     return _STATUS_CODES[verdict.status]

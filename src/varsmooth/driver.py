@@ -23,7 +23,7 @@ from typing import Callable, Optional
 from .charts import (Chart, affine_jacobian_criterion, delta_frame_tasks,
                      descend, embedded_frame_tasks)
 from .errors import (CancelledError, ContractError, LimitExceededError,
-                     VarsmoothError)
+                     NonHomogeneousError, VarsmoothError)
 from .groebner import Ideal, equal_on_chart, krull_dimension, radical_membership
 from .limits import Budget, Limits
 from .poly import Polynomial, dehomogenize
@@ -255,6 +255,27 @@ class _ChartTask(_Task):
         return _Outcome(spawn=frame_tasks, joined=cont)
 
 
+class _RootChartTask(_ChartTask):
+    """The standard affine chart x_i = 1 of a projective variety.  Its ideal
+    is dehomogenized when the task runs, so a root chart pruned by an
+    earlier failure is never built."""
+
+    __slots__ = ("ideal", "var")
+
+    def __init__(self, path, ideal: Ideal, var: int):
+        _Task.__init__(self, path, 0)
+        self.chart = None
+        self.switch_depth = None
+        self.ideal = ideal
+        self.var = var
+
+    def run(self, ctx, budget):
+        i = self.var
+        gens = [dehomogenize(f, i) for f in self.ideal.generators]
+        self.chart = Chart.root(Ideal(self.ideal.ring.drop(i), gens))
+        return super().run(ctx, budget)
+
+
 class _FrameTask(_Task):
     """One radical membership check: the frame passes when the test
     polynomial vanishes on the locus of its check ideal."""
@@ -331,16 +352,18 @@ class _EmbeddedTask(_Task):
 
 class _TaskRecord:
     __slots__ = ("path", "kind", "is_chart", "depth", "gb_queries",
-                 "frames", "dur", "finish")
+                 "frames", "minors", "minors_possible", "dur", "finish")
 
-    def __init__(self, path, kind, is_chart, depth, gb_queries, frames,
-                 dur, finish):
+    def __init__(self, path, kind, is_chart, depth, budget: Budget, dur,
+                 finish):
         self.path = path
         self.kind = kind
         self.is_chart = is_chart
         self.depth = depth
-        self.gb_queries = gb_queries
-        self.frames = frames
+        self.gb_queries = budget.gb_queries
+        self.frames = budget.frames
+        self.minors = budget.minors
+        self.minors_possible = budget.minors_possible
         self.dur = dur
         self.finish = finish
 
@@ -400,11 +423,11 @@ class _Pool:
         self.ctx.observer.on_commit(p)
         self.lock.notify_all()
 
-    def _process(self, task, outcome, dur, gb_queries, frames):
+    def _process(self, task, outcome, dur, budget):
         finish = task.ready_at + dur
         self.records.append(_TaskRecord(
-            task.path, task.kind, task.is_chart, task.depth,
-            gb_queries, frames, dur, finish))
+            task.path, task.kind, task.is_chart, task.depth, budget, dur,
+            finish))
         if outcome is None:  # cancelled task, nothing to integrate
             return
         if isinstance(outcome, _Outcome):
@@ -465,10 +488,10 @@ class _Pool:
                         self._push(task)
                         task = other
                 self.running.add(task.path)
-            outcome, dur, gbq, fr = self._execute(task)
+            outcome, dur, budget = self._execute(task)
             with self.lock:
                 self.running.discard(task.path)
-                self._process(task, outcome, dur, gbq, fr)
+                self._process(task, outcome, dur, budget)
                 self._try_commit()
                 self.lock.notify_all()
 
@@ -493,7 +516,7 @@ class _Pool:
             outcome = ("internal", f"internal {type(e).__name__}: {e}")
         dur = time.monotonic() - t0
         ctx.observer.on_task_done(task.path, task.kind, passed)
-        return outcome, dur, budget.gb_queries, budget.frames
+        return outcome, dur, budget
 
     def _cancelled(self):
         return self.committed
@@ -528,6 +551,8 @@ class _Pool:
             "gb_queries": sum(r.gb_queries for r in committed),
             "max_depth": max((r.depth for r in committed if r.is_chart),
                              default=0),
+            "minors": sum(r.minors for r in committed),
+            "minors_possible": sum(r.minors_possible for r in committed),
         }
         sim = max((r.finish for r in committed), default=0.0)
         timing = {"sim_parallel_s": sim,
@@ -586,16 +611,16 @@ def projective_smoothness(ideal: Ideal, config: Optional[Config] = None,
                           _schedule_seed=None) -> Verdict:
     """Decide smoothness of the projective variety of a homogeneous ideal
     by testing the standard affine charts x_i = 1 in ascending variable
-    order; each chart runs under the same parallel contract."""
+    order; each chart runs under the same parallel contract, and is built
+    only when its task runs."""
     config = config if config is not None else Config()
     observer = observer if observer is not None else Observer()
     ring = ideal.ring
     if ring.nvars < 2:
         raise ContractError("projective input needs at least two variables")
+    for f in ideal.generators:
+        if not f.is_homogeneous():
+            raise NonHomogeneousError(f"{f} is not homogeneous")
     ctx = _RunContext(config, observer)
-    roots = []
-    for i in range(ring.nvars):
-        gens = [dehomogenize(f, i) for f in ideal.generators]
-        chart_ideal = Ideal(ring.drop(i), gens)
-        roots.append(_ChartTask((i,), Chart.root(chart_ideal)))
+    roots = [_RootChartTask((i,), ideal, i) for i in range(ring.nvars)]
     return _run(ctx, roots, _schedule_seed)

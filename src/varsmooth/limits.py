@@ -45,7 +45,8 @@ class Budget:
     LimitExceededError past the deadline; engines call it at loop heads.
     """
 
-    __slots__ = ("shared", "cancel_fn", "task_path", "gb_queries", "frames")
+    __slots__ = ("shared", "cancel_fn", "task_path", "gb_queries", "frames",
+                 "minors", "minors_possible")
 
     def __init__(self, limits: Optional[Limits] = None, observer=None,
                  shared: Optional[_SharedState] = None,
@@ -57,6 +58,8 @@ class Budget:
         self.task_path = task_path
         self.gb_queries = 0
         self.frames = 0
+        self.minors = 0           # minors of the requested size formed
+        self.minors_possible = 0  # C(rows, size) * C(cols, size) per walk
 
     def child(self, task_path: tuple,
               cancel_fn: Optional[Callable[[], bool]] = None) -> "Budget":

@@ -2,14 +2,26 @@
 
 Every determinant here comes from one kernel, memoized first-row Laplace
 expansion on term dicts {monomial key: coefficient}: _laplace(m) returns
-det_of(rows, cols) over one memo.  `determinant`, `adjugate` and `minors`
-each make one for their matrix and read every subdeterminant they need from
-it, so shared submatrices are expanded once; an adjugate takes q and all of
-its (n-1)-minors from the same memo.  There is no elimination (Bareiss) and
-no polynomial division.  Over QQ integral coefficients are plain ints inside
+det_of(rows, cols) over one memo.  `determinant`, `adjugate`, `minors` and
+`iter_minors` each make one for their matrix and read every subdeterminant
+they need from it, so shared submatrices are expanded once; an adjugate
+takes q and all of its (n-1)-minors from the same memo.  The memo keeps the
+subdeterminants an expansion reads, never the requested determinants
+themselves, which nothing reads twice; a matrix with more rows than columns
+is expanded as its transpose, whose rows are the shorter side, so the memo
+keeps fewer row suffixes.  There is no elimination (Bareiss) and no
+polynomial division.  Over QQ integral coefficients are plain ints inside
 the kernel (mixing with rationals stays exact), over F_p residues are
 reduced once per subdeterminant, and a Polynomial is built only for each
 result.
+
+`minors` returns every nonzero minor in lexicographic order.
+`iter_minors` is the streaming form for callers that stop at their first
+proof: it yields each distinct nonzero minor once, as soon as it is formed,
+deduplicated on its term dict before any Polynomial is built.  It walks
+rows and columns constant-first (those with the most entries that have a
+nonzero constant term first), since a constant minor settles the unit-ideal
+questions its callers ask.
 
 Minors modulo an ideal take a reducer that must be linear and idempotent,
 such as a normal form modulo a Groebner basis.  The kernel then reduces
@@ -150,9 +162,11 @@ def _check_degree(degree: int):
 
 
 def _expand(memo, ctx, rows, cs):
-    """Determinant of the (rows, cs) submatrix by first-row expansion,
-    recorded in memo.  A module function, not a recursive closure, so the
-    memo holds no reference cycle and dies with its caller's reference."""
+    """Determinant of the (rows, cs) submatrix by first-row expansion.  The
+    subdeterminants it expands are recorded in memo, the result itself is
+    not: the caller stores it if it will be read again.  A module function,
+    not a recursive closure, so the memo holds no reference cycle and dies
+    with its caller's reference."""
     ents, negs, ncols, off, nf, p = ctx
     known = memo.get
     acc = {}
@@ -166,7 +180,7 @@ def _expand(memo, ctx, rows, cs):
         sub_cs = cs[:idx] + cs[idx + 1:]
         sub = known((rest, sub_cs))
         if sub is None:
-            sub = _expand(memo, ctx, rest, sub_cs)
+            sub = memo[rest, sub_cs] = _expand(memo, ctx, rest, sub_cs)
         if nf is None:
             _mac(acc, entry, sub.items(), off)
             continue
@@ -176,18 +190,23 @@ def _expand(memo, ctx, rows, cs):
                 prod = ce * cv
                 for nk, nc in nf(ke + shift):
                     acc[nk] = get(nk, 0) + prod * nc
-    d = _settle(acc, p)
-    memo[rows, cs] = d
-    return d
+    return _settle(acc, p)
 
 
-def _laplace(m: PolyMatrix, reducer=None):
+def _laplace(m: PolyMatrix, reducer=None, transpose=False):
     """det_of(rows, cols): the (reduced) determinant of the submatrix on
-    those index tuples, of equal length, as a settled term dict."""
+    those index tuples, of equal length, as a settled term dict.  With
+    transpose the kernel expands the transposed matrix, which gives the same
+    determinants; det_of still takes row and column indices of m."""
     ring = m.ring
     p = ring.field.characteristic
     memo = {((), ()): {ring.one_key: 1}}  # the 0x0 determinant
     ents = [_terms(e, p) for e in m.entries]
+    ncols = m.cols
+    if transpose:
+        ents = [ents[i * ncols + j] for j in range(ncols)
+                for i in range(m.rows)]
+        ncols = m.rows
     negs = [tuple((k, -c) for k, c in t) for t in ents]
     nf = None
     if reducer is not None:
@@ -201,9 +220,11 @@ def _laplace(m: PolyMatrix, reducer=None):
                 table[key] = got
             return got
 
-    ctx = (ents, negs, m.cols, ring.mul_off, nf, p)
+    ctx = (ents, negs, ncols, ring.mul_off, nf, p)
 
     def det_of(rows, cols):
+        if transpose:
+            rows, cols = cols, rows
         got = memo.get((rows, cols))
         return _expand(memo, ctx, rows, cols) if got is None else got
 
@@ -241,25 +262,33 @@ def adjugate(m: PolyMatrix):
     return PolyMatrix(ring, n, n, ents), q
 
 
+def _minors_kernel(m: PolyMatrix, size: int, reducer):
+    """det_of for the size x size minors of m, after the range checks shared
+    by minors and iter_minors; None when there are none."""
+    if size < 0:
+        raise ValueError("minor size must be non-negative")
+    if size > m.rows or size > m.cols:
+        return None
+    _check_degree(size * _top_degree(m.entries))
+    return _laplace(m, reducer, transpose=m.rows > m.cols)
+
+
 def minors(m: PolyMatrix, size: int, reducer=None, checkpoint=None):
     """All size x size minors, row subsets outer / column subsets inner,
-    both lexicographic; zero minors are dropped.  `checkpoint` is called
-    once per subset pair so long enumerations can be interrupted by
-    resource limits.
+    both lexicographic; zero minors are dropped, repeats kept.  `checkpoint`
+    is called once per subset pair so long enumerations can be interrupted
+    by resource limits.
 
     `reducer` must be linear and idempotent: a normal form modulo a
     Groebner basis (`GroebnerBasis.normal_form`), or None for no reduction.
     Each minor is then the normal form of the true minor.  The reducer is
     called only on monomials, at most once per distinct monomial key."""
-    if size < 0:
-        raise ValueError("minor size must be non-negative")
     ring = m.ring
     if size == 0:
         return [Polynomial.constant(ring, 1)]
-    if size > m.rows or size > m.cols:
+    det_of = _minors_kernel(m, size, reducer)
+    if det_of is None:
         return []
-    _check_degree(size * _top_degree(m.entries))
-    det_of = _laplace(m, reducer)
     coerce = ring.field.coerce
     out = []
     for rs in combinations(range(m.rows), size):
@@ -272,3 +301,54 @@ def minors(m: PolyMatrix, size: int, reducer=None, checkpoint=None):
                 out.append(
                     Polynomial(ring, keys, [coerce(d[k]) for k in keys]))
     return out
+
+
+def _constant_first(counts):
+    """Indices by descending count, ties by index."""
+    return sorted(range(len(counts)), key=lambda i: -counts[i])
+
+
+def iter_minors(m: PolyMatrix, size: int, reducer=None, checkpoint=None):
+    """The distinct nonzero size x size minors, each yielded once, as soon
+    as it is formed; as a set they are set(minors(m, size, reducer)), with
+    the same signs.  Rows and columns are taken constant-first: ranked by
+    how many of their entries have a nonzero constant term, descending,
+    ties by index.  Subsets are formed in that ranked order and sorted back
+    before the lookup, so each minor is the one of m as given.
+    `checkpoint` is called once per subset pair, and the arguments are
+    checked when called, not on the first step of the iterator."""
+    ring = m.ring
+    if size == 0:
+        return iter([Polynomial.constant(ring, 1)])
+    det_of = _minors_kernel(m, size, reducer)
+    if det_of is None:
+        return iter(())
+    one = ring.one_key
+    const = [bool(e.keys) and e.keys[-1] == one for e in m.entries]
+    cols = m.cols
+    row_rank = _constant_first([sum(const[i * cols:(i + 1) * cols])
+                                for i in range(m.rows)])
+    col_rank = _constant_first([sum(const[j::cols]) for j in range(cols)])
+    return _distinct_minors(ring, det_of, row_rank, col_rank, size,
+                            checkpoint)
+
+
+def _distinct_minors(ring, det_of, row_rank, col_rank, size, checkpoint):
+    """The generator behind iter_minors, over the ranked indices."""
+    coerce = ring.field.coerce
+    col_sets = [tuple(sorted(cs)) for cs in combinations(col_rank, size)]
+    seen = set()
+    for rs in combinations(row_rank, size):
+        rs = tuple(sorted(rs))
+        for cs in col_sets:
+            if checkpoint is not None:
+                checkpoint()
+            d = det_of(rs, cs)
+            if not d:
+                continue
+            items = tuple(sorted(d.items(), reverse=True))
+            if items in seen:
+                continue
+            seen.add(items)
+            yield Polynomial(ring, [k for k, _ in items],
+                             [coerce(c) for _, c in items])

@@ -423,8 +423,26 @@ def apply_linear_change(f: Polynomial, matrix) -> Polynomial:
 
 def dehomogenize(f: Polynomial, i: int) -> Polynomial:
     """Set the i-th variable to 1, landing in the ring without it.
-    Rejects non-homogeneous input."""
+    Rejects non-homogeneous input.  Works on packed keys: lane i is dropped
+    from both halves and the degree falls by its exponent.  No two terms
+    meet, since in a homogeneous f the other exponents fix that of x_i;
+    only the order changes."""
     if not f.is_homogeneous():
         raise NonHomogeneousError(f"{f} is not homogeneous")
-    new_ring = f.ring.drop(i)
-    return f.map_exponents(new_ring, lambda e: e[:i] + e[i + 1:])
+    n = f.ring.nvars
+    half = 16 * n
+    lanes = (1 << half) - 1
+    below = (1 << 16 * i) - 1   # the lanes before i in either half
+    at, above = 16 * i, 16 * (i + 1)
+    new_half = half - 16
+    terms = []
+    for k, c in zip(f.keys, f.coeffs):
+        lo = k & lanes
+        hi = (k >> half) & lanes
+        deg = (k >> 2 * half) - ((lo >> at) & CAP)
+        terms.append(((deg << 2 * new_half)
+                      | ((hi & below) | (hi >> above) << at) << new_half
+                      | (lo & below) | (lo >> above) << at, c))
+    terms.sort(reverse=True)
+    return Polynomial(f.ring.drop(i), [k for k, _ in terms],
+                      [c for _, c in terms])

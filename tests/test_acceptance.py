@@ -2,9 +2,10 @@
 
 Each criterion prints exactly one summary line to the real stdout so the
 lines survive pytest's capture, then asserts, so a failed criterion also
-fails the test run.  The last criterion deliberately drives the classical
-Jacobian baseline into a 300 second / 4 GB budget inside a subprocess, so
-this file takes several minutes end to end.
+fails the test run.  The last criterion runs the classical Jacobian
+baseline on I1-8 under a 300 second / 4 GB budget inside a subprocess.
+Criterion 3, which sweeps every mode over the corpus and the suite, takes
+most of this file's time and carries the slow marker.
 """
 
 import json
@@ -335,7 +336,6 @@ def test_criterion_8_two_path_descent_example():
             "on, smooth both ways")
 
 
-@pytest.mark.slow
 @criterion(9)
 def test_criterion_9_descent_beats_baseline_on_i1_8():
     inst = rational_normal_curve(8)

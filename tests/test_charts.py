@@ -13,13 +13,16 @@ from varsmooth.charts import (Chart, affine_jacobian_criterion, delta_check,
                               enumerate_frames, relative_jacobian,
                               singular_locus_ideal)
 from varsmooth import charts, driver
-from varsmooth.bench import rational_normal_curve
+from varsmooth.bench import (cyclic_polytope_sr, random_coordinate_change,
+                             rational_normal_curve, veronese_ci)
 from varsmooth.driver import Config, projective_smoothness, smoothness_test
 from varsmooth.groebner import (Ideal, buchberger, equal_on_chart,
                                 ideal_membership, krull_dimension,
                                 radical_membership)
-from varsmooth.matrix import PolyMatrix, adjugate, determinant, jacobian
-from varsmooth.poly import Polynomial
+from varsmooth.limits import Budget
+from varsmooth.matrix import (PolyMatrix, adjugate, determinant, jacobian,
+                              minors)
+from varsmooth.poly import Polynomial, dehomogenize
 from varsmooth.ring import Ring
 
 
@@ -426,24 +429,87 @@ def test_affine_jacobian_criterion_known_varieties():
     assert not affine_jacobian_criterion(x2cone)
 
 
+def _projective_charts(inst):
+    ideal = inst.ideal
+    ring = ideal.ring
+    for i in range(ring.nvars):
+        yield Ideal(ring.drop(i), [dehomogenize(f, i)
+                                   for f in ideal.generators])
+
+
+def _criterion_on_every_minor(ideal):
+    """The criterion without early exit: I plus all minors, tested once."""
+    ring = ideal.ring
+    gb = buchberger(ideal)
+    if not ideal.generators or gb.is_unit():
+        return True
+    c = ring.nvars - krull_dimension(ideal)
+    if c == 0:
+        return True
+    mins = minors(jacobian(ring, ideal.generators), c, reducer=gb.normal_form)
+    return buchberger(Ideal(ring, list(ideal.generators) + mins)).is_unit()
+
+
+def test_early_exit_agrees_with_every_minor():
+    ring, (x, y) = mkvars(QQ, ("x", "y"))
+    singular = [Ideal(ring, [y * y - x * x * x])]
+    singular += _projective_charts(veronese_ci())
+    for n, d in ((4, 2), (5, 3)):
+        singular += _projective_charts(random_coordinate_change(
+            cyclic_polytope_sr(d, n), 0, 4))
+    rnc = [c for d in (3, 4, 5, 6)
+           for c in _projective_charts(rational_normal_curve(d))]
+    verdicts = []
+    for ideal in ([inst.ideal for inst in corpus50()] + rnc + singular):
+        budget = Budget()
+        got = affine_jacobian_criterion(ideal, budget=budget)
+        assert got == _criterion_on_every_minor(ideal), ideal
+        assert budget.minors <= budget.minors_possible
+        verdicts.append(got)
+    assert all(verdicts[50:50 + len(rnc)])
+    assert not any(verdicts[50 + len(rnc):])
+    assert 0 < sum(verdicts[:50]) < 50
+    # every I1-6 chart is proved smooth before its walk ends
+    for ideal in _projective_charts(rational_normal_curve(6)):
+        budget = Budget()
+        assert affine_jacobian_criterion(ideal, budget=budget)
+        assert 0 < budget.minors < budget.minors_possible, ideal
+
+
+def test_jacobian_forms_far_fewer_minors_than_possible():
+    inst = rational_normal_curve(6)
+    v = projective_smoothness(inst.ideal, Config(mode="jacobian"))
+    s = v.stats
+    assert v.status == "smooth"
+    assert 0 < 100 * s["minors"] < s["minors_possible"], s
+    # the descent's singular loci still take every minor
+    v = projective_smoothness(rational_normal_curve(4).ideal, Config())
+    assert 0 < v.stats["minors"] == v.stats["minors_possible"]
+
+
 def _criterion_ideals(monkeypatch, runs):
     """Run `runs()` with both criteria spied on.  Returns one record per
-    ideal they built from minors: (kind, the ideal, the generators followed
-    by every minor with duplicates kept, its verdict on the ideal, and a
+    ideal they built from a minor stream: (kind, the deciding ideal, the
+    generators followed by the minors the stream yielded before the
+    decision, the generators followed by every minor with repeats as
+    `minors` returns them, its verdict on the deciding ideal, and a
     function giving that verdict for any ideal)."""
     records = []
-    got = []
-    real_minors = charts.minors
+    streams = []   # (args, yielded) per iter_minors call
+    real_iter = charts.iter_minors
     real_buchberger = charts.buchberger
     real_affine = charts.affine_jacobian_criterion
     real_embedded = charts.embedded_frame_tasks
 
-    def spy_minors(*args, **kw):
-        got.append(real_minors(*args, **kw))
-        return got[-1]
+    def spy_iter(m, size, reducer=None, checkpoint=None):
+        yielded = []
+        streams.append(((m, size, reducer), yielded))
+        for f in real_iter(m, size, reducer=reducer, checkpoint=checkpoint):
+            yielded.append(f)
+            yield f
 
     def affine(ideal, budget=None):
-        del got[:]
+        del streams[:]
         built = []
 
         def spy_buchberger(target, **kw):
@@ -455,25 +521,28 @@ def _criterion_ideals(monkeypatch, runs):
             ok = real_affine(ideal, budget=budget)
         finally:
             monkeypatch.setattr(charts, "buchberger", real_buchberger)
-        if got:
-            records.append(("affine", built[-1],
-                            list(ideal.generators) + got[0], ok,
+        if streams:
+            (args, yielded), = streams
+            gens = list(ideal.generators)
+            records.append(("affine", built[-1], gens + yielded,
+                            gens + minors(*args), ok,
                             lambda i: buchberger(i).is_unit()))
         return ok
 
     def embedded(chart, strict=False, budget=None):
-        del got[:]
+        del streams[:]
         enum, checks = real_embedded(chart, strict=strict, budget=budget)
-        assert len(got) == len(checks or ())
-        for (_, ideal, test), mins in zip(checks or (), got):
+        assert len(streams) == len(checks or ())
+        gens = list(chart.variety.generators)
+        for (_, ideal, test), (args, yielded) in zip(checks or (), streams):
             def decide(i, test=test):
                 return radical_membership(test, i)
-            records.append(("embedded", ideal,
-                            list(chart.variety.generators) + mins,
-                            decide(ideal), decide))
+            records.append(("embedded", ideal, gens + yielded,
+                            gens + minors(*args), decide(ideal),
+                            decide))
         return enum, checks
 
-    monkeypatch.setattr(charts, "minors", spy_minors)
+    monkeypatch.setattr(charts, "iter_minors", spy_iter)
     monkeypatch.setattr(driver, "affine_jacobian_criterion", affine)
     monkeypatch.setattr(driver, "embedded_frame_tasks", embedded)
     runs()
@@ -490,14 +559,19 @@ def test_criterion_ideals_take_each_minor_once(monkeypatch):
                 smoothness_test(inst.ideal, cfg)
 
     records = _criterion_ideals(monkeypatch, runs)
-    dropped = {"affine": 0, "embedded": 0}
-    for kind, ideal, with_dups, verdict, decide in records:
+    repeats = {"affine": 0, "embedded": 0}
+    for kind, ideal, prefix, full, verdict, decide in records:
         gens = list(ideal.generators)
         assert len(set(gens)) == len(gens), kind
-        assert gens == list(dict.fromkeys(with_dups)), kind
-        assert decide(Ideal(ideal.ring, with_dups)) == verdict, kind
-        dropped[kind] += len(with_dups) - len(gens)
-    assert all(dropped.values()), dropped  # both criteria met repeats
+        # the deciding ideal holds the yielded minors once each
+        assert gens == list(dict.fromkeys(prefix)), kind
+        assert set(prefix) <= set(full), kind
+        if kind == "embedded":   # the hybrid exhausts its stream
+            assert set(prefix) == set(full), kind
+        # the verdict on every minor, repeats included, agrees
+        assert decide(Ideal(ideal.ring, full)) == verdict, kind
+        repeats[kind] += len(full) - len(set(full))
+    assert all(repeats.values()), repeats  # both streams skipped repeats
 
 
 def test_delta_then_descend_chain_settles_circle():

@@ -307,3 +307,29 @@ def test_seed_changes_combination_draws_not_verdict():
         v = smoothness_test(ideal, Config(mode="hironaka", seed=seed))
         verdicts.add(v.status)
     assert verdicts == {"smooth"}
+
+
+def test_projective_roots_are_built_when_their_task_runs(monkeypatch):
+    from varsmooth import driver
+    from varsmooth.bench import (cyclic_polytope_sr,
+                                 random_coordinate_change)
+    from varsmooth.errors import NonHomogeneousError
+    built = []
+    real = driver.dehomogenize
+
+    def spy(f, i):
+        built.append(i)
+        return real(f, i)
+
+    monkeypatch.setattr(driver, "dehomogenize", spy)
+    inst = random_coordinate_change(cyclic_polytope_sr(3, 6), 0, 4)
+    v = projective_smoothness(inst.ideal, Config())
+    assert v.status == "singular" and v.witness.path[0] == 0
+    assert set(built) == {0}   # the other root charts were pruned unbuilt
+    # inhomogeneous input is still refused before any chart runs
+    ring = Ring(QQ, ("x", "y", "z"))
+    x, y, z = variables(ring)
+    del built[:]
+    with pytest.raises(NonHomogeneousError):
+        projective_smoothness(Ideal(ring, [x * y - z]), Config())
+    assert built == []

@@ -9,8 +9,9 @@ from conftest import nonzero_random_poly, random_poly, variables
 from varsmooth.errors import DegreeOverflowError, SingularMatrixError
 from varsmooth.fields import QQ, GF
 from varsmooth.groebner import Ideal, buchberger
-from varsmooth.matrix import (PolyMatrix, adjugate, determinant, jacobian,
-                              minors)
+from varsmooth import matrix
+from varsmooth.matrix import (PolyMatrix, adjugate, determinant, iter_minors,
+                              jacobian, minors)
 from varsmooth.poly import Polynomial
 from varsmooth.ring import EXP_LIMIT, Ring
 
@@ -266,6 +267,78 @@ def test_minors_reduces_each_monomial_once():
     assert calls > 500
 
 
+def test_iter_minors_yields_each_distinct_minor_once():
+    checked = transposed = 0
+    for m, gb in _kernel_cases(5150, 90):
+        for size in range(min(m.rows, m.cols) + 2):
+            for red in (None, gb.normal_form):
+                want = minors(m, size, reducer=red)
+                got = list(iter_minors(m, size, reducer=red))
+                assert len(got) == len(set(got)) == len(set(want))
+                assert set(got) == set(want), (m, size, red)
+                # equal polynomials, so equal signs; and the same types
+                by_value = {f: f for f in want}
+                assert all(_coeff_types([f]) == _coeff_types([by_value[f]])
+                           for f in got)
+                if m.rows > m.cols and size:   # the kernel transposes
+                    assert want == reference_minors(m, size, reducer=red)
+                    transposed += 1
+                checked += len(got)
+    assert checked > 500 and transposed > 30
+
+
+def test_iter_minors_walks_constant_first_and_checks_up_front(rxy):
+    x, y = variables(rxy)
+    one = Polynomial.constant(rxy, 1)
+    zero = Polynomial.zero(rxy)
+    # only the last row and column carry constants: their minor comes first
+    m = PolyMatrix(rxy, 3, 3, [x, y, zero,
+                               y, x, zero,
+                               zero, zero, one + x])
+    first = next(iter_minors(m, 1))
+    assert first == one + x
+    assert set(iter_minors(m, 2)) == set(minors(m, 2))
+    calls = []
+    assert len(list(iter_minors(m, 2, checkpoint=lambda: calls.append(1)))) \
+        == len(set(minors(m, 2)))
+    assert len(calls) == 9
+    with pytest.raises(ValueError):
+        iter_minors(m, -1)
+    big = PolyMatrix(rxy, 2, 2, [x ** (EXP_LIMIT - 1), y, y, x])
+    with pytest.raises(DegreeOverflowError):
+        iter_minors(big, 2)
+    assert list(iter_minors(m, 0)) == [one]
+    assert list(iter_minors(m, 4)) == []
+
+
+def test_minor_memo_never_holds_the_requested_size(monkeypatch):
+    memos = []
+    real = matrix._expand
+
+    def spy(memo, ctx, rows, cs):
+        if not any(memo is seen for seen in memos):
+            memos.append(memo)
+        return real(memo, ctx, rows, cs)
+
+    monkeypatch.setattr(matrix, "_expand", spy)
+    sizes = 0
+    for m, gb in _kernel_cases(7170, 45):
+        for size in range(1, min(m.rows, m.cols) + 1):
+            for red in (None, gb.normal_form):
+                for call in (minors, iter_minors):
+                    del memos[:]
+                    list(call(m, size, reducer=red))
+                    assert len(memos) <= 1
+                    short = min(m.rows, m.cols)
+                    for memo in memos:
+                        assert max(len(rows) for rows, _ in memo) < size
+                        # expanded rows index the shorter side
+                        assert all(max(rows, default=-1) < short
+                                   for rows, _ in memo)
+                    sizes += 1
+    assert sizes > 200
+
+
 # -- oracle: fraction-free Bareiss elimination on Polynomial entries ----------
 
 def bareiss_exact_div(a, b):
@@ -404,6 +477,8 @@ def test_kernel_leaves_no_reference_cycles():
     gb = buchberger(Ideal(jac.ring, [jac.get(0, 0)]))
     calls = [lambda: minors(jac, 3),
              lambda: minors(jac, 2, reducer=gb.normal_form),
+             lambda: list(iter_minors(jac, 3)),
+             lambda: next(iter_minors(jac, 2, reducer=gb.normal_form)),
              lambda: determinant(square),
              lambda: adjugate(square),
              lambda: relative_jacobian([x * y], chart, frame)]

@@ -183,7 +183,7 @@ def test_cli_json_byte_stable_across_jobs():
 
 
 def test_cli_indeterminate_exit_3():
-    gen = run_cli(["gen", "rnc", "6"])
+    gen = run_cli(["gen", "rnc", "8"])
     p = run_cli(["check", "--projective", "--assume-radical", "--mode",
                  "jacobian", "--time-limit", "0.2", "-"],
                 stdin_text=gen.stdout)

@@ -7,7 +7,7 @@ from conftest import random_poly, variables
 from varsmooth.errors import DegreeOverflowError, NonHomogeneousError
 from varsmooth.fields import QQ, GF
 from varsmooth.poly import Polynomial, apply_linear_change, dehomogenize
-from varsmooth.ring import Ring
+from varsmooth.ring import EXP_LIMIT, Ring
 
 
 # -- independent oracle: exponent-dict arithmetic over Fraction / F_p --------
@@ -211,6 +211,45 @@ def test_dehomogenize_rejects_inhomogeneous(rxy):
     x, y = variables(rxy)
     with pytest.raises(NonHomogeneousError):
         dehomogenize(x * x + y, 0)
+
+
+def _homogeneous_poly(ring, rng, degree):
+    """Up to five terms of the given degree; some pile the whole degree
+    into one lane, so lanes reach 2^15 - 1."""
+    n = ring.nvars
+    terms = []
+    for _ in range(rng.randint(1, 5)):
+        if rng.random() < 0.3:
+            exps = [0] * n
+            exps[rng.randrange(n)] = degree
+        else:
+            cuts = sorted(rng.randint(0, degree) for _ in range(n - 1))
+            exps = [b - a for a, b in zip([0] + cuts, cuts + [degree])]
+        c = rng.randint(-9, 9)
+        if not ring.field.characteristic:
+            c = Fraction(c, rng.randint(1, 7))
+        terms.append((tuple(exps), c))
+    return Polynomial.from_terms(ring, terms)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)])
+def test_dehomogenize_equals_map_exponents(field):
+    rng = random.Random(4242 + field.characteristic)
+    checked = 0
+    for t in range(120):
+        n = rng.randint(2, 5)
+        ring = Ring(field, tuple(f"x{j}" for j in range(n)))
+        degree = rng.choice((0, 1, 2, 3, 7, 300, EXP_LIMIT - 1))
+        f = _homogeneous_poly(ring, rng, degree)
+        for i in range(n):
+            want = f.map_exponents(ring.drop(i),
+                                   lambda e: e[:i] + e[i + 1:])
+            got = dehomogenize(f, i)
+            assert got == want, (f, i)
+            assert [type(c) for c in got.coeffs] == \
+                [type(c) for c in want.coeffs]
+            checked += 1
+    assert checked > 300
 
 
 def test_zform_primitive_positive_leading(rxy):
