@@ -12,8 +12,7 @@ from .poly import (Polynomial, apply_linear_change, dehomogenize,
 from .matrix import (PolyMatrix, adjugate, determinant, iter_minors,
                      jacobian, minors)
 from .groebner import (GroebnerBasis, Ideal, buchberger, ideal_membership,
-                       krull_dimension, lift_power, normal_form,
-                       radical_membership)
+                       krull_dimension, normal_form, radical_membership)
 from .limits import Budget, Limits
 from .charts import (Chart, FrameData, affine_jacobian_criterion, delta_check,
                      descend, embedded_jacobian, enumerate_frames,
@@ -30,7 +29,7 @@ __all__ = [
     "dehomogenize", "partial_derivative", "variables", "PolyMatrix",
     "adjugate", "determinant", "iter_minors", "jacobian", "minors",
     "GroebnerBasis", "Ideal", "buchberger", "ideal_membership",
-    "krull_dimension", "lift_power", "normal_form", "radical_membership",
+    "krull_dimension", "normal_form", "radical_membership",
     "Budget", "Limits",
     "Chart", "FrameData", "affine_jacobian_criterion", "delta_check",
     "descend", "embedded_jacobian", "enumerate_frames", "relative_jacobian",

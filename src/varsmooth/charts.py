@@ -19,8 +19,7 @@ from typing import Optional
 
 from .errors import ContractError, DegenerateGeneratorError, DescentError
 from .groebner import (GroebnerBasis, Ideal, buchberger, equal_on_chart,
-                       ideal_membership, krull_dimension, lift_power,
-                       radical_membership)
+                       ideal_membership, krull_dimension, radical_membership)
 from .limits import Budget, ensure_budget
 from .matrix import (PolyMatrix, _check_degree, _gradient, _mac, _poly,
                      _settle, _terms, _top_degree, adjugate, determinant,
@@ -280,16 +279,43 @@ def singular_locus_ideal(chart: Chart, f: Polynomial,
     return Ideal(ring, gens)
 
 
+def _covering_subset(g: Polynomial, hs, budget: Budget) -> Optional[list]:
+    """Indices of a minimal S with g in the radical of (h_j : j in S), or
+    None when g is not in the radical of all of hs.  S is the shortest
+    prefix of hs that works, pruned in order: a member goes when g stays in
+    the radical without it."""
+    ring = g.ring
+
+    def covers(picked):
+        return radical_membership(g, Ideal(ring, [hs[j] for j in picked]),
+                                  budget=budget)
+
+    chosen = []
+    for j in range(len(hs)):
+        budget.checkpoint()
+        chosen.append(j)
+        if covers(chosen):
+            break
+    else:
+        return None
+    # the last member stays: without it a shorter prefix would have worked
+    for j in chosen[:-1]:
+        rest = [k for k in chosen if k != j]
+        if covers(rest):
+            chosen = rest
+    return chosen
+
+
 def descend(chart: Chart, rng, combinations: bool = True,
-            lift_cap: Optional[int] = None,
             budget: Optional[Budget] = None) -> list:
     """Charts one level deeper: the ambient gains one variety generator.
 
     First tries single generators in order (the new hypersurface must be
     smooth where g is invertible), then up to three random linear
-    combinations, and finally builds a covering: g is lifted through the sum
-    of the singular-locus ideals, and each lift term h_j spawns a chart on
-    D(g * h_j) whose ambient uses the owning generator.
+    combinations, and finally builds a covering: from the generators h_j of
+    the singular-locus ideals it picks a minimal set with g in the radical
+    of (h_j), so the sets D(g * h_j) cover D(g), and each picked h_j spawns
+    a chart on D(g * h_j) whose ambient uses the owning generator.
     """
     budget = ensure_budget(budget)
     ring = chart.ring
@@ -345,29 +371,19 @@ def descend(chart: Chart, rng, combinations: bool = True,
         for h in s.generators:
             combined.append(h)
             owner.append(i)
-    lifted = lift_power(g, Ideal(ring, combined), cap=lift_cap, budget=budget)
-    if lifted is None:
+    chosen = _covering_subset(g, combined, budget)
+    if chosen is None:
         raise DescentError(
             "no power of the localizer lies in the singular-locus sum")
-    _, coeffs = lifted
+    # a minimal set holds no generator twice, so no chart repeats
     children = []
-    seen = set()
-    for j, c in enumerate(coeffs):
-        if c.is_zero():
-            continue
+    for j in chosen:
         h = combined[j]
-        f = usable[owner[j]]
-        key = (owner[j], h)
-        if key in seen:
-            continue
-        seen.add(key)
-        amb = Ideal(ring, list(w_gens) + [f])
+        amb = Ideal(ring, list(w_gens) + [usable[owner[j]]])
         if vacuous(amb, g * h):
             continue  # empty chart, covers no point of the variety
         children.append(Chart(amb, chart.variety, g * h, chart.depth + 1,
                               budget=budget))
-    if not children and not seen:
-        raise DescentError("covering produced no charts")
     return children
 
 

@@ -8,12 +8,6 @@ divisibility, then to the lowest index per lcm, then by coprime leads, and
 the chain criterion deletes queued pairs (see _PairQueue for the exact
 rules, which differ from Gebauer-Moeller in the coprime step).
 
-Representation tracking, needed by the covering construction, rides on the
-same loop: the reduction kernel logs its steps, and the engine replays each
-log on optional representation rows that express every basis element in
-the original generators.  Rows are opt-in because they roughly double the
-work and memory.
-
 Radical membership uses the extra-variable trick: f lies in the radical of
 I exactly when I together with 1 - t*f generates the unit ideal in the
 extended ring.  No elimination orders are used anywhere.
@@ -78,8 +72,7 @@ class Ideal:
 
 class GroebnerBasis:
     """Reduced basis: monic elements, ascending leading keys, pairwise
-    non-divisible leads.  transform[i][j] expresses element i in the
-    original generators when tracking was requested.
+    non-divisible leads.
 
     It is built from the engine's rows (keys, coeffs): primitive with
     positive leading coefficient over QQ, monic residues over F_p, in
@@ -87,13 +80,11 @@ class GroebnerBasis:
     prepared divisors; the monic Polynomial elements are built only when
     first read."""
 
-    __slots__ = ("ideal", "transform", "_elements", "_divisors",
-                 "_lead_keys")
+    __slots__ = ("ideal", "_elements", "_divisors", "_lead_keys")
 
-    def __init__(self, ideal: Ideal, rows, transform=None):
+    def __init__(self, ideal: Ideal, rows):
         p = ideal.ring.field.characteristic
         self.ideal = ideal
-        self.transform = transform
         self._elements = None
         self._divisors = [prepare_divisor(k, c, p) for k, c in rows]
         self._lead_keys = tuple(k[0] for k, _ in rows)
@@ -202,18 +193,14 @@ def prepare_divisor(keys, coeffs, p):
     return (lead, lc, tuple(keys[1:]), tuple(coeffs[1:]), inv)
 
 
-def reduce_terms(fk, fc, divisors, guards, p, log=None):
+def reduce_terms(fk, fc, divisors, guards, p):
     """Fully reduce f by the divisor list (first matching divisor wins).
 
     divisors: sequence of prepare_divisor tuples, order fixed by the caller.
     Returns (keys, coeffs, mult) with keys descending.  Over F_p the
     reduction is exact and mult == 1; over the integers the remainder is
-    mult * NF(f) with mult a positive integer.
-
-    When log is a list, each step f <- beta * f - alpha * x^s * d appends
-    (lead(d), s, alpha, beta), and each division of f by a common factor
-    appends (None, 0, 0, factor), so the steps can be replayed on
-    representation rows.
+    mult * NF(f) with mult a positive integer; every 64 steps the common
+    content of mult and the partial result is divided out.
     """
     work = dict(zip(fk, fc))
     heap = [-k for k in fk]
@@ -249,8 +236,6 @@ def reduce_terms(fk, fc, divisors, guards, p, log=None):
                     heapq.heappush(heap, -kk)
                 else:
                     work[kk] = (v - t * tc) % p
-            if log is not None:
-                log.append((lead, qadd, t, 1))
             continue
         g = gcd(c, lc)
         beta = lc // g
@@ -269,8 +254,6 @@ def reduce_terms(fk, fc, divisors, guards, p, log=None):
                 heapq.heappush(heap, -kk)
             else:
                 work[kk] = v - alpha * tc
-        if log is not None:
-            log.append((lead, qadd, alpha, beta))
         steps += 1
         if steps & 63 == 0 and mult > 1:
             shrink = mult
@@ -289,8 +272,6 @@ def reduce_terms(fk, fc, divisors, guards, p, log=None):
                 for k in work:
                     work[k] //= shrink
                 rem_coeffs = [v // shrink for v in rem_coeffs]
-                if log is not None:
-                    log.append((None, 0, 0, shrink))
     return rem_keys, rem_coeffs, mult
 
 
@@ -456,98 +437,34 @@ def _merge_scaled(ka, ca, sa, fa, kb, cb, sb, fb, p):
     return keys, coeffs
 
 
-# -- representation rows -------------------------------------------------------
-#
-# A row is a list of key dicts, one per original generator: the element it
-# belongs to equals sum_j row[j] * generator_j.  Coefficients live in the
-# field (rationals or residues), whatever domain the element is reduced in.
-
-
-def _row_axpy(row, src_row, shift, factor, p):
-    """row += factor * x^shift * src_row, in place."""
-    for slot, d in enumerate(src_row):
-        if not d:
-            continue
-        target = row[slot]
-        for k, c in d.items():
-            nk = k + shift
-            v = target.get(nk)
-            nv = factor * c if v is None else v + factor * c
-            if p:
-                nv %= p
-            if nv:
-                target[nk] = nv
-            elif v is not None:
-                del target[nk]
-
-
-def _row_scale(row, factor, p):
-    """row *= factor, in place; factor is a nonzero field scalar."""
-    for d in row:
-        for k in d:
-            d[k] = d[k] * factor % p if p else d[k] * factor
-
-
-def _replay(row, log, rows, p):
-    """Apply a reduce_terms log to row; rows maps divisor leads to rows."""
-    for lead, shift, alpha, beta in log:
-        if lead is None:
-            _row_scale(row, mpq(1, beta), p)
-            continue
-        if beta != 1:
-            _row_scale(row, beta, p)
-        _row_axpy(row, rows[lead], shift, -alpha, p)
-
-
 # -- engine --------------------------------------------------------------------
 
 
-def _engine(ring: Ring, gens_raw, budget: Budget, rows=None):
+def _engine(ring: Ring, gens_raw, budget: Budget):
     """Raw Buchberger; gens_raw are (keys, coeffs) primitive/residue lists.
-    Returns the raw reduced basis as a list of (keys, coeffs, row).
-
-    rows, when given, holds one representation row per generator; the engine
-    then carries a row for every element it builds, by replaying the
-    kernel's log of each reduction, and returns it with the element.  Without
-    rows every returned row is None."""
+    Returns the raw reduced basis as a list of (keys, coeffs)."""
     p = ring.field.characteristic
     one_key = ring.one_key
     guards = ring.guards
-    track = rows is not None
-    if not track:
-        rows = [None] * len(gens_raw)
 
     basis = []      # (keys, coeffs)
     divisors = []
-    lead_rows = {}  # lead key -> row; leads in the basis are distinct
     queue = _PairQueue(ring)
 
-    def reduce(keys, coeffs, divs, row):
-        log = None if row is None else []
-        rk, rc, _ = reduce_terms(keys, coeffs, divs, guards, p, log)
-        if log:
-            _replay(row, log, lead_rows, p)
-        return rk, rc
-
-    def normalize(keys, coeffs, row):
+    def normalize(keys, coeffs):
         if p:
             inv = pow(coeffs[0], -1, p)
             if inv != 1:
                 coeffs = [c * inv % p for c in coeffs]
-                if row is not None:
-                    _row_scale(row, inv, p)
             return keys, coeffs
         g = _content(coeffs)
         if g not in (0, 1):
             coeffs = [c // g for c in coeffs]
-            if row is not None:
-                _row_scale(row, mpq(1, g), p)
         return keys, coeffs
 
-    def insert(keys, coeffs, row) -> bool:
+    def insert(keys, coeffs) -> bool:
         """Returns True when a constant entered the basis (unit ideal)."""
-        keys, coeffs = normalize(keys, coeffs, row)
-        lead_rows[keys[0]] = row
+        keys, coeffs = normalize(keys, coeffs)
         if keys[0] == one_key:
             basis.clear()
             basis.append(([one_key], [1]))
@@ -558,15 +475,12 @@ def _engine(ring: Ring, gens_raw, budget: Budget, rows=None):
         budget.basis_guard(len(basis))
         return False
 
-    def result(elements):
-        return [(k, c, lead_rows[k[0]]) for k, c in elements]
-
-    for (keys, coeffs), row in zip(gens_raw, rows):
+    for keys, coeffs in gens_raw:
         budget.checkpoint()
-        rk, rc = reduce(list(keys), list(coeffs), divisors, row)
+        rk, rc, _ = reduce_terms(list(keys), list(coeffs), divisors, guards, p)
         if rk:
-            if insert(rk, rc, row):
-                return result(basis)
+            if insert(rk, rc):
+                return basis
 
     while True:
         budget.checkpoint()
@@ -576,26 +490,20 @@ def _engine(ring: Ring, gens_raw, budget: Budget, rows=None):
         i, j, Lkey = item
         ki, ci = basis[i]
         kj, cj = basis[j]
-        si = Lkey - ki[0]
-        sj = Lkey - kj[0]
         if p:
             fa, fb = 1, p - 1
         else:
             a, b = ci[0], cj[0]
             g = gcd(a, b)
             fa, fb = b // g, -(a // g)
-        sk, sc = _merge_scaled(ki, ci, si, fa, kj, cj, sj, fb, p)
+        sk, sc = _merge_scaled(ki, ci, Lkey - ki[0], fa,
+                               kj, cj, Lkey - kj[0], fb, p)
         if not sk:
             continue
-        row = None
-        if track:
-            row = [{} for _ in gens_raw]
-            _row_axpy(row, lead_rows[ki[0]], si, fa, p)
-            _row_axpy(row, lead_rows[kj[0]], sj, fb, p)
-        rk, rc = reduce(sk, sc, divisors, row)
+        rk, rc, _ = reduce_terms(sk, sc, divisors, guards, p)
         if rk:
-            if insert(rk, rc, row):
-                return result(basis)
+            if insert(rk, rc):
+                return basis
 
     # minimalize: drop elements whose lead is divisible by another lead
     order = sorted(range(len(basis)), key=lambda t: basis[t][0][0])
@@ -610,63 +518,38 @@ def _engine(ring: Ring, gens_raw, budget: Budget, rows=None):
         kept_leads.append(lk)
     reduced = [basis[t] for t in kept]
 
-    # interreduce tails (leads are pairwise non-divisible, one pass is exact,
-    # and each element keeps its lead, so lead_rows stays keyed correctly)
+    # interreduce tails (leads are pairwise non-divisible, so one pass is
+    # exact and each element keeps its lead)
     for idx in range(len(reduced)):
         budget.checkpoint()
         others = [prepare_divisor(k, c, p)
                   for pos, (k, c) in enumerate(reduced) if pos != idx]
         k, c = reduced[idx]
-        row = lead_rows[k[0]]
-        rk, rc = reduce(list(k), list(c), others, row)
-        reduced[idx] = normalize(rk, rc, row)
-    return result(reduced)
+        rk, rc, _ = reduce_terms(list(k), list(c), others, guards, p)
+        reduced[idx] = normalize(rk, rc)
+    return reduced
 
 
 # -- public API -----------------------------------------------------------------
 
 
-def buchberger(ideal: Ideal, track: bool = False,
-               budget: Optional[Budget] = None,
+def buchberger(ideal: Ideal, budget: Optional[Budget] = None,
                use_cache: bool = True) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal (degrevlex).  With track=True the
-    result carries transform rows expressing each element in the input
-    generators."""
+    """Reduced Groebner basis of the ideal (degrevlex)."""
     budget = ensure_budget(budget)
-    key = (ideal, track)
     if use_cache:
-        got = _cache.get(key)
+        got = _cache.get(ideal)
         if got is not None:
             budget.record_query()
             return got
     budget.record_query()
     budget.checkpoint()
     budget.record_run_start()
-    ring = ideal.ring
-    p = ring.field.characteristic
-
-    gens_raw = []
-    rows = [] if track else None
-    for slot, g in enumerate(ideal.generators):
-        zk, zc, scale = g.zform()
-        gens_raw.append((zk, zc))
-        if track:
-            row = [{} for _ in ideal.generators]
-            row[slot][ring.one_key] = ring.field.inv(scale)
-            rows.append(row)
-    out = sorted(_engine(ring, gens_raw, budget, rows), key=lambda e: e[0][0])
-    transform = None
-    if track:
-        transform = []
-        for keys, coeffs, row in out:
-            if not p:
-                _row_scale(row, 1 / mpq(coeffs[0]), p)
-            transform.append(tuple(Polynomial.from_key_dict(ring, d)
-                                   for d in row))
-        transform = tuple(transform)
-    gb = GroebnerBasis(ideal, [(k, c) for k, c, _ in out], transform)
+    gens_raw = [g.zform()[:2] for g in ideal.generators]
+    gb = GroebnerBasis(ideal, sorted(_engine(ideal.ring, gens_raw, budget),
+                                     key=lambda e: e[0][0]))
     if use_cache:
-        _cache.put(key, gb)
+        _cache.put(ideal, gb)
     return gb
 
 
@@ -736,80 +619,6 @@ def equal_on_chart(i_w: Ideal, i_x: Ideal, g: Polynomial,
     budget = ensure_budget(budget)
     gb = _as_gb(i_w, budget)
     return all(gb.contains(g * f) for f in i_x.generators)
-
-
-def division_with_quotients(f: Polynomial, gb: GroebnerBasis):
-    """(quotients, remainder) with f == sum q_i e_i + remainder; field
-    arithmetic, deterministic divisor scan in basis order."""
-    ring = gb.ideal.ring
-    fld = ring.field
-    p = fld.characteristic
-    work = dict(zip(f.keys, f.coeffs))
-    heap = [-k for k in f.keys]
-    heapq.heapify(heap)
-    quots = [dict() for _ in gb.elements]
-    rem = {}
-    lead_keys = gb._lead_keys
-    while heap:
-        m = -heapq.heappop(heap)
-        c = work.pop(m, 0)
-        if not c:
-            continue
-        hit = None
-        for idx, lk in enumerate(lead_keys):
-            if ring.divides(lk, m):
-                hit = idx
-                break
-        if hit is None:
-            rem[m] = c
-            continue
-        el = gb.elements[hit]
-        t = c * fld.inv(el.leading_coefficient())
-        if p:
-            t %= p
-        qk = m - el.leading_key() + ring.mul_off
-        quots[hit][qk] = quots[hit].get(qk, fld.zero()) + t
-        shift = m - el.leading_key()
-        for tk, tc in zip(el.keys[1:], el.coeffs[1:]):
-            kk = tk + shift
-            v = work.get(kk)
-            nv = -t * tc if v is None else v - t * tc
-            if p:
-                nv %= p
-            if v is None:
-                heapq.heappush(heap, -kk)
-            work[kk] = nv
-    return ([Polynomial.from_key_dict(ring, q) for q in quots],
-            Polynomial.from_key_dict(ring, rem))
-
-
-def lift_power(g: Polynomial, ideal: Ideal, cap: Optional[int] = None,
-               budget: Optional[Budget] = None):
-    """Smallest m <= cap with g^m in the ideal, together with exact
-    coefficients over the original generators; None when no power fits.
-    The default cap is 2 * deg(g) + 8."""
-    budget = ensure_budget(budget)
-    if cap is None:
-        cap = 2 * max(1, g.total_degree()) + 8
-    gb = buchberger(ideal, track=True, budget=budget)
-    h = Polynomial.constant(g.ring, 1)
-    for m in range(1, cap + 1):
-        budget.checkpoint()
-        h = h * g
-        quots, rem = division_with_quotients(h, gb)
-        if rem.is_zero():
-            ngens = len(ideal.generators)
-            coeffs = []
-            for j in range(ngens):
-                acc = Polynomial.zero(g.ring)
-                for i, q in enumerate(quots):
-                    if not q.is_zero():
-                        tj = gb.transform[i][j]
-                        if not tj.is_zero():
-                            acc = acc + q * tj
-                coeffs.append(acc)
-            return m, tuple(coeffs)
-    return None
 
 
 def krull_dimension(ideal: Ideal, budget: Optional[Budget] = None) -> int:

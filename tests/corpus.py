@@ -10,10 +10,11 @@ half the entries also rewrite the generating set by adding a scalar
 multiple of one generator to another, which leaves the ideal unchanged.
 """
 
+import itertools
 import random
-from typing import List, NamedTuple
+from typing import Iterator, List, NamedTuple
 
-from varsmooth.fields import QQ
+from varsmooth.fields import GF, QQ
 from varsmooth.groebner import Ideal
 from varsmooth.poly import Polynomial, apply_linear_change
 from varsmooth.ring import Ring
@@ -113,3 +114,24 @@ def corpus50() -> List[CorpusInstance]:
         out.append(CorpusInstance(f"c{i:02d}-{name}",
                                   Ideal(ideal.ring, gens), expected))
     return out
+
+
+def linear_form_products() -> Iterator[Ideal]:
+    """Endless seeded stream of n generators in n variables, n in {2, 3},
+    each generator a product of two linear forms with coefficients in
+    [-2, 2], alternating QQ and GF(32003).  Each hypersurface is singular
+    where its two factors meet, so the descent often has to cover a chart
+    by singular-locus generators, which corpus50 never makes it do."""
+    rng = random.Random(7)
+    for i in itertools.count():
+        n = rng.choice((2, 3))
+        ring = Ring((QQ, GF(32003))[i % 2], ("x", "y", "z")[:n])
+        xs = _vars(ring)
+
+        def linear():
+            f = Polynomial.constant(ring, rng.randint(-2, 2))
+            for x in xs:
+                f = f + rng.randint(-2, 2) * x
+            return f
+
+        yield Ideal(ring, [linear() * linear() for _ in xs])
