@@ -2,11 +2,14 @@
 
 One Buchberger engine runs with normal-strategy pair selection, reducing
 over the integers (pseudo-division on primitive polynomials) for rational
-input and over F_p directly.  Its pair queue works on the exponent lanes of
-packed keys: a new element's candidate pairs are pruned by proper lcm
-divisibility, then to the lowest index per lcm, then by coprime leads, and
-the chain criterion deletes queued pairs (see _PairQueue for the exact
-rules, which differ from Gebauer-Moeller in the coprime step).
+input and over F_p directly.  It takes the generators in ascending
+leading-key order, whatever order the caller gave, so low-degree
+generators enter first and reduce the later ones.  Its pair queue works on
+the exponent lanes of packed keys: a new element's candidate pairs are
+pruned by proper lcm divisibility, then to the lowest index per lcm, then
+by coprime leads, and the chain criterion deletes queued pairs (see
+_PairQueue for the exact rules, which differ from Gebauer-Moeller in the
+coprime step).
 
 Radical membership uses the extra-variable trick: f lies in the radical of
 I exactly when I together with 1 - t*f generates the unit ideal in the
@@ -199,8 +202,7 @@ def reduce_terms(fk, fc, divisors, guards, p):
     divisors: sequence of prepare_divisor tuples, order fixed by the caller.
     Returns (keys, coeffs, mult) with keys descending.  Over F_p the
     reduction is exact and mult == 1; over the integers the remainder is
-    mult * NF(f) with mult a positive integer; every 64 steps the common
-    content of mult and the partial result is divided out.
+    mult * NF(f) with mult a positive integer.
     """
     work = dict(zip(fk, fc))
     heap = [-k for k in fk]
@@ -208,7 +210,6 @@ def reduce_terms(fk, fc, divisors, guards, p):
     rem_keys = []
     rem_coeffs = []
     mult = 1
-    steps = 0
     while heap:
         m = -heapq.heappop(heap)
         c = work.pop(m, 0)
@@ -254,24 +255,6 @@ def reduce_terms(fk, fc, divisors, guards, p):
                 heapq.heappush(heap, -kk)
             else:
                 work[kk] = v - alpha * tc
-        steps += 1
-        if steps & 63 == 0 and mult > 1:
-            shrink = mult
-            for v in work.values():
-                if v:
-                    shrink = gcd(shrink, v)
-                    if shrink == 1:
-                        break
-            if shrink > 1:
-                for v in rem_coeffs:
-                    shrink = gcd(shrink, v)
-                    if shrink == 1:
-                        break
-            if shrink > 1:
-                mult //= shrink
-                for k in work:
-                    work[k] //= shrink
-                rem_coeffs = [v // shrink for v in rem_coeffs]
     return rem_keys, rem_coeffs, mult
 
 
@@ -442,7 +425,8 @@ def _merge_scaled(ka, ca, sa, fa, kb, cb, sb, fb, p):
 
 def _engine(ring: Ring, gens_raw, budget: Budget):
     """Raw Buchberger; gens_raw are (keys, coeffs) primitive/residue lists.
-    Returns the raw reduced basis as a list of (keys, coeffs)."""
+    Returns the raw reduced basis as a list of (keys, coeffs) in ascending
+    leading-key order."""
     p = ring.field.characteristic
     one_key = ring.one_key
     guards = ring.guards
@@ -475,7 +459,7 @@ def _engine(ring: Ring, gens_raw, budget: Budget):
         budget.basis_guard(len(basis))
         return False
 
-    for keys, coeffs in gens_raw:
+    for keys, coeffs in sorted(gens_raw, key=lambda g: g[0][0]):
         budget.checkpoint()
         rk, rc, _ = reduce_terms(list(keys), list(coeffs), divisors, guards, p)
         if rk:
@@ -519,13 +503,13 @@ def _engine(ring: Ring, gens_raw, budget: Budget):
     reduced = [basis[t] for t in kept]
 
     # interreduce tails (leads are pairwise non-divisible, so one pass is
-    # exact and each element keeps its lead)
-    for idx in range(len(reduced)):
+    # exact and each element keeps its lead; the reduced tail is unique, so
+    # the rows can reduce by the unreduced others)
+    divs = [prepare_divisor(k, c, p) for k, c in reduced]
+    for idx, (k, c) in enumerate(reduced):
         budget.checkpoint()
-        others = [prepare_divisor(k, c, p)
-                  for pos, (k, c) in enumerate(reduced) if pos != idx]
-        k, c = reduced[idx]
-        rk, rc, _ = reduce_terms(list(k), list(c), others, guards, p)
+        rk, rc, _ = reduce_terms(list(k), list(c),
+                                 divs[:idx] + divs[idx + 1:], guards, p)
         reduced[idx] = normalize(rk, rc)
     return reduced
 
@@ -546,8 +530,7 @@ def buchberger(ideal: Ideal, budget: Optional[Budget] = None,
     budget.checkpoint()
     budget.record_run_start()
     gens_raw = [g.zform()[:2] for g in ideal.generators]
-    gb = GroebnerBasis(ideal, sorted(_engine(ideal.ring, gens_raw, budget),
-                                     key=lambda e: e[0][0]))
+    gb = GroebnerBasis(ideal, _engine(ideal.ring, gens_raw, budget))
     if use_cache:
         _cache.put(ideal, gb)
     return gb

@@ -398,6 +398,42 @@ def test_equal_on_chart():
     assert not equal_on_chart(Ideal(r2, [x * y]), Ideal(r2, [x]), x)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
+def test_generator_order_does_not_change_the_basis(field):
+    # The engine sorts its input by leading key; whatever order the caller
+    # gives, the reduced basis and the radical verdicts must be the same.
+    # Each generator is a multiple of a variable, so the ideal is a unit
+    # ideal exactly when a constant is added to it.
+    ring = Ring(field, ("x", "y", "z"))
+    xs = variables(ring)
+    rng = random.Random(303)
+    answers = set()
+    for case in range(16):
+        gens = [nonzero_random_poly(ring, rng, max_terms=4, max_deg=2,
+                                    coeff_bound=5) * rng.choice(xs)
+                for _ in range(rng.randint(2, 4))]
+        with_constant = case % 3 == 0
+        if with_constant:
+            gens.append(Polynomial.constant(ring, rng.choice((1, -2, 7))))
+        tests = [nonzero_random_poly(ring, rng, max_terms=3, max_deg=2)
+                 for _ in range(3)] + xs
+        seen = None
+        for _ in range(4):
+            rng.shuffle(gens)
+            ideal = Ideal(ring, gens)
+            gb = buchberger(ideal, use_cache=False)
+            got = (gb._divisors, gb.elements,
+                   [radical_membership(f, ideal, use_cache=False)
+                    for f in tests])
+            if seen is None:
+                seen = got
+                assert gb.is_unit() == with_constant
+                if not with_constant:
+                    answers.update(got[2])
+            assert got == seen, (case, ideal)
+    assert answers == {True, False}
+
+
 def test_budget_counts_engine_runs():
     clear_caches()
     r2 = Ring(QQ, ("x", "y"))
@@ -609,8 +645,8 @@ def _random_zpoly(rng, ring, nterms, lo, hi):
 @pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF101"])
 def test_reduce_terms_remainder_is_mult_times_textbook_division(field):
     # Long reductions by small divisors with mixed leading coefficients.
-    # Over QQ, 46 of them reach the content check made every 64 steps and
-    # 4 divide a common content out; the remainder must stay mult * NF.
+    # Over QQ, mult grows by the lead coefficients' cofactors at each step
+    # and no content is divided back out; the remainder must stay mult * NF.
     ring = Ring(field, ("x", "y", "z"))
     p = field.characteristic
 
