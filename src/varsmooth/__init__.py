@@ -10,7 +10,7 @@ from .ring import Ring
 from .poly import (Polynomial, apply_linear_change, dehomogenize,
                    partial_derivative, variables)
 from .matrix import (PolyMatrix, adjugate, determinant, iter_minors,
-                     jacobian, minors)
+                     jacobian)
 from .groebner import (GroebnerBasis, Ideal, buchberger, ideal_membership,
                        krull_dimension, normal_form, radical_membership)
 from .limits import Budget, Limits
@@ -27,7 +27,7 @@ from .parser import ideal_file_text, parse_ideal_file
 __all__ = [
     "GF", "QQ", "FieldSpec", "Ring", "Polynomial", "apply_linear_change",
     "dehomogenize", "partial_derivative", "variables", "PolyMatrix",
-    "adjugate", "determinant", "iter_minors", "jacobian", "minors",
+    "adjugate", "determinant", "iter_minors", "jacobian",
     "GroebnerBasis", "Ideal", "buchberger", "ideal_membership",
     "krull_dimension", "normal_form", "radical_membership",
     "Budget", "Limits",

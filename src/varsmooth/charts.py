@@ -21,9 +21,9 @@ from .errors import ContractError, DegenerateGeneratorError, DescentError
 from .groebner import (GroebnerBasis, Ideal, buchberger, equal_on_chart,
                        ideal_membership, krull_dimension, radical_membership)
 from .limits import Budget, ensure_budget
-from .matrix import (PolyMatrix, _check_degree, _gradient, _mac, _poly,
-                     _settle, _terms, _top_degree, adjugate, determinant,
-                     iter_minors, jacobian, minors)
+from .matrix import (PolyMatrix, _check_degree, _cofactors, _gradient,
+                     _laplace, _mac, _poly, _settle, _terms, _top_degree,
+                     iter_minors, jacobian)
 from .poly import Polynomial
 from .ring import Ring
 
@@ -111,7 +111,8 @@ def enumerate_frames(chart: Chart, strict: bool = False,
     """Frames of the chart's ambient Jacobian in lexicographic column order.
 
     Each candidate submatrix gets its determinant first; zero ones are
-    skipped, and only the frames kept get an adjugate.  Enumeration stops as
+    skipped, and only the frames kept get their cofactors, read from the
+    memo that expanded the determinant.  Enumeration stops as
     soon as the yielded determinants q_1..q_t cover the chart: by default
     when g lies in the radical of I_W + (q_1..q_t), in strict mode when g
     lies in the plain ideal (q_1..q_t).  A constant determinant covers
@@ -132,11 +133,13 @@ def enumerate_frames(chart: Chart, strict: bool = False,
     for cols in _combinations(range(n), r):
         budget.checkpoint()
         m = jac.submatrix(rows, cols)
-        q = determinant(m)
+        _check_degree(r * _top_degree(m.entries))
+        det_of = _laplace(m)
+        q = _poly(ring, det_of(rows, rows))
         if q.is_zero():
             continue
-        adj, _ = adjugate(m)
-        frames.append(FrameData(rows, cols, q, adj, jac))
+        frames.append(FrameData(rows, cols, q, _cofactors(ring, det_of, r),
+                                jac))
         dets.append(q)
         if q.is_constant():
             return FrameEnumeration(frames, True, dets)
@@ -264,8 +267,9 @@ def _counting_checkpoint(budget: Budget, m: PolyMatrix, size: int):
 def singular_locus_ideal(chart: Chart, f: Polynomial,
                          budget: Optional[Budget] = None) -> Ideal:
     """Ideal of the singular points of V(I_W + f) as a hypersurface in W:
-    I_W generators, then f, then the (r+1)-minors of the stacked Jacobian.
-    Rejects f already in I_W."""
+    I_W generators, then f, then the distinct nonzero (r+1)-minors of the
+    stacked Jacobian in the order iter_minors yields them.  Rejects f
+    already in I_W."""
     budget = ensure_budget(budget)
     ring = chart.ring
     if ideal_membership(f, chart.ambient, budget=budget):
@@ -273,10 +277,9 @@ def singular_locus_ideal(chart: Chart, f: Polynomial,
     r = len(chart.ambient.generators)
     stacked_polys = list(chart.ambient.generators) + [f]
     jac = jacobian(ring, stacked_polys)
-    mins = minors(jac, r + 1,
-                  checkpoint=_counting_checkpoint(budget, jac, r + 1))
-    gens = list(chart.ambient.generators) + [f] + mins
-    return Ideal(ring, gens)
+    mins = iter_minors(jac, r + 1,
+                       checkpoint=_counting_checkpoint(budget, jac, r + 1))
+    return Ideal(ring, [*stacked_polys, *mins])
 
 
 def _covering_subset(g: Polynomial, hs, budget: Budget) -> Optional[list]:

@@ -517,29 +517,27 @@ def _engine(ring: Ring, gens_raw, budget: Budget):
 # -- public API -----------------------------------------------------------------
 
 
-def buchberger(ideal: Ideal, budget: Optional[Budget] = None,
-               use_cache: bool = True) -> GroebnerBasis:
+def buchberger(ideal: Ideal, budget: Optional[Budget] = None
+               ) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal (degrevlex)."""
     budget = ensure_budget(budget)
-    if use_cache:
-        got = _cache.get(ideal)
-        if got is not None:
-            budget.record_query()
-            return got
+    got = _cache.get(ideal)
+    if got is not None:
+        budget.record_query()
+        return got
     budget.record_query()
     budget.checkpoint()
     budget.record_run_start()
     gens_raw = [g.zform()[:2] for g in ideal.generators]
     gb = GroebnerBasis(ideal, _engine(ideal.ring, gens_raw, budget))
-    if use_cache:
-        _cache.put(ideal, gb)
+    _cache.put(ideal, gb)
     return gb
 
 
-def _as_gb(target, budget, use_cache=True) -> GroebnerBasis:
+def _as_gb(target, budget) -> GroebnerBasis:
     if isinstance(target, GroebnerBasis):
         return target
-    return buchberger(target, budget=budget, use_cache=use_cache)
+    return buchberger(target, budget=budget)
 
 
 def normal_form(f: Polynomial, target, budget: Optional[Budget] = None
@@ -556,23 +554,21 @@ def ideal_membership(f: Polynomial, target,
 
 
 def radical_membership(f: Polynomial, target,
-                       budget: Optional[Budget] = None,
-                       use_cache: bool = True) -> bool:
+                       budget: Optional[Budget] = None) -> bool:
     """Whether f vanishes on the zero set of the ideal (over the closure)."""
     budget = ensure_budget(budget)
     if f.is_zero():
         return True
     ideal = target.ideal if isinstance(target, GroebnerBasis) else target
     if f.is_constant():
-        gb = _as_gb(target, budget, use_cache=use_cache)
+        gb = _as_gb(target, budget)
         return gb.is_unit()
     ring = ideal.ring
     ext = ring.extend(ring.fresh_name("t"))
     lift = [_lift(g, ext) for g in ideal.generators]
     t = Polynomial.variable(ext, ext.nvars - 1)
     rab = Polynomial.constant(ext, 1) - t * _lift(f, ext)
-    gb = buchberger(Ideal(ext, lift + [rab]), budget=budget,
-                    use_cache=use_cache)
+    gb = buchberger(Ideal(ext, lift + [rab]), budget=budget)
     return gb.is_unit()
 
 

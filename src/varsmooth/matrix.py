@@ -2,7 +2,7 @@
 
 Every determinant here comes from one kernel, memoized first-row Laplace
 expansion on term dicts {monomial key: coefficient}: _laplace(m) returns
-det_of(rows, cols) over one memo.  `determinant`, `adjugate`, `minors` and
+det_of(rows, cols) over one memo.  `determinant`, `adjugate` and
 `iter_minors` each make one for their matrix and read every subdeterminant
 they need from it, so shared submatrices are expanded once; an adjugate
 takes q and all of its (n-1)-minors from the same memo.  The memo keeps the
@@ -15,13 +15,14 @@ the kernel (mixing with rationals stays exact), over F_p residues are
 reduced once per subdeterminant, and a Polynomial is built only for each
 result.
 
-`minors` returns every nonzero minor in lexicographic order.
-`iter_minors` is the streaming form for callers that stop at their first
-proof: it yields each distinct nonzero minor once, as soon as it is formed,
-deduplicated on its term dict before any Polynomial is built.  It walks
-rows and columns constant-first (those with the most entries that have a
-nonzero constant term first), since a constant minor settles the unit-ideal
-questions its callers ask.
+`iter_minors` is the one minor enumerator, and it serves all three
+callers: the Jacobian criterion and the hybrid's frame tasks, which stop at
+their first proof, and the descent's singular-locus ideals, which take
+every minor.  It yields each distinct nonzero minor once, as soon as it is
+formed, deduplicated on its term dict before any Polynomial is built.  It
+walks rows and columns constant-first (those with the most entries that
+have a nonzero constant term first), since a constant minor settles the
+unit-ideal questions its callers ask.
 
 Minors modulo an ideal take a reducer that must be linear and idempotent,
 such as a normal form modulo a Groebner basis.  The kernel then reduces
@@ -253,54 +254,21 @@ def adjugate(m: PolyMatrix):
     det_of = _laplace(m)
     idx = tuple(range(n))
     q = _poly(ring, det_of(idx, idx))
+    return _cofactors(ring, det_of, n), q
+
+
+def _cofactors(ring: Ring, det_of, n: int) -> PolyMatrix:
+    """The cofactor matrix of adjugate, read from det_of for an n x n
+    matrix.  Read q from the same det_of first: its expansion memoizes the
+    cofactors of row 0."""
+    idx = tuple(range(n))
     ents = []
     for l in range(n):
         rows = idx[:l] + idx[l + 1:]
         for k in range(n):
             d = det_of(rows, idx[:k] + idx[k + 1:])
             ents.append(_poly(ring, d, -1 if (l + k) & 1 else 1))
-    return PolyMatrix(ring, n, n, ents), q
-
-
-def _minors_kernel(m: PolyMatrix, size: int, reducer):
-    """det_of for the size x size minors of m, after the range checks shared
-    by minors and iter_minors; None when there are none."""
-    if size < 0:
-        raise ValueError("minor size must be non-negative")
-    if size > m.rows or size > m.cols:
-        return None
-    _check_degree(size * _top_degree(m.entries))
-    return _laplace(m, reducer, transpose=m.rows > m.cols)
-
-
-def minors(m: PolyMatrix, size: int, reducer=None, checkpoint=None):
-    """All size x size minors, row subsets outer / column subsets inner,
-    both lexicographic; zero minors are dropped, repeats kept.  `checkpoint`
-    is called once per subset pair so long enumerations can be interrupted
-    by resource limits.
-
-    `reducer` must be linear and idempotent: a normal form modulo a
-    Groebner basis (`GroebnerBasis.normal_form`), or None for no reduction.
-    Each minor is then the normal form of the true minor.  The reducer is
-    called only on monomials, at most once per distinct monomial key."""
-    ring = m.ring
-    if size == 0:
-        return [Polynomial.constant(ring, 1)]
-    det_of = _minors_kernel(m, size, reducer)
-    if det_of is None:
-        return []
-    coerce = ring.field.coerce
-    out = []
-    for rs in combinations(range(m.rows), size):
-        for cs in combinations(range(m.cols), size):
-            if checkpoint is not None:
-                checkpoint()
-            d = det_of(rs, cs)
-            if d:  # _poly, inlined for the many minors of one call
-                keys = sorted(d, reverse=True)
-                out.append(
-                    Polynomial(ring, keys, [coerce(d[k]) for k in keys]))
-    return out
+    return PolyMatrix(ring, n, n, ents)
 
 
 def _constant_first(counts):
@@ -309,20 +277,28 @@ def _constant_first(counts):
 
 
 def iter_minors(m: PolyMatrix, size: int, reducer=None, checkpoint=None):
-    """The distinct nonzero size x size minors, each yielded once, as soon
-    as it is formed; as a set they are set(minors(m, size, reducer)), with
-    the same signs.  Rows and columns are taken constant-first: ranked by
-    how many of their entries have a nonzero constant term, descending,
-    ties by index.  Subsets are formed in that ranked order and sorted back
-    before the lookup, so each minor is the one of m as given.
-    `checkpoint` is called once per subset pair, and the arguments are
-    checked when called, not on the first step of the iterator."""
+    """The distinct nonzero size x size minors of m, with their signs, each
+    yielded once, as soon as it is formed.  Rows and columns are taken
+    constant-first: ranked by how many of their entries have a nonzero
+    constant term, descending, ties by index.  Subsets are formed in that
+    ranked order and sorted back before the lookup, so each minor is the
+    one of m as given.  `checkpoint` is called once per subset pair, so
+    long enumerations can be interrupted by resource limits; the arguments
+    are checked when called, not on the first step of the iterator.
+
+    `reducer` must be linear and idempotent: a normal form modulo a
+    Groebner basis (`GroebnerBasis.normal_form`), or None for no reduction.
+    Each minor is then the normal form of the true minor.  The reducer is
+    called only on monomials, at most once per distinct monomial key."""
     ring = m.ring
+    if size < 0:
+        raise ValueError("minor size must be non-negative")
     if size == 0:
         return iter([Polynomial.constant(ring, 1)])
-    det_of = _minors_kernel(m, size, reducer)
-    if det_of is None:
+    if size > m.rows or size > m.cols:
         return iter(())
+    _check_degree(size * _top_degree(m.entries))
+    det_of = _laplace(m, reducer, transpose=m.rows > m.cols)
     one = ring.one_key
     const = [bool(e.keys) and e.keys[-1] == one for e in m.entries]
     cols = m.cols

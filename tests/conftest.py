@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -48,3 +49,48 @@ def nonzero_random_poly(ring, rng, **kw):
         f = random_poly(ring, rng, **kw)
         if not f.is_zero():
             return f
+
+
+# -- oracle: the Polynomial-based memoized expansion, reducing everything -----
+
+def reference_minors(m, size, reducer=None):
+    """Every nonzero size x size minor, row subsets outer and column subsets
+    inner, both lexicographic, repeats kept: memoized first-row Laplace
+    expansion on Polynomial entries that passes every entry, product and
+    sum through the reducer."""
+    ring = m.ring
+    if size == 0:
+        return [Polynomial.constant(ring, 1)]
+    if size > m.rows or size > m.cols:
+        return []
+    red = reducer if reducer is not None else (lambda f: f)
+    memo = {}
+
+    def det_of(rows, cols):
+        got = memo.get((rows, cols))
+        if got is not None:
+            return got
+        if len(rows) == 1:
+            d = red(m.get(rows[0], cols[0]))
+        else:
+            acc = Polynomial.zero(ring)
+            for idx, c in enumerate(cols):
+                entry = m.get(rows[0], c)
+                if entry.is_zero():
+                    continue
+                sub = det_of(rows[1:], cols[:idx] + cols[idx + 1:])
+                if sub.is_zero():
+                    continue
+                prod = red(entry * sub)
+                acc = acc - prod if idx & 1 else acc + prod
+            d = red(acc)
+        memo[(rows, cols)] = d
+        return d
+
+    out = []
+    for rs in combinations(range(m.rows), size):
+        for cs in combinations(range(m.cols), size):
+            d = det_of(rs, cs)
+            if not d.is_zero():
+                out.append(d)
+    return out

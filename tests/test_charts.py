@@ -1,9 +1,10 @@
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
-from conftest import nonzero_random_poly, variables
+from conftest import nonzero_random_poly, reference_minors, variables
 from corpus import corpus50
 from varsmooth.errors import (ContractError, DegenerateGeneratorError,
                               DescentError)
@@ -20,8 +21,8 @@ from varsmooth.groebner import (Ideal, buchberger, equal_on_chart,
                                 ideal_membership, krull_dimension,
                                 radical_membership)
 from varsmooth.limits import Budget
-from varsmooth.matrix import (PolyMatrix, adjugate, determinant, jacobian,
-                              minors)
+from varsmooth.matrix import (PolyMatrix, adjugate, determinant, iter_minors,
+                              jacobian)
 from varsmooth.poly import Polynomial, dehomogenize
 from varsmooth.ring import Ring
 
@@ -204,12 +205,13 @@ def test_lazy_frames_match_eager_reference(monkeypatch):
     assert {len(c.ambient.generators) for c in rnc} == {0, 1, 2, 3}
     cases += [(c, strict) for c in rnc for strict in (False, True)]
     calls = []
+    real_cofactors = charts._cofactors
 
-    def counting(m):
-        calls.append(m)
-        return adjugate(m)
+    def counting(ring, det_of, n):
+        calls.append(n)
+        return real_cofactors(ring, det_of, n)
 
-    monkeypatch.setattr(charts, "adjugate", counting)
+    monkeypatch.setattr(charts, "_cofactors", counting)
     exhausted = 0
     for chart, strict in cases:
         del calls[:]
@@ -383,11 +385,39 @@ def test_singular_locus_ideal_contents():
     par = y - x * x
     root = Chart.root(Ideal(ring, [par]))
     s = singular_locus_ideal(root, par)
-    assert list(s.generators) == [par, -(2 * x), Polynomial.constant(ring, 1)]
+    # the constant minor comes first: its column has the constant entry
+    assert list(s.generators) == [par, Polynomial.constant(ring, 1), -(2 * x)]
     with pytest.raises(DegenerateGeneratorError):
         singular_locus_ideal(Chart(Ideal(ring, [par]), Ideal(ring, [par]),
                                    Polynomial.constant(ring, 1), depth=1),
                              par)
+
+
+def test_singular_locus_ideal_takes_each_reference_minor_once():
+    cases = [(c, f) for c in _rnc_charts() for f in c.variety.generators]
+    ring, (x, y, z) = mkvars(GF(32003), ("x", "y", "z"))
+    w = Ideal(ring, [x * y - z])
+    v = Ideal(ring, [x * y - z, x * x + y * y - 1, z * z - x * z])
+    chart = Chart(w, v, x + 1, depth=1, check=False)
+    cases += [(chart, f) for f in v.generators]
+    checked = 0
+    for chart, f in cases:
+        amb = list(chart.ambient.generators)
+        if ideal_membership(f, chart.ambient):
+            continue
+        budget = Budget()
+        gens = list(singular_locus_ideal(chart, f, budget=budget).generators)
+        r = len(amb)
+        want = reference_minors(jacobian(chart.ring, amb + [f]), r + 1)
+        assert gens[:r + 1] == amb + [f]
+        mins = gens[r + 1:]
+        assert len(mins) == len(set(mins)) == len(set(want)), (chart, f)
+        assert set(mins) == set(want), (chart, f)
+        # one count per subset pair: every (r+1)-subset of the columns
+        n = chart.ring.nvars
+        assert budget.minors == budget.minors_possible == comb(n, r + 1)
+        checked += 1
+    assert checked > 100
 
 
 def test_embedded_jacobian_on_descended_points():
@@ -446,8 +476,9 @@ def _criterion_on_every_minor(ideal):
     c = ring.nvars - krull_dimension(ideal)
     if c == 0:
         return True
-    mins = minors(jacobian(ring, ideal.generators), c, reducer=gb.normal_form)
-    return buchberger(Ideal(ring, list(ideal.generators) + mins)).is_unit()
+    mins = iter_minors(jacobian(ring, ideal.generators), c,
+                       reducer=gb.normal_form)
+    return buchberger(Ideal(ring, [*ideal.generators, *mins])).is_unit()
 
 
 def test_early_exit_agrees_with_every_minor():
@@ -492,8 +523,8 @@ def _criterion_ideals(monkeypatch, runs):
     ideal they built from a minor stream: (kind, the deciding ideal, the
     generators followed by the minors the stream yielded before the
     decision, the generators followed by every minor with repeats as
-    `minors` returns them, its verdict on the deciding ideal, and a
-    function giving that verdict for any ideal)."""
+    `reference_minors` returns them, its verdict on the deciding ideal, and
+    a function giving that verdict for any ideal)."""
     records = []
     streams = []   # (args, yielded) per iter_minors call
     real_iter = charts.iter_minors
@@ -525,7 +556,7 @@ def _criterion_ideals(monkeypatch, runs):
             (args, yielded), = streams
             gens = list(ideal.generators)
             records.append(("affine", built[-1], gens + yielded,
-                            gens + minors(*args), ok,
+                            gens + reference_minors(*args), ok,
                             lambda i: buchberger(i).is_unit()))
         return ok
 
@@ -538,7 +569,7 @@ def _criterion_ideals(monkeypatch, runs):
             def decide(i, test=test):
                 return radical_membership(test, i)
             records.append(("embedded", ideal, gens + yielded,
-                            gens + minors(*args), decide(ideal),
+                            gens + reference_minors(*args), decide(ideal),
                             decide))
         return enum, checks
 

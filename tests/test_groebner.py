@@ -200,7 +200,8 @@ def test_basis_rows_are_the_integer_forms_of_its_elements():
     # elements only when read; the elements' own integer forms must give
     # the same divisors, and the predicates read from the leads must agree
     for ideal in all_systems():
-        gb = buchberger(ideal, use_cache=False)
+        clear_caches()
+        gb = buchberger(ideal)
         p = ideal.ring.field.characteristic
         els = gb.elements
         assert gb._divisors == [prepare_divisor(*e.zform()[:2], p)
@@ -421,10 +422,10 @@ def test_generator_order_does_not_change_the_basis(field):
         for _ in range(4):
             rng.shuffle(gens)
             ideal = Ideal(ring, gens)
-            gb = buchberger(ideal, use_cache=False)
+            clear_caches()
+            gb = buchberger(ideal)
             got = (gb._divisors, gb.elements,
-                   [radical_membership(f, ideal, use_cache=False)
-                    for f in tests])
+                   [radical_membership(f, ideal) for f in tests])
             if seen is None:
                 seen = got
                 assert gb.is_unit() == with_constant
@@ -440,9 +441,10 @@ def test_budget_counts_engine_runs():
     x, y = variables(r2)
     ideal = Ideal(r2, [x * x + y * y - 1, x * y - 2])
     b1 = ensure_budget(None)
-    buchberger(ideal, budget=b1, use_cache=False)
+    buchberger(ideal, budget=b1)
     assert b1.runs_started == 1
-    buchberger(ideal, budget=b1, use_cache=False)
+    clear_caches()
+    buchberger(ideal, budget=b1)
     assert b1.runs_started == 2
     clear_caches()
     b2 = ensure_budget(None)
@@ -459,7 +461,7 @@ def test_basis_cap_raises():
                          x * y * z - 1])
     budget = Budget(Limits(max_basis=1))
     with pytest.raises(LimitExceededError):
-        buchberger(cyclic3, budget=budget, use_cache=False)
+        buchberger(cyclic3, budget=budget)
 
 
 # -- pair queue ----------------------------------------------------------------

@@ -5,13 +5,14 @@ from itertools import combinations as icombs
 
 import pytest
 
-from conftest import nonzero_random_poly, random_poly, variables
+from conftest import (nonzero_random_poly, random_poly, reference_minors,
+                      variables)
 from varsmooth.errors import DegreeOverflowError, SingularMatrixError
 from varsmooth.fields import QQ, GF
 from varsmooth.groebner import Ideal, buchberger
 from varsmooth import matrix
 from varsmooth.matrix import (PolyMatrix, adjugate, determinant, iter_minors,
-                              jacobian, minors)
+                              jacobian)
 from varsmooth.poly import Polynomial
 from varsmooth.ring import EXP_LIMIT, Ring
 
@@ -118,23 +119,24 @@ def test_minors_against_direct_enumeration(rxy):
         ents = [random_poly(ring, rng, max_terms=2, max_deg=1)
                 for _ in range(rows * cols)]
         m = PolyMatrix(ring, rows, cols, ents)
-        got = minors(m, size)
+        got = list(iter_minors(m, size))
         want = []
         for rs in icombs(range(rows), size):
             for cs in icombs(range(cols), size):
                 d = laplace_det(m.submatrix(rs, cs))
                 if not d.is_zero():
                     want.append(d)
-        assert got == want
+        assert len(got) == len(set(got)) == len(set(want))
+        assert set(got) == set(want)
 
 
 def test_minors_edge_sizes(rxy):
     x, y = variables(rxy)
     m = PolyMatrix(rxy, 2, 2, [x, y, y, x])
-    assert minors(m, 0) == [Polynomial.constant(rxy, 1)]
-    assert minors(m, 3) == []
+    assert list(iter_minors(m, 0)) == [Polynomial.constant(rxy, 1)]
+    assert list(iter_minors(m, 3)) == []
     with pytest.raises(ValueError):
-        minors(m, -1)
+        iter_minors(m, -1)
 
 
 def test_minors_reducer_applied(rxy):
@@ -144,7 +146,7 @@ def test_minors_reducer_applied(rxy):
     gb = buchberger(Ideal(rxy, [x]))
     m = PolyMatrix(rxy, 2, 2, [x, y,
                                y, x])
-    red = minors(m, 2, reducer=gb.normal_form)
+    red = list(iter_minors(m, 2, reducer=gb.normal_form))
     assert red == [gb.normal_form(x * x - y * y)]
     assert red == [-(y * y)]
 
@@ -153,7 +155,7 @@ def test_minors_checkpoint_called_and_interruptible(rxy):
     x, y = variables(rxy)
     m = PolyMatrix(rxy, 3, 3, [x] * 9)
     calls = []
-    minors(m, 2, checkpoint=lambda: calls.append(1))
+    assert list(iter_minors(m, 2, checkpoint=lambda: calls.append(1))) == []
     assert len(calls) == 9  # C(3,2)^2
 
     class Stop(Exception):
@@ -163,50 +165,7 @@ def test_minors_checkpoint_called_and_interruptible(rxy):
         raise Stop()
 
     with pytest.raises(Stop):
-        minors(m, 2, checkpoint=bomb)
-
-
-# -- oracle: the Polynomial-based memoized expansion, reducing everything -----
-
-def reference_minors(m, size, reducer=None):
-    """Memoized first-row Laplace expansion on Polynomial entries that passes
-    every entry, product and sum through the reducer."""
-    ring = m.ring
-    if size == 0:
-        return [Polynomial.constant(ring, 1)]
-    if size > m.rows or size > m.cols:
-        return []
-    red = reducer if reducer is not None else (lambda f: f)
-    memo = {}
-
-    def det_of(rows, cols):
-        got = memo.get((rows, cols))
-        if got is not None:
-            return got
-        if len(rows) == 1:
-            d = red(m.get(rows[0], cols[0]))
-        else:
-            acc = Polynomial.zero(ring)
-            for idx, c in enumerate(cols):
-                entry = m.get(rows[0], c)
-                if entry.is_zero():
-                    continue
-                sub = det_of(rows[1:], cols[:idx] + cols[idx + 1:])
-                if sub.is_zero():
-                    continue
-                prod = red(entry * sub)
-                acc = acc - prod if idx & 1 else acc + prod
-            d = red(acc)
-        memo[(rows, cols)] = d
-        return d
-
-    out = []
-    for rs in icombs(range(m.rows), size):
-        for cs in icombs(range(m.cols), size):
-            d = det_of(rs, cs)
-            if not d.is_zero():
-                out.append(d)
-    return out
+        list(iter_minors(m, 2, checkpoint=bomb))
 
 
 def _fractional_poly(ring, rng):
@@ -235,17 +194,22 @@ def _kernel_cases(seed, count):
 
 
 def test_minors_kernel_matches_polynomial_reference():
-    checked = 0
+    # each distinct reference minor once, with its sign and coefficient
+    # types, also where the kernel expands the transpose
+    checked = transposed = 0
     for m, gb in _kernel_cases(5150, 90):
         for size in range(min(m.rows, m.cols) + 2):
             for red in (None, gb.normal_form):
-                got = minors(m, size, reducer=red)
+                got = list(iter_minors(m, size, reducer=red))
                 want = reference_minors(m, size, reducer=red)
-                assert got == want, (m, size, red)
-                assert ([[type(c) for c in f.coeffs] for f in got]
-                        == [[type(c) for c in f.coeffs] for f in want])
+                assert len(got) == len(set(got)) == len(set(want))
+                assert set(got) == set(want), (m, size, red)
+                by_value = {f: f for f in want}
+                assert all(_coeff_types([f]) == _coeff_types([by_value[f]])
+                           for f in got)
+                transposed += m.rows > m.cols and size > 0
                 checked += len(got)
-    assert checked > 1000
+    assert checked > 500 and transposed > 30
 
 
 def test_minors_reduces_each_monomial_once():
@@ -260,31 +224,12 @@ def test_minors_reduces_each_monomial_once():
                 seen.append(f.leading_key())
                 return gb.normal_form(f)
 
-            got = minors(m, size, reducer=counting)
+            got = list(iter_minors(m, size, reducer=counting))
             assert len(seen) == len(set(seen))
-            assert got == reference_minors(m, size, reducer=gb.normal_form)
+            assert set(got) == set(
+                reference_minors(m, size, reducer=gb.normal_form))
             calls += len(seen)
     assert calls > 500
-
-
-def test_iter_minors_yields_each_distinct_minor_once():
-    checked = transposed = 0
-    for m, gb in _kernel_cases(5150, 90):
-        for size in range(min(m.rows, m.cols) + 2):
-            for red in (None, gb.normal_form):
-                want = minors(m, size, reducer=red)
-                got = list(iter_minors(m, size, reducer=red))
-                assert len(got) == len(set(got)) == len(set(want))
-                assert set(got) == set(want), (m, size, red)
-                # equal polynomials, so equal signs; and the same types
-                by_value = {f: f for f in want}
-                assert all(_coeff_types([f]) == _coeff_types([by_value[f]])
-                           for f in got)
-                if m.rows > m.cols and size:   # the kernel transposes
-                    assert want == reference_minors(m, size, reducer=red)
-                    transposed += 1
-                checked += len(got)
-    assert checked > 500 and transposed > 30
 
 
 def test_iter_minors_walks_constant_first_and_checks_up_front(rxy):
@@ -297,10 +242,10 @@ def test_iter_minors_walks_constant_first_and_checks_up_front(rxy):
                                zero, zero, one + x])
     first = next(iter_minors(m, 1))
     assert first == one + x
-    assert set(iter_minors(m, 2)) == set(minors(m, 2))
+    assert set(iter_minors(m, 2)) == set(reference_minors(m, 2))
     calls = []
     assert len(list(iter_minors(m, 2, checkpoint=lambda: calls.append(1)))) \
-        == len(set(minors(m, 2)))
+        == len(set(reference_minors(m, 2)))
     assert len(calls) == 9
     with pytest.raises(ValueError):
         iter_minors(m, -1)
@@ -325,18 +270,17 @@ def test_minor_memo_never_holds_the_requested_size(monkeypatch):
     for m, gb in _kernel_cases(7170, 45):
         for size in range(1, min(m.rows, m.cols) + 1):
             for red in (None, gb.normal_form):
-                for call in (minors, iter_minors):
-                    del memos[:]
-                    list(call(m, size, reducer=red))
-                    assert len(memos) <= 1
-                    short = min(m.rows, m.cols)
-                    for memo in memos:
-                        assert max(len(rows) for rows, _ in memo) < size
-                        # expanded rows index the shorter side
-                        assert all(max(rows, default=-1) < short
-                                   for rows, _ in memo)
-                    sizes += 1
-    assert sizes > 200
+                del memos[:]
+                list(iter_minors(m, size, reducer=red))
+                assert len(memos) <= 1
+                short = min(m.rows, m.cols)
+                for memo in memos:
+                    assert max(len(rows) for rows, _ in memo) < size
+                    # expanded rows index the shorter side
+                    assert all(max(rows, default=-1) < short
+                               for rows, _ in memo)
+                sizes += 1
+    assert sizes > 100
 
 
 # -- oracle: fraction-free Bareiss elimination on Polynomial entries ----------
@@ -475,9 +419,8 @@ def test_kernel_leaves_no_reference_cycles():
     chart = Chart(w, w, Polynomial.constant(ring, 1), depth=1, check=False)
     frame = enumerate_frames(chart).frames[0]
     gb = buchberger(Ideal(jac.ring, [jac.get(0, 0)]))
-    calls = [lambda: minors(jac, 3),
-             lambda: minors(jac, 2, reducer=gb.normal_form),
-             lambda: list(iter_minors(jac, 3)),
+    calls = [lambda: list(iter_minors(jac, 3)),
+             lambda: list(iter_minors(jac, 2, reducer=gb.normal_form)),
              lambda: next(iter_minors(jac, 2, reducer=gb.normal_form)),
              lambda: determinant(square),
              lambda: adjugate(square),
@@ -500,7 +443,7 @@ def test_kernel_entry_points_guard_the_exponent_range():
     half = EXP_LIMIT // 2
     big = PolyMatrix(ring, 2, 2, [x ** half, y, y, x ** half])
     for call in (lambda: determinant(big), lambda: adjugate(big),
-                 lambda: minors(big, 2)):
+                 lambda: iter_minors(big, 2)):
         with pytest.raises(DegreeOverflowError):
             call()
     # one below the limit still fits every lane
@@ -508,7 +451,7 @@ def test_kernel_entry_points_guard_the_exponent_range():
     want = x ** (2 * half - 2) - y * y
     assert determinant(fits) == want
     assert adjugate(fits)[1] == want
-    assert minors(fits, 2) == [want]
+    assert list(iter_minors(fits, 2)) == [want]
 
     g = y + x ** (half + 8)   # frame on y: q = 1, free column x
     w = Ideal(ring, [g])
