@@ -21,8 +21,8 @@ from .errors import ContractError, DegenerateGeneratorError, DescentError
 from .groebner import (GroebnerBasis, Ideal, buchberger, equal_on_chart,
                        ideal_membership, krull_dimension, radical_membership)
 from .limits import Budget, ensure_budget
-from .matrix import (PolyMatrix, _check_degree, _cofactors, _gradient,
-                     _laplace, _mac, _poly, _settle, _terms, _top_degree,
+from .matrix import (PolyMatrix, _check_degree, _gradient, _mac, _poly,
+                     _settle, _terms, _top_degree, adjugate, determinant,
                      iter_minors, jacobian)
 from .poly import Polynomial
 from .ring import Ring
@@ -111,8 +111,7 @@ def enumerate_frames(chart: Chart, strict: bool = False,
     """Frames of the chart's ambient Jacobian in lexicographic column order.
 
     Each candidate submatrix gets its determinant first; zero ones are
-    skipped, and only the frames kept get their cofactors, read from the
-    memo that expanded the determinant.  Enumeration stops as
+    skipped, and only the frames kept get an adjugate.  Enumeration stops as
     soon as the yielded determinants q_1..q_t cover the chart: by default
     when g lies in the radical of I_W + (q_1..q_t), in strict mode when g
     lies in the plain ideal (q_1..q_t).  A constant determinant covers
@@ -133,13 +132,11 @@ def enumerate_frames(chart: Chart, strict: bool = False,
     for cols in _combinations(range(n), r):
         budget.checkpoint()
         m = jac.submatrix(rows, cols)
-        _check_degree(r * _top_degree(m.entries))
-        det_of = _laplace(m)
-        q = _poly(ring, det_of(rows, rows))
+        q = determinant(m)
         if q.is_zero():
             continue
-        frames.append(FrameData(rows, cols, q, _cofactors(ring, det_of, r),
-                                jac))
+        adj, _ = adjugate(m)
+        frames.append(FrameData(rows, cols, q, adj, jac))
         dets.append(q)
         if q.is_constant():
             return FrameEnumeration(frames, True, dets)

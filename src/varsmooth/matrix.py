@@ -254,21 +254,13 @@ def adjugate(m: PolyMatrix):
     det_of = _laplace(m)
     idx = tuple(range(n))
     q = _poly(ring, det_of(idx, idx))
-    return _cofactors(ring, det_of, n), q
-
-
-def _cofactors(ring: Ring, det_of, n: int) -> PolyMatrix:
-    """The cofactor matrix of adjugate, read from det_of for an n x n
-    matrix.  Read q from the same det_of first: its expansion memoizes the
-    cofactors of row 0."""
-    idx = tuple(range(n))
     ents = []
     for l in range(n):
         rows = idx[:l] + idx[l + 1:]
         for k in range(n):
             d = det_of(rows, idx[:k] + idx[k + 1:])
             ents.append(_poly(ring, d, -1 if (l + k) & 1 else 1))
-    return PolyMatrix(ring, n, n, ents)
+    return PolyMatrix(ring, n, n, ents), q
 
 
 def _constant_first(counts):
