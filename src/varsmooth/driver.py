@@ -1,14 +1,14 @@
 """Top-level smoothness verdicts and the deterministic chart scheduler.
 
 The recursive test is broken into small tasks (chart pipelines, single
-frame checks, descend steps) addressed by tuple paths.  A pool executes
-them on one or more workers, always preferring the lexicographically
-smallest pending path.  Failures commit only once every task with a
-smaller path has finished, so the reported witness is the minimal failing
-path in the whole tree and the verdict, witness, and committed statistics
-are identical for every worker count and schedule.  After a verdict
-commits, a shared flag cancels all remaining work; budgets poll it before
-starting any further Groebner engine run.
+frame checks, dimension, descend and embedded steps) addressed by tuple
+paths.  A pool executes them on one or more workers, always preferring the
+lexicographically smallest pending path.  Failures commit only once every
+task with a smaller path has finished, so the reported witness is the
+minimal failing path in the whole tree and the verdict, witness, and
+committed statistics are identical for every worker count and schedule.
+After a verdict commits, a shared flag cancels all remaining work; budgets
+poll it before starting any further Groebner engine run.
 """
 
 from __future__ import annotations
@@ -181,7 +181,15 @@ class _Task:
 
 class _ChartTask(_Task):
     """Structural checks for one chart, then either a settled answer or
-    frame subtasks joined by a descend / embedded-criterion step."""
+    delta frame subtasks joined by a continuation.
+
+    The exits that read the variety's dimension d_x run first only on a
+    chart with ambient generators: Chart's containment check has cached
+    the basis they need, and a chart they settle spawns no frames.  With an
+    empty ambient the delta frames do not depend on d_x and a failing one
+    is a witness by itself, so only the syntactic exits run first (a
+    constant generator, the zero ideal) and the frames come next, joined by
+    a _DimensionTask that runs the rest once they all passed."""
 
     kind = "chart"
     is_chart = True
@@ -201,7 +209,6 @@ class _ChartTask(_Task):
     def run(self, ctx, budget):
         chart = self.chart
         cfg = ctx.config
-        ring = chart.ring
 
         for f in chart.variety.generators:
             if f.is_constant():
@@ -213,31 +220,11 @@ class _ChartTask(_Task):
                 return _Outcome()
             return _Outcome(fail=self._witness("criterion", None))
 
-        d_x = krull_dimension(chart.variety, budget=budget)
-        if d_x < 0:
-            return _Outcome()  # empty variety
-
-        if chart.ambient.generators and equal_on_chart(
-                chart.ambient, chart.variety, chart.localizer, budget=budget):
-            return _Outcome()  # X equals the smooth ambient here
-
-        r = len(chart.ambient.generators)
-        n = ring.nvars
-        if n - r < d_x:
-            raise ContractError(
-                "ambient dimension fell below the variety's; the input is "
-                "likely not equidimensional or not radical")
-        if n - r == d_x:
-            # the ambient is smooth of the variety's dimension, so the
-            # variety is a union of its connected components here
-            return _Outcome()
-
-        switch = self.switch_depth
-        if cfg.mode == "hybrid" and switch is None:
-            if cfg.to_codim is not None:
-                switch = max(0, (n - r - d_x) - cfg.to_codim) + chart.depth
-            else:
-                switch = cfg.descent_depth
+        if chart.ambient.generators:
+            if self.settled_by_dimension(ctx, budget):
+                return _Outcome()
+        elif not chart.variety.generators:
+            return _Outcome()  # the zero ideal: the whole space, smooth
 
         enum, checks = delta_frame_tasks(chart, strict=cfg.strict_cover,
                                          budget=budget)
@@ -247,12 +234,54 @@ class _ChartTask(_Task):
                        ideal, test)
             for i, (frame, ideal, test) in enumerate(checks)
         ]
-        t = len(frame_tasks)
-        if cfg.mode == "hybrid" and chart.depth >= switch:
-            cont = _EmbeddedTask(self.path + (t,), chart)
+        path = self.path + (len(frame_tasks),)
+        if chart.ambient.generators:
+            cont = self.continuation(ctx, path)
         else:
-            cont = _DescendTask(self.path + (t,), chart, switch)
+            cont = _DimensionTask(path, self)
         return _Outcome(spawn=frame_tasks, joined=cont)
+
+    def settled_by_dimension(self, ctx, budget) -> bool:
+        """The exits that read d_x: an empty variety, a variety equal to
+        the smooth ambient, or one of the ambient's dimension.  When none
+        fires, fixes the hybrid switch depth (from to_codim when set)."""
+        chart = self.chart
+        cfg = ctx.config
+        d_x = krull_dimension(chart.variety, budget=budget)
+        if d_x < 0:
+            return True  # empty variety
+
+        if chart.ambient.generators and equal_on_chart(
+                chart.ambient, chart.variety, chart.localizer, budget=budget):
+            return True  # X equals the smooth ambient here
+
+        r = len(chart.ambient.generators)
+        n = chart.ring.nvars
+        if n - r < d_x:
+            raise ContractError(
+                "ambient dimension fell below the variety's; the input is "
+                "likely not equidimensional or not radical")
+        if n - r == d_x:
+            # the ambient is smooth of the variety's dimension, so the
+            # variety is a union of its connected components here
+            return True
+
+        if cfg.mode == "hybrid" and self.switch_depth is None:
+            if cfg.to_codim is not None:
+                self.switch_depth = (max(0, (n - r - d_x) - cfg.to_codim)
+                                     + chart.depth)
+            else:
+                self.switch_depth = cfg.descent_depth
+        return False
+
+    def continuation(self, ctx, path):
+        """The step run once the chart's delta frames all passed: the
+        relative Jacobian criterion in hybrid mode at the switch depth, a
+        descend step otherwise."""
+        chart = self.chart
+        if ctx.config.mode == "hybrid" and chart.depth >= self.switch_depth:
+            return _EmbeddedTask(path, chart)
+        return _DescendTask(path, chart, self.switch_depth)
 
 
 class _RootChartTask(_ChartTask):
@@ -300,6 +329,26 @@ class _FrameTask(_Task):
             self.path, c.depth, self.check_kind, self.cols,
             c.ambient.fingerprint(), c.variety.fingerprint(),
             str(c.localizer)))
+
+
+class _DimensionTask(_Task):
+    """Joined after the delta frames of a chart with an empty ambient: runs
+    the chart's exits that read d_x, and unless one settles the chart,
+    spawns its descend or embedded step at this task's own path, the path
+    that step takes on every chart."""
+
+    kind = "dimension"
+    __slots__ = ("chart_task",)
+
+    def __init__(self, path, chart_task: _ChartTask):
+        super().__init__(path, chart_task.depth)
+        self.chart_task = chart_task
+
+    def run(self, ctx, budget):
+        task = self.chart_task
+        if task.settled_by_dimension(ctx, budget):
+            return _Outcome()
+        return _Outcome(spawn=[task.continuation(ctx, self.path)])
 
 
 class _DescendTask(_Task):

@@ -333,3 +333,243 @@ def test_projective_roots_are_built_when_their_task_runs(monkeypatch):
     with pytest.raises(NonHomogeneousError):
         projective_smoothness(Ideal(ring, [x * y - z]), Config())
     assert built == []
+
+
+# -- root charts: the order-one check before the dimension ---------------------
+
+
+def _nodal_cubic():
+    ring = Ring(QQ, ("X", "Y", "Z"))
+    X, Y, Z = variables(ring)
+    return Ideal(ring, [Y * Y * Z - X * X * (X + Z)])
+
+
+def _root_chart(ideal, i):
+    """The variety ideal of the standard affine chart x_i = 1."""
+    from varsmooth.poly import dehomogenize
+    return Ideal(ideal.ring.drop(i),
+                 [dehomogenize(f, i) for f in ideal.generators])
+
+
+class _Log(Observer):
+    """Engine starts, commits and task starts, in the order they fire."""
+
+    def __init__(self):
+        self.events = []
+        self.kinds = {}
+        self.lock = threading.Lock()
+
+    def on_gb_start(self, path):
+        with self.lock:
+            self.events.append("gb")
+
+    def on_commit(self, path):
+        with self.lock:
+            self.events.append("commit")
+
+    def on_task_start(self, path, kind):
+        with self.lock:
+            self.kinds.setdefault(path, []).append(kind)
+
+
+_ROOT_MODES = ({"mode": "hironaka"}, {"mode": "hybrid"},
+               {"mode": "hybrid", "to_codim": 2})
+
+
+def test_root_chart_witnesses_fail_the_classical_criterion():
+    """Every depth-0 witness names its root chart x_i = 1: the chart rebuilt
+    from the path's first entry has the witness's variety fingerprint, and
+    the classical Jacobian criterion, run on it apart from the driver,
+    fails there.  On the coordinate-changed cyclic inputs only the
+    fingerprint is checked: on swollen normal forms the criterion takes
+    over 20 s on the first root chart of I4-6-3-cc, and over two minutes on
+    that of I4-7-3-cc."""
+    from varsmooth.bench import (cyclic_polytope_sr, random_coordinate_change,
+                                 veronese_ci)
+    from varsmooth.charts import affine_jacobian_criterion
+    cases = [(_nodal_cubic(), True), (veronese_ci().ideal, True)]
+    for d, n in ((3, 6), (3, 7)):
+        base = cyclic_polytope_sr(d, n)
+        cases.append((base.ideal, True))
+        cases.append((random_coordinate_change(base, 0).ideal, False))
+    audited = criteria = 0
+    for ideal, run_criterion in cases:
+        for opts in _ROOT_MODES:
+            w = projective_smoothness(ideal, Config(**opts)).witness
+            assert w is not None
+            if w.depth:
+                continue
+            chart = _root_chart(ideal, w.path[0])
+            assert (w.variety, w.ambient, w.localizer) == (
+                chart.fingerprint(), Ideal(chart.ring, []).fingerprint(),
+                "1"), (opts, w.path)
+            audited += 1
+            if run_criterion:
+                assert not affine_jacobian_criterion(chart), (opts, w.path)
+                criteria += 1
+    assert (audited, criteria) == (17, 11)
+
+
+@pytest.mark.parametrize("opts", [{"mode": "hironaka"},
+                                  {"mode": "hybrid", "to_codim": 2}])
+def test_singular_root_chart_commits_after_one_groebner_run(monkeypatch,
+                                                            opts):
+    from varsmooth import charts, driver, groebner
+    from varsmooth.bench import cyclic_polytope_sr, random_coordinate_change
+    ideal = random_coordinate_change(cyclic_polytope_sr(3, 7), 0).ideal
+    dims = []
+    real = groebner.krull_dimension
+
+    def counted(*args, **kwargs):
+        dims.append(args)
+        return real(*args, **kwargs)
+
+    for module in (charts, driver, groebner):
+        monkeypatch.setattr(module, "krull_dimension", counted)
+    clear_caches()
+    log = _Log()
+    base = projective_smoothness(ideal, Config(**opts), observer=log)
+    assert base.status == "singular"
+    assert (base.witness.path, base.witness.kind) == ((0, 0), "delta")
+    assert log.events == ["gb", "commit"]
+    assert dims == []
+    assert base.stats["gb_queries"] == 1
+    for jobs in (1, 2, 8):
+        for sched in (None, 7):
+            v = projective_smoothness(ideal, Config(jobs=jobs, **opts),
+                                      _schedule_seed=sched)
+            assert v.witness == base.witness, (jobs, sched)
+            assert v.stats == base.stats, (jobs, sched)
+    assert dims == []
+
+
+def _empty_root_ideal():
+    # the chart W = 1 is cut out by 1 - X and 1 + X: empty, although no
+    # generator is constant; the ideal is (W, X, Y^2), a double point
+    ring = Ring(QQ, ("X", "Y", "Z", "W"))
+    X, Y, Z, W = variables(ring)
+    return Ideal(ring, [W - X, W + X, X * Z - Y * Y])
+
+
+def _empty_root_point():
+    # the same empty chart W = 1 on a radical ideal: the reduced point
+    ring = Ring(QQ, ("X", "Y", "Z", "W"))
+    X, Y, Z, W = variables(ring)
+    return Ideal(ring, [W - X, W + X, Y])
+
+
+# (input, config) -> (status, witness (path, depth, kind, cols) or None,
+# stats).  Paths and witnesses are those of the order that computed every
+# chart's dimension first; each empty root chart now runs its one frame
+# before its dimension (frames and gb_queries +1 each), a chart that fails
+# its first frame skips its dimension (gb_queries -1), and the zero ideal
+# exits without a basis (gb_queries -1).
+_EDGE = {
+    ("double point", "hironaka"): (
+        "singular", ((2, 1, 0, 1, 0, 0), 2, "delta", (0, 2)),
+        {"charts": 5, "frames": 5, "gb_queries": 22, "max_depth": 2,
+         "minors": 6, "minors_possible": 6}),
+    ("double point", "hybrid"): (
+        "singular", ((2, 1, 0), 0, "jacobian", ()),
+        {"charts": 3, "frames": 4, "gb_queries": 9, "max_depth": 0,
+         "minors": 1, "minors_possible": 1}),
+    ("double point", "hybrid-1"): (
+        "singular", ((2, 1, 0, 1, 0, 0), 2, "delta", (0, 2)),
+        {"charts": 5, "frames": 5, "gb_queries": 22, "max_depth": 2,
+         "minors": 6, "minors_possible": 6}),
+    ("double point", "jacobian"): (
+        "singular", ((2,), 0, "criterion", None),
+        {"charts": 3, "frames": 0, "gb_queries": 5, "max_depth": 0,
+         "minors": 1, "minors_possible": 1}),
+    ("point", "hironaka"): (
+        "smooth", None,
+        {"charts": 7, "frames": 5, "gb_queries": 29, "max_depth": 3,
+         "minors": 7, "minors_possible": 7}),
+    ("point", "hybrid"): (
+        "smooth", None,
+        {"charts": 4, "frames": 4, "gb_queries": 9, "max_depth": 0,
+         "minors": 1, "minors_possible": 1}),
+    ("point", "hybrid-1"): (
+        "smooth", None,
+        {"charts": 6, "frames": 6, "gb_queries": 25, "max_depth": 2,
+         "minors": 7, "minors_possible": 7}),
+    ("point", "jacobian"): (
+        "smooth", None,
+        {"charts": 4, "frames": 0, "gb_queries": 5, "max_depth": 0,
+         "minors": 1, "minors_possible": 1}),
+    ("nodal cubic", "hironaka"): (
+        "singular", ((2, 0), 0, "delta", ()),
+        {"charts": 5, "frames": 3, "gb_queries": 19, "max_depth": 1,
+         "minors": 4, "minors_possible": 4}),
+    ("nodal cubic", "hybrid"): (
+        "singular", ((2, 0), 0, "delta", ()),
+        {"charts": 3, "frames": 5, "gb_queries": 11, "max_depth": 0,
+         "minors": 4, "minors_possible": 4}),
+    ("nodal cubic", "hybrid-1"): (
+        "singular", ((2, 0), 0, "delta", ()),
+        {"charts": 3, "frames": 5, "gb_queries": 11, "max_depth": 0,
+         "minors": 4, "minors_possible": 4}),
+    ("nodal cubic", "jacobian"): (
+        "singular", ((2,), 0, "criterion", None),
+        {"charts": 3, "frames": 0, "gb_queries": 10, "max_depth": 0,
+         "minors": 4, "minors_possible": 6}),
+}
+
+_EDGE_CONFIGS = {"hironaka": Config(mode="hironaka"),
+                 "hybrid": Config(mode="hybrid"),
+                 "hybrid-1": Config(mode="hybrid", to_codim=1),
+                 "jacobian": Config(mode="jacobian")}
+
+
+def test_empty_ambient_edge_cases(monkeypatch):
+    from varsmooth import driver
+    ran = {"descend": 0, "embedded": 0}
+
+    def counting(kind, fn):
+        def wrapped(*args, **kwargs):
+            ran[kind] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(driver, "descend",
+                        counting("descend", driver.descend))
+    monkeypatch.setattr(driver, "embedded_frame_tasks",
+                        counting("embedded", driver.embedded_frame_tasks))
+    inputs = {"double point": _empty_root_ideal(),
+              "point": _empty_root_point(),
+              "nodal cubic": _nodal_cubic()}
+    for (name, label), (status, witness, stats) in _EDGE.items():
+        before = dict(ran)
+        log = _Log()
+        v = projective_smoothness(inputs[name], _EDGE_CONFIGS[label],
+                                  observer=log)
+        assert v.status == status, (name, label)
+        w = v.witness
+        got = w and (w.path, w.depth, w.kind, w.frame_cols)
+        assert got == witness, (name, label)
+        assert v.stats == stats, (name, label, v.stats)
+        # the kinds observed are the steps that ran
+        seen = [k for ks in log.kinds.values() for k in ks]
+        for kind in ran:
+            assert seen.count(kind) == ran[kind] - before[kind], (name, label)
+        # a root chart has an empty ambient: its one frame runs at (i, 0)
+        # before any dimension, which its joined step at (i, 1) computes
+        for i in range(inputs[name].ring.nvars):
+            if (i, 1) in log.kinds:
+                assert log.kinds[(i, 0)] == ["frame"], (name, label, i)
+                assert log.kinds[(i, 1)][0] == "dimension", (name, label, i)
+    # hybrid to_codim=1 on a plane curve: codimension 1, so each root chart
+    # whose frame passed goes embedded at once, after its dimension step
+    log = _Log()
+    projective_smoothness(_nodal_cubic(), _EDGE_CONFIGS["hybrid-1"],
+                          observer=log)
+    assert log.kinds[(0, 1)] == log.kinds[(1, 1)] == ["dimension", "embedded"]
+    assert (2, 1) not in log.kinds   # chart Z = 1 failed its frame first
+    # the zero ideal is the whole space: smooth with no basis at all
+    ring, x, y = _r2()
+    for label, cfg in _EDGE_CONFIGS.items():
+        v = smoothness_test(Ideal(ring, []), cfg)
+        assert v.status == "smooth", label
+        assert v.stats == {"charts": 1, "frames": 0, "gb_queries": 0,
+                           "max_depth": 0, "minors": 0,
+                           "minors_possible": 0}, label
