@@ -96,14 +96,18 @@ class FrameEnumeration:
     cover_complete: whether the exit test fired (exhausting all candidate
     subsets without it is not an error).
     determinants: the q_i of the yielded frames, for post-hoc auditing.
+    rows: filled by delta_frame_tasks, None before; rows[i] maps each
+    variety generator outside the ambient list to its relative Jacobian
+    row on frames[i], which the descent reads.
     """
 
-    __slots__ = ("frames", "cover_complete", "determinants")
+    __slots__ = ("frames", "cover_complete", "determinants", "rows")
 
     def __init__(self, frames, cover_complete, determinants):
         self.frames = frames
         self.cover_complete = cover_complete
         self.determinants = determinants
+        self.rows = None
 
 
 def enumerate_frames(chart: Chart, strict: bool = False,
@@ -206,30 +210,36 @@ def relative_jacobian(polys, chart: Chart, frame: FrameData) -> PolyMatrix:
     return PolyMatrix(ring, len(polys), len(free), entries)
 
 
-def _delta_ideal(chart: Chart, frame: FrameData) -> Ideal:
-    """I_X plus the relative Jacobian entries of the variety generators.
+def _delta_ideal(chart: Chart, frame: FrameData):
+    """(ideal, rows): I_X plus the relative Jacobian entries of the variety
+    generators, and each generator's row of entries keyed by generator.
     Generators syntactically in the ambient set contribute identically zero
     rows (the frame identity) and are skipped."""
     ring = chart.ring
     ambient_set = set(chart.ambient.generators)
     fs = [f for f in chart.variety.generators if f not in ambient_set]
     gens = list(chart.variety.generators)
+    rows = {}
     if fs:
         rel = relative_jacobian(fs, chart, frame)
         gens.extend(e for e in rel.entries if not e.is_zero())
-    return Ideal(ring, gens)
+        rows = {f: rel.row(i) for i, f in enumerate(fs)}
+    return Ideal(ring, gens), rows
 
 
 def delta_frame_tasks(chart: Chart, strict: bool = False,
                       budget: Optional[Budget] = None):
     """(enumeration, checks): checks[i] = (frame, ideal, test polynomial);
     the frame check passes when the test polynomial lies in the radical of
-    the ideal.  Used by both the sequential wrapper and the scheduler."""
+    the ideal.  The enumeration keeps the relative Jacobian rows for the
+    descent.  Used by both the sequential wrapper and the scheduler."""
     budget = ensure_budget(budget)
     enum = enumerate_frames(chart, strict=strict, budget=budget)
     checks = []
+    enum.rows = []
     for frame in enum.frames:
-        cm = _delta_ideal(chart, frame)
+        cm, rows = _delta_ideal(chart, frame)
+        enum.rows.append(rows)
         checks.append((frame, cm, frame.q * chart.localizer))
     return enum, checks
 
@@ -266,7 +276,9 @@ def singular_locus_ideal(chart: Chart, f: Polynomial,
     """Ideal of the singular points of V(I_W + f) as a hypersurface in W:
     I_W generators, then f, then the distinct nonzero (r+1)-minors of the
     stacked Jacobian in the order iter_minors yields them.  Rejects f
-    already in I_W."""
+    already in I_W.  The descent builds it only for its covering step,
+    whose charts D(g*h) come from these generators; whether the
+    hypersurface is smooth is read from the frames (smooth_on_frames)."""
     budget = ensure_budget(budget)
     ring = chart.ring
     if ideal_membership(f, chart.ambient, budget=budget):
@@ -306,16 +318,62 @@ def _covering_subset(g: Polynomial, hs, budget: Budget) -> Optional[list]:
     return chosen
 
 
-def descend(chart: Chart, rng, combinations: bool = True,
+def smooth_on_frames(chart: Chart, enum: FrameEnumeration, f: Polynomial,
+                     f_rows, budget: Optional[Budget] = None) -> bool:
+    """Whether V(I_W + f) is smooth where the localizer g is invertible,
+    read frame by frame: g*q_i must lie in the radical of I_W + f + row_i
+    for every frame i, where f_rows[i] is f's relative Jacobian row on
+    frames[i].
+
+    Where q_i is nonzero the ambient rows are independent, so the stacked
+    Jacobian (I_W; f) has rank r+1 exactly where some entry of row_i is
+    nonzero; those entries are its (r+1)-minors through the frame columns.
+    As the frames cover W on D(g), the answer equals g in the radical of
+    singular_locus_ideal(chart, f), from n-r row entries per frame instead
+    of every minor."""
+    budget = ensure_budget(budget)
+    head = [*chart.ambient.generators, f]
+    for frame, row in zip(enum.frames, f_rows):
+        budget.checkpoint()
+        # Ideal drops the zero entries
+        if not radical_membership(frame.q * chart.localizer,
+                                  Ideal(chart.ring, [*head, *row]),
+                                  budget=budget):
+            return False
+    return True
+
+
+def _combined_row(lams, rows) -> tuple:
+    """The relative Jacobian row of sum lam_k * u_k from the rows of the
+    u_k: an entry is linear in the polynomial, so the row is the same
+    combination of theirs."""
+    acc = [lams[0] * e for e in rows[0]]
+    for lam, row in zip(lams[1:], rows[1:]):
+        acc = [a + lam * e for a, e in zip(acc, row)]
+    return tuple(acc)
+
+
+def descend(chart: Chart, enum: FrameEnumeration, rng,
+            combinations: bool = True,
             budget: Optional[Budget] = None) -> list:
     """Charts one level deeper: the ambient gains one variety generator.
 
-    First tries single generators in order (the new hypersurface must be
-    smooth where g is invertible), then up to three random linear
-    combinations, and finally builds a covering: from the generators h_j of
-    the singular-locus ideals it picks a minimal set with g in the radical
-    of (h_j), so the sets D(g * h_j) cover D(g), and each picked h_j spawns
-    a chart on D(g * h_j) whose ambient uses the owning generator.
+    enum is the chart's enumeration from delta_frame_tasks, with the
+    relative Jacobian rows of the variety generators on its frames.  The
+    new hypersurface must be smooth where g is invertible, which
+    smooth_on_frames reads from those rows, frame by frame.  Single
+    generators are tried in order, then up to three random linear
+    combinations, whose rows are the same combinations of the stored rows.
+    When none is smooth, the singular-locus ideals (with their minors) are
+    built for a covering: from their generators h_j it picks a minimal set
+    with g in the radical of (h_j), so the sets D(g * h_j) cover D(g), and
+    each picked h_j spawns a chart on D(g * h_j) whose ambient uses the
+    owning generator.
+
+    The frame-wise test needs the frames to cover the chart.  When the
+    enumeration's exit never fired (possible under strict covering), g must
+    lie in the radical of I_W + (q_1..q_t); otherwise the ambient is
+    singular on D(g) and ContractError is raised.
     """
     budget = ensure_budget(budget)
     ring = chart.ring
@@ -331,6 +389,14 @@ def descend(chart: Chart, rng, combinations: bool = True,
     if not usable:
         raise ContractError(
             "descend called although the chart is already settled")
+    if enum.rows is None:
+        raise ContractError(
+            "descend needs the relative Jacobian rows of delta_frame_tasks")
+    if not enum.cover_complete and not radical_membership(
+            g, Ideal(ring, [*w_gens, *enum.determinants]), budget=budget):
+        raise ContractError(
+            "the frames do not cover the chart: its ambient is singular "
+            "where the localizer is invertible")
 
     def vacuous(amb, loc):
         # localizer vanishing on the new ambient means the chart is empty
@@ -342,13 +408,11 @@ def descend(chart: Chart, rng, combinations: bool = True,
             return []
         return [Chart(amb, chart.variety, g, chart.depth + 1, budget=budget)]
 
-    loci = []
     for f in usable:
         budget.checkpoint()
-        s = singular_locus_ideal(chart, f, budget=budget)
-        if radical_membership(g, s, budget=budget):
+        if smooth_on_frames(chart, enum, f, [rows[f] for rows in enum.rows],
+                            budget=budget):
             return child_single(f)
-        loci.append(s)
 
     if combinations and len(usable) >= 2:
         p = ring.field.characteristic
@@ -361,14 +425,15 @@ def descend(chart: Chart, rng, combinations: bool = True,
                 f = f + lam * u
             if f.is_zero() or gb_w.contains(f):
                 continue
-            s = singular_locus_ideal(chart, f, budget=budget)
-            if radical_membership(g, s, budget=budget):
+            f_rows = [_combined_row(lams, [rows[u] for u in usable])
+                      for rows in enum.rows]
+            if smooth_on_frames(chart, enum, f, f_rows, budget=budget):
                 return child_single(f)
 
     combined = []
     owner = []
-    for i, s in enumerate(loci):
-        for h in s.generators:
+    for i, f in enumerate(usable):
+        for h in singular_locus_ideal(chart, f, budget=budget).generators:
             combined.append(h)
             owner.append(i)
     chosen = _covering_subset(g, combined, budget)
@@ -387,16 +452,16 @@ def descend(chart: Chart, rng, combinations: bool = True,
     return children
 
 
-def embedded_frame_tasks(chart: Chart, strict: bool = False,
+def embedded_frame_tasks(chart: Chart, d_x: int, strict: bool = False,
                          budget: Optional[Budget] = None):
-    """Frame tasks for the relative Jacobian criterion at this chart:
-    (enumeration, checks) like delta_frame_tasks, or (None, None) when the
-    chart is already at the variety's dimension (trivially smooth here)."""
+    """Frame tasks for the relative Jacobian criterion at this chart, whose
+    variety has dimension d_x: (enumeration, checks) like
+    delta_frame_tasks, or (None, None) when the chart is already at the
+    variety's dimension (trivially smooth here)."""
     budget = ensure_budget(budget)
     ring = chart.ring
     n = ring.nvars
     r = len(chart.ambient.generators)
-    d_x = krull_dimension(chart.variety, budget=budget)
     c_rel = (n - r) - d_x
     if c_rel < 0:
         raise ContractError("ambient dimension fell below the variety's")
@@ -425,7 +490,8 @@ def embedded_jacobian(chart: Chart, strict: bool = False,
     radical of I_X plus the ((dim W - dim X)-size) minors of the relative
     Jacobian, the minors being reduced modulo I_X as they are formed."""
     budget = ensure_budget(budget)
-    _, checks = embedded_frame_tasks(chart, strict=strict, budget=budget)
+    d_x = krull_dimension(chart.variety, budget=budget)
+    _, checks = embedded_frame_tasks(chart, d_x, strict=strict, budget=budget)
     if checks is None:
         return True
     for _, j_ideal, test in checks:

@@ -193,12 +193,13 @@ class _ChartTask(_Task):
 
     kind = "chart"
     is_chart = True
-    __slots__ = ("chart", "switch_depth")
+    __slots__ = ("chart", "switch_depth", "d_x")
 
     def __init__(self, path, chart: Chart, switch_depth=None):
         super().__init__(path, chart.depth)
         self.chart = chart
         self.switch_depth = switch_depth
+        self.d_x = None
 
     def _witness(self, check_kind, cols):
         c = self.chart
@@ -236,18 +237,20 @@ class _ChartTask(_Task):
         ]
         path = self.path + (len(frame_tasks),)
         if chart.ambient.generators:
-            cont = self.continuation(ctx, path)
+            cont = self.continuation(ctx, path, enum)
         else:
-            cont = _DimensionTask(path, self)
+            cont = _DimensionTask(path, self, enum)
         return _Outcome(spawn=frame_tasks, joined=cont)
 
     def settled_by_dimension(self, ctx, budget) -> bool:
         """The exits that read d_x: an empty variety, a variety equal to
         the smooth ambient, or one of the ambient's dimension.  When none
-        fires, fixes the hybrid switch depth (from to_codim when set)."""
+        fires, keeps d_x for the continuation and fixes the hybrid switch
+        depth (from to_codim when set)."""
         chart = self.chart
         cfg = ctx.config
         d_x = krull_dimension(chart.variety, budget=budget)
+        self.d_x = d_x
         if d_x < 0:
             return True  # empty variety
 
@@ -274,14 +277,14 @@ class _ChartTask(_Task):
                 self.switch_depth = cfg.descent_depth
         return False
 
-    def continuation(self, ctx, path):
+    def continuation(self, ctx, path, enum):
         """The step run once the chart's delta frames all passed: the
-        relative Jacobian criterion in hybrid mode at the switch depth, a
-        descend step otherwise."""
+        relative Jacobian criterion in hybrid mode at the switch depth,
+        given d_x, or a descend step on the frame enumeration enum."""
         chart = self.chart
         if ctx.config.mode == "hybrid" and chart.depth >= self.switch_depth:
-            return _EmbeddedTask(path, chart)
-        return _DescendTask(path, chart, self.switch_depth)
+            return _EmbeddedTask(path, chart, self.d_x)
+        return _DescendTask(path, chart, enum, self.switch_depth)
 
 
 class _RootChartTask(_ChartTask):
@@ -295,6 +298,7 @@ class _RootChartTask(_ChartTask):
         _Task.__init__(self, path, 0)
         self.chart = None
         self.switch_depth = None
+        self.d_x = None
         self.ideal = ideal
         self.var = var
 
@@ -338,33 +342,36 @@ class _DimensionTask(_Task):
     that step takes on every chart."""
 
     kind = "dimension"
-    __slots__ = ("chart_task",)
+    __slots__ = ("chart_task", "enum")
 
-    def __init__(self, path, chart_task: _ChartTask):
+    def __init__(self, path, chart_task: _ChartTask, enum):
         super().__init__(path, chart_task.depth)
         self.chart_task = chart_task
+        self.enum = enum
 
     def run(self, ctx, budget):
         task = self.chart_task
         if task.settled_by_dimension(ctx, budget):
             return _Outcome()
-        return _Outcome(spawn=[task.continuation(ctx, self.path)])
+        return _Outcome(spawn=[task.continuation(ctx, self.path, self.enum)])
 
 
 class _DescendTask(_Task):
     """Runs after all delta frames of its chart passed; produces the child
-    charts one ambient dimension down."""
+    charts one ambient dimension down, reading the frame enumeration (and
+    its relative Jacobian rows) that the chart task built."""
 
     kind = "descend"
-    __slots__ = ("chart", "switch_depth")
+    __slots__ = ("chart", "enum", "switch_depth")
 
-    def __init__(self, path, chart, switch_depth):
+    def __init__(self, path, chart, enum, switch_depth):
         super().__init__(path, chart.depth)
         self.chart = chart
+        self.enum = enum
         self.switch_depth = switch_depth
 
     def run(self, ctx, budget):
-        children = descend(self.chart, ctx.rng_for(self.path),
+        children = descend(self.chart, self.enum, ctx.rng_for(self.path),
                            combinations=ctx.config.combinations,
                            budget=budget)
         spawn = [
@@ -376,18 +383,21 @@ class _DescendTask(_Task):
 
 class _EmbeddedTask(_Task):
     """Runs after all delta frames of its chart passed in hybrid mode at
-    the switch depth; spawns relative Jacobian frame checks."""
+    the switch depth; spawns relative Jacobian frame checks.  d_x is the
+    variety's dimension, which the chart's dimension exits computed."""
 
     kind = "embedded"
-    __slots__ = ("chart",)
+    __slots__ = ("chart", "d_x")
 
-    def __init__(self, path, chart):
+    def __init__(self, path, chart, d_x):
         super().__init__(path, chart.depth)
         self.chart = chart
+        self.d_x = d_x
 
     def run(self, ctx, budget):
         enum, checks = embedded_frame_tasks(
-            self.chart, strict=ctx.config.strict_cover, budget=budget)
+            self.chart, self.d_x, strict=ctx.config.strict_cover,
+            budget=budget)
         if checks is None:
             return _Outcome()
         ctx.observer.on_cover(self.path, self.chart, enum)

@@ -23,7 +23,8 @@ import pytest
 from varsmooth.bench import (cyclic_polytope_sr, get_suite,
                              random_coordinate_change, rational_normal_curve,
                              veronese_ci)
-from varsmooth.charts import Chart, descend, enumerate_frames
+from varsmooth.charts import (Chart, delta_frame_tasks, descend,
+                              enumerate_frames)
 from varsmooth.driver import (MODES, Config, Observer, projective_smoothness,
                               smoothness_test)
 from varsmooth.fields import QQ
@@ -322,10 +323,11 @@ def test_criterion_7_cover_soundness():
 def test_criterion_8_two_path_descent_example():
     ideal = _two_point_ideal()
     root = Chart.root(ideal)
-    covering = descend(root, random.Random(1), combinations=False)
+    enum, _ = delta_frame_tasks(root)
+    covering = descend(root, enum, random.Random(1), combinations=False)
     assert len(covering) == 2, [str(k.localizer) for k in covering]
     assert all(enumerate_frames(k).cover_complete for k in covering)
-    combined = descend(root, random.Random(1), combinations=True)
+    combined = descend(root, enum, random.Random(1), combinations=True)
     assert len(combined) == 1, [str(k.localizer) for k in combined]
     v_cov = smoothness_test(ideal, Config(mode="hironaka",
                                           combinations=False))

@@ -12,7 +12,7 @@ from varsmooth.fields import QQ, GF
 from varsmooth.charts import (Chart, affine_jacobian_criterion, delta_check,
                               delta_frame_tasks, descend, embedded_jacobian,
                               enumerate_frames, relative_jacobian,
-                              singular_locus_ideal)
+                              singular_locus_ideal, smooth_on_frames)
 from varsmooth import charts, driver
 from varsmooth.bench import (cyclic_polytope_sr, random_coordinate_change,
                              rational_normal_curve, veronese_ci)
@@ -30,6 +30,13 @@ from varsmooth.ring import Ring
 def mkvars(field, names):
     ring = Ring(field, names)
     return ring, variables(ring)
+
+
+def descend_on_frames(chart, rng, **kw):
+    """descend on the frames, with their rows, that delta_frame_tasks
+    builds for the chart, as the driver hands them on."""
+    enum, _ = delta_frame_tasks(chart)
+    return descend(chart, enum, rng, **kw)
 
 
 def random_ambient_charts(seed, want, fields=(QQ, GF(32003))):
@@ -339,7 +346,7 @@ def test_delta_frame_tasks_shape():
 def test_descend_parabola_single_child():
     ring, (x, y) = mkvars(QQ, ("x", "y"))
     par = Ideal(ring, [y - x * x])
-    kids = descend(Chart.root(par), random.Random(0))
+    kids = descend_on_frames(Chart.root(par), random.Random(0))
     assert len(kids) == 1
     child = kids[0]
     assert child.depth == 1
@@ -352,13 +359,13 @@ def test_descend_two_point_example_both_flavors():
     one = Polynomial.constant(ring, 1)
     pts = Ideal(ring, [x * (y + one), y * (x + one)])
     root = Chart.root(pts)
-    covering = descend(root, random.Random(1), combinations=False)
+    covering = descend_on_frames(root, random.Random(1), combinations=False)
     assert len(covering) == 2
     locs = {str(k.localizer) for k in covering}
     assert locs == {"x", "y + 1"}
     for k in covering:
         assert enumerate_frames(k).cover_complete
-    combined = descend(root, random.Random(1), combinations=True)
+    combined = descend_on_frames(root, random.Random(1), combinations=True)
     assert len(combined) == 1
     assert len(combined[0].ambient.generators) == 1
 
@@ -369,14 +376,15 @@ def test_descend_rejects_chart_with_no_usable_generator():
     w = Ideal(ring, [x])
     chart = Chart(w, Ideal(ring, [x]), one, depth=1)
     with pytest.raises(ContractError):
-        descend(chart, random.Random(0))
+        descend_on_frames(chart, random.Random(0))
 
 
 def test_descend_fails_on_singular_generators():
     ring, (x, y) = mkvars(QQ, ("x", "y"))
     cusp = Ideal(ring, [y * y - x * x * x])
     with pytest.raises(DescentError):
-        descend(Chart.root(cusp), random.Random(0), combinations=False)
+        descend_on_frames(Chart.root(cusp), random.Random(0),
+                          combinations=False)
 
 
 def test_singular_locus_ideal_contents():
@@ -419,12 +427,111 @@ def test_singular_locus_ideal_takes_each_reference_minor_once():
     assert checked > 100
 
 
+def _frame_wise_against_loci(chart, strict=False):
+    """The descent's frame-wise answers for the chart's usable generators
+    and three seeded combinations, each checked against the whole-ideal
+    answer g in rad(singular_locus_ideal(chart, f)); returns them."""
+    enum, _ = delta_frame_tasks(chart, strict=strict)
+    ring, g = chart.ring, chart.localizer
+    # the equivalence needs frames covering the chart
+    assert radical_membership(g, Ideal(ring, [*chart.ambient.generators,
+                                              *enum.determinants]))
+    usable = [f for f in chart.variety.generators
+              if not ideal_membership(f, chart.ambient)]
+    cases = [(f, [rows[f] for rows in enum.rows]) for f in usable]
+    p = ring.field.characteristic
+    for seed in range(3 if len(usable) >= 2 else 0):
+        rng = random.Random(seed)
+        lams = [rng.randint(1, p - 1 if p else 2039) for _ in usable]
+        f = Polynomial.zero(ring)
+        for lam, u in zip(lams, usable):
+            f = f + lam * u
+        if f.is_zero() or ideal_membership(f, chart.ambient):
+            continue
+        f_rows = [charts._combined_row(lams, [rows[u] for u in usable])
+                  for rows in enum.rows]
+        # the row is linear in f
+        for frame, row in zip(enum.frames, f_rows):
+            assert row == relative_jacobian([f], chart, frame).entries
+        cases.append((f, f_rows))
+    answers = []
+    for f, f_rows in cases:
+        whole = radical_membership(g, singular_locus_ideal(chart, f))
+        assert smooth_on_frames(chart, enum, f, f_rows) == whole, (chart, f)
+        answers.append(whole)
+    return answers
+
+
+def _sphere_chart(field):
+    """The sphere as ambient in three variables, cut by a plane z = 2 (a
+    smooth circle) and by z(x - y) (two circles meeting in two points).
+    Its frames are 2x, 2y, 2z: they cover it radically, never strictly."""
+    ring, (x, y, z) = mkvars(field, ("x", "y", "z"))
+    sphere = x * x + y * y + z * z - 1
+    w = Ideal(ring, [sphere])
+    v = Ideal(ring, [sphere, z * (x - y), z - 2])
+    return Chart(w, v, Polynomial.constant(ring, 1), depth=1)
+
+
+def test_frame_wise_hypersurface_test_matches_singular_locus():
+    ring, (x, y) = mkvars(QQ, ("x", "y"))
+    pts = Chart.root(Ideal(ring, [x * (y + 1), y * (x + 1)]))
+    two_point = [pts]
+    for combine in (False, True):
+        two_point += descend_on_frames(pts, random.Random(1),
+                                       combinations=combine)
+    # the cusp is singular only at the origin, which D(x) leaves out
+    cusp = Ideal(ring, [y * y - x * x * x])
+    localized = [Chart(Ideal(ring, []), cusp, g) for g in (x, x - 1)]
+    families = {
+        "rnc": [(c, False) for c in _rnc_charts()],
+        "localized": [(c, False) for c in localized],
+        "two-point": [(c, False) for c in two_point],
+        "GF(32003)": [(_sphere_chart(GF(32003)), False)],
+        "strict": [(_sphere_chart(QQ), True), (_sphere_chart(GF(7)), True)],
+    }
+    for name, cases in families.items():
+        answers = [a for chart, strict in cases
+                   for a in _frame_wise_against_loci(chart, strict)]
+        assert True in answers and False in answers, (name, answers)
+    assert len(families["rnc"]) > 50
+    # strict covering never fires on the sphere; the radical cover holds,
+    # so the descent goes on and takes the plane section
+    chart = _sphere_chart(QQ)
+    enum, _ = delta_frame_tasks(chart, strict=True)
+    assert not enum.cover_complete and len(enum.frames) == 3
+    kids = descend(chart, enum, random.Random(0), combinations=False)
+    assert [k.ambient.generators[-1] for k in kids] == [
+        chart.variety.generators[-1]]
+
+
+def test_descend_rejects_frames_that_do_not_cover():
+    # the cusp as ambient is singular at the origin, where both frame
+    # determinants -3x^2 and 2y vanish: the frames do not cover D(1)
+    ring, (x, y) = mkvars(QQ, ("x", "y"))
+    cusp = y * y - x * x * x
+    chart = Chart(Ideal(ring, [cusp]), Ideal(ring, [cusp, x - y]),
+                  Polynomial.constant(ring, 1), depth=1)
+    for strict in (False, True):
+        enum, _ = delta_frame_tasks(chart, strict=strict)
+        assert not enum.cover_complete
+        with pytest.raises(ContractError, match="do not cover"):
+            descend(chart, enum, random.Random(0))
+    # the driver reports it as a broken precondition, not as an answer
+    v = driver.run_parallel([chart])
+    assert v.status == "indeterminate" and v.reason_kind == "precondition"
+    assert "do not cover" in v.reason
+    # enumerated without the rows, the descent has nothing to read
+    with pytest.raises(ContractError, match="rows"):
+        descend(chart, enumerate_frames(chart), random.Random(0))
+
+
 def test_embedded_jacobian_on_descended_points():
     ring, (x, y) = mkvars(QQ, ("x", "y"))
     one = Polynomial.constant(ring, 1)
     pts = Ideal(ring, [x * (y + one), y * (x + one)])
-    for child in descend(Chart.root(pts), random.Random(2),
-                         combinations=False):
+    for child in descend_on_frames(Chart.root(pts), random.Random(2),
+                                   combinations=False):
         assert embedded_jacobian(child)
 
 
@@ -506,15 +613,32 @@ def test_early_exit_agrees_with_every_minor():
         assert 0 < budget.minors < budget.minors_possible, ideal
 
 
-def test_jacobian_forms_far_fewer_minors_than_possible():
+def test_jacobian_forms_far_fewer_minors_than_possible(monkeypatch):
     inst = rational_normal_curve(6)
     v = projective_smoothness(inst.ideal, Config(mode="jacobian"))
     s = v.stats
     assert v.status == "smooth"
     assert 0 < 100 * s["minors"] < s["minors_possible"], s
-    # the descent's singular loci still take every minor
+    loci = []
+    real_locus = charts.singular_locus_ideal
+
+    def counting_locus(chart, f, budget=None):
+        loci.append(f)
+        return real_locus(chart, f, budget=budget)
+
+    monkeypatch.setattr(charts, "singular_locus_ideal", counting_locus)
+    # the descent tests each hypersurface on the frames: no minors at all
     v = projective_smoothness(rational_normal_curve(4).ideal, Config())
-    assert 0 < v.stats["minors"] == v.stats["minors_possible"]
+    assert v.status == "smooth"
+    assert v.stats["minors"] == v.stats["minors_possible"] == 0, v.stats
+    assert loci == []
+    # only a covering builds the singular loci, and it takes every minor
+    ring, (x, y) = mkvars(QQ, ("x", "y"))
+    pts = Ideal(ring, [x * (y + 1), y * (x + 1)])
+    v = smoothness_test(pts, Config(combinations=False))
+    assert v.status == "smooth"
+    assert 0 < v.stats["minors"] == v.stats["minors_possible"], v.stats
+    assert loci == list(pts.generators)
 
 
 def _criterion_ideals(monkeypatch, runs):
@@ -559,9 +683,10 @@ def _criterion_ideals(monkeypatch, runs):
                             lambda i: buchberger(i).is_unit()))
         return ok
 
-    def embedded(chart, strict=False, budget=None):
+    def embedded(chart, d_x, strict=False, budget=None):
         del streams[:]
-        enum, checks = real_embedded(chart, strict=strict, budget=budget)
+        enum, checks = real_embedded(chart, d_x, strict=strict,
+                                     budget=budget)
         assert len(streams) == len(checks or ())
         gens = list(chart.variety.generators)
         for (_, ideal, test), (args, yielded) in zip(checks or (), streams):
@@ -609,7 +734,7 @@ def test_delta_then_descend_chain_settles_circle():
     circle = Ideal(ring, [x * x + y * y - 1])
     root = Chart.root(circle)
     assert delta_check(root)
-    kids = descend(root, random.Random(5))
+    kids = descend_on_frames(root, random.Random(5))
     assert len(kids) == 1
     assert equal_on_chart(kids[0].ambient, kids[0].variety,
                           kids[0].localizer)

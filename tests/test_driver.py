@@ -467,47 +467,47 @@ def _empty_root_point():
 _EDGE = {
     ("double point", "hironaka"): (
         "singular", ((2, 1, 0, 1, 0, 0), 2, "delta", (0, 2)),
-        {"charts": 5, "frames": 5, "gb_queries": 22, "max_depth": 2,
-         "minors": 6, "minors_possible": 6}),
+        {"charts": 5, "frames": 5, "gb_queries": 20, "max_depth": 2,
+         "minors": 0, "minors_possible": 0}),
     ("double point", "hybrid"): (
         "singular", ((2, 1, 0), 0, "jacobian", ()),
-        {"charts": 3, "frames": 4, "gb_queries": 9, "max_depth": 0,
+        {"charts": 3, "frames": 4, "gb_queries": 8, "max_depth": 0,
          "minors": 1, "minors_possible": 1}),
     ("double point", "hybrid-1"): (
         "singular", ((2, 1, 0, 1, 0, 0), 2, "delta", (0, 2)),
-        {"charts": 5, "frames": 5, "gb_queries": 22, "max_depth": 2,
-         "minors": 6, "minors_possible": 6}),
+        {"charts": 5, "frames": 5, "gb_queries": 20, "max_depth": 2,
+         "minors": 0, "minors_possible": 0}),
     ("double point", "jacobian"): (
         "singular", ((2,), 0, "criterion", None),
         {"charts": 3, "frames": 0, "gb_queries": 5, "max_depth": 0,
          "minors": 1, "minors_possible": 1}),
     ("point", "hironaka"): (
         "smooth", None,
-        {"charts": 7, "frames": 5, "gb_queries": 29, "max_depth": 3,
-         "minors": 7, "minors_possible": 7}),
+        {"charts": 7, "frames": 5, "gb_queries": 26, "max_depth": 3,
+         "minors": 0, "minors_possible": 0}),
     ("point", "hybrid"): (
         "smooth", None,
-        {"charts": 4, "frames": 4, "gb_queries": 9, "max_depth": 0,
+        {"charts": 4, "frames": 4, "gb_queries": 8, "max_depth": 0,
          "minors": 1, "minors_possible": 1}),
     ("point", "hybrid-1"): (
         "smooth", None,
-        {"charts": 6, "frames": 6, "gb_queries": 25, "max_depth": 2,
-         "minors": 7, "minors_possible": 7}),
+        {"charts": 6, "frames": 6, "gb_queries": 22, "max_depth": 2,
+         "minors": 1, "minors_possible": 1}),
     ("point", "jacobian"): (
         "smooth", None,
         {"charts": 4, "frames": 0, "gb_queries": 5, "max_depth": 0,
          "minors": 1, "minors_possible": 1}),
     ("nodal cubic", "hironaka"): (
         "singular", ((2, 0), 0, "delta", ()),
-        {"charts": 5, "frames": 3, "gb_queries": 19, "max_depth": 1,
-         "minors": 4, "minors_possible": 4}),
+        {"charts": 5, "frames": 3, "gb_queries": 17, "max_depth": 1,
+         "minors": 0, "minors_possible": 0}),
     ("nodal cubic", "hybrid"): (
         "singular", ((2, 0), 0, "delta", ()),
-        {"charts": 3, "frames": 5, "gb_queries": 11, "max_depth": 0,
+        {"charts": 3, "frames": 5, "gb_queries": 9, "max_depth": 0,
          "minors": 4, "minors_possible": 4}),
     ("nodal cubic", "hybrid-1"): (
         "singular", ((2, 0), 0, "delta", ()),
-        {"charts": 3, "frames": 5, "gb_queries": 11, "max_depth": 0,
+        {"charts": 3, "frames": 5, "gb_queries": 9, "max_depth": 0,
          "minors": 4, "minors_possible": 4}),
     ("nodal cubic", "jacobian"): (
         "singular", ((2,), 0, "criterion", None),
