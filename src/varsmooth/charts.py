@@ -96,17 +96,20 @@ class FrameEnumeration:
     cover_complete: whether the exit test fired (exhausting all candidate
     subsets without it is not an error).
     determinants: the q_i of the yielded frames, for post-hoc auditing.
+    tests: the products q_i * g with the chart's localizer g, the test
+    polynomial of every check on frames[i].
     rows: filled by delta_frame_tasks, None before; rows[i] maps each
     variety generator outside the ambient list to its relative Jacobian
     row on frames[i], which the descent reads.
     """
 
-    __slots__ = ("frames", "cover_complete", "determinants", "rows")
+    __slots__ = ("frames", "cover_complete", "determinants", "tests", "rows")
 
-    def __init__(self, frames, cover_complete, determinants):
+    def __init__(self, frames, cover_complete, determinants, localizer):
         self.frames = frames
         self.cover_complete = cover_complete
         self.determinants = determinants
+        self.tests = [q * localizer for q in determinants]
         self.rows = None
 
 
@@ -143,15 +146,15 @@ def enumerate_frames(chart: Chart, strict: bool = False,
         frames.append(FrameData(rows, cols, q, adj, jac))
         dets.append(q)
         if q.is_constant():
-            return FrameEnumeration(frames, True, dets)
+            return FrameEnumeration(frames, True, dets, g)
         if strict:
             covered = ideal_membership(g, Ideal(ring, dets), budget=budget)
         else:
             probe = Ideal(ring, list(chart.ambient.generators) + dets)
             covered = radical_membership(g, probe, budget=budget)
         if covered:
-            return FrameEnumeration(frames, True, dets)
-    return FrameEnumeration(frames, False, dets)
+            return FrameEnumeration(frames, True, dets, g)
+    return FrameEnumeration(frames, False, dets, g)
 
 
 def relative_jacobian(polys, chart: Chart, frame: FrameData) -> PolyMatrix:
@@ -237,10 +240,10 @@ def delta_frame_tasks(chart: Chart, strict: bool = False,
     enum = enumerate_frames(chart, strict=strict, budget=budget)
     checks = []
     enum.rows = []
-    for frame in enum.frames:
+    for frame, test in zip(enum.frames, enum.tests):
         cm, rows = _delta_ideal(chart, frame)
         enum.rows.append(rows)
-        checks.append((frame, cm, frame.q * chart.localizer))
+        checks.append((frame, cm, test))
     return enum, checks
 
 
@@ -333,11 +336,10 @@ def smooth_on_frames(chart: Chart, enum: FrameEnumeration, f: Polynomial,
     of every minor."""
     budget = ensure_budget(budget)
     head = [*chart.ambient.generators, f]
-    for frame, row in zip(enum.frames, f_rows):
+    for test, row in zip(enum.tests, f_rows):
         budget.checkpoint()
         # Ideal drops the zero entries
-        if not radical_membership(frame.q * chart.localizer,
-                                  Ideal(chart.ring, [*head, *row]),
+        if not radical_membership(test, Ideal(chart.ring, [*head, *row]),
                                   budget=budget):
             return False
     return True
@@ -452,15 +454,62 @@ def descend(chart: Chart, enum: FrameEnumeration, rng,
     return children
 
 
+class MinorCheck:
+    """A hybrid frame check, walked when its frame task runs: the test
+    polynomial must lie in the radical of the variety generators `head`
+    plus the distinct `size`-minors of the relative Jacobian `rel`, each
+    reduced by `reducer` (the normal form modulo I_X) as it is formed.
+    Nothing is expanded until holds() runs, so a pending check keeps no
+    minor memo, and the minors it forms count on the budget it runs on."""
+
+    __slots__ = ("head", "rel", "size", "reducer")
+
+    def __init__(self, head, rel: PolyMatrix, size: int, reducer):
+        self.head = head
+        self.rel = rel
+        self.size = size
+        self.reducer = reducer
+
+    def holds(self, test: Polynomial, budget: Budget) -> bool:
+        mins = iter_minors(
+            self.rel, self.size, reducer=self.reducer,
+            checkpoint=_counting_checkpoint(budget, self.rel, self.size))
+        return proved_by_minors(test, self.head, mins, budget)
+
+
+def proved_by_minors(test: Polynomial, head, minors, budget: Budget) -> bool:
+    """Whether test lies in the radical of (head) plus the stream `minors`
+    of distinct polynomials, none in (head): the criterion loop of both the
+    Jacobian baseline (test 1) and the hybrid's frames (test q*g).
+
+    The head plus the minors so far is tested after the 1st, 2nd, 4th, 8th,
+    ... new minor and at once after a constant one.  A yes on a prefix
+    proves the answer, since that ideal lies in the full one; only a no
+    walks the whole stream, and the full ideal is then tested once, unless
+    the last prefix tested was already all of it."""
+    ring = test.ring
+    gens = list(dict.fromkeys(head))
+    new = tested = 0  # minors in the ideal, and in the last one tested
+    for new, f in enumerate(minors, 1):
+        gens.append(f)
+        if f.is_constant() or not new & (new - 1):
+            tested = new
+            if radical_membership(test, Ideal(ring, gens), budget=budget):
+                return True
+    if new and tested == new:
+        return False
+    return radical_membership(test, Ideal(ring, gens), budget=budget)
+
+
 def embedded_frame_tasks(chart: Chart, d_x: int, strict: bool = False,
                          budget: Optional[Budget] = None):
     """Frame tasks for the relative Jacobian criterion at this chart, whose
     variety has dimension d_x: (enumeration, checks) like
-    delta_frame_tasks, or (None, None) when the chart is already at the
-    variety's dimension (trivially smooth here)."""
+    delta_frame_tasks with a MinorCheck in place of each ideal, or
+    (None, None) when the chart is already at the variety's dimension
+    (trivially smooth here)."""
     budget = ensure_budget(budget)
-    ring = chart.ring
-    n = ring.nvars
+    n = chart.ring.nvars
     r = len(chart.ambient.generators)
     c_rel = (n - r) - d_x
     if c_rel < 0:
@@ -472,15 +521,12 @@ def embedded_frame_tasks(chart: Chart, d_x: int, strict: bool = False,
     ambient_set = set(chart.ambient.generators)
     # generators repeated from the ambient list have exactly zero rows
     fs = [f for f in chart.variety.generators if f not in ambient_set]
-    checks = []
-    for frame in enum.frames:
-        rel = relative_jacobian(fs, chart, frame)
-        mins = iter_minors(
-            rel, c_rel, reducer=gb_x.normal_form,
-            checkpoint=_counting_checkpoint(budget, rel, c_rel))
-        j_ideal = Ideal(ring, list(dict.fromkeys(
-            [*chart.variety.generators, *mins])))
-        checks.append((frame, j_ideal, frame.q * chart.localizer))
+    checks = [(frame,
+               MinorCheck(chart.variety.generators,
+                          relative_jacobian(fs, chart, frame), c_rel,
+                          gb_x.normal_form),
+               test)
+              for frame, test in zip(enum.frames, enum.tests)]
     return enum, checks
 
 
@@ -488,15 +534,16 @@ def embedded_jacobian(chart: Chart, strict: bool = False,
                       budget: Optional[Budget] = None) -> bool:
     """Relative Jacobian criterion: on every frame, q*g must lie in the
     radical of I_X plus the ((dim W - dim X)-size) minors of the relative
-    Jacobian, the minors being reduced modulo I_X as they are formed."""
+    Jacobian, the minors being reduced modulo I_X as they are formed, and
+    each frame stopping at its first proof."""
     budget = ensure_budget(budget)
     d_x = krull_dimension(chart.variety, budget=budget)
     _, checks = embedded_frame_tasks(chart, d_x, strict=strict, budget=budget)
     if checks is None:
         return True
-    for _, j_ideal, test in checks:
+    for _, check, test in checks:
         budget.frames += 1
-        if not radical_membership(test, j_ideal, budget=budget):
+        if not check.holds(test, budget):
             return False
     return True
 
@@ -505,13 +552,8 @@ def affine_jacobian_criterion(ideal: Ideal,
                               budget: Optional[Budget] = None) -> bool:
     """Classical criterion for an equidimensional radical ideal: smooth iff
     1 lies in I plus the codimension-size minors of the Jacobian, the minors
-    reduced modulo I as they are formed.
-
-    The distinct minors are walked as a stream, and I plus the minors so far
-    is tested after the 1st, 2nd, 4th, 8th, ... new minor and at once after
-    a constant one.  A unit ideal on a prefix proves the answer, since I
-    plus some minors lies in I plus all of them; only "not smooth" needs
-    the whole stream and one last test."""
+    reduced modulo I as they are formed, walked by proved_by_minors, so a
+    unit ideal on a prefix of them ends the walk."""
     budget = ensure_budget(budget)
     ring = ideal.ring
     if not ideal.generators:
@@ -524,17 +566,8 @@ def affine_jacobian_criterion(ideal: Ideal,
     if c == 0:
         return True
     jac = jacobian(ring, ideal.generators)
-    gens = list(dict.fromkeys(ideal.generators))
-    new = tested = 0  # minors in the ideal, and in the last one tested
     # a nonzero minor in normal form modulo I is not in I, so it is new
-    for new, f in enumerate(iter_minors(
-            jac, c, reducer=gb.normal_form,
-            checkpoint=_counting_checkpoint(budget, jac, c)), 1):
-        gens.append(f)
-        if f.is_constant() or not new & (new - 1):
-            tested = new
-            if buchberger(Ideal(ring, gens), budget=budget).is_unit():
-                return True
-    if tested == new:
-        return False
-    return buchberger(Ideal(ring, gens), budget=budget).is_unit()
+    mins = iter_minors(jac, c, reducer=gb.normal_form,
+                       checkpoint=_counting_checkpoint(budget, jac, c))
+    return proved_by_minors(Polynomial.constant(ring, 1), ideal.generators,
+                            mins, budget)

@@ -310,29 +310,42 @@ class _RootChartTask(_ChartTask):
 
 
 class _FrameTask(_Task):
-    """One radical membership check: the frame passes when the test
-    polynomial vanishes on the locus of its check ideal."""
+    """One delta frame check: the frame passes when the test polynomial
+    vanishes on the locus of its check ideal."""
 
     kind = "frame"
-    __slots__ = ("chart", "check_kind", "cols", "ideal", "test")
+    __slots__ = ("chart", "check_kind", "cols", "check", "test")
 
-    def __init__(self, path, chart, check_kind, cols, ideal, test):
+    def __init__(self, path, chart, check_kind, cols, check, test):
         super().__init__(path, chart.depth)
         self.chart = chart
         self.check_kind = check_kind
         self.cols = cols
-        self.ideal = ideal
+        self.check = check
         self.test = test
+
+    def holds(self, budget) -> bool:
+        return radical_membership(self.test, self.check, budget=budget)
 
     def run(self, ctx, budget):
         budget.frames += 1
-        if radical_membership(self.test, self.ideal, budget=budget):
+        if self.holds(budget):
             return _Outcome()
         c = self.chart
         return _Outcome(fail=Witness(
             self.path, c.depth, self.check_kind, self.cols,
             c.ambient.fingerprint(), c.variety.fingerprint(),
             str(c.localizer)))
+
+
+class _JacobianFrameTask(_FrameTask):
+    """One hybrid frame check: check is a MinorCheck, whose minor stream
+    the task walks until the first prefix that proves the test."""
+
+    __slots__ = ()
+
+    def holds(self, budget) -> bool:
+        return self.check.holds(self.test, budget)
 
 
 class _DimensionTask(_Task):
@@ -383,8 +396,9 @@ class _DescendTask(_Task):
 
 class _EmbeddedTask(_Task):
     """Runs after all delta frames of its chart passed in hybrid mode at
-    the switch depth; spawns relative Jacobian frame checks.  d_x is the
-    variety's dimension, which the chart's dimension exits computed."""
+    the switch depth; spawns relative Jacobian frame checks, which form
+    their minors only when they run.  d_x is the variety's dimension, which
+    the chart's dimension exits computed."""
 
     kind = "embedded"
     __slots__ = ("chart", "d_x")
@@ -402,9 +416,9 @@ class _EmbeddedTask(_Task):
             return _Outcome()
         ctx.observer.on_cover(self.path, self.chart, enum)
         spawn = [
-            _FrameTask(self.path + (i,), self.chart, "jacobian", frame.cols,
-                       ideal, test)
-            for i, (frame, ideal, test) in enumerate(checks)
+            _JacobianFrameTask(self.path + (i,), self.chart, "jacobian",
+                               frame.cols, check, test)
+            for i, (frame, check, test) in enumerate(checks)
         ]
         return _Outcome(spawn=spawn)
 

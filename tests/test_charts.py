@@ -20,7 +20,7 @@ from varsmooth.driver import Config, projective_smoothness, smoothness_test
 from varsmooth.groebner import (Ideal, buchberger, equal_on_chart,
                                 ideal_membership, krull_dimension,
                                 radical_membership)
-from varsmooth.limits import Budget
+from varsmooth.limits import Budget, Limits
 from varsmooth.matrix import (PolyMatrix, adjugate, determinant, iter_minors,
                               jacobian)
 from varsmooth.poly import Polynomial, dehomogenize
@@ -641,19 +641,90 @@ def test_jacobian_forms_far_fewer_minors_than_possible(monkeypatch):
     assert loci == list(pts.generators)
 
 
+# (verdict, gb_queries, minors, minors_possible) of the criterion on each
+# affine chart of I1-5 and I1-6: the loop it shares with the hybrid's
+# frames asks the same questions it always did
+_JACOBIAN_CHART_STATS = {
+    5: [(True, 3, 1, 1050)] * 3 + [(True, 3, 6, 1050)] * 2
+       + [(True, 3, 1, 1050)],
+    6: [(True, 3, 1, 18018)] * 3 + [(True, 3, 67, 18018)]
+       + [(True, 3, 73, 18018)] * 2 + [(True, 3, 1, 18018)],
+}
+
+
+def test_affine_jacobian_criterion_stats_on_rnc():
+    for d, want in _JACOBIAN_CHART_STATS.items():
+        got = []
+        for ideal in _projective_charts(rational_normal_curve(d)):
+            budget = Budget()
+            ok = affine_jacobian_criterion(ideal, budget=budget)
+            got.append((ok, budget.gb_queries, budget.minors,
+                        budget.minors_possible))
+        assert got == want, d
+
+
+def test_hybrid_frames_stop_at_their_first_proof():
+    # with no descent every root chart takes the relative criterion at
+    # once, on the codimension-size minors of its whole Jacobian
+    for d in (6, 7):
+        v = projective_smoothness(
+            rational_normal_curve(d).ideal,
+            Config(mode="hybrid", descent_depth=0, limits=Limits(time_s=30)))
+        s = v.stats
+        assert v.status == "smooth", (d, v.reason)
+        assert 0 < 100 * s["minors"] < s["minors_possible"], (d, s)
+
+
+def test_failing_hybrid_frame_walks_its_whole_stream():
+    # the cusp y^2 = x^3 in the plane z = 0 of 3-space: its Jacobian has
+    # rank one at the origin, so the delta frame passes and the relative
+    # criterion fails there
+    ring, (x, y, z) = mkvars(QQ, ("x", "y", "z"))
+    cusp = Ideal(ring, [z, y * y - x * x * x])
+    budget = Budget()
+    assert not embedded_jacobian(Chart.root(cusp), budget=budget)
+    assert 0 < budget.minors == budget.minors_possible
+    for jobs in (1, 2):
+        v = smoothness_test(cusp, Config(mode="hybrid", jobs=jobs))
+        assert v.status == "singular"
+        w = v.witness
+        assert (w.path, w.depth, w.kind, w.frame_cols) == (
+            (1, 0), 0, "jacobian", ()), jobs
+        # every minor formed; a failed prefix, then the full ideal asked
+        assert v.stats == {"charts": 1, "frames": 2, "gb_queries": 5,
+                           "max_depth": 0, "minors": 3,
+                           "minors_possible": 3}, jobs
+
+
+def test_minor_check_without_nonzero_minors_asks_the_variety():
+    # every minor reduces to zero modulo I_X, so the stream is empty and
+    # the frame passes exactly when the test vanishes on X alone
+    ring, (x, y) = mkvars(QQ, ("x", "y"))
+    variety = Ideal(ring, [x])
+    rel = PolyMatrix(ring, 1, 2, [x, x * y])
+    for test, want in ((x * y, True), (y, False)):
+        check = charts.MinorCheck(variety.generators, rel, 1,
+                                  buchberger(variety).normal_form)
+        budget = Budget()
+        assert check.holds(test, budget) is want
+        assert budget.minors == budget.minors_possible == 2
+        assert budget.gb_queries == 1
+
+
 def _criterion_ideals(monkeypatch, runs):
-    """Run `runs()` with both criteria spied on.  Returns one record per
-    ideal they built from a minor stream: (kind, the deciding ideal, the
-    generators followed by the minors the stream yielded before the
-    decision, the generators followed by every minor with repeats as
-    `reference_minors` returns them, its verdict on the deciding ideal, and
-    a function giving that verdict for any ideal)."""
+    """Run `runs()` with the criterion loop shared by both criteria spied
+    on.  Returns one record per minor stream it walked: (kind, the deciding
+    ideal, the head followed by the minors the stream yielded before the
+    decision, the head followed by every minor with repeats as
+    `reference_minors` returns them, the verdict, and a function giving the
+    verdict for any ideal)."""
     records = []
     streams = []   # (args, yielded) per iter_minors call
     real_iter = charts.iter_minors
-    real_buchberger = charts.buchberger
-    real_affine = charts.affine_jacobian_criterion
-    real_embedded = charts.embedded_frame_tasks
+    real_proved = charts.proved_by_minors
+    real_holds = charts.MinorCheck.holds
+    real_radical = charts.radical_membership
+    kind = ["affine"]
 
     def spy_iter(m, size, reducer=None, checkpoint=None):
         yielded = []
@@ -662,44 +733,39 @@ def _criterion_ideals(monkeypatch, runs):
             yielded.append(f)
             yield f
 
-    def affine(ideal, budget=None):
-        del streams[:]
-        built = []
-
-        def spy_buchberger(target, **kw):
-            built.append(target)
-            return real_buchberger(target, **kw)
-
-        monkeypatch.setattr(charts, "buchberger", spy_buchberger)
+    def spy_holds(self, test, budget):
+        kind[0] = "embedded"
         try:
-            ok = real_affine(ideal, budget=budget)
+            return real_holds(self, test, budget)
         finally:
-            monkeypatch.setattr(charts, "buchberger", real_buchberger)
-        if streams:
-            (args, yielded), = streams
-            gens = list(ideal.generators)
-            records.append(("affine", built[-1], gens + yielded,
-                            gens + reference_minors(*args), ok,
-                            lambda i: buchberger(i).is_unit()))
+            kind[0] = "affine"
+
+    def spy_proved(test, head, minors, budget):
+        asked = []
+
+        def spy_radical(f, target, budget=None):
+            asked.append(target)
+            return real_radical(f, target, budget=budget)
+
+        monkeypatch.setattr(charts, "radical_membership", spy_radical)
+        try:
+            ok = real_proved(test, head, minors, budget)
+        finally:
+            monkeypatch.setattr(charts, "radical_membership", real_radical)
+        (args, yielded), = streams
+        del streams[:]
+        gens = list(head)
+
+        def decide(i):
+            return radical_membership(test, i)
+
+        records.append((kind[0], asked[-1], gens + yielded,
+                        gens + reference_minors(*args), ok, decide))
         return ok
 
-    def embedded(chart, d_x, strict=False, budget=None):
-        del streams[:]
-        enum, checks = real_embedded(chart, d_x, strict=strict,
-                                     budget=budget)
-        assert len(streams) == len(checks or ())
-        gens = list(chart.variety.generators)
-        for (_, ideal, test), (args, yielded) in zip(checks or (), streams):
-            def decide(i, test=test):
-                return radical_membership(test, i)
-            records.append(("embedded", ideal, gens + yielded,
-                            gens + reference_minors(*args), decide(ideal),
-                            decide))
-        return enum, checks
-
     monkeypatch.setattr(charts, "iter_minors", spy_iter)
-    monkeypatch.setattr(driver, "affine_jacobian_criterion", affine)
-    monkeypatch.setattr(driver, "embedded_frame_tasks", embedded)
+    monkeypatch.setattr(charts, "proved_by_minors", spy_proved)
+    monkeypatch.setattr(charts.MinorCheck, "holds", spy_holds)
     runs()
     return records
 
@@ -715,18 +781,22 @@ def test_criterion_ideals_take_each_minor_once(monkeypatch):
 
     records = _criterion_ideals(monkeypatch, runs)
     repeats = {"affine": 0, "embedded": 0}
+    early = {"affine": 0, "embedded": 0}
     for kind, ideal, prefix, full, verdict, decide in records:
         gens = list(ideal.generators)
         assert len(set(gens)) == len(gens), kind
-        # the deciding ideal holds the yielded minors once each
+        # the deciding ideal is the head plus a prefix of the stream, each
+        # yielded minor once
         assert gens == list(dict.fromkeys(prefix)), kind
         assert set(prefix) <= set(full), kind
-        if kind == "embedded":   # the hybrid exhausts its stream
+        if not verdict:   # only a "no" walks the whole stream
             assert set(prefix) == set(full), kind
+        early[kind] += set(prefix) != set(full)
         # the verdict on every minor, repeats included, agrees
         assert decide(Ideal(ideal.ring, full)) == verdict, kind
         repeats[kind] += len(full) - len(set(full))
     assert all(repeats.values()), repeats  # both streams skipped repeats
+    assert all(early.values()), early      # both stopped at a first proof
 
 
 def test_delta_then_descend_chain_settles_circle():

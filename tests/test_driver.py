@@ -463,7 +463,9 @@ def _empty_root_point():
 # chart's dimension first; each empty root chart now runs its one frame
 # before its dimension (frames and gb_queries +1 each), a chart that fails
 # its first frame skips its dimension (gb_queries -1), and the zero ideal
-# exits without a basis (gb_queries -1).
+# exits without a basis (gb_queries -1).  A hybrid frame check stops at the
+# first minor that proves it: the nodal cubic's two smooth embedded charts
+# form one of their two minors each (minors 4 -> 2).
 _EDGE = {
     ("double point", "hironaka"): (
         "singular", ((2, 1, 0, 1, 0, 0), 2, "delta", (0, 2)),
@@ -504,11 +506,11 @@ _EDGE = {
     ("nodal cubic", "hybrid"): (
         "singular", ((2, 0), 0, "delta", ()),
         {"charts": 3, "frames": 5, "gb_queries": 9, "max_depth": 0,
-         "minors": 4, "minors_possible": 4}),
+         "minors": 2, "minors_possible": 4}),
     ("nodal cubic", "hybrid-1"): (
         "singular", ((2, 0), 0, "delta", ()),
         {"charts": 3, "frames": 5, "gb_queries": 9, "max_depth": 0,
-         "minors": 4, "minors_possible": 4}),
+         "minors": 2, "minors_possible": 4}),
     ("nodal cubic", "jacobian"): (
         "singular", ((2,), 0, "criterion", None),
         {"charts": 3, "frames": 0, "gb_queries": 10, "max_depth": 0,
