@@ -100,7 +100,7 @@ class FrameEnumeration:
     polynomial of every check on frames[i].
     rows: filled by delta_frame_tasks, None before; rows[i] maps each
     variety generator outside the ambient list to its relative Jacobian
-    row on frames[i], which the descent reads.
+    row on frames[i], which the descent and the embedded step read.
     """
 
     __slots__ = ("frames", "cover_complete", "determinants", "tests", "rows")
@@ -501,13 +501,15 @@ def proved_by_minors(test: Polynomial, head, minors, budget: Budget) -> bool:
     return radical_membership(test, Ideal(ring, gens), budget=budget)
 
 
-def embedded_frame_tasks(chart: Chart, d_x: int, strict: bool = False,
+def embedded_frame_tasks(chart: Chart, enum: FrameEnumeration, d_x: int,
                          budget: Optional[Budget] = None):
     """Frame tasks for the relative Jacobian criterion at this chart, whose
-    variety has dimension d_x: (enumeration, checks) like
-    delta_frame_tasks with a MinorCheck in place of each ideal, or
-    (None, None) when the chart is already at the variety's dimension
-    (trivially smooth here)."""
+    variety has dimension d_x, on the enumeration enum that
+    delta_frame_tasks built for it: checks[i] = (frame, MinorCheck, test)
+    like delta_frame_tasks' checks, or None when the chart is already at the
+    variety's dimension (trivially smooth here).  Each frame's relative
+    Jacobian is stacked from the rows enum keeps, so the frames are not
+    enumerated again and no relative Jacobian is rebuilt."""
     budget = ensure_budget(budget)
     n = chart.ring.nvars
     r = len(chart.ambient.generators)
@@ -515,19 +517,23 @@ def embedded_frame_tasks(chart: Chart, d_x: int, strict: bool = False,
     if c_rel < 0:
         raise ContractError("ambient dimension fell below the variety's")
     if c_rel == 0:
-        return None, None
+        return None
+    if enum.rows is None:
+        raise ContractError(
+            "the embedded step needs the relative Jacobian rows of "
+            "delta_frame_tasks")
     gb_x = buchberger(chart.variety, budget=budget)
-    enum = enumerate_frames(chart, strict=strict, budget=budget)
     ambient_set = set(chart.ambient.generators)
-    # generators repeated from the ambient list have exactly zero rows
+    # generators repeated from the ambient list have exactly zero rows; the
+    # rest keep their order, as in _delta_ideal
     fs = [f for f in chart.variety.generators if f not in ambient_set]
-    checks = [(frame,
-               MinorCheck(chart.variety.generators,
-                          relative_jacobian(fs, chart, frame), c_rel,
-                          gb_x.normal_form),
-               test)
-              for frame, test in zip(enum.frames, enum.tests)]
-    return enum, checks
+    return [(frame,
+             MinorCheck(chart.variety.generators,
+                        PolyMatrix(chart.ring, len(fs), n - r,
+                                   [e for f in fs for e in rows[f]]),
+                        c_rel, gb_x.normal_form),
+             test)
+            for frame, test, rows in zip(enum.frames, enum.tests, enum.rows)]
 
 
 def embedded_jacobian(chart: Chart, strict: bool = False,
@@ -538,7 +544,8 @@ def embedded_jacobian(chart: Chart, strict: bool = False,
     each frame stopping at its first proof."""
     budget = ensure_budget(budget)
     d_x = krull_dimension(chart.variety, budget=budget)
-    _, checks = embedded_frame_tasks(chart, d_x, strict=strict, budget=budget)
+    enum, _ = delta_frame_tasks(chart, strict=strict, budget=budget)
+    checks = embedded_frame_tasks(chart, enum, d_x, budget=budget)
     if checks is None:
         return True
     for _, check, test in checks:

@@ -71,9 +71,9 @@ class Observer:
     free.  on_gb_start fires when a Groebner engine run actually starts
     (cache misses only); on_commit fires exactly once when a verdict
     commits; on_task_start / on_task_done bracket every task execution;
-    on_cover reports each chart's frame enumeration (the FrameEnumeration
-    carries the frames, their determinants, and the cover-complete flag)
-    so covers can be re-verified after the run.
+    on_cover reports each chart's frame enumeration, once per chart (the
+    FrameEnumeration carries the frames, their determinants, and the
+    cover-complete flag) so covers can be re-verified after the run.
     """
 
     def on_gb_start(self, task_path):
@@ -283,7 +283,7 @@ class _ChartTask(_Task):
         given d_x, or a descend step on the frame enumeration enum."""
         chart = self.chart
         if ctx.config.mode == "hybrid" and chart.depth >= self.switch_depth:
-            return _EmbeddedTask(path, chart, self.d_x)
+            return _EmbeddedTask(path, chart, enum, self.d_x)
         return _DescendTask(path, chart, enum, self.switch_depth)
 
 
@@ -396,25 +396,25 @@ class _DescendTask(_Task):
 
 class _EmbeddedTask(_Task):
     """Runs after all delta frames of its chart passed in hybrid mode at
-    the switch depth; spawns relative Jacobian frame checks, which form
-    their minors only when they run.  d_x is the variety's dimension, which
-    the chart's dimension exits computed."""
+    the switch depth; spawns relative Jacobian frame checks on the chart
+    task's frame enumeration enum, which form their minors only when they
+    run.  d_x is the variety's dimension, which the chart's dimension exits
+    computed."""
 
     kind = "embedded"
-    __slots__ = ("chart", "d_x")
+    __slots__ = ("chart", "enum", "d_x")
 
-    def __init__(self, path, chart, d_x):
+    def __init__(self, path, chart, enum, d_x):
         super().__init__(path, chart.depth)
         self.chart = chart
+        self.enum = enum
         self.d_x = d_x
 
     def run(self, ctx, budget):
-        enum, checks = embedded_frame_tasks(
-            self.chart, self.d_x, strict=ctx.config.strict_cover,
-            budget=budget)
+        checks = embedded_frame_tasks(self.chart, self.enum, self.d_x,
+                                      budget=budget)
         if checks is None:
             return _Outcome()
-        ctx.observer.on_cover(self.path, self.chart, enum)
         spawn = [
             _JacobianFrameTask(self.path + (i,), self.chart, "jacobian",
                                frame.cols, check, test)

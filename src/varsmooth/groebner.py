@@ -9,7 +9,10 @@ the exponent lanes of packed keys: a new element's candidate pairs are
 pruned by proper lcm divisibility, then to the lowest index per lcm, then
 by coprime leads, and the chain criterion deletes queued pairs (see
 _PairQueue for the exact rules, which differ from Gebauer-Moeller in the
-coprime step).
+coprime step).  On those lanes a proper divisor of an lcm is a smaller
+integer, so the divisibility test needs no degree ranking: the distinct
+lcms are sorted as plain ints and each is tested against the smaller
+ones.
 
 Radical membership uses the extra-variable trick: f lies in the radical of
 I exactly when I together with 1 - t*f generates the unit ideal in the
@@ -28,7 +31,7 @@ from typing import Optional
 from .errors import RingMismatchError
 from .fields import mpq
 from .limits import Budget, ensure_budget
-from .poly import Polynomial
+from .poly import Polynomial, _content
 from .ring import Ring
 
 
@@ -41,7 +44,7 @@ class Ideal:
     def __init__(self, ring: Ring, generators):
         gens = []
         for g in generators:
-            if g.ring != ring:
+            if g.ring is not ring and g.ring != ring:
                 raise RingMismatchError("generator outside the ideal's ring")
             if not g.is_zero():
                 gens.append(g)
@@ -261,19 +264,6 @@ def reduce_terms(fk, fc, divisors, guards, p):
 # -- shared engine helpers -----------------------------------------------------
 
 
-def _content(coeffs):
-    """The gcd of coeffs, negated when the leading one is negative: dividing
-    by it leaves a primitive polynomial with positive leading coefficient."""
-    g = 0
-    for c in coeffs:
-        g = gcd(g, c)
-        if g == 1:
-            break
-    if coeffs and coeffs[0] < 0:
-        g = -g
-    return g
-
-
 class _PairQueue:
     """Normal-strategy pair queue, keyed on packed monomials.
 
@@ -290,7 +280,14 @@ class _PairQueue:
     Then every queued pair (i, j) whose lcm is divisible by the new lead,
     and differs from both lcm(lead_i, lead_t) and lcm(lead_j, lead_t), is
     deleted (chain criterion).  Pairs pop by ascending lcm key, then by
-    index, which is degree first under degrevlex."""
+    index, which is degree first under degrevlex.
+
+    One pass forms the lcms and the lowest index per lcm; the chain scan
+    runs only when pairs are queued.  A proper divisor of an lcm is lane-
+    wise no larger and differs in some lane, so as a low half it is a
+    smaller integer: the distinct lcms are taken in ascending integer order
+    and each is tested against the minimal ones before it.  The lane-sum
+    degree of the packed key is computed only for the pairs kept."""
 
     def __init__(self, ring: Ring):
         n = ring.nvars
@@ -312,51 +309,49 @@ class _PairQueue:
     def add_element(self, lead_key: int):
         G = self.guards
         LOW = self.low
-        EVEN, FOLD, TOP = self.even, self.fold, self.top
         leads = self.leads
+        alive = self.alive
         b = lead_key & LOW
         t = len(leads)
         cand = []
-        for a in leads:
+        first = {}              # distinct lcm -> lowest index having it
+        for i, a in enumerate(leads):
             # guard bit of each lane where b >= a, widened to the lane
             m = ((b | G) - a) & G
             mask = m | (m - (m >> 15))
-            cand.append((b & mask) | (a & (LOW ^ mask)))
-        leads.append(b)
-        first = {}              # distinct lcm -> lowest index having it
-        for i, L in enumerate(cand):
+            L = (b & mask) | (a & (LOW ^ mask))
+            cand.append(L)
             if L not in first:
                 first[L] = i
-        ranked = sorted(
-            ((((L & EVEN) + ((L >> 16) & EVEN)) * FOLD >> TOP) & 0xFFFFFFFF, L)
-            for L in first)
-        # a proper divisor of an lcm has lower degree, so each distinct lcm
-        # is tested only against the distinct lcms of lower degree
-        degree = {}             # lcm no other lcm divides -> its degree
-        lower = []
-        level = []
-        prev = -1
-        for d, L in ranked:
-            if d != prev:
-                lower.extend(level)
-                level = []
-                prev = d
-            level.append(L)
-            if not any(((L | G) - L2) & G == G for L2 in lower):
-                degree[L] = d
-        for (i, j), key in list(self.alive.items()):
-            L = key & LOW
-            if ((L | G) - b) & G == G and cand[i] != L and cand[j] != L:
-                del self.alive[(i, j)]
+        leads.append(b)
+        if alive:
+            for (i, j), key in list(alive.items()):
+                L = key & LOW
+                if ((L | G) - b) & G == G and cand[i] != L and cand[j] != L:
+                    del alive[(i, j)]
+        # ascending ints put every proper divisor first; a dropped lcm is a
+        # multiple of a minimal one, so the minimal ones are enough to test
+        minimal = []
+        for L in sorted(first):
+            LG = L | G
+            for M in minimal:
+                if (LG - M) & G == G:
+                    break
+            else:
+                minimal.append(L)
+        EVEN, FOLD, TOP = self.even, self.fold, self.top
         shift, off = self.deg_shift, self.mul_off
         high = shift >> 1
-        for L, i in first.items():
-            d = degree.get(L)
+        heap = self.heap
+        for L in minimal:
+            i = first[L]
             # equal to a + b exactly when the leads are coprime
-            if d is not None and L != leads[i] + b:
+            if L != leads[i] + b:
+                d = (((L & EVEN) + ((L >> 16) & EVEN)) * FOLD >> TOP) \
+                    & 0xFFFFFFFF
                 key = (d << shift) + off - (L << high) + L
-                self.alive[(i, t)] = key
-                heapq.heappush(self.heap, (key, i, t))
+                alive[(i, t)] = key
+                heapq.heappush(heap, (key, i, t))
 
     def pop(self):
         """(i, j, packed lcm key) of the next live pair, or None."""

@@ -42,7 +42,8 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import DegreeOverflowError, RingMismatchError
-from .poly import Polynomial
+from .fields import mpq
+from .poly import Polynomial, _content
 from .ring import CAP, EXP_LIMIT, Ring
 
 
@@ -54,7 +55,7 @@ class PolyMatrix:
         if len(entries) != rows * cols:
             raise ValueError(f"need {rows * cols} entries, got {len(entries)}")
         for e in entries:
-            if e.ring != ring:
+            if e.ring is not ring and e.ring != ring:
                 raise RingMismatchError("matrix entries in different rings")
         self.ring = ring
         self.rows = rows
@@ -136,10 +137,20 @@ def _settle(acc: dict, p: int) -> dict:
 
 
 def _poly(ring: Ring, d: dict, sign: int = 1) -> Polynomial:
-    """sign * d as a Polynomial; d must be settled (see _settle)."""
-    coerce = ring.field.coerce
+    """sign * d as a Polynomial; d must be settled (see _settle).  Over QQ,
+    when every coefficient is an int, the integer form that hashing and the
+    Groebner engine read (Polynomial.zform) is preset from those ints, so
+    the Fractions are never converted back."""
     keys = sorted(d, reverse=True)
-    return Polynomial(ring, keys, [coerce(sign * d[k]) for k in keys])
+    vals = [sign * d[k] for k in keys]
+    p = ring.field.characteristic
+    if p:
+        return Polynomial(ring, keys, [v % p for v in vals])
+    f = Polynomial(ring, keys, map(mpq, vals))
+    if vals and all(type(v) is int for v in vals):
+        g = _content(vals)
+        f._zform = (keys, [v // g for v in vals], mpq(g))
+    return f
 
 
 def _mac(acc: dict, a, b, off: int):

@@ -291,9 +291,19 @@ class Polynomial:
                 and self._coeffs == other._coeffs)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.ring, self._keys, self._coeffs))
-        return self._hash
+        """Over QQ the hash is taken on the integer form (keys, primitive
+        coefficients, scale), which is canonical, so equal polynomials hash
+        equal; ints hash far cheaper than Fractions, and the engine reads
+        that form anyway.  Over F_p it is taken on the stored residues."""
+        h = self._hash
+        if h is None:
+            if self.ring.field.characteristic:
+                h = hash((self.ring, self._keys, self._coeffs))
+            else:
+                _, ints, scale = self.zform()
+                h = hash((self.ring, self._keys, tuple(ints), scale))
+            self._hash = h
+        return h
 
     # -- integer form for the reduction engine --------------------------------
 
@@ -316,13 +326,7 @@ class Polynomial:
                 den = den * d // gcd(den, d)
             ints = [int(c.numerator) * (den // int(c.denominator))
                     for c in self._coeffs]
-            g = 0
-            for v in ints:
-                g = gcd(g, v)
-                if g == 1:
-                    break
-            if ints[0] < 0:
-                g = -g
+            g = _content(ints)
             zf = (list(self._keys), [v // g for v in ints], mpq(g, den))
         self._zform = zf
         return zf
@@ -355,6 +359,19 @@ class Polynomial:
 
 
 # -- module-level operations -----------------------------------------------
+
+
+def _content(coeffs):
+    """The gcd of integer coeffs, negated when the leading one is negative:
+    dividing by it leaves them primitive with a positive leading one."""
+    g = 0
+    for c in coeffs:
+        g = gcd(g, c)
+        if g == 1:
+            break
+    if coeffs and coeffs[0] < 0:
+        g = -g
+    return g
 
 
 def partial_derivative(f: Polynomial, i: int) -> Polynomial:

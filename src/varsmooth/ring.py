@@ -38,7 +38,8 @@ class Ring:
     """
 
     __slots__ = ("field", "variables", "nvars", "mul_off", "guards",
-                 "_deg_shift", "_var_keys", "_var_steps", "one_key", "_hash")
+                 "_deg_shift", "_var_keys", "_var_steps", "one_key", "_hash",
+                 "_derived")
 
     def __init__(self, field: FieldSpec, variables):
         variables = tuple(variables)
@@ -61,6 +62,7 @@ class Ring:
         # key(m) - step_i == key(m / x_i); valid when x_i divides m
         self._var_steps = tuple(k - self.mul_off for k in self._var_keys)
         self._hash = hash((field, variables))
+        self._derived = {}   # variables -> the ring extend/drop made
 
     def _pack_one(self, i: int) -> int:
         n = self.nvars
@@ -118,12 +120,24 @@ class Ring:
 
     # -- derived rings ------------------------------------------------------
 
+    def _with_variables(self, variables) -> "Ring":
+        """The ring over this field on variables, built once per tuple and
+        kept: rings are immutable, so it equals a fresh one, and the
+        polynomials built in it share one ring object (threads racing here
+        build equal rings, and either may be kept)."""
+        ring = self._derived.get(variables)
+        if ring is None:
+            ring = self._derived[variables] = Ring(self.field, variables)
+        return ring
+
     def extend(self, name: str) -> "Ring":
-        return Ring(self.field, self.variables + (name,))
+        """This ring with the variable name appended."""
+        return self._with_variables(self.variables + (name,))
 
     def drop(self, i: int) -> "Ring":
-        names = self.variables[:i] + self.variables[i + 1:]
-        return Ring(self.field, names)
+        """This ring without its i-th variable."""
+        return self._with_variables(self.variables[:i]
+                                    + self.variables[i + 1:])
 
     def fresh_name(self, base: str = "t") -> str:
         if base not in self.variables:
@@ -136,9 +150,9 @@ class Ring:
     # -- value identity -----------------------------------------------------
 
     def __eq__(self, other):
-        return (isinstance(other, Ring)
-                and self.field == other.field
-                and self.variables == other.variables)
+        return self is other or (isinstance(other, Ring)
+                                 and self.field == other.field
+                                 and self.variables == other.variables)
 
     def __hash__(self):
         return self._hash

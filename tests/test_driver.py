@@ -575,3 +575,58 @@ def test_empty_ambient_edge_cases(monkeypatch):
         assert v.stats == {"charts": 1, "frames": 0, "gb_queries": 0,
                            "max_depth": 0, "minors": 0,
                            "minors_possible": 0}, label
+
+
+def test_embedded_step_reuses_the_chart_frames(monkeypatch):
+    # the embedded step stacks each frame's relative Jacobian from the rows
+    # its chart task kept: no chart is enumerated twice, no frame's relative
+    # Jacobian is rebuilt, and each chart reports its cover once
+    from varsmooth import charts, driver
+    from varsmooth.bench import rational_normal_curve
+    enumerated = []   # the chart of every enumerate_frames call
+    rebuilt = []      # (chart, frame columns) of every relative_jacobian
+    embedded = []
+    real_enum = charts.enumerate_frames
+    real_rel = charts.relative_jacobian
+    real_embedded = driver.embedded_frame_tasks
+
+    def enum_spy(chart, *args, **kwargs):
+        enumerated.append(chart)
+        return real_enum(chart, *args, **kwargs)
+
+    def rel_spy(polys, chart, frame):
+        rebuilt.append((id(chart), frame.cols))
+        return real_rel(polys, chart, frame)
+
+    def embedded_spy(chart, enum, *args, **kwargs):
+        embedded.append(chart)
+        return real_embedded(chart, enum, *args, **kwargs)
+
+    class Covers(Observer):
+        def __init__(self):
+            self.charts = []
+            self.lock = threading.Lock()
+
+        def on_cover(self, path, chart, enum):
+            with self.lock:
+                self.charts.append(chart)
+
+    monkeypatch.setattr(charts, "enumerate_frames", enum_spy)
+    monkeypatch.setattr(charts, "relative_jacobian", rel_spy)
+    monkeypatch.setattr(driver, "embedded_frame_tasks", embedded_spy)
+    for jobs in (1, 2):
+        del enumerated[:], rebuilt[:], embedded[:]
+        covers = Covers()
+        v = projective_smoothness(rational_normal_curve(6).ideal,
+                                  Config(mode="hybrid", to_codim=2,
+                                         jobs=jobs),
+                                  observer=covers)
+        assert v.status == "smooth"
+        assert embedded, jobs   # the run reaches embedded steps
+        assert all(any(c is e for e in enumerated) for c in embedded), jobs
+        # once per chart: the charts are kept alive here, so ids are unique
+        assert len({id(c) for c in enumerated}) == len(enumerated), jobs
+        assert len(enumerated) <= v.stats["charts"], jobs
+        assert len({id(c) for c in covers.charts}) == len(covers.charts)
+        assert {id(c) for c in covers.charts} == {id(c) for c in enumerated}
+        assert len(set(rebuilt)) == len(rebuilt), jobs

@@ -524,33 +524,49 @@ RING_PAIRS = {n: Ring(QQ, tuple(f"x{i}" for i in range(n)))
               for n in range(1, 10)}
 
 
+def _pair_queue_trial(rng, n, steps, pop_rate):
+    """Feed one random lead sequence to both queues, popping at random and
+    then to the end; the pop sequences must agree.  Returns the oracle's
+    rule counts."""
+    ring = RING_PAIRS[n]
+    queue, oracle = _PairQueue(ring), _TuplePairQueue(ring)
+    top = rng.choice((1, 2, 3, 5))
+    zero_rate = rng.random()
+    added = 0
+    while added < steps:
+        if rng.random() < pop_rate:
+            assert queue.pop() == oracle.pop()
+            continue
+        lead = tuple(0 if rng.random() < zero_rate else rng.randint(1, top)
+                     for _ in range(n))
+        queue.add_element(ring.pack(lead))
+        oracle.add_element(lead)
+        added += 1
+    while True:
+        got = queue.pop()
+        assert got == oracle.pop()
+        if got is None:
+            break
+    assert queue.alive == {} and oracle.alive == {}
+    return oracle.events
+
+
 def test_pair_queue_matches_tuple_reference():
     rng = random.Random(2024)
-    totals = dict.fromkeys(("divisible", "equal", "coprime", "chain"), 0)
-    for trial in range(300):
-        n = 1 + trial % 9
-        ring = RING_PAIRS[n]
-        queue, oracle = _PairQueue(ring), _TuplePairQueue(ring)
-        top = rng.choice((1, 2, 3, 5))
-        zero_rate = rng.random()
-        for _ in range(rng.randint(2, 40)):
-            if rng.random() < 0.25:
-                assert queue.pop() == oracle.pop(), trial
-                continue
-            lead = tuple(0 if rng.random() < zero_rate else rng.randint(1, top)
-                         for _ in range(n))
-            queue.add_element(ring.pack(lead))
-            oracle.add_element(lead)
-        while True:
-            got = queue.pop()
-            assert got == oracle.pop(), trial
-            if got is None:
-                break
-        assert queue.alive == {} and oracle.alive == {}
-        for name, count in oracle.events.items():
-            totals[name] += count
-    # every rule fired many times, so each of them is pinned
-    assert min(totals.values()) >= 50, totals
+    # small queues in 1-9 variables, then bases of 40-80 leads in 6-9
+    # variables, where each new lead meets many distinct lcms
+    regimes = (
+        [(1 + trial % 9, rng.randint(2, 30), 0.25) for trial in range(300)],
+        [(6 + trial % 4, rng.randint(40, 80), 0.1) for trial in range(12)],
+    )
+    for trials in regimes:
+        totals = dict.fromkeys(("divisible", "equal", "coprime", "chain"), 0)
+        for n, steps, pop_rate in trials:
+            events = _pair_queue_trial(rng, n, steps, pop_rate)
+            for name, count in events.items():
+                totals[name] += count
+        # every rule fired many times, so each of them is pinned
+        assert min(totals.values()) >= 50, totals
 
 
 def test_pair_queue_lane_lcm_at_the_guard_boundary():

@@ -283,3 +283,79 @@ def test_str_round_trip_sign_handling(rxy):
     s = str(f)
     assert "- 1" in s or "-1" in s
     assert s.count("+") + s.count("-") >= 2
+
+
+def test_equal_polynomials_hash_equal_however_built():
+    from varsmooth.matrix import _poly
+    for field in (QQ, GF(32003)):
+        p = field.characteristic
+        ring = Ring(field, ("x", "y", "z"))
+        x, y, z = variables(ring)
+        # negative leading coefficient, content 2
+        ints = {ring.pack((2, 1, 0)): -6, ring.pack((0, 1, 1)): 4,
+                ring.pack((0, 0, 0)): -10}
+        settled = {k: c % p for k, c in ints.items()} if p else ints
+        negated = {k: -c % p if p else -c for k, c in ints.items()}
+        built = [
+            _poly(ring, settled),
+            _poly(ring, negated, -1) if not p else _poly(ring, settled),
+            Polynomial.from_key_dict(
+                ring, {k: c if p else Fraction(c) for k, c in ints.items()}),
+            -6 * x * x * y + 4 * y * z - 10,
+            (3 * x * x * y - 2 * y * z + 5) * (-2),
+        ]
+        first = built[0]
+        preset = first._zform
+        for f in built:
+            assert f == first and hash(f) == hash(first), field
+            assert f.zform() == first.zform(), field
+        if not p:
+            # the preset integer form is the one zform computes
+            assert preset == (list(first.keys), [3, -2, 5], Fraction(-2))
+            first._zform = first._hash = None
+            assert first.zform() == preset
+            assert hash(first) == hash(built[3])
+        else:
+            assert preset is None   # residues need no integer form
+            assert first.zform() == (list(first.keys), list(first.coeffs), 1)
+        # non-unit content with rational coefficients: no preset, same hash
+        halves = {ring.pack((1, 0, 0)): Fraction(-3, 2),
+                  ring.pack((0, 0, 1)): Fraction(9, 4)}
+        if p:
+            halves = {k: c.numerator * pow(c.denominator, -1, p) % p
+                      for k, c in halves.items()}
+        g = _poly(ring, halves)
+        assert g._zform is None
+        h = Polynomial.from_key_dict(ring, halves)
+        k = (x * (-6) + z * 9) * field.coerce(Fraction(1, 4))
+        assert g == h == k and hash(g) == hash(h) == hash(k), field
+        if not p:
+            assert g.zform() == ([ring.pack((1, 0, 0)), ring.pack((0, 0, 1))],
+                                 [2, -3], Fraction(-3, 4))
+
+
+def test_derived_rings_are_kept_and_equal_rings_mix():
+    from varsmooth.groebner import Ideal
+    for field in (QQ, GF(32003)):
+        ring = Ring(field, ("x", "y"))
+        ext = ring.extend("t")
+        assert ring.extend("t") is ext
+        fresh = Ring(field, ("x", "y", "t"))
+        assert ext is not fresh
+        assert ext == fresh and fresh == ext and hash(ext) == hash(fresh)
+        other = ring.extend("u")
+        assert other is not ext and other.variables == ("x", "y", "u")
+        assert ext.drop(2) is ext.drop(2) == ring
+        assert ring.drop(0).variables == ("y",)
+        twin = Ring(field, ("x", "y"))
+        assert twin is not ring
+        assert twin == ring and hash(twin) == hash(ring)
+        assert twin.extend("t") == ext
+        assert ring != Ring(field, ("y", "x"))
+        assert ring != Ring(GF(7), ("x", "y"))
+        # polynomials and ideals over equal but distinct rings mix
+        f = Polynomial.variable(ring, 0) * 2 + 1
+        f2 = Polynomial.variable(twin, 0) * 2 + 1
+        assert f == f2 and hash(f) == hash(f2)
+        assert Ideal(ring, [f2]) == Ideal(twin, [f])
+        assert hash(Ideal(ring, [f2])) == hash(Ideal(twin, [f]))
