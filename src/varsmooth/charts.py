@@ -18,8 +18,8 @@ from math import comb
 from typing import Optional
 
 from .errors import ContractError, DegenerateGeneratorError, DescentError
-from .groebner import (GroebnerBasis, Ideal, buchberger, equal_on_chart,
-                       ideal_membership, krull_dimension, radical_membership)
+from .groebner import (Ideal, buchberger, ideal_membership, krull_dimension,
+                       radical_membership)
 from .limits import Budget, ensure_budget
 from .matrix import (PolyMatrix, _check_degree, _gradient, _mac, _poly,
                      _settle, _terms, _top_degree, adjugate, determinant,
@@ -235,7 +235,7 @@ def delta_frame_tasks(chart: Chart, strict: bool = False,
     """(enumeration, checks): checks[i] = (frame, ideal, test polynomial);
     the frame check passes when the test polynomial lies in the radical of
     the ideal.  The enumeration keeps the relative Jacobian rows for the
-    descent.  Used by both the sequential wrapper and the scheduler."""
+    descent and the embedded step."""
     budget = ensure_budget(budget)
     enum = enumerate_frames(chart, strict=strict, budget=budget)
     checks = []
@@ -245,20 +245,6 @@ def delta_frame_tasks(chart: Chart, strict: bool = False,
         enum.rows.append(rows)
         checks.append((frame, cm, test))
     return enum, checks
-
-
-def delta_check(chart: Chart, strict: bool = False,
-                budget: Optional[Budget] = None) -> bool:
-    """Order-one test: for every frame, q*g must vanish on the locus where
-    the variety's relative derivatives and I_X vanish.  False exhibits a
-    point of order at least two on the variety."""
-    budget = ensure_budget(budget)
-    _, checks = delta_frame_tasks(chart, strict=strict, budget=budget)
-    for _, cm, test in checks:
-        budget.frames += 1
-        if not radical_membership(test, cm, budget=budget):
-            return False
-    return True
 
 
 def _counting_checkpoint(budget: Budget, m: PolyMatrix, size: int):
@@ -504,20 +490,21 @@ def proved_by_minors(test: Polynomial, head, minors, budget: Budget) -> bool:
 def embedded_frame_tasks(chart: Chart, enum: FrameEnumeration, d_x: int,
                          budget: Optional[Budget] = None):
     """Frame tasks for the relative Jacobian criterion at this chart, whose
-    variety has dimension d_x, on the enumeration enum that
-    delta_frame_tasks built for it: checks[i] = (frame, MinorCheck, test)
-    like delta_frame_tasks' checks, or None when the chart is already at the
-    variety's dimension (trivially smooth here).  Each frame's relative
-    Jacobian is stacked from the rows enum keeps, so the frames are not
-    enumerated again and no relative Jacobian is rebuilt."""
+    variety has dimension d_x below the ambient's, on the enumeration enum
+    that delta_frame_tasks built for it: checks[i] = (frame, MinorCheck,
+    test) like delta_frame_tasks' checks.  Each frame's relative Jacobian
+    is stacked from the rows enum keeps, so the frames are not enumerated
+    again and no relative Jacobian is rebuilt.  A relative codimension of
+    0 or less raises ContractError: the dimension exits settle that chart
+    before any step."""
     budget = ensure_budget(budget)
     n = chart.ring.nvars
     r = len(chart.ambient.generators)
     c_rel = (n - r) - d_x
-    if c_rel < 0:
-        raise ContractError("ambient dimension fell below the variety's")
-    if c_rel == 0:
-        return None
+    if c_rel <= 0:
+        raise ContractError(
+            "the embedded step needs the ambient above the variety's "
+            "dimension")
     if enum.rows is None:
         raise ContractError(
             "the embedded step needs the relative Jacobian rows of "
@@ -534,25 +521,6 @@ def embedded_frame_tasks(chart: Chart, enum: FrameEnumeration, d_x: int,
                         c_rel, gb_x.normal_form),
              test)
             for frame, test, rows in zip(enum.frames, enum.tests, enum.rows)]
-
-
-def embedded_jacobian(chart: Chart, strict: bool = False,
-                      budget: Optional[Budget] = None) -> bool:
-    """Relative Jacobian criterion: on every frame, q*g must lie in the
-    radical of I_X plus the ((dim W - dim X)-size) minors of the relative
-    Jacobian, the minors being reduced modulo I_X as they are formed, and
-    each frame stopping at its first proof."""
-    budget = ensure_budget(budget)
-    d_x = krull_dimension(chart.variety, budget=budget)
-    enum, _ = delta_frame_tasks(chart, strict=strict, budget=budget)
-    checks = embedded_frame_tasks(chart, enum, d_x, budget=budget)
-    if checks is None:
-        return True
-    for _, check, test in checks:
-        budget.frames += 1
-        if not check.holds(test, budget):
-            return False
-    return True
 
 
 def affine_jacobian_criterion(ideal: Ideal,

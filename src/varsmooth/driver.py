@@ -1,8 +1,10 @@
 """Top-level smoothness verdicts and the deterministic chart scheduler.
 
-The recursive test is broken into small tasks (chart pipelines, single
-frame checks, dimension, descend and embedded steps) addressed by tuple
-paths.  A pool executes them on one or more workers, always preferring the
+The recursive test is broken into small tasks of three kinds, addressed by
+tuple paths: a chart task runs one chart's structural checks, a frame task
+one of its independent frame checks, and a step task, joined after the
+chart's delta frames, descends or spawns relative Jacobian frame checks.
+A pool executes them on one or more workers, always preferring the
 lexicographically smallest pending path.  Failures commit only once every
 task with a smaller path has finished, so the reported witness is the
 minimal failing path in the whole tree and the verdict, witness, and
@@ -18,6 +20,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 from .charts import (Chart, affine_jacobian_criterion, delta_frame_tasks,
@@ -26,7 +29,7 @@ from .errors import (CancelledError, ContractError, LimitExceededError,
                      NonHomogeneousError, VarsmoothError)
 from .groebner import Ideal, equal_on_chart, krull_dimension, radical_membership
 from .limits import Budget, Limits
-from .poly import Polynomial, dehomogenize
+from .poly import dehomogenize
 
 MODES = ("hironaka", "hybrid", "jacobian")
 
@@ -70,10 +73,11 @@ class Observer:
     Callbacks fire under internal locks and must be quick and reentrant-
     free.  on_gb_start fires when a Groebner engine run actually starts
     (cache misses only); on_commit fires exactly once when a verdict
-    commits; on_task_start / on_task_done bracket every task execution;
-    on_cover reports each chart's frame enumeration, once per chart (the
-    FrameEnumeration carries the frames, their determinants, and the
-    cover-complete flag) so covers can be re-verified after the run.
+    commits; on_task_start / on_task_done bracket every task execution and
+    name its kind (chart, frame or step); on_cover reports each chart's
+    frame enumeration, once per chart (the FrameEnumeration carries the
+    frames, their determinants, and the cover-complete flag) so covers can
+    be re-verified after the run.
     """
 
     def on_gb_start(self, task_path):
@@ -179,33 +183,57 @@ class _Task:
         raise NotImplementedError
 
 
+def _witness(path, chart: Chart, check_kind, cols) -> Witness:
+    return Witness(path, chart.depth, check_kind, cols,
+                   chart.ambient.fingerprint(), chart.variety.fingerprint(),
+                   str(chart.localizer))
+
+
+def _dimension_exits(chart: Chart, budget) -> Optional[int]:
+    """The exits that read the variety's dimension d_x: an empty variety, a
+    variety equal to the smooth ambient, or one of the ambient's dimension.
+    Returns d_x, or None when one of them settles the chart."""
+    d_x = krull_dimension(chart.variety, budget=budget)
+    if d_x < 0:
+        return None  # empty variety
+
+    if chart.ambient.generators and equal_on_chart(
+            chart.ambient, chart.variety, chart.localizer, budget=budget):
+        return None  # X equals the smooth ambient here
+
+    r = len(chart.ambient.generators)
+    n = chart.ring.nvars
+    if n - r < d_x:
+        raise ContractError(
+            "ambient dimension fell below the variety's; the input is "
+            "likely not equidimensional or not radical")
+    if n - r == d_x:
+        # the ambient is smooth of the variety's dimension, so the
+        # variety is a union of its connected components here
+        return None
+    return d_x
+
+
 class _ChartTask(_Task):
     """Structural checks for one chart, then either a settled answer or
-    delta frame subtasks joined by a continuation.
+    delta frame subtasks joined by the chart's step.
 
     The exits that read the variety's dimension d_x run first only on a
     chart with ambient generators: Chart's containment check has cached
     the basis they need, and a chart they settle spawns no frames.  With an
     empty ambient the delta frames do not depend on d_x and a failing one
     is a witness by itself, so only the syntactic exits run first (a
-    constant generator, the zero ideal) and the frames come next, joined by
-    a _DimensionTask that runs the rest once they all passed."""
+    constant generator, the zero ideal) and the step runs the rest once
+    the frames all passed."""
 
     kind = "chart"
     is_chart = True
-    __slots__ = ("chart", "switch_depth", "d_x")
+    __slots__ = ("chart", "switch_depth")
 
-    def __init__(self, path, chart: Chart, switch_depth=None):
-        super().__init__(path, chart.depth)
+    def __init__(self, path, chart: Optional[Chart], switch_depth=None):
+        super().__init__(path, chart.depth if chart is not None else 0)
         self.chart = chart
         self.switch_depth = switch_depth
-        self.d_x = None
-
-    def _witness(self, check_kind, cols):
-        c = self.chart
-        return Witness(self.path, c.depth, check_kind, cols,
-                       c.ambient.fingerprint(), c.variety.fingerprint(),
-                       str(c.localizer))
 
     def run(self, ctx, budget):
         chart = self.chart
@@ -219,10 +247,13 @@ class _ChartTask(_Task):
             ok = affine_jacobian_criterion(chart.variety, budget=budget)
             if ok:
                 return _Outcome()
-            return _Outcome(fail=self._witness("criterion", None))
+            return _Outcome(fail=_witness(self.path, chart, "criterion",
+                                          None))
 
+        d_x = None
         if chart.ambient.generators:
-            if self.settled_by_dimension(ctx, budget):
+            d_x = _dimension_exits(chart, budget)
+            if d_x is None:
                 return _Outcome()
         elif not chart.variety.generators:
             return _Outcome()  # the zero ideal: the whole space, smooth
@@ -232,59 +263,12 @@ class _ChartTask(_Task):
         ctx.observer.on_cover(self.path, chart, enum)
         frame_tasks = [
             _FrameTask(self.path + (i,), chart, "delta", frame.cols,
-                       ideal, test)
+                       partial(radical_membership, target=ideal), test)
             for i, (frame, ideal, test) in enumerate(checks)
         ]
-        path = self.path + (len(frame_tasks),)
-        if chart.ambient.generators:
-            cont = self.continuation(ctx, path, enum)
-        else:
-            cont = _DimensionTask(path, self, enum)
-        return _Outcome(spawn=frame_tasks, joined=cont)
-
-    def settled_by_dimension(self, ctx, budget) -> bool:
-        """The exits that read d_x: an empty variety, a variety equal to
-        the smooth ambient, or one of the ambient's dimension.  When none
-        fires, keeps d_x for the continuation and fixes the hybrid switch
-        depth (from to_codim when set)."""
-        chart = self.chart
-        cfg = ctx.config
-        d_x = krull_dimension(chart.variety, budget=budget)
-        self.d_x = d_x
-        if d_x < 0:
-            return True  # empty variety
-
-        if chart.ambient.generators and equal_on_chart(
-                chart.ambient, chart.variety, chart.localizer, budget=budget):
-            return True  # X equals the smooth ambient here
-
-        r = len(chart.ambient.generators)
-        n = chart.ring.nvars
-        if n - r < d_x:
-            raise ContractError(
-                "ambient dimension fell below the variety's; the input is "
-                "likely not equidimensional or not radical")
-        if n - r == d_x:
-            # the ambient is smooth of the variety's dimension, so the
-            # variety is a union of its connected components here
-            return True
-
-        if cfg.mode == "hybrid" and self.switch_depth is None:
-            if cfg.to_codim is not None:
-                self.switch_depth = (max(0, (n - r - d_x) - cfg.to_codim)
-                                     + chart.depth)
-            else:
-                self.switch_depth = cfg.descent_depth
-        return False
-
-    def continuation(self, ctx, path, enum):
-        """The step run once the chart's delta frames all passed: the
-        relative Jacobian criterion in hybrid mode at the switch depth,
-        given d_x, or a descend step on the frame enumeration enum."""
-        chart = self.chart
-        if ctx.config.mode == "hybrid" and chart.depth >= self.switch_depth:
-            return _EmbeddedTask(path, chart, enum, self.d_x)
-        return _DescendTask(path, chart, enum, self.switch_depth)
+        step = _StepTask(self.path + (len(frame_tasks),), chart, enum, d_x,
+                         self.switch_depth)
+        return _Outcome(spawn=frame_tasks, joined=step)
 
 
 class _RootChartTask(_ChartTask):
@@ -295,10 +279,7 @@ class _RootChartTask(_ChartTask):
     __slots__ = ("ideal", "var")
 
     def __init__(self, path, ideal: Ideal, var: int):
-        _Task.__init__(self, path, 0)
-        self.chart = None
-        self.switch_depth = None
-        self.d_x = None
+        super().__init__(path, None)
         self.ideal = ideal
         self.var = var
 
@@ -310,117 +291,80 @@ class _RootChartTask(_ChartTask):
 
 
 class _FrameTask(_Task):
-    """One delta frame check: the frame passes when the test polynomial
-    vanishes on the locus of its check ideal."""
+    """One frame check: the frame passes when holds(test, budget=...) says
+    the test polynomial vanishes where the check requires, by radical
+    membership in the delta ideal for a delta frame, or by a MinorCheck's
+    minor stream for a hybrid frame."""
 
     kind = "frame"
-    __slots__ = ("chart", "check_kind", "cols", "check", "test")
+    __slots__ = ("chart", "check_kind", "cols", "holds", "test")
 
-    def __init__(self, path, chart, check_kind, cols, check, test):
+    def __init__(self, path, chart, check_kind, cols,
+                 holds: Callable[..., bool], test):
         super().__init__(path, chart.depth)
         self.chart = chart
         self.check_kind = check_kind
         self.cols = cols
-        self.check = check
+        self.holds = holds
         self.test = test
-
-    def holds(self, budget) -> bool:
-        return radical_membership(self.test, self.check, budget=budget)
 
     def run(self, ctx, budget):
         budget.frames += 1
-        if self.holds(budget):
+        if self.holds(self.test, budget=budget):
             return _Outcome()
-        c = self.chart
-        return _Outcome(fail=Witness(
-            self.path, c.depth, self.check_kind, self.cols,
-            c.ambient.fingerprint(), c.variety.fingerprint(),
-            str(c.localizer)))
+        return _Outcome(fail=_witness(self.path, self.chart, self.check_kind,
+                                      self.cols))
 
 
-class _JacobianFrameTask(_FrameTask):
-    """One hybrid frame check: check is a MinorCheck, whose minor stream
-    the task walks until the first prefix that proves the test."""
+class _StepTask(_Task):
+    """Joined after a chart's delta frames, at the chart's path plus (number
+    of frames,).  It runs the dimension exits when the chart task did not
+    (d_x is None, an empty ambient), fixes the hybrid switch depth on the
+    first chart that knows d_x (from to_codim when set), then either spawns
+    the relative Jacobian frame checks, in hybrid mode at the switch depth,
+    or descends, reading the frame enumeration enum and its relative
+    Jacobian rows that the chart task built."""
 
-    __slots__ = ()
+    kind = "step"
+    __slots__ = ("chart", "enum", "d_x", "switch_depth")
 
-    def holds(self, budget) -> bool:
-        return self.check.holds(self.test, budget)
-
-
-class _DimensionTask(_Task):
-    """Joined after the delta frames of a chart with an empty ambient: runs
-    the chart's exits that read d_x, and unless one settles the chart,
-    spawns its descend or embedded step at this task's own path, the path
-    that step takes on every chart."""
-
-    kind = "dimension"
-    __slots__ = ("chart_task", "enum")
-
-    def __init__(self, path, chart_task: _ChartTask, enum):
-        super().__init__(path, chart_task.depth)
-        self.chart_task = chart_task
-        self.enum = enum
-
-    def run(self, ctx, budget):
-        task = self.chart_task
-        if task.settled_by_dimension(ctx, budget):
-            return _Outcome()
-        return _Outcome(spawn=[task.continuation(ctx, self.path, self.enum)])
-
-
-class _DescendTask(_Task):
-    """Runs after all delta frames of its chart passed; produces the child
-    charts one ambient dimension down, reading the frame enumeration (and
-    its relative Jacobian rows) that the chart task built."""
-
-    kind = "descend"
-    __slots__ = ("chart", "enum", "switch_depth")
-
-    def __init__(self, path, chart, enum, switch_depth):
-        super().__init__(path, chart.depth)
-        self.chart = chart
-        self.enum = enum
-        self.switch_depth = switch_depth
-
-    def run(self, ctx, budget):
-        children = descend(self.chart, self.enum, ctx.rng_for(self.path),
-                           combinations=ctx.config.combinations,
-                           budget=budget)
-        spawn = [
-            _ChartTask(self.path + (j,), child, self.switch_depth)
-            for j, child in enumerate(children)
-        ]
-        return _Outcome(spawn=spawn)
-
-
-class _EmbeddedTask(_Task):
-    """Runs after all delta frames of its chart passed in hybrid mode at
-    the switch depth; spawns relative Jacobian frame checks on the chart
-    task's frame enumeration enum, which form their minors only when they
-    run.  d_x is the variety's dimension, which the chart's dimension exits
-    computed."""
-
-    kind = "embedded"
-    __slots__ = ("chart", "enum", "d_x")
-
-    def __init__(self, path, chart, enum, d_x):
+    def __init__(self, path, chart, enum, d_x, switch_depth):
         super().__init__(path, chart.depth)
         self.chart = chart
         self.enum = enum
         self.d_x = d_x
+        self.switch_depth = switch_depth
 
     def run(self, ctx, budget):
-        checks = embedded_frame_tasks(self.chart, self.enum, self.d_x,
-                                      budget=budget)
-        if checks is None:
-            return _Outcome()
-        spawn = [
-            _JacobianFrameTask(self.path + (i,), self.chart, "jacobian",
-                               frame.cols, check, test)
-            for i, (frame, check, test) in enumerate(checks)
-        ]
-        return _Outcome(spawn=spawn)
+        chart = self.chart
+        cfg = ctx.config
+        d_x = self.d_x
+        if d_x is None:
+            d_x = _dimension_exits(chart, budget)
+            if d_x is None:
+                return _Outcome()
+
+        switch_depth = self.switch_depth
+        if cfg.mode == "hybrid":
+            if switch_depth is None and cfg.to_codim is not None:
+                c_rel = (chart.ring.nvars - len(chart.ambient.generators)
+                         - d_x)
+                switch_depth = max(0, c_rel - cfg.to_codim) + chart.depth
+            elif switch_depth is None:
+                switch_depth = cfg.descent_depth
+            if chart.depth >= switch_depth:
+                checks = embedded_frame_tasks(chart, self.enum, d_x,
+                                              budget=budget)
+                return _Outcome(spawn=[
+                    _FrameTask(self.path + (i,), chart, "jacobian",
+                               frame.cols, check.holds, test)
+                    for i, (frame, check, test) in enumerate(checks)])
+
+        children = descend(chart, self.enum, ctx.rng_for(self.path),
+                           combinations=cfg.combinations, budget=budget)
+        return _Outcome(spawn=[
+            _ChartTask(self.path + (j,), child, switch_depth)
+            for j, child in enumerate(children)])
 
 
 class _TaskRecord:
@@ -450,7 +394,7 @@ class _Pool:
         self.heap = []
         self.seq = 0
         self.running = set()
-        self.joins = {}          # parent path -> [remaining, continuation]
+        self.joins = {}          # chart path -> [remaining frames, step]
         self.records = []
         self.event_path = None   # minimal known failure or error path
         self.event = None        # ("fail", witness) | (reason_kind, reason)
@@ -523,7 +467,7 @@ class _Pool:
             self._note_event(task.path, (kind, info))
 
     def _resolve_join(self, task, finish):
-        # frame tasks feed the join of their chart's continuation
+        # frame tasks feed the join of their chart's step
         if not isinstance(task, _FrameTask):
             return
         entry = self.joins.get(task.path[:-1])
@@ -639,11 +583,14 @@ class _Pool:
                        reason=info, reason_kind=kind)
 
 
-def _run(ctx: _RunContext, roots, schedule_seed=None) -> Verdict:
+def _run(roots, config: Optional[Config], observer: Optional[Observer],
+         schedule_seed) -> Verdict:
+    config = config if config is not None else Config()
+    observer = observer if observer is not None else Observer()
     rng = random.Random(schedule_seed) if schedule_seed is not None else None
-    pool = _Pool(ctx, schedule_rng=rng)
+    pool = _Pool(_RunContext(config, observer), schedule_rng=rng)
     t0 = time.monotonic()
-    verdict = pool.run(roots, ctx.config.jobs)
+    verdict = pool.run(roots, config.jobs)
     verdict.timing["wall_s"] = time.monotonic() - t0
     return verdict
 
@@ -655,12 +602,9 @@ def run_parallel(charts, config: Optional[Config] = None,
     workers.  The verdict, witness, and committed statistics are the same
     for every worker count and schedule; a failing check cancels all
     pending and in-flight work."""
-    config = config if config is not None else Config()
-    observer = observer if observer is not None else Observer()
-    ctx = _RunContext(config, observer)
     roots = [_ChartTask((i,) if len(charts) > 1 else (), chart)
              for i, chart in enumerate(charts)]
-    return _run(ctx, roots, _schedule_seed)
+    return _run(roots, config, observer, _schedule_seed)
 
 
 def smoothness_test(ideal: Ideal, config: Optional[Config] = None,
@@ -672,11 +616,8 @@ def smoothness_test(ideal: Ideal, config: Optional[Config] = None,
     precondition, not something the test verifies.  Returns a Verdict with
     status smooth, singular (with a witness), or indeterminate (limits or
     input-contract violations, with a reason)."""
-    config = config if config is not None else Config()
-    observer = observer if observer is not None else Observer()
-    ctx = _RunContext(config, observer)
-    root = _ChartTask((), Chart.root(ideal))
-    return _run(ctx, [root], _schedule_seed)
+    return _run([_ChartTask((), Chart.root(ideal))], config, observer,
+                _schedule_seed)
 
 
 def projective_smoothness(ideal: Ideal, config: Optional[Config] = None,
@@ -686,14 +627,11 @@ def projective_smoothness(ideal: Ideal, config: Optional[Config] = None,
     by testing the standard affine charts x_i = 1 in ascending variable
     order; each chart runs under the same parallel contract, and is built
     only when its task runs."""
-    config = config if config is not None else Config()
-    observer = observer if observer is not None else Observer()
     ring = ideal.ring
     if ring.nvars < 2:
         raise ContractError("projective input needs at least two variables")
     for f in ideal.generators:
         if not f.is_homogeneous():
             raise NonHomogeneousError(f"{f} is not homogeneous")
-    ctx = _RunContext(config, observer)
     roots = [_RootChartTask((i,), ideal, i) for i in range(ring.nvars)]
-    return _run(ctx, roots, _schedule_seed)
+    return _run(roots, config, observer, _schedule_seed)

@@ -60,10 +60,6 @@ class FieldSpec:
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
 
-    @property
-    def is_rationals(self) -> bool:
-        return self.characteristic == 0
-
     def coerce(self, value):
         """Turn an int, Fraction-like, or same-field scalar into a scalar."""
         p = self.characteristic
@@ -88,15 +84,6 @@ class FieldSpec:
         if p:
             return pow(a, -1, p)
         return 1 / a
-
-    def neg(self, a):
-        p = self.characteristic
-        if p:
-            return -a % p
-        return -a
-
-    def display(self, a) -> str:
-        return str(a)
 
     def __repr__(self):
         return "QQ" if self.characteristic == 0 else f"GF({self.characteristic})"

@@ -84,14 +84,15 @@ class GroebnerBasis:
     positive leading coefficient over QQ, monic residues over F_p, in
     ascending leading-key order.  Reduction runs on those rows, kept as
     prepared divisors; the monic Polynomial elements are built only when
-    first read."""
+    first read, and the ideal's dimension when krull_dimension first asks."""
 
-    __slots__ = ("ideal", "_elements", "_divisors", "_lead_keys")
+    __slots__ = ("ideal", "_elements", "_divisors", "_lead_keys", "_dim")
 
     def __init__(self, ideal: Ideal, rows):
         p = ideal.ring.field.characteristic
         self.ideal = ideal
         self._elements = None
+        self._dim = None
         self._divisors = [prepare_divisor(k, c, p) for k, c in rows]
         self._lead_keys = tuple(k[0] for k, _ in rows)
 
@@ -127,7 +128,7 @@ class GroebnerBasis:
             ring.field.characteristic)
         return rk, rc, mult, scale
 
-    def contains(self, f: Polynomial, budget: Optional[Budget] = None) -> bool:
+    def contains(self, f: Polynomial) -> bool:
         if f.is_zero():
             return True
         rk, _, _, _ = self._reduce_raw(f)
@@ -173,12 +174,10 @@ class _GBCache:
 
 
 _cache = _GBCache()
-_dim_cache = _GBCache(maxsize=4096)
 
 
 def clear_caches():
     _cache.clear()
-    _dim_cache.clear()
 
 
 # -- reduction kernel ----------------------------------------------------------
@@ -597,15 +596,12 @@ def equal_on_chart(i_w: Ideal, i_x: Ideal, g: Polynomial,
 
 def krull_dimension(ideal: Ideal, budget: Optional[Budget] = None) -> int:
     """Dimension via maximal independent variable sets modulo the leading
-    term ideal; the unit ideal reports -1, the zero ideal reports n."""
-    budget = ensure_budget(budget)
-    got = _dim_cache.get(ideal)
-    if got is not None:
-        # count the underlying basis query so reports do not depend on
-        # process cache warmth
-        budget.record_query()
-        return got
-    gb = _as_gb(ideal, budget)
+    term ideal; the unit ideal reports -1, the zero ideal reports n.  The
+    answer is kept on the cached basis, so asking again costs one basis
+    query and no engine run."""
+    gb = buchberger(ideal, budget=budget)
+    if gb._dim is not None:
+        return gb._dim
     ring = ideal.ring
     n = ring.nvars
     if gb.is_zero_ideal():
@@ -629,5 +625,6 @@ def krull_dimension(ideal: Ideal, budget: Optional[Budget] = None) -> int:
             if found:
                 dim = k
                 break
-    _dim_cache.put(ideal, dim)
+    # idempotent, so threads racing here store equal values
+    gb._dim = dim
     return dim

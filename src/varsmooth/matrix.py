@@ -62,17 +62,6 @@ class PolyMatrix:
         self.cols = cols
         self.entries = entries
 
-    @classmethod
-    def from_rows(cls, ring: Ring, row_lists) -> "PolyMatrix":
-        rows = len(row_lists)
-        cols = len(row_lists[0]) if rows else 0
-        flat = []
-        for r in row_lists:
-            if len(r) != cols:
-                raise ValueError("ragged rows")
-            flat.extend(r)
-        return cls(ring, rows, cols, flat)
-
     def get(self, i: int, j: int) -> Polynomial:
         return self.entries[i * self.cols + j]
 

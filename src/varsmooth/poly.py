@@ -92,13 +92,6 @@ class Polynomial:
         return not self._keys or (len(self._keys) == 1
                                   and self._keys[0] == self.ring.one_key)
 
-    def constant_value(self):
-        if not self._keys:
-            return self.ring.field.zero()
-        if self._keys[0] == self.ring.one_key:
-            return self._coeffs[-1]
-        raise ValueError("not a constant polynomial")
-
     def total_degree(self) -> int:
         """Degree of the leading term; -1 for the zero polynomial."""
         if not self._keys:

@@ -9,14 +9,16 @@ from corpus import corpus50
 from varsmooth.errors import (ContractError, DegenerateGeneratorError,
                               DescentError)
 from varsmooth.fields import QQ, GF
-from varsmooth.charts import (Chart, affine_jacobian_criterion, delta_check,
-                              delta_frame_tasks, descend, embedded_jacobian,
-                              enumerate_frames, relative_jacobian,
-                              singular_locus_ideal, smooth_on_frames)
+from varsmooth.charts import (Chart, affine_jacobian_criterion,
+                              delta_frame_tasks, descend,
+                              embedded_frame_tasks, enumerate_frames,
+                              relative_jacobian, singular_locus_ideal,
+                              smooth_on_frames)
 from varsmooth import charts, driver
 from varsmooth.bench import (cyclic_polytope_sr, random_coordinate_change,
                              rational_normal_curve, veronese_ci)
-from varsmooth.driver import Config, projective_smoothness, smoothness_test
+from varsmooth.driver import (Config, projective_smoothness, run_parallel,
+                              smoothness_test)
 from varsmooth.groebner import (Ideal, buchberger, equal_on_chart,
                                 ideal_membership, krull_dimension,
                                 radical_membership)
@@ -320,14 +322,20 @@ def test_chart_requires_ambient_inside_variety():
 
 
 def test_delta_check_known_curves():
+    # smooth curves pass; a singular one fails the order-one check on the
+    # root chart's single frame
     ring, (x, y) = mkvars(QQ, ("x", "y"))
-    assert delta_check(Chart.root(Ideal(ring, [x * x + y * y - 1])))
-    assert delta_check(Chart.root(Ideal(ring, [y - x * x])))
-    assert not delta_check(Chart.root(Ideal(ring, [y * y - x * x * x])))
-    assert not delta_check(Chart.root(Ideal(ring, [x * y])))
     rp, (xp, yp) = mkvars(GF(32003), ("x", "y"))
-    assert delta_check(Chart.root(Ideal(rp, [yp - xp * xp])))
-    assert not delta_check(Chart.root(Ideal(rp, [yp * yp - xp * xp * xp])))
+    smooth = [Ideal(ring, [x * x + y * y - 1]), Ideal(ring, [y - x * x]),
+              Ideal(rp, [yp - xp * xp])]
+    singular = [Ideal(ring, [y * y - x * x * x]), Ideal(ring, [x * y]),
+                Ideal(rp, [yp * yp - xp * xp * xp])]
+    for ideal in smooth:
+        assert smoothness_test(ideal).status == "smooth", ideal
+    for ideal in singular:
+        v = smoothness_test(ideal)
+        assert v.status == "singular", ideal
+        assert (v.witness.depth, v.witness.kind) == (0, "delta"), ideal
 
 
 def test_delta_frame_tasks_shape():
@@ -526,19 +534,27 @@ def test_descend_rejects_frames_that_do_not_cover():
         descend(chart, enumerate_frames(chart), random.Random(0))
 
 
+def _embedded_at(chart):
+    """The hybrid run whose relative criterion starts on this chart."""
+    return run_parallel([chart], Config(mode="hybrid",
+                                        descent_depth=chart.depth))
+
+
 def test_embedded_jacobian_on_descended_points():
     ring, (x, y) = mkvars(QQ, ("x", "y"))
     one = Polynomial.constant(ring, 1)
     pts = Ideal(ring, [x * (y + one), y * (x + one)])
     for child in descend_on_frames(Chart.root(pts), random.Random(2),
                                    combinations=False):
-        assert embedded_jacobian(child)
+        v = _embedded_at(child)
+        # smooth by the relative criterion, which formed minors
+        assert v.status == "smooth" and v.stats["minors"] > 0, v.stats
 
 
 def test_embedded_jacobian_detects_singular_variety():
     ring, (x, y) = mkvars(QQ, ("x", "y"))
     cusp = Ideal(ring, [y * y - x * x * x])
-    assert not embedded_jacobian(Chart.root(cusp))
+    assert _embedded_at(Chart.root(cusp)).status == "singular"
 
 
 def test_embedded_jacobian_equal_dimensions_passes():
@@ -546,7 +562,11 @@ def test_embedded_jacobian_equal_dimensions_passes():
     one = Polynomial.constant(ring, 1)
     circle = Ideal(ring, [x * x + y * y - 1])
     chart = Chart(circle, circle, one, depth=1)
-    assert embedded_jacobian(chart)
+    assert _embedded_at(chart).status == "smooth"
+    # the dimension exits settle such a chart: no step reaches its frames
+    enum, _ = delta_frame_tasks(chart)
+    with pytest.raises(ContractError, match="dimension"):
+        embedded_frame_tasks(chart, enum, krull_dimension(circle))
 
 
 def test_affine_jacobian_criterion_known_varieties():
@@ -681,9 +701,6 @@ def test_failing_hybrid_frame_walks_its_whole_stream():
     # criterion fails there
     ring, (x, y, z) = mkvars(QQ, ("x", "y", "z"))
     cusp = Ideal(ring, [z, y * y - x * x * x])
-    budget = Budget()
-    assert not embedded_jacobian(Chart.root(cusp), budget=budget)
-    assert 0 < budget.minors == budget.minors_possible
     for jobs in (1, 2):
         v = smoothness_test(cusp, Config(mode="hybrid", jobs=jobs))
         assert v.status == "singular"
@@ -803,7 +820,7 @@ def test_delta_then_descend_chain_settles_circle():
     ring, (x, y) = mkvars(QQ, ("x", "y"))
     circle = Ideal(ring, [x * x + y * y - 1])
     root = Chart.root(circle)
-    assert delta_check(root)
+    assert smoothness_test(circle).status == "smooth"
     kids = descend_on_frames(root, random.Random(5))
     assert len(kids) == 1
     assert equal_on_chart(kids[0].ambient, kids[0].variety,

@@ -525,24 +525,31 @@ _EDGE_CONFIGS = {"hironaka": Config(mode="hironaka"),
 
 def test_empty_ambient_edge_cases(monkeypatch):
     from varsmooth import driver
-    ran = {"descend": 0, "embedded": 0}
+    events = []   # ("dimension" | "descend" | "embedded", task path) and
+    # ("done", path, kind, passed), in the order they happen
 
-    def counting(kind, fn):
-        def wrapped(*args, **kwargs):
-            ran[kind] += 1
-            return fn(*args, **kwargs)
+    def recording(name, fn):
+        def wrapped(*args, budget=None, **kwargs):
+            events.append((name, budget.task_path))
+            return fn(*args, budget=budget, **kwargs)
         return wrapped
 
+    class Done(_Log):
+        def on_task_done(self, path, kind, passed):
+            events.append(("done", path, kind, passed))
+
+    monkeypatch.setattr(driver, "krull_dimension",
+                        recording("dimension", driver.krull_dimension))
     monkeypatch.setattr(driver, "descend",
-                        counting("descend", driver.descend))
+                        recording("descend", driver.descend))
     monkeypatch.setattr(driver, "embedded_frame_tasks",
-                        counting("embedded", driver.embedded_frame_tasks))
+                        recording("embedded", driver.embedded_frame_tasks))
     inputs = {"double point": _empty_root_ideal(),
               "point": _empty_root_point(),
               "nodal cubic": _nodal_cubic()}
     for (name, label), (status, witness, stats) in _EDGE.items():
-        before = dict(ran)
-        log = _Log()
+        del events[:]
+        log = Done()
         v = projective_smoothness(inputs[name], _EDGE_CONFIGS[label],
                                   observer=log)
         assert v.status == status, (name, label)
@@ -550,22 +557,35 @@ def test_empty_ambient_edge_cases(monkeypatch):
         got = w and (w.path, w.depth, w.kind, w.frame_cols)
         assert got == witness, (name, label)
         assert v.stats == stats, (name, label, v.stats)
-        # the kinds observed are the steps that ran
-        seen = [k for ks in log.kinds.values() for k in ks]
-        for kind in ran:
-            assert seen.count(kind) == ran[kind] - before[kind], (name, label)
+        dims = [e[1] for e in events if e[0] == "dimension"]
+        # the descent and the embedded frames start only in step tasks
+        for e in events:
+            if e[0] in ("descend", "embedded"):
+                assert log.kinds[e[1]] == ["step"], (name, label, e)
         # a root chart has an empty ambient: its one frame runs at (i, 0)
-        # before any dimension, which its joined step at (i, 1) computes
-        for i in range(inputs[name].ring.nvars):
-            if (i, 1) in log.kinds:
-                assert log.kinds[(i, 0)] == ["frame"], (name, label, i)
-                assert log.kinds[(i, 1)][0] == "dimension", (name, label, i)
+        # before any dimension, which its step at (i, 1) computes
+        steps = [(i, 1) for i in range(inputs[name].ring.nvars)
+                 if (i, 1) in log.kinds]
+        assert [p for p in dims if len(p) < 3] == steps, (name, label)
+        for i, _ in steps:
+            assert log.kinds[(i, 0)] == ["frame"], (name, label, i)
+            assert log.kinds[(i, 1)] == ["step"], (name, label, i)
+            at = events.index(("dimension", (i, 1)))
+            assert ("done", (i, 0), "frame", True) in events[:at], (
+                name, label, i)
+        # a chart's step reuses the dimension its chart task computed
+        assert len(set(dims)) == len(dims), (name, label, dims)
     # hybrid to_codim=1 on a plane curve: codimension 1, so each root chart
-    # whose frame passed goes embedded at once, after its dimension step
-    log = _Log()
+    # whose frame passed goes embedded at once, in the step that computed
+    # its dimension
+    del events[:]
+    log = Done()
     projective_smoothness(_nodal_cubic(), _EDGE_CONFIGS["hybrid-1"],
                           observer=log)
-    assert log.kinds[(0, 1)] == log.kinds[(1, 1)] == ["dimension", "embedded"]
+    assert log.kinds[(0, 1)] == log.kinds[(1, 1)] == ["step"]
+    for path in ((0, 1), (1, 1)):
+        at = events.index(("dimension", path))
+        assert events[at + 1] == ("embedded", path), path
     assert (2, 1) not in log.kinds   # chart Z = 1 failed its frame first
     # the zero ideal is the whole space: smooth with no basis at all
     ring, x, y = _r2()

@@ -357,6 +357,19 @@ def test_krull_dimension_known_values():
     assert krull_dimension(tw) == 2
 
 
+def test_krull_dimension_is_kept_on_the_cached_basis():
+    # asking again on an equal ideal is one basis query and no engine run,
+    # counted the same way as the first ask
+    r3 = Ring(QQ, ("x", "y", "z"))
+    x, y, z = variables(r3)
+    clear_caches()
+    budget = Budget()
+    assert krull_dimension(Ideal(r3, [x * y - z, y * z]), budget) == 1
+    assert (budget.gb_queries, budget.runs_started) == (1, 1)
+    assert krull_dimension(Ideal(r3, [x * y - z, y * z]), budget) == 1
+    assert (budget.gb_queries, budget.runs_started) == (2, 1)
+
+
 def test_krull_dimension_monomial_brute_force():
     # independent count: dim = size of the largest variable subset S such
     # that no generator's support is contained in S
