@@ -189,11 +189,14 @@ def _witness(path, chart: Chart, check_kind, cols) -> Witness:
                    str(chart.localizer))
 
 
-def _dimension_exits(chart: Chart, budget) -> Optional[int]:
+def _dimension_exits(chart: Chart, budget,
+                     d_x: Optional[int] = None) -> Optional[int]:
     """The exits that read the variety's dimension d_x: an empty variety, a
     variety equal to the smooth ambient, or one of the ambient's dimension.
-    Returns d_x, or None when one of them settles the chart."""
-    d_x = krull_dimension(chart.variety, budget=budget)
+    d_x is computed unless the caller knows it already.  Returns d_x, or
+    None when one of them settles the chart."""
+    if d_x is None:
+        d_x = krull_dimension(chart.variety, budget=budget)
     if d_x < 0:
         return None  # empty variety
 
@@ -224,16 +227,19 @@ class _ChartTask(_Task):
     empty ambient the delta frames do not depend on d_x and a failing one
     is a witness by itself, so only the syntactic exits run first (a
     constant generator, the zero ideal) and the step runs the rest once
-    the frames all passed."""
+    the frames all passed.  A descended chart keeps its parent's variety,
+    so its parent's step hands down d_x and only the exits run."""
 
     kind = "chart"
     is_chart = True
-    __slots__ = ("chart", "switch_depth")
+    __slots__ = ("chart", "switch_depth", "d_x")
 
-    def __init__(self, path, chart: Optional[Chart], switch_depth=None):
+    def __init__(self, path, chart: Optional[Chart], switch_depth=None,
+                 d_x=None):
         super().__init__(path, chart.depth if chart is not None else 0)
         self.chart = chart
         self.switch_depth = switch_depth
+        self.d_x = d_x
 
     def run(self, ctx, budget):
         chart = self.chart
@@ -252,7 +258,7 @@ class _ChartTask(_Task):
 
         d_x = None
         if chart.ambient.generators:
-            d_x = _dimension_exits(chart, budget)
+            d_x = _dimension_exits(chart, budget, self.d_x)
             if d_x is None:
                 return _Outcome()
         elif not chart.variety.generators:
@@ -323,7 +329,8 @@ class _StepTask(_Task):
     first chart that knows d_x (from to_codim when set), then either spawns
     the relative Jacobian frame checks, in hybrid mode at the switch depth,
     or descends, reading the frame enumeration enum and its relative
-    Jacobian rows that the chart task built."""
+    Jacobian rows that the chart task built.  A child chart keeps this
+    chart's variety, so it is handed d_x."""
 
     kind = "step"
     __slots__ = ("chart", "enum", "d_x", "switch_depth")
@@ -363,7 +370,7 @@ class _StepTask(_Task):
         children = descend(chart, self.enum, ctx.rng_for(self.path),
                            combinations=cfg.combinations, budget=budget)
         return _Outcome(spawn=[
-            _ChartTask(self.path + (j,), child, switch_depth)
+            _ChartTask(self.path + (j,), child, switch_depth, d_x)
             for j, child in enumerate(children)])
 
 

@@ -14,9 +14,16 @@ integer, so the divisibility test needs no degree ranking: the distinct
 lcms are sorted as plain ints and each is tested against the smaller
 ones.
 
-Radical membership uses the extra-variable trick: f lies in the radical of
-I exactly when I together with 1 - t*f generates the unit ideal in the
-extended ring.  No elimination orders are used anywhere.
+Radical membership first tries two exact certificates, read from the
+constant terms alone (the last packed key of a polynomial, since the
+constant monomial is the smallest): a nonzero constant generator makes I
+the unit ideal, so every f is in its radical; and when every generator
+vanishes at the origin but f does not, the origin is a zero of I off the
+zero set of f, so f is not.  Both hold over QQ and F_p alike, and an answer
+they give builds no basis and is not counted as a Groebner query.  Other
+questions use the extra-variable trick: f lies in the radical of I exactly
+when I together with 1 - t*f generates the unit ideal in the extended
+ring.  No elimination orders are used anywhere.
 """
 
 from __future__ import annotations
@@ -37,7 +44,9 @@ from .ring import Ring
 
 class Ideal:
     """A finite generating set in a fixed ring; zero generators are
-    dropped, so the empty tuple is the zero ideal."""
+    dropped, so the empty tuple is the zero ideal.  The hash is computed
+    when first asked for, so an ideal never used as a cache key is never
+    hashed."""
 
     __slots__ = ("ring", "generators", "_hash")
 
@@ -50,14 +59,18 @@ class Ideal:
                 gens.append(g)
         self.ring = ring
         self.generators = tuple(gens)
-        self._hash = hash((ring, self.generators))
+        self._hash = None
 
     def __eq__(self, other):
         return (isinstance(other, Ideal) and self.ring == other.ring
                 and self.generators == other.generators)
 
     def __hash__(self):
-        return self._hash
+        h = self._hash
+        if h is None:
+            # idempotent, so threads racing here store equal values
+            h = self._hash = hash((self.ring, self.generators))
+        return h
 
     def __len__(self):
         return len(self.generators)
@@ -549,11 +562,29 @@ def ideal_membership(f: Polynomial, target,
 
 def radical_membership(f: Polynomial, target,
                        budget: Optional[Budget] = None) -> bool:
-    """Whether f vanishes on the zero set of the ideal (over the closure)."""
-    budget = ensure_budget(budget)
+    """Whether f vanishes on the zero set of the ideal (over the closure).
+
+    Two exact certificates answer first, from constant terms alone: a
+    nonzero constant generator gives True, and generators that all vanish
+    at the origin, with f nonzero there, give False.  Such an answer runs
+    no engine and is not a Groebner query on the budget.  Any other
+    question asks for one basis, of I itself when f is a constant (none
+    when target already is a basis), else of I + (1 - t*f) in the ring
+    extended by t."""
     if f.is_zero():
         return True
     ideal = target.ideal if isinstance(target, GroebnerBasis) else target
+    one = ideal.ring.one_key
+    at_origin = True    # every generator vanishes at the origin
+    for g in ideal.generators:
+        keys = g.keys
+        if keys[-1] == one:
+            if len(keys) == 1:
+                return True     # the unit ideal
+            at_origin = False
+    if at_origin and f.keys[-1] == one:
+        return False
+    budget = ensure_budget(budget)
     if f.is_constant():
         gb = _as_gb(target, budget)
         return gb.is_unit()

@@ -336,6 +336,72 @@ def test_radical_membership_random_agreement():
             checked_false += 1
 
 
+def _rabinowitsch(f, ideal):
+    """f in the radical of the ideal by the plain extra-variable test, with
+    no shortcut: one basis of I + (1 - t*f) in the ring extended by t."""
+    ring = ideal.ring
+    ext = ring.extend(ring.fresh_name("t"))
+
+    def lift(g):
+        return g.map_exponents(ext, lambda e: e + (0,))
+
+    t = Polynomial.variable(ext, ext.nvars - 1)
+    rab = Polynomial.constant(ext, 1) - t * lift(f)
+    gens = [lift(g) for g in ideal.generators] + [rab]
+    return buchberger(Ideal(ext, gens)).is_unit()
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
+def test_radical_certificates_agree_with_rabinowitsch(field):
+    # a nonzero constant generator answers yes, generators all vanishing at
+    # the origin where f does not answer no; either answer is exact and is
+    # no Groebner query, and every other question is one query (none for a
+    # constant f against a basis, whose unit test needs no engine)
+    rng = random.Random(15)
+    fired = {"unit": 0, "origin": 0, None: 0}
+    for trial in range(500):
+        ring = Ring(field, ("x", "y", "z")[:2 + trial % 2])
+        origin = [0] * ring.nvars
+
+        def poly():
+            return random_poly(ring, rng, max_terms=3, max_deg=2)
+
+        def at_origin(g):
+            return g - Polynomial.constant(ring, g.evaluate(origin))
+
+        shape = rng.choice(("plain", "origin", "unit"))
+        gens = [poly() for _ in range(rng.randint(0, 3))]
+        if shape == "origin":
+            gens = [at_origin(g) for g in gens]
+        elif shape == "unit":
+            gens.insert(rng.randint(0, len(gens)),
+                        Polynomial.constant(ring, rng.randint(1, 5)))
+        ideal = Ideal(ring, gens)
+        f = rng.choice((Polynomial.zero(ring),
+                        Polynomial.constant(ring, rng.randint(-3, 3)),
+                        poly(), at_origin(poly())))
+        target = ideal if rng.random() < 0.5 else buchberger(ideal)
+
+        if any(g.is_constant() for g in ideal.generators):
+            rule = "unit"
+        elif (not f.is_zero() and f.evaluate(origin)
+              and not any(g.evaluate(origin) for g in ideal.generators)):
+            rule = "origin"
+        else:
+            rule = None
+        fired[rule] += 1
+        budget = Budget()
+        got = radical_membership(f, target, budget=budget)
+        assert got == _rabinowitsch(f, ideal), (str(f), ideal, trial)
+        if rule is not None:
+            assert got is (rule == "unit"), (rule, str(f), ideal, trial)
+        free = rule is not None or f.is_zero() or (
+            f.is_constant() and isinstance(target, GroebnerBasis))
+        assert budget.gb_queries == (0 if free else 1), (
+            rule, str(f), ideal, trial)
+    assert min(fired.values()) >= 50, fired
+
+
 def test_krull_dimension_known_values():
     r1 = Ring(QQ, ("x",))
     r2 = Ring(QQ, ("x", "y"))
