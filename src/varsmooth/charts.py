@@ -7,8 +7,12 @@ ambient Jacobian; each frame supplies a local regular system of parameters
 through its adjugate, and the delta test asks whether the variety's
 relative first-order behaviour already cuts it out where g*q is invertible.
 
-The functions here are chart-local and sequential; the driver composes them
-into the recursive test and supplies parallel scheduling.
+The functions here work on one chart and run sequentially; the driver
+composes them into the recursive test and supplies parallel scheduling.
+What a chart tree shares is its variety and one Partials table: every
+partial derivative the tree reads (ambient Jacobians, relative Jacobians,
+singular-locus minors) comes from that table, so each polynomial is
+differentiated at most once per tree.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from .errors import ContractError, DegenerateGeneratorError, DescentError
 from .groebner import (Ideal, buchberger, ideal_membership, krull_dimension,
                        radical_membership)
 from .limits import Budget, ensure_budget
-from .matrix import (PolyMatrix, _check_degree, _gradient, _mac, _poly,
+from .matrix import (Partials, PolyMatrix, _check_degree, _mac, _poly,
                      _settle, _terms, _top_degree, adjugate, determinant,
                      iter_minors, jacobian)
 from .poly import Polynomial
@@ -29,13 +33,18 @@ from .ring import Ring
 
 
 class Chart:
-    """Ambient/variety ideal pair on the open set D(localizer)."""
+    """Ambient/variety ideal pair on the open set D(localizer).
 
-    __slots__ = ("ambient", "variety", "localizer", "depth")
+    partials is the Partials table of the chart's tree.  A chart made
+    without one starts a new tree and a new table; descend hands the
+    parent's table to every child, which keeps the parent's variety and
+    whose new ambient generator the table already holds."""
+
+    __slots__ = ("ambient", "variety", "localizer", "depth", "partials")
 
     def __init__(self, ambient: Ideal, variety: Ideal, localizer: Polynomial,
                  depth: int = 0, budget: Optional[Budget] = None,
-                 check: bool = True):
+                 check: bool = True, partials: Optional[Partials] = None):
         if ambient.ring != variety.ring or localizer.ring != variety.ring:
             raise ContractError("chart pieces live in different rings")
         if localizer.is_zero():
@@ -52,6 +61,8 @@ class Chart:
         self.variety = variety
         self.localizer = localizer
         self.depth = depth
+        self.partials = (partials if partials is not None
+                         else Partials(variety.ring))
 
     @classmethod
     def root(cls, variety: Ideal) -> "Chart":
@@ -71,8 +82,9 @@ class FrameData:
     """One invertible submatrix of the ambient Jacobian.
 
     rows/cols are the selected row and column index tuples of the ambient
-    Jacobian jac (shared by the chart's frames), q the determinant of that
-    square submatrix m, and adj its cofactor matrix normalized so that
+    Jacobian jac (shared by the chart's frames, read from the chart's
+    Partials table), q the determinant of that square submatrix m, and adj
+    its cofactor matrix normalized so that
     sum_k adj[l][k] * m[l'][k] == q * delta(l, l')."""
 
     __slots__ = ("rows", "cols", "q", "adj", "jac")
@@ -132,7 +144,7 @@ def enumerate_frames(chart: Chart, strict: bool = False,
     if r > n:
         raise ContractError(f"{r} ambient generators in {n} variables")
 
-    jac = jacobian(ring, chart.ambient.generators)
+    jac = chart.partials.jacobian(chart.ambient.generators)
     rows = tuple(range(r))
     frames = []
     dets = []
@@ -163,53 +175,65 @@ def relative_jacobian(polys, chart: Chart, frame: FrameData) -> PolyMatrix:
     Columns run over the free variables (those outside frame.cols, ascending)
     and entry (i, j) is
 
-        q * d f_i / d x_j  -  sum_l d g_l / d x_j * sum_k adj[l][k] * d f_i / d x_{c_k}
+        q * d f_i / d x_j  +  sum_k P[j][k] * d f_i / d x_{c_k},
+        P[j][k] = - sum_l d g_l / d x_j * adj[l][k],
 
     where g_l are the ambient generators and c_k the frame columns; up to
     sign it is the determinant of the ambient Jacobian's rows stacked on the
-    gradient of f_i, on the columns c_1..c_r and j.  The sums are formed on
-    term dicts with the matrix kernel's multiply-accumulate step, and each
-    entry becomes a Polynomial once.  For a frameless chart (no ambient
-    generators) this is the plain Jacobian.
+    gradient of f_i, on the columns c_1..c_r and j.  The projection P
+    depends on the frame only, so it is formed once per call, and each
+    polynomial then costs r + 1 products per free column.  Every partial
+    comes from the chart's Partials table.  The sums are formed on term
+    dicts with the matrix kernel's multiply-accumulate step, products with
+    an empty factor are skipped, and each nonzero entry becomes a
+    Polynomial once; the zero entries share one zero.  For a frameless
+    chart (no ambient generators) this is the plain Jacobian.
     """
     ring = chart.ring
     n = ring.nvars
     r = len(chart.ambient.generators)
+    table = chart.partials
     polys = list(polys)
     if r == 0:
-        return jacobian(ring, polys)
+        return table.jacobian(polys)
     cols = frame.cols
     colset = set(cols)
     free = [j for j in range(n) if j not in colset]
-    jac_w = frame.jac
     adj = frame.adj.entries
     # a partial derivative of f has degree below deg f
     _check_degree(_top_degree(polys) - 1
                   + max(frame.q.total_degree(),
-                        _top_degree(jac_w.entries) + _top_degree(adj)))
+                        _top_degree(frame.jac.entries) + _top_degree(adj)))
 
     p = ring.field.characteristic
     off = ring.mul_off
     q = _terms(frame.q, p)
     adj = [_terms(a, p) for a in adj]
-    neg_dg = [{j: tuple((k, -c) for k, c in _terms(jac_w.get(l, j), p))
-               for j in free} for l in range(r)]
+    dg = [table.gradient(g) for g in chart.ambient.generators]
+    proj = []  # proj[i][k] = P[free[i]][k]
+    for j in free:
+        row = []
+        for k in range(r):
+            acc = {}
+            for l in range(r):
+                if dg[l][j] and adj[l * r + k]:
+                    _mac(acc, dg[l][j], adj[l * r + k], off)
+            row.append(tuple((key, -c) for key, c in _settle(acc, p).items()))
+        proj.append(row)
+    zero = Polynomial.zero(ring)
     entries = []
     for f in polys:
-        df = _gradient(f, p)
-        # b[l] = sum_k adj[l][k] * d f / d x_{cols[k]}
-        b = []
-        for l in range(r):
+        df = table.gradient(f)
+        df_cols = [df[c] for c in cols]
+        for j, pj in zip(free, proj):
             acc = {}
-            for k, c in enumerate(cols):
-                _mac(acc, adj[l * r + k], df[c], off)
-            b.append(tuple(_settle(acc, p).items()))
-        for j in free:
-            acc = {}
-            _mac(acc, q, df[j], off)
-            for l in range(r):
-                _mac(acc, neg_dg[l][j], b[l], off)
-            entries.append(_poly(ring, _settle(acc, p)))
+            if df[j]:
+                _mac(acc, df[j], q, off)
+            for d, pk in zip(df_cols, pj):
+                if d and pk:
+                    _mac(acc, d, pk, off)
+            acc = _settle(acc, p)
+            entries.append(_poly(ring, acc) if acc else zero)
     return PolyMatrix(ring, len(polys), len(free), entries)
 
 
@@ -274,7 +298,7 @@ def singular_locus_ideal(chart: Chart, f: Polynomial,
         raise DegenerateGeneratorError(f"{f} lies in the ambient ideal")
     r = len(chart.ambient.generators)
     stacked_polys = list(chart.ambient.generators) + [f]
-    jac = jacobian(ring, stacked_polys)
+    jac = chart.partials.jacobian(stacked_polys)
     mins = iter_minors(jac, r + 1,
                        checkpoint=_counting_checkpoint(budget, jac, r + 1))
     return Ideal(ring, [*stacked_polys, *mins])
@@ -356,7 +380,9 @@ def descend(chart: Chart, enum: FrameEnumeration, rng,
     built for a covering: from their generators h_j it picks a minimal set
     with g in the radical of (h_j), so the sets D(g * h_j) cover D(g), and
     each picked h_j spawns a chart on D(g * h_j) whose ambient uses the
-    owning generator.
+    owning generator.  Every child shares the chart's Partials table; a
+    combination's gradient is recorded there as the same combination of
+    the generators' gradients.
 
     The frame-wise test needs the frames to cover the chart.  When the
     enumeration's exit never fired (possible under strict covering), g must
@@ -394,7 +420,8 @@ def descend(chart: Chart, enum: FrameEnumeration, rng,
         amb = Ideal(ring, list(w_gens) + [f])
         if vacuous(amb, g):
             return []
-        return [Chart(amb, chart.variety, g, chart.depth + 1, budget=budget)]
+        return [Chart(amb, chart.variety, g, chart.depth + 1, budget=budget,
+                      partials=chart.partials)]
 
     for f in usable:
         budget.checkpoint()
@@ -416,6 +443,7 @@ def descend(chart: Chart, enum: FrameEnumeration, rng,
             f_rows = [_combined_row(lams, [rows[u] for u in usable])
                       for rows in enum.rows]
             if smooth_on_frames(chart, enum, f, f_rows, budget=budget):
+                chart.partials.combine(f, lams, usable)
                 return child_single(f)
 
     combined = []
@@ -436,7 +464,7 @@ def descend(chart: Chart, enum: FrameEnumeration, rng,
         if vacuous(amb, g * h):
             continue  # empty chart, covers no point of the variety
         children.append(Chart(amb, chart.variety, g * h, chart.depth + 1,
-                              budget=budget))
+                              budget=budget, partials=chart.partials))
     return children
 
 

@@ -32,6 +32,9 @@ the sum of c_e * c_s * NF(x^(e+s)) over their terms, and a sum of normal
 forms is already one, so it is never reduced again.  Without a reducer the
 products are accumulated directly (_mac).
 
+Jacobians come from a Partials table, which differentiates each polynomial
+once (by _gradient) and keeps its gradient in the kernel's term form.
+
 Adding packed keys cannot notice an exponent leaving its 16-bit lane, so
 every entry point first checks that no product it forms reaches the 2^15
 exponent limit, and raises DegreeOverflowError otherwise.
@@ -82,10 +85,9 @@ class PolyMatrix:
 
 
 def jacobian(ring: Ring, polys) -> PolyMatrix:
-    """Rows are gradients: J[i][j] = d f_i / d x_j."""
-    rows = [[f.derivative(j) for j in range(ring.nvars)] for f in polys]
-    flat = [e for r in rows for e in r]
-    return PolyMatrix(ring, len(rows), ring.nvars, flat)
+    """Rows are gradients: J[i][j] = d f_i / d x_j.  A chart reads its
+    Jacobians from its tree's Partials table instead."""
+    return Partials(ring).jacobian(polys)
 
 
 def _terms(f: Polynomial, p: int):
@@ -116,6 +118,68 @@ def _gradient(f: Polynomial, p: int):
                     d.append((k - step, c))
         out.append(tuple(d))
     return out
+
+
+class Partials:
+    """The partial derivatives of polynomials of one ring, each polynomial
+    differentiated at most once: a table polynomial -> gradient, kept in
+    the kernel's (key, coeff) form, with each gradient's Polynomials built
+    on first request.
+
+    A chart tree shares one table (Chart.partials).  Its variety stays the
+    same down the tree and a new ambient generator is a variety generator
+    or a combination that descend records with `combine` before it spawns
+    the child, so once the root chart has differentiated the variety
+    generators no task of the tree differentiates again.  A polynomial
+    first seen by two tasks at once gets the same entry from both, so a
+    race costs a repeated derivative, never a wrong one."""
+
+    __slots__ = ("ring", "_grads", "_rows")
+
+    def __init__(self, ring: Ring):
+        self.ring = ring
+        self._grads = {}
+        self._rows = {}
+
+    def gradient(self, f: Polynomial):
+        """f's partials as _gradient(f, p) gives them."""
+        got = self._grads.get(f)
+        if got is None:
+            got = self._grads[f] = _gradient(f, self.ring.field.characteristic)
+        return got
+
+    def row(self, f: Polynomial) -> tuple:
+        """f's partials as Polynomials: its row of the Jacobian."""
+        got = self._rows.get(f)
+        if got is None:
+            ring = self.ring
+            p = ring.field.characteristic
+            got = self._rows[f] = tuple(
+                Polynomial(ring, [k for k, _ in d],
+                           [c if p else mpq(c) for _, c in d])
+                for d in self.gradient(f))
+        return got
+
+    def jacobian(self, polys) -> PolyMatrix:
+        """The matrix whose rows are the rows of polys."""
+        polys = list(polys)
+        return PolyMatrix(self.ring, len(polys), self.ring.nvars,
+                          [e for f in polys for e in self.row(f)])
+
+    def combine(self, f: Polynomial, lams, us):
+        """Record f = sum lam_k * u_k: a gradient is linear in its
+        polynomial, so f's is the same combination of the u_k's."""
+        p = self.ring.field.characteristic
+        grads = [self.gradient(u) for u in us]
+        out = []
+        for j in range(self.ring.nvars):
+            acc = {}
+            get = acc.get
+            for lam, grad in zip(lams, grads):
+                for k, c in grad[j]:
+                    acc[k] = get(k, 0) + lam * c
+            out.append(tuple(sorted(_settle(acc, p).items(), reverse=True)))
+        self._grads[f] = out
 
 
 def _settle(acc: dict, p: int) -> dict:

@@ -250,8 +250,7 @@ class Polynomial:
             coeffs.append(c)
         # dropping terms keeps descending order; subtracting a fixed
         # variable step preserves relative degrevlex order of the rest
-        items = sorted(zip(keys, coeffs), reverse=True)
-        return Polynomial(ring, [k for k, _ in items], [c for _, c in items])
+        return Polynomial(ring, keys, coeffs)
 
     def evaluate(self, values):
         """Value at a point; values are coerced into the field."""

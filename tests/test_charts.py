@@ -23,8 +23,8 @@ from varsmooth.groebner import (Ideal, buchberger, equal_on_chart,
                                 ideal_membership, krull_dimension,
                                 radical_membership)
 from varsmooth.limits import Budget, Limits
-from varsmooth.matrix import (PolyMatrix, adjugate, determinant, iter_minors,
-                              jacobian)
+from varsmooth.matrix import (PolyMatrix, _gradient, adjugate, determinant,
+                              iter_minors, jacobian)
 from varsmooth.poly import Polynomial, dehomogenize
 from varsmooth.ring import Ring
 
@@ -302,6 +302,37 @@ def test_relative_jacobian_matches_reference_and_schur_identity():
         for frame in enum.frames:
             assert (relative_jacobian(polys, chart, frame)
                     == reference_relative_jacobian(polys, chart, frame))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)])
+def test_combined_ambient_reads_the_shared_table(field):
+    # the descent takes z - x, then a random combination of the two
+    # singular generators: a depth-2 chart whose table was filled above it
+    ring, (x, y, z) = mkvars(field, ("x", "y", "z"))
+    variety = Ideal(ring, [x * (y + 1), y * (x + 1), z - x])
+    polys = list(variety.generators)
+    p = field.characteristic
+    for seed in range(3):
+        rng = random.Random(seed)
+        root = Chart.root(variety)
+        (child,) = descend_on_frames(root, rng)
+        (grand,) = descend_on_frames(child, rng)
+        assert grand.partials is child.partials is root.partials
+        gens = list(grand.ambient.generators)
+        assert len(gens) == 2 and gens[-1] not in polys
+        assert root.partials.gradient(gens[-1]) == _gradient(gens[-1], p)
+        enum = enumerate_frames(grand)
+        assert enum.frames
+        assert ([(fr.cols, fr.q, fr.adj) for fr in enum.frames],
+                enum.cover_complete, enum.determinants) == _eager_frames(grand)
+        fresh = Chart(grand.ambient, grand.variety, grand.localizer,
+                      grand.depth, check=False)
+        assert fresh.partials is not grand.partials
+        for frame in enum.frames:
+            assert frame.jac == jacobian(ring, gens)
+            rel = relative_jacobian(polys, grand, frame)
+            assert rel == reference_relative_jacobian(polys, grand, frame)
+            assert rel == relative_jacobian(polys, fresh, frame)
 
 
 def test_frame_count_exceeding_ambient_raises():

@@ -1,9 +1,13 @@
 import json
+import sys
 import threading
+from collections import Counter
 
 import pytest
 
 from conftest import variables
+from varsmooth import matrix
+from varsmooth.bench import rational_normal_curve
 from varsmooth.charts import Chart
 from varsmooth.errors import ContractError
 from varsmooth.driver import (Config, Observer, Verdict, projective_smoothness,
@@ -671,3 +675,36 @@ def test_embedded_step_reuses_the_chart_frames(monkeypatch):
         assert len({id(c) for c in covers.charts}) == len(covers.charts)
         assert {id(c) for c in covers.charts} == {id(c) for c in enumerated}
         assert len(set(rebuilt)) == len(rebuilt), jobs
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("cfg", [Config(), Config(mode="hybrid", to_codim=2)],
+                         ids=["hironaka", "hybrid"])
+def test_each_partial_is_formed_once_per_run(monkeypatch, cfg, jobs):
+    # every chart of a tree reads its partials from the tree's one table
+    seen = []
+    derivative, gradient = Polynomial.derivative, matrix._gradient
+
+    def spy_derivative(f, i):
+        seen.append((f, i))
+        return derivative(f, i)
+
+    def spy_gradient(f, p):
+        seen.extend((f, i) for i in range(f.ring.nvars))
+        return gradient(f, p)
+
+    monkeypatch.setattr(Polynomial, "derivative", spy_derivative)
+    monkeypatch.setattr(matrix, "_gradient", spy_gradient)
+    # short thread slices, so two workers interleave as often as they can
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        v = projective_smoothness(rational_normal_curve(6).ideal,
+                                  Config(mode=cfg.mode, to_codim=cfg.to_codim,
+                                         jobs=jobs))
+    finally:
+        sys.setswitchinterval(interval)
+    assert v.status == "smooth" and v.stats["charts"] > 7
+    assert seen
+    twice = [key for key, n in Counter(seen).items() if n > 1]
+    assert not twice, [(str(f), i) for f, i in twice]

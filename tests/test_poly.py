@@ -133,6 +133,26 @@ def test_derivative_rules(field):
     assert (x ** 4).derivative(0) == 4 * x ** 3
 
 
+@pytest.mark.parametrize("field", [QQ, GF(32003)])
+def test_derivative_keys_stay_descending_without_a_sort(field):
+    # derivative keeps the input's term order; from_key_dict sorts
+    ring = Ring(field, ("x", "y", "z", "w"))
+    rng = random.Random(11)
+    third = ring.field.coerce(Fraction(1, 3) if field is QQ else 3)
+    for _ in range(150):
+        f = third * random_poly(ring, rng, max_terms=9, max_deg=7)
+        for i in range(ring.nvars):
+            d = f.derivative(i)
+            assert all(a > b for a, b in zip(d.keys, d.keys[1:])), (f, i)
+            acc = {}
+            for exps, c in f.terms():
+                if exps[i]:
+                    lower = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
+                    acc[ring.pack(lower)] = c * exps[i]
+            want = Polynomial.from_key_dict(ring, acc)
+            assert (d.keys, d.coeffs) == (want.keys, want.coeffs), (f, i)
+
+
 def test_derivative_kills_other_variables(rxyz):
     x, y, z = variables(rxyz)
     f = x * x * y + z
