@@ -47,7 +47,9 @@ def _build_parser():
     chk.add_argument("--projective", action="store_true",
                      help="treat the input as homogeneous and test the "
                           "projective variety chart by chart")
-    chk.add_argument("--jobs", type=int, default=1, metavar="N")
+    chk.add_argument("--jobs", type=int, default=1, metavar="N",
+                     help="job count (>= 1); runs are sequential and the "
+                          "report does not depend on N")
     chk.add_argument("--seed", type=int, default=0, metavar="S")
     chk.add_argument("--json", action="store_true",
                      help="machine-readable report on standard output")
@@ -200,9 +202,13 @@ def _cmd_bench(args) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    cfg = Config(jobs=args.jobs, seed=args.seed,
-                 limits=Limits(time_s=args.time_limit), to_codim=2,
-                 mode="hybrid")
+    try:
+        cfg = Config(jobs=args.jobs, seed=args.seed,
+                     limits=Limits(time_s=args.time_limit), to_codim=2,
+                     mode="hybrid")
+    except ContractError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     # to_codim only matters for hybrid rows; other modes ignore it
     rows = run_suite(instances, args.modes, cfg)
     if args.json:

@@ -4,20 +4,18 @@ The recursive test is broken into small tasks of three kinds, addressed by
 tuple paths: a chart task runs one chart's structural checks, a frame task
 one of its independent frame checks, and a step task, joined after the
 chart's delta frames, descends or spawns relative Jacobian frame checks.
-A pool executes them on one or more workers, always preferring the
-lexicographically smallest pending path.  Failures commit only once every
-task with a smaller path has finished, so the reported witness is the
-minimal failing path in the whole tree and the verdict, witness, and
-committed statistics are identical for every worker count and schedule.
-After a verdict commits, a shared flag cancels all remaining work; budgets
-poll it before starting any further Groebner engine run.
+A pool runs them one at a time on the calling thread, always taking the
+lexicographically smallest pending path.  A failure prunes every pending
+path above its own and commits once no smaller path is pending, so the
+reported witness is the minimal failing path in the whole tree and the
+verdict, witness, and committed statistics are identical for every job
+count and schedule.  No task starts after a commit.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
-import threading
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -25,7 +23,7 @@ from typing import Callable, Optional
 
 from .charts import (Chart, affine_jacobian_criterion, delta_frame_tasks,
                      descend, embedded_frame_tasks)
-from .errors import (CancelledError, ContractError, LimitExceededError,
+from .errors import (ContractError, LimitExceededError,
                      NonHomogeneousError, VarsmoothError)
 from .groebner import Ideal, equal_on_chart, krull_dimension, radical_membership
 from .limits import Budget, Limits
@@ -44,7 +42,8 @@ class Config:
     to_codim, when set, overrides it with max(0, codim - to_codim).
     strict_cover switches the frame-cover exit to plain ideal membership,
     and combinations toggles the random-linear-combination shortcut during
-    descent.
+    descent.  jobs must be >= 1; runs are sequential, and no report
+    depends on it.
     """
 
     mode: str = "hironaka"
@@ -70,14 +69,14 @@ class Config:
 class Observer:
     """No-op hooks; subclass to instrument a run.
 
-    Callbacks fire under internal locks and must be quick and reentrant-
-    free.  on_gb_start fires when a Groebner engine run actually starts
-    (cache misses only); on_commit fires exactly once when a verdict
-    commits; on_task_start / on_task_done bracket every task execution and
-    name its kind (chart, frame or step); on_cover reports each chart's
-    frame enumeration, once per chart (the FrameEnumeration carries the
-    frames, their determinants, and the cover-complete flag) so covers can
-    be re-verified after the run.
+    Callbacks fire on the calling thread, in the order the events happen,
+    and must be quick.  on_gb_start fires when a Groebner engine run
+    actually starts (cache misses only); on_commit fires exactly once when
+    a verdict commits; on_task_start / on_task_done bracket every task
+    execution and name its kind (chart, frame or step); on_cover reports
+    each chart's frame enumeration, once per chart (the FrameEnumeration
+    carries the frames, their determinants, and the cover-complete flag)
+    so covers can be re-verified after the run.
     """
 
     def on_gb_start(self, task_path):
@@ -397,18 +396,13 @@ class _Pool:
 
     def __init__(self, ctx: _RunContext, schedule_rng=None):
         self.ctx = ctx
-        self.lock = threading.Condition()
         self.heap = []
         self.seq = 0
-        self.running = set()
         self.joins = {}          # chart path -> [remaining frames, step]
         self.records = []
         self.event_path = None   # minimal known failure or error path
         self.event = None        # ("fail", witness) | (reason_kind, reason)
-        self.committed = False
         self.schedule_rng = schedule_rng
-
-    # locked helpers -----------------------------------------------------
 
     def _push(self, task):
         if self.event_path is not None and task.path > self.event_path:
@@ -417,12 +411,7 @@ class _Pool:
         self.seq += 1
 
     def _pop(self):
-        while self.heap:
-            path, _, task = heapq.heappop(self.heap)
-            if self.event_path is not None and path > self.event_path:
-                continue
-            return task
-        return None
+        return heapq.heappop(self.heap)[2]
 
     def _note_event(self, path, event):
         if self.event_path is None or path < self.event_path:
@@ -433,27 +422,11 @@ class _Pool:
             heapq.heapify(keep)
             self.heap = keep
 
-    def _try_commit(self):
-        if self.committed or self.event_path is None:
-            return
-        p = self.event_path
-        if any(rp < p for rp in self.running):
-            return
-        if self.heap and self.heap[0][0] < p:
-            return
-        shared = self.ctx.root_budget.shared
-        with shared.lock:
-            self.committed = True
-        self.ctx.observer.on_commit(p)
-        self.lock.notify_all()
-
     def _process(self, task, outcome, dur, budget):
         finish = task.ready_at + dur
         self.records.append(_TaskRecord(
             task.path, task.kind, task.is_chart, task.depth, budget, dur,
             finish))
-        if outcome is None:  # cancelled task, nothing to integrate
-            return
         if isinstance(outcome, _Outcome):
             if outcome.fail is not None:
                 self._note_event(task.path, ("fail", outcome.fail))
@@ -488,78 +461,45 @@ class _Pool:
             del self.joins[task.path[:-1]]
             self._push(cont)
 
-    # main loop ----------------------------------------------------------
-
-    def _worker(self):
-        ctx = self.ctx
-        while True:
-            with self.lock:
-                while True:
-                    if self.committed:
-                        return
-                    task = self._pop()
-                    if task is not None:
-                        break
-                    if not self.running:
-                        self._try_commit()
-                        self.lock.notify_all()
-                        return
-                    self.lock.wait(0.05)
-                if (self.schedule_rng is not None and self.heap
-                        and self.schedule_rng.random() < 0.5):
-                    other = self._pop()
-                    if other is not None:
-                        self._push(task)
-                        task = other
-                self.running.add(task.path)
-            outcome, dur, budget = self._execute(task)
-            with self.lock:
-                self.running.discard(task.path)
-                self._process(task, outcome, dur, budget)
-                self._try_commit()
-                self.lock.notify_all()
-
     def _execute(self, task):
         ctx = self.ctx
-        budget = ctx.root_budget.child(task.path, cancel_fn=self._cancelled)
+        budget = ctx.root_budget.child(task.path)
         ctx.observer.on_task_start(task.path, task.kind)
         t0 = time.monotonic()
         passed = False
         try:
             outcome = task.run(ctx, budget)
             passed = outcome.fail is None
-        except CancelledError:
-            outcome = None
         except LimitExceededError as e:
             outcome = ("limit", f"limit: {e}")
         except MemoryError:
             outcome = ("limit", "memory exhausted")
         except VarsmoothError as e:
             outcome = ("precondition", f"{type(e).__name__}: {e}")
-        except Exception as e:  # worker panic surfaces as indeterminate
+        except Exception as e:  # a task panic surfaces as indeterminate
             outcome = ("internal", f"internal {type(e).__name__}: {e}")
         dur = time.monotonic() - t0
         ctx.observer.on_task_done(task.path, task.kind, passed)
         return outcome, dur, budget
 
-    def _cancelled(self):
-        return self.committed
-
-    def run(self, roots, jobs: int):
+    def run(self, roots):
+        """Run the smallest pending path until none is left.  An event
+        prunes every queued path above its own, so an empty heap means
+        every path below the event has finished and the event commits."""
         for root in roots:
             root.ready_at = 0.0
             self._push(root)
-        if jobs == 1:
-            self._worker()
-        else:
-            workers = [threading.Thread(target=self._worker, daemon=True)
-                       for _ in range(jobs)]
-            for w in workers:
-                w.start()
-            for w in workers:
-                w.join()
-        with self.lock:
-            self._try_commit()
+        while self.heap:
+            task = self._pop()
+            if (self.schedule_rng is not None and self.heap
+                    and self.schedule_rng.random() < 0.5):
+                other = self._pop()
+                self._push(task)
+                task = other
+            outcome, dur, budget = self._execute(task)
+            self._process(task, outcome, dur, budget)
+        if self.event_path is not None:
+            self.ctx.observer.on_commit(self.event_path)
         return self._verdict()
 
     def _verdict(self):
@@ -597,7 +537,7 @@ def _run(roots, config: Optional[Config], observer: Optional[Observer],
     rng = random.Random(schedule_seed) if schedule_seed is not None else None
     pool = _Pool(_RunContext(config, observer), schedule_rng=rng)
     t0 = time.monotonic()
-    verdict = pool.run(roots, config.jobs)
+    verdict = pool.run(roots)
     verdict.timing["wall_s"] = time.monotonic() - t0
     return verdict
 
@@ -605,10 +545,9 @@ def _run(roots, config: Optional[Config], observer: Optional[Observer],
 def run_parallel(charts, config: Optional[Config] = None,
                  observer: Optional[Observer] = None,
                  _schedule_seed=None) -> Verdict:
-    """Run the task tree rooted at the given charts on config.jobs
-    workers.  The verdict, witness, and committed statistics are the same
-    for every worker count and schedule; a failing check cancels all
-    pending and in-flight work."""
+    """Run the task tree rooted at the given charts.  The verdict, witness,
+    and committed statistics are the same for every job count and
+    schedule; a failing check prunes all pending work above it."""
     roots = [_ChartTask((i,) if len(charts) > 1 else (), chart)
              for i, chart in enumerate(charts)]
     return _run(roots, config, observer, _schedule_seed)
@@ -632,7 +571,7 @@ def projective_smoothness(ideal: Ideal, config: Optional[Config] = None,
                           _schedule_seed=None) -> Verdict:
     """Decide smoothness of the projective variety of a homogeneous ideal
     by testing the standard affine charts x_i = 1 in ascending variable
-    order; each chart runs under the same parallel contract, and is built
+    order; each chart runs under the same scheduling contract, and is built
     only when its task runs."""
     ring = ideal.ring
     if ring.nvars < 2:

@@ -44,10 +44,6 @@ class LimitExceededError(VarsmoothError):
         super().__init__(f"limit exceeded: {which}" + (f" ({detail})" if detail else ""))
 
 
-class CancelledError(VarsmoothError):
-    """Work was abandoned because a verdict was already committed."""
-
-
 class ParseError(VarsmoothError):
     """Ideal-file syntax or header error, with position information."""
 

@@ -32,7 +32,6 @@ import hashlib
 import heapq
 from itertools import combinations
 from math import gcd
-from threading import RLock
 from typing import Optional
 
 from .errors import RingMismatchError
@@ -68,7 +67,6 @@ class Ideal:
     def __hash__(self):
         h = self._hash
         if h is None:
-            # idempotent, so threads racing here store equal values
             h = self._hash = hash((self.ring, self.generators))
         return h
 
@@ -113,8 +111,6 @@ class GroebnerBasis:
     def elements(self):
         els = self._elements
         if els is None:
-            # Building is idempotent, so threads racing here make equal
-            # tuples and either may be the one kept.
             ring = self.ideal.ring
             p = ring.field.characteristic
             els = []
@@ -165,28 +161,9 @@ class GroebnerBasis:
 # -- cache -------------------------------------------------------------------
 
 
-class _GBCache:
-    def __init__(self, maxsize: int = 4096):
-        self.maxsize = maxsize
-        self.lock = RLock()
-        self.data: dict = {}
-
-    def get(self, key):
-        with self.lock:
-            return self.data.get(key)
-
-    def put(self, key, value):
-        with self.lock:
-            if len(self.data) >= self.maxsize:
-                self.data.pop(next(iter(self.data)))
-            self.data[key] = value
-
-    def clear(self):
-        with self.lock:
-            self.data.clear()
-
-
-_cache = _GBCache()
+# ideal -> GroebnerBasis, evicted first in, first out past _CACHE_MAX
+_cache: dict = {}
+_CACHE_MAX = 4096
 
 
 def clear_caches():
@@ -537,7 +514,9 @@ def buchberger(ideal: Ideal, budget: Optional[Budget] = None
     budget.record_run_start()
     gens_raw = [g.zform()[:2] for g in ideal.generators]
     gb = GroebnerBasis(ideal, _engine(ideal.ring, gens_raw, budget))
-    _cache.put(ideal, gb)
+    if len(_cache) >= _CACHE_MAX:
+        del _cache[next(iter(_cache))]
+    _cache[ideal] = gb
     return gb
 
 
@@ -656,6 +635,5 @@ def krull_dimension(ideal: Ideal, budget: Optional[Budget] = None) -> int:
             if found:
                 dim = k
                 break
-    # idempotent, so threads racing here store equal values
     gb._dim = dim
     return dim

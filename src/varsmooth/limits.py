@@ -1,39 +1,45 @@
-"""Resource limits, cancellation, and work accounting.
+"""Resource limits and work accounting.
 
 A Budget is handed down into every Groebner computation.  It carries the
-shared wall-clock deadline and basis-size cap, a cancellation probe
-installed by the parallel scheduler, and two kinds of counters: per-task
-counters (deterministic, aggregated into reports) and shared instrumentation
-counters (engine runs actually started, used by the cancellation tests).
+shared wall-clock deadline and basis-size cap, and two kinds of counters:
+per-task counters (deterministic, aggregated into reports) and shared
+instrumentation counters (engine runs actually started, reported to the
+observer).
 """
 
 from __future__ import annotations
 
-import threading
+import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
-from .errors import CancelledError, LimitExceededError
+from .errors import ContractError, LimitExceededError
 
 
 @dataclass(frozen=True)
 class Limits:
-    """User-facing resource caps; None disables a cap."""
+    """User-facing resource caps; None disables a cap, and a cap must be a
+    number >= 0."""
     time_s: Optional[float] = None
     max_basis: Optional[int] = None
 
+    def __post_init__(self):
+        if self.time_s is not None and (math.isnan(self.time_s)
+                                        or self.time_s < 0):
+            raise ContractError("time limit must be a number >= 0")
+        if self.max_basis is not None and self.max_basis < 0:
+            raise ContractError("max_basis must be >= 0")
+
 
 class _SharedState:
-    __slots__ = ("deadline", "max_basis", "lock", "gb_runs_started",
-                 "observer")
+    __slots__ = ("deadline", "max_basis", "gb_runs_started", "observer")
 
     def __init__(self, limits: Optional[Limits], observer=None):
         now = time.monotonic()
         self.deadline = (now + limits.time_s
                          if limits and limits.time_s is not None else None)
         self.max_basis = limits.max_basis if limits else None
-        self.lock = threading.Lock()
         self.gb_runs_started = 0
         self.observer = observer
 
@@ -41,35 +47,28 @@ class _SharedState:
 class Budget:
     """Per-task view onto the shared limit state.
 
-    checkpoint() raises CancelledError when the scheduler's probe fires and
-    LimitExceededError past the deadline; engines call it at loop heads.
+    checkpoint() raises LimitExceededError past the deadline; engines call
+    it at loop heads.
     """
 
-    __slots__ = ("shared", "cancel_fn", "task_path", "gb_queries", "frames",
-                 "minors", "minors_possible")
+    __slots__ = ("shared", "task_path", "gb_queries", "frames", "minors",
+                 "minors_possible")
 
     def __init__(self, limits: Optional[Limits] = None, observer=None,
                  shared: Optional[_SharedState] = None,
-                 cancel_fn: Optional[Callable[[], bool]] = None,
                  task_path: tuple = ()):
         self.shared = shared if shared is not None else _SharedState(
             limits, observer)
-        self.cancel_fn = cancel_fn
         self.task_path = task_path
         self.gb_queries = 0
         self.frames = 0
         self.minors = 0           # minors of the requested size formed
         self.minors_possible = 0  # C(rows, size) * C(cols, size) per walk
 
-    def child(self, task_path: tuple,
-              cancel_fn: Optional[Callable[[], bool]] = None) -> "Budget":
-        return Budget(shared=self.shared,
-                      cancel_fn=cancel_fn if cancel_fn else self.cancel_fn,
-                      task_path=task_path)
+    def child(self, task_path: tuple) -> "Budget":
+        return Budget(shared=self.shared, task_path=task_path)
 
     def checkpoint(self):
-        if self.cancel_fn is not None and self.cancel_fn():
-            raise CancelledError()
         dl = self.shared.deadline
         if dl is not None and time.monotonic() > dl:
             raise LimitExceededError("time")
@@ -83,16 +82,10 @@ class Budget:
         self.gb_queries += 1
 
     def record_run_start(self):
-        # Polling under the shared lock, and publishing commits under the
-        # same lock, gives a strict order between a committed verdict and
-        # any later engine start: none may follow the commit.
         sh = self.shared
-        with sh.lock:
-            if self.cancel_fn is not None and self.cancel_fn():
-                raise CancelledError()
-            sh.gb_runs_started += 1
-            if sh.observer is not None:
-                sh.observer.on_gb_start(self.task_path)
+        sh.gb_runs_started += 1
+        if sh.observer is not None:
+            sh.observer.on_gb_start(self.task_path)
 
     @property
     def runs_started(self) -> int:

@@ -130,9 +130,7 @@ class Partials:
     same down the tree and a new ambient generator is a variety generator
     or a combination that descend records with `combine` before it spawns
     the child, so once the root chart has differentiated the variety
-    generators no task of the tree differentiates again.  A polynomial
-    first seen by two tasks at once gets the same entry from both, so a
-    race costs a repeated derivative, never a wrong one."""
+    generators no task of the tree differentiates again."""
 
     __slots__ = ("ring", "_grads", "_rows")
 

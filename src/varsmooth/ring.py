@@ -123,8 +123,7 @@ class Ring:
     def _with_variables(self, variables) -> "Ring":
         """The ring over this field on variables, built once per tuple and
         kept: rings are immutable, so it equals a fresh one, and the
-        polynomials built in it share one ring object (threads racing here
-        build equal rings, and either may be kept)."""
+        polynomials built in it share one ring object."""
         ring = self._derived.get(variables)
         if ring is None:
             ring = self._derived[variables] = Ring(self.field, variables)

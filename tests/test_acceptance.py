@@ -249,6 +249,9 @@ class _Probe(Observer):
     def on_gb_start(self, task_path):
         self.events.append("gb")
 
+    def on_task_start(self, path, kind):
+        self.events.append("task")
+
     def on_commit(self, path):
         self.events.append("commit")
 
@@ -277,10 +280,10 @@ def test_criterion_6_determinism_and_cancellation():
     assert probe.events.count("commit") == 1
     assert "gb" in probe.events  # the probe saw real engine starts
     after = probe.events[probe.events.index("commit") + 1:]
-    assert "gb" not in after, after
+    assert "gb" not in after and "task" not in after, after
     return (f"{n_runs} runs over jobs 1/2/8 x two schedules: byte-identical "
             f"verdict+witness+report per instance; after the singular "
-            f"commit zero new engine starts (jobs 4)")
+            f"commit zero new engine starts and tasks (jobs 4)")
 
 
 class _CoverLog(Observer):

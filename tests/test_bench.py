@@ -193,7 +193,7 @@ def test_run_suite_rows_start_cold(monkeypatch):
     sizes = []
 
     def spy(ideal, cfg):
-        sizes.append(len(groebner._cache.data))
+        sizes.append(len(groebner._cache))
         return projective_smoothness(ideal, cfg)
 
     monkeypatch.setattr(bench, "projective_smoothness", spy)

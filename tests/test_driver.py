@@ -1,5 +1,4 @@
 import json
-import sys
 import threading
 from collections import Counter
 
@@ -153,6 +152,53 @@ def test_no_engine_starts_after_commit():
     assert probe.events.count("commit") == 1
     tail = probe.events[probe.events.index("commit") + 1:]
     assert "gb" not in tail, tail
+
+
+def test_runs_are_sequential_on_the_calling_thread():
+    class Threads(Observer):
+        def __init__(self):
+            self.idents = set()
+            self.hooks = set()
+
+        def _seen(self, hook):
+            self.idents.add(threading.get_ident())
+            self.hooks.add(hook)
+
+        def on_gb_start(self, path):
+            self._seen("gb")
+
+        def on_task_start(self, path, kind):
+            self._seen("start")
+
+        def on_task_done(self, path, kind, passed):
+            self._seen("done")
+
+        def on_commit(self, path):
+            self._seen("commit")
+
+        def on_cover(self, path, chart, enum):
+            self._seen("cover")
+
+    # I1-6 is smooth, so the singular cusp is run too for on_commit
+    before = threading.active_count()
+    probe = Threads()
+    rnc6 = rational_normal_curve(6).ideal
+    for runner, ideal, status in ((projective_smoothness, rnc6, "smooth"),
+                                  (smoothness_test, cusp_ideal(), "singular")):
+        clear_caches()
+        v = runner(ideal, Config(jobs=8), observer=probe)
+        assert v.status == status
+        assert threading.active_count() == before
+    assert probe.hooks == {"gb", "start", "done", "commit", "cover"}
+    assert probe.idents == {threading.get_ident()}
+
+
+def test_limits_reject_nan_and_negative_caps():
+    for bad in ({"time_s": float("nan")}, {"time_s": -1.0},
+                {"max_basis": -1}):
+        with pytest.raises(ContractError):
+            Limits(**bad)
+    Limits(time_s=0.0, max_basis=0)
 
 
 def test_hybrid_all_depths_agree():
@@ -695,15 +741,9 @@ def test_each_partial_is_formed_once_per_run(monkeypatch, cfg, jobs):
 
     monkeypatch.setattr(Polynomial, "derivative", spy_derivative)
     monkeypatch.setattr(matrix, "_gradient", spy_gradient)
-    # short thread slices, so two workers interleave as often as they can
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        v = projective_smoothness(rational_normal_curve(6).ideal,
-                                  Config(mode=cfg.mode, to_codim=cfg.to_codim,
-                                         jobs=jobs))
-    finally:
-        sys.setswitchinterval(interval)
+    v = projective_smoothness(rational_normal_curve(6).ideal,
+                              Config(mode=cfg.mode, to_codim=cfg.to_codim,
+                                     jobs=jobs))
     assert v.status == "smooth" and v.stats["charts"] > 7
     assert seen
     twice = [key for key, n in Counter(seen).items() if n > 1]

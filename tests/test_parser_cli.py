@@ -205,6 +205,21 @@ def test_cli_main_inprocess_exit_codes(capsys, monkeypatch, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--time-limit", "nan"], ["check", "--time-limit", "-1"],
+    ["bench", "quick", "--jobs", "0"],
+    ["bench", "quick", "--time-limit", "-1"],
+], ids=["check-nan", "check-negative", "bench-jobs-0", "bench-negative"])
+def test_cli_bad_limits_and_jobs_exit_2(capsys, tmp_path, argv):
+    f = tmp_path / "circle.ideal"
+    f.write_text("ring QQ [x,y]\nx^2+y^2-1\n")
+    if argv[0] == "check":
+        argv = argv + [str(f)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_cli_gen_unknown_family_exit_2():
     p = run_cli(["gen", "klein"])
     assert p.returncode == 2
