@@ -162,8 +162,8 @@ def enumerate_frames(chart: Chart, strict: bool = False,
         if strict:
             covered = ideal_membership(g, Ideal(ring, dets), budget=budget)
         else:
-            probe = Ideal(ring, list(chart.ambient.generators) + dets)
-            covered = radical_membership(g, probe, budget=budget)
+            covered = radical_membership(g, chart.ambient.extended(dets),
+                                         budget=budget)
         if covered:
             return FrameEnumeration(frames, True, dets, g)
     return FrameEnumeration(frames, False, dets, g)
@@ -242,16 +242,14 @@ def _delta_ideal(chart: Chart, frame: FrameData):
     generators, and each generator's row of entries keyed by generator.
     Generators syntactically in the ambient set contribute identically zero
     rows (the frame identity) and are skipped."""
-    ring = chart.ring
     ambient_set = set(chart.ambient.generators)
     fs = [f for f in chart.variety.generators if f not in ambient_set]
-    gens = list(chart.variety.generators)
-    rows = {}
-    if fs:
-        rel = relative_jacobian(fs, chart, frame)
-        gens.extend(e for e in rel.entries if not e.is_zero())
-        rows = {f: rel.row(i) for i, f in enumerate(fs)}
-    return Ideal(ring, gens), rows
+    if not fs:
+        return chart.variety, {}
+    rel = relative_jacobian(fs, chart, frame)
+    # Ideal drops the zero entries
+    return (chart.variety.extended(rel.entries),
+            {f: rel.row(i) for i, f in enumerate(fs)})
 
 
 def delta_frame_tasks(chart: Chart, strict: bool = False,
@@ -345,11 +343,10 @@ def smooth_on_frames(chart: Chart, enum: FrameEnumeration, f: Polynomial,
     singular_locus_ideal(chart, f), from n-r row entries per frame instead
     of every minor."""
     budget = ensure_budget(budget)
-    head = [*chart.ambient.generators, f]
     for test, row in zip(enum.tests, f_rows):
         budget.checkpoint()
         # Ideal drops the zero entries
-        if not radical_membership(test, Ideal(chart.ring, [*head, *row]),
+        if not radical_membership(test, chart.ambient.extended([f, *row]),
                                   budget=budget):
             return False
     return True
@@ -382,7 +379,9 @@ def descend(chart: Chart, enum: FrameEnumeration, rng,
     each picked h_j spawns a chart on D(g * h_j) whose ambient uses the
     owning generator.  Every child shares the chart's Partials table; a
     combination's gradient is recorded there as the same combination of
-    the generators' gradients.
+    the generators' gradients.  Every child's ambient extends the chart's
+    (Ideal.extended), so its basis is computed from the chart's ambient
+    basis.
 
     The frame-wise test needs the frames to cover the chart.  When the
     enumeration's exit never fired (possible under strict covering), g must
@@ -392,7 +391,6 @@ def descend(chart: Chart, enum: FrameEnumeration, rng,
     budget = ensure_budget(budget)
     ring = chart.ring
     g = chart.localizer
-    w_gens = chart.ambient.generators
     gb_w = buchberger(chart.ambient, budget=budget)
 
     for f in chart.variety.generators:
@@ -407,7 +405,7 @@ def descend(chart: Chart, enum: FrameEnumeration, rng,
         raise ContractError(
             "descend needs the relative Jacobian rows of delta_frame_tasks")
     if not enum.cover_complete and not radical_membership(
-            g, Ideal(ring, [*w_gens, *enum.determinants]), budget=budget):
+            g, chart.ambient.extended(enum.determinants), budget=budget):
         raise ContractError(
             "the frames do not cover the chart: its ambient is singular "
             "where the localizer is invertible")
@@ -417,7 +415,7 @@ def descend(chart: Chart, enum: FrameEnumeration, rng,
         return radical_membership(loc, amb, budget=budget)
 
     def child_single(f):
-        amb = Ideal(ring, list(w_gens) + [f])
+        amb = chart.ambient.extended([f])
         if vacuous(amb, g):
             return []
         return [Chart(amb, chart.variety, g, chart.depth + 1, budget=budget,
@@ -460,7 +458,7 @@ def descend(chart: Chart, enum: FrameEnumeration, rng,
     children = []
     for j in chosen:
         h = combined[j]
-        amb = Ideal(ring, list(w_gens) + [usable[owner[j]]])
+        amb = chart.ambient.extended([usable[owner[j]]])
         if vacuous(amb, g * h):
             continue  # empty chart, covers no point of the variety
         children.append(Chart(amb, chart.variety, g * h, chart.depth + 1,
@@ -500,19 +498,20 @@ def proved_by_minors(test: Polynomial, head, minors, budget: Budget) -> bool:
     ... new minor and at once after a constant one.  A yes on a prefix
     proves the answer, since that ideal lies in the full one; only a no
     walks the whole stream, and the full ideal is then tested once, unless
-    the last prefix tested was already all of it."""
-    ring = test.ring
-    gens = list(dict.fromkeys(head))
+    the last prefix tested was already all of it.  Every ideal tested
+    extends the head's, so its run starts from the head's basis."""
+    base = Ideal(test.ring, dict.fromkeys(head))
+    mins = []
     new = tested = 0  # minors in the ideal, and in the last one tested
     for new, f in enumerate(minors, 1):
-        gens.append(f)
+        mins.append(f)
         if f.is_constant() or not new & (new - 1):
             tested = new
-            if radical_membership(test, Ideal(ring, gens), budget=budget):
+            if radical_membership(test, base.extended(mins), budget=budget):
                 return True
     if new and tested == new:
         return False
-    return radical_membership(test, Ideal(ring, gens), budget=budget)
+    return radical_membership(test, base.extended(mins), budget=budget)
 
 
 def embedded_frame_tasks(chart: Chart, enum: FrameEnumeration, d_x: int,

@@ -169,8 +169,11 @@ def _cmd_check(args) -> int:
               f"groebner_queries: {s['gb_queries']}  "
               f"max_depth: {s['max_depth']}  "
               f"minors: {s['minors']} of {s['minors_possible']}")
-        print(f"wall_s: {verdict.timing['wall_s']:.3f}  "
-              f"sim_parallel_s: {verdict.timing['sim_parallel_s']:.3f}")
+        t = verdict.timing
+        print(f"wall_s: {t['wall_s']:.3f}  "
+              f"sim_parallel_s: {t['sim_parallel_s']:.3f}  "
+              f"gb_runs: {t['gb_runs']}  "
+              f"gb_runs_seeded: {t['gb_runs_seeded']}")
     return _STATUS_CODES[verdict.status]
 
 

@@ -128,6 +128,7 @@ class Verdict:
     mode: str
     witness: Optional[Witness]
     stats: dict
+    # wall_s, sim_parallel_s, sequential_s, gb_runs, gb_runs_seeded
     timing: dict
     reason: Optional[str] = None
     # indeterminate only: limit | precondition | internal
@@ -519,8 +520,12 @@ class _Pool:
             "minors_possible": sum(r.minors_possible for r in committed),
         }
         sim = max((r.finish for r in committed), default=0.0)
+        budget = self.ctx.root_budget
+        # engine runs depend on cache warmth, so they are timing, not stats
         timing = {"sim_parallel_s": sim,
-                  "sequential_s": sum(r.dur for r in committed)}
+                  "sequential_s": sum(r.dur for r in committed),
+                  "gb_runs": budget.runs_started,
+                  "gb_runs_seeded": budget.runs_seeded}
         if self.event is None:
             return Verdict("smooth", cfg.mode, None, stats, timing)
         kind, info = self.event

@@ -14,6 +14,17 @@ integer, so the divisibility test needs no degree ranking: the distinct
 lcms are sorted as plain ints and each is tested against the smaller
 ones.
 
+Most ideals asked about are a known ideal plus a few polynomials, built by
+Ideal.extended, which keeps a link to that base.  On a cache miss the
+engine starts from the base's cached basis, when there is one: its rows
+become the initial basis and their leads enter the pair queue with no pair
+formed among them, since a Groebner basis's own S-pairs all reduce to zero
+by it (Gebauer and Moeller, "On an installation of Buchberger's
+algorithm", J. Symbolic Comput. 6, 1988).  Only the new generators are then
+reduced and inserted.  Looking up the base is a peek, not a query.  A
+reduced basis is unique, so a seeded run returns the rows a cold one would,
+and no verdict, witness or stat depends on whether a run was seeded.
+
 Radical membership first tries two exact certificates, read from the
 constant terms alone (the last packed key of a polynomial, since the
 constant monomial is the smallest): a nonzero constant generator makes I
@@ -23,7 +34,9 @@ zero set of f, so f is not.  Both hold over QQ and F_p alike, and an answer
 they give builds no basis and is not counted as a Groebner query.  Other
 questions use the extra-variable trick: f lies in the radical of I exactly
 when I together with 1 - t*f generates the unit ideal in the extended
-ring.  No elimination orders are used anywhere.
+ring; that run starts from the cached basis of I, or else of the ideal I
+extends, lifted into the extended ring.  No elimination orders are used
+anywhere.
 """
 
 from __future__ import annotations
@@ -45,9 +58,14 @@ class Ideal:
     """A finite generating set in a fixed ring; zero generators are
     dropped, so the empty tuple is the zero ideal.  The hash is computed
     when first asked for, so an ideal never used as a cache key is never
-    hashed."""
+    hashed.
 
-    __slots__ = ("ring", "generators", "_hash")
+    base is the ideal this one extends when it was made by extended(): its
+    generators are then the first len(base) generators here.  The link only
+    lets a Groebner run start from the base's basis; it takes no part in
+    ==, the hash or the fingerprint."""
+
+    __slots__ = ("ring", "generators", "_hash", "base")
 
     def __init__(self, ring: Ring, generators):
         gens = []
@@ -59,6 +77,15 @@ class Ideal:
         self.ring = ring
         self.generators = tuple(gens)
         self._hash = None
+        self.base = None
+
+    def extended(self, more) -> "Ideal":
+        """This ideal's generators followed by more, linked to this ideal as
+        its base."""
+        ideal = Ideal(self.ring, more)
+        ideal.generators = self.generators + ideal.generators
+        ideal.base = self
+        return ideal
 
     def __eq__(self, other):
         return (isinstance(other, Ideal) and self.ring == other.ring
@@ -295,6 +322,12 @@ class _PairQueue:
         self.alive: dict = {}   # (i, j) -> packed lcm key
         self.heap: list = []
 
+    def add_treated(self, lead_key: int):
+        """Register an element whose pairs with the elements before it are
+        already treated: it takes the next index and meets later elements'
+        candidates, but no pair is formed for it."""
+        self.leads.append(lead_key & self.low)
+
     def add_element(self, lead_key: int):
         G = self.guards
         LOW = self.low
@@ -407,17 +440,24 @@ def _merge_scaled(ka, ca, sa, fa, kb, cb, sb, fb, p):
 # -- engine --------------------------------------------------------------------
 
 
-def _engine(ring: Ring, gens_raw, budget: Budget):
+def _engine(ring: Ring, gens_raw, budget: Budget, seed=()):
     """Raw Buchberger; gens_raw are (keys, coeffs) primitive/residue lists.
-    Returns the raw reduced basis as a list of (keys, coeffs) in ascending
-    leading-key order."""
+    seed holds the prepared rows of a reduced basis of an ideal that the
+    generators extend, if there is one.  The run starts with those rows as
+    its basis and their leads registered in the pair queue, but forms no
+    pair among them: each reduces to zero by the seed itself, so all of them
+    are already treated (Gebauer-Moeller).  Returns the raw reduced basis
+    as a list of (keys, coeffs) in ascending leading-key order."""
     p = ring.field.characteristic
     one_key = ring.one_key
     guards = ring.guards
 
-    basis = []      # (keys, coeffs)
-    divisors = []
+    basis = [((d[0],) + d[2], (d[1],) + d[3]) for d in seed]
+    divisors = list(seed)
     queue = _PairQueue(ring)
+    for d in seed:
+        queue.add_treated(d[0])
+    budget.basis_guard(len(basis))
 
     def normalize(keys, coeffs):
         if p:
@@ -501,19 +541,35 @@ def _engine(ring: Ring, gens_raw, budget: Budget):
 # -- public API -----------------------------------------------------------------
 
 
-def buchberger(ideal: Ideal, budget: Optional[Budget] = None
-               ) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal (degrevlex)."""
+def buchberger(ideal: Ideal, budget: Optional[Budget] = None,
+               seed=None) -> GroebnerBasis:
+    """Reduced Groebner basis of the ideal (degrevlex).
+
+    On a cache miss for an ideal made by Ideal.extended, the engine starts
+    from a reduced basis of its base: seed, that basis's prepared rows when
+    the caller passes them, or else the base's cached basis.  Looking for
+    that one is a peek, not a query.  Only the generators after the base's
+    are then reduced and inserted.  The reduced basis is unique, so a
+    seeded run returns the rows a cold one would."""
     budget = ensure_budget(budget)
     got = _cache.get(ideal)
-    if got is not None:
-        budget.record_query()
-        return got
     budget.record_query()
+    if got is not None:
+        return got
     budget.checkpoint()
-    budget.record_run_start()
-    gens_raw = [g.zform()[:2] for g in ideal.generators]
-    gb = GroebnerBasis(ideal, _engine(ideal.ring, gens_raw, budget))
+    base = ideal.base
+    if seed is None and base is not None:
+        got = _cache.get(base)  # a peek: no query is counted
+        if got is not None:
+            seed = got._divisors
+    gens = ideal.generators
+    if seed is None:
+        seed = ()
+    else:
+        gens = gens[len(base):]
+    budget.record_run_start(seeded=bool(seed))
+    gens_raw = [g.zform()[:2] for g in gens]
+    gb = GroebnerBasis(ideal, _engine(ideal.ring, gens_raw, budget, seed))
     if len(_cache) >= _CACHE_MAX:
         del _cache[next(iter(_cache))]
     _cache[ideal] = gb
@@ -549,7 +605,10 @@ def radical_membership(f: Polynomial, target,
     no engine and is not a Groebner query on the budget.  Any other
     question asks for one basis, of I itself when f is a constant (none
     when target already is a basis), else of I + (1 - t*f) in the ring
-    extended by t."""
+    extended by t.  That run starts from the basis of I, or else of the
+    ideal I extends, when it is at hand: lifted into the extended ring it
+    stays a reduced basis, since degrevlex orders the monomials free of t
+    as before."""
     if f.is_zero():
         return True
     ideal = target.ideal if isinstance(target, GroebnerBasis) else target
@@ -572,22 +631,39 @@ def radical_membership(f: Polynomial, target,
     lift = [_lift(g, ext) for g in ideal.generators]
     t = Polynomial.variable(ext, ext.nvars - 1)
     rab = Polynomial.constant(ext, 1) - t * _lift(f, ext)
-    gb = buchberger(Ideal(ext, lift + [rab]), budget=budget)
+    src = target if isinstance(target, GroebnerBasis) else _cache.get(ideal)
+    if src is None and ideal.base is not None:
+        src = _cache.get(ideal.base)
+    if src is None:
+        gb = buchberger(Ideal(ext, lift + [rab]), budget=budget)
+    else:
+        k = len(src.ideal)
+        n = ring.nvars
+        seed = []
+        for lead, lc, tkeys, tcoeffs, inv in src._divisors:
+            keys = _lift_keys((lead, *tkeys), n)
+            seed.append((keys[0], lc, tuple(keys[1:]), tcoeffs, inv))
+        gb = buchberger(Ideal(ext, lift[:k]).extended([*lift[k:], rab]),
+                        budget=budget, seed=seed)
     return gb.is_unit()
+
+
+def _lift_keys(keys, n: int) -> list:
+    """Packed keys of n variables as keys of n + 1, the last exponent 0:
+    deg << 32n | high << 16n | low becomes
+    deg << 32(n+1) | CAP << (32n + 16) | high << (16n + 16) | low."""
+    low = (1 << (16 * n)) - 1
+    high = ((1 << (32 * n)) - 1) ^ low
+    top = 0xFFFF << (32 * n + 16)
+    return [(k >> (32 * n) << (32 * n + 32)) | top | ((k & high) << 16)
+            | (k & low) for k in keys]
 
 
 def _lift(f: Polynomial, ext: Ring) -> Polynomial:
     """f in ext, the ring of f with one more variable appended, at exponent
-    0.  The key deg << 32n | high << 16n | low becomes
-    deg << 32(n+1) | CAP << (32n + 16) | high << (16n + 16) | low, the same
-    as f.map_exponents(ext, lambda e: e + (0,)); a zform already computed
-    for f is carried over."""
-    n = f.ring.nvars
-    low = (1 << (16 * n)) - 1
-    high = ((1 << (32 * n)) - 1) ^ low
-    top = 0xFFFF << (32 * n + 16)
-    keys = [(k >> (32 * n) << (32 * n + 32)) | top | ((k & high) << 16)
-            | (k & low) for k in f.keys]
+    0, by _lift_keys: the same as f.map_exponents(ext, lambda e: e + (0,));
+    a zform already computed for f is carried over."""
+    keys = _lift_keys(f.keys, f.ring.nvars)
     g = Polynomial(ext, keys, f.coeffs)
     zf = f._zform
     if zf is not None:

@@ -4,7 +4,7 @@ A Budget is handed down into every Groebner computation.  It carries the
 shared wall-clock deadline and basis-size cap, and two kinds of counters:
 per-task counters (deterministic, aggregated into reports) and shared
 instrumentation counters (engine runs actually started, reported to the
-observer).
+observer, and how many of them started from a cached basis).
 """
 
 from __future__ import annotations
@@ -20,7 +20,12 @@ from .errors import ContractError, LimitExceededError
 @dataclass(frozen=True)
 class Limits:
     """User-facing resource caps; None disables a cap, and a cap must be a
-    number >= 0."""
+    number >= 0.
+
+    max_basis caps the working basis of every Groebner engine run.  A run
+    that starts from the cached basis of an ideal it extends counts those
+    seed rows too: the cap is checked once the seed is in place, and again
+    at every insertion."""
     time_s: Optional[float] = None
     max_basis: Optional[int] = None
 
@@ -33,7 +38,8 @@ class Limits:
 
 
 class _SharedState:
-    __slots__ = ("deadline", "max_basis", "gb_runs_started", "observer")
+    __slots__ = ("deadline", "max_basis", "gb_runs_started",
+                 "gb_runs_seeded", "observer")
 
     def __init__(self, limits: Optional[Limits], observer=None):
         now = time.monotonic()
@@ -41,6 +47,7 @@ class _SharedState:
                          if limits and limits.time_s is not None else None)
         self.max_basis = limits.max_basis if limits else None
         self.gb_runs_started = 0
+        self.gb_runs_seeded = 0
         self.observer = observer
 
 
@@ -81,15 +88,22 @@ class Budget:
     def record_query(self):
         self.gb_queries += 1
 
-    def record_run_start(self):
+    def record_run_start(self, seeded: bool = False):
         sh = self.shared
         sh.gb_runs_started += 1
+        sh.gb_runs_seeded += seeded
         if sh.observer is not None:
             sh.observer.on_gb_start(self.task_path)
 
     @property
     def runs_started(self) -> int:
         return self.shared.gb_runs_started
+
+    @property
+    def runs_seeded(self) -> int:
+        """Engine runs started from a cached basis; depends on cache
+        warmth, so it is timing, never a stat."""
+        return self.shared.gb_runs_seeded
 
 
 def ensure_budget(budget: Optional[Budget]) -> Budget:

@@ -12,8 +12,8 @@ from varsmooth.errors import ContractError
 from varsmooth.driver import (Config, Observer, Verdict, projective_smoothness,
                               run_parallel, smoothness_test)
 from varsmooth.fields import QQ, GF
-from varsmooth.groebner import (Ideal, clear_caches, krull_dimension,
-                                radical_membership)
+from varsmooth.groebner import (Ideal, buchberger, clear_caches,
+                                krull_dimension, radical_membership)
 from varsmooth.limits import Limits
 from varsmooth.poly import Polynomial
 from varsmooth.ring import Ring
@@ -135,15 +135,12 @@ def test_no_engine_starts_after_commit():
     class Probe(Observer):
         def __init__(self):
             self.events = []
-            self.lock = threading.Lock()
 
         def on_gb_start(self, path):
-            with self.lock:
-                self.events.append("gb")
+            self.events.append("gb")
 
         def on_commit(self, path):
-            with self.lock:
-                self.events.append("commit")
+            self.events.append("commit")
 
     probe = Probe()
     v = smoothness_test(cusp_ideal(), Config(mode="hironaka", jobs=4),
@@ -252,6 +249,55 @@ def test_indeterminate_on_tiny_limits():
     assert w.reason_kind == "limit"
 
 
+@pytest.mark.parametrize("mode", ["hironaka", "jacobian"])
+def test_basis_cap_below_the_variety_basis_with_a_warm_cache(mode):
+    # with the variety's basis cached, no engine run computes it again; the
+    # runs that extend it start from its rows, and the cap reads them
+    ideal = x2_cone_moved_ideal()
+    clear_caches()
+    size = len(buchberger(ideal).elements)
+    assert size > 1
+    for warm in (False, True):
+        clear_caches()
+        if warm:
+            buchberger(ideal)
+        v = smoothness_test(ideal, Config(mode=mode, limits=Limits(
+            max_basis=size - 1)))
+        assert (v.status, v.reason_kind) == ("indeterminate", "limit"), \
+            (warm, v.reason)
+        assert v.timing["gb_runs_seeded"] == warm
+
+
+def test_seeded_runs_leave_reports_unchanged(monkeypatch):
+    # a seeded engine run must return what a cold run on the whole ideal
+    # returns: run every seeded run cold, on the seed rows and the new
+    # generators, and the reports must not change
+    from varsmooth import groebner
+    engine = groebner._engine
+
+    def cold(ring, gens_raw, budget, seed=()):
+        rows = [((d[0],) + d[2], (d[1],) + d[3]) for d in seed]
+        return engine(ring, rows + list(gens_raw), budget)
+
+    cases = [(projective_smoothness, rational_normal_curve(5).ideal,
+              Config(mode=mode, **opts))
+             for mode, opts in (("hironaka", {}), ("hybrid", {"to_codim": 1}),
+                                ("jacobian", {}))]
+    cases.append((smoothness_test, two_points_ideal(),
+                  Config(combinations=False)))
+    for runner, ideal, cfg in cases:
+        clear_caches()
+        seeded = runner(ideal, cfg)
+        assert seeded.timing["gb_runs_seeded"] > 0, cfg
+        assert seeded.timing["gb_runs_seeded"] <= seeded.timing["gb_runs"]
+        with monkeypatch.context() as m:
+            m.setattr(groebner, "_engine", cold)
+            clear_caches()
+            plain = runner(ideal, cfg)
+        assert json.dumps(seeded.as_report()) == json.dumps(plain.as_report())
+        assert seeded.timing["gb_runs"] == plain.timing["gb_runs"]
+
+
 def test_reason_kind_tells_preconditions_and_crashes_apart(monkeypatch):
     from varsmooth import driver
     from varsmooth.errors import DescentError
@@ -294,7 +340,10 @@ def test_report_shape():
     assert rep["status"] == "smooth" and rep["witness"] is None
     assert rep["reason_kind"] is None
     rep_t = v.as_report(include_timing=True)
-    assert "timing" in rep_t
+    assert set(rep_t["timing"]) == {"wall_s", "sim_parallel_s",
+                                    "sequential_s", "gb_runs",
+                                    "gb_runs_seeded"}
+    assert not {"gb_runs", "gb_runs_seeded"} & set(rep["stats"])
     assert rep_t["timing"]["sim_parallel_s"] <= \
         rep_t["timing"]["sequential_s"] + 1e-9
     assert isinstance(Verdict.__slots__ if hasattr(Verdict, "__slots__")
@@ -307,11 +356,9 @@ def test_observer_cover_reports_verifiable_covers():
     class Covers(Observer):
         def __init__(self):
             self.rows = []
-            self.lock = threading.Lock()
 
         def on_cover(self, path, chart, enum):
-            with self.lock:
-                self.rows.append((chart, enum))
+            self.rows.append((chart, enum))
 
     probe = Covers()
     v = smoothness_test(two_points_ideal(),
@@ -423,19 +470,15 @@ class _Log(Observer):
     def __init__(self):
         self.events = []
         self.kinds = {}
-        self.lock = threading.Lock()
 
     def on_gb_start(self, path):
-        with self.lock:
-            self.events.append("gb")
+        self.events.append("gb")
 
     def on_commit(self, path):
-        with self.lock:
-            self.events.append("commit")
+        self.events.append("commit")
 
     def on_task_start(self, path, kind):
-        with self.lock:
-            self.kinds.setdefault(path, []).append(kind)
+        self.kinds.setdefault(path, []).append(kind)
 
 
 _ROOT_MODES = ({"mode": "hironaka"}, {"mode": "hybrid"},
@@ -696,11 +739,9 @@ def test_embedded_step_reuses_the_chart_frames(monkeypatch):
     class Covers(Observer):
         def __init__(self):
             self.charts = []
-            self.lock = threading.Lock()
 
         def on_cover(self, path, chart, enum):
-            with self.lock:
-                self.charts.append(chart)
+            self.charts.append(chart)
 
     monkeypatch.setattr(charts, "enumerate_frames", enum_spy)
     monkeypatch.setattr(charts, "relative_jacobian", rel_spy)

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations as icombs
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import nonzero_random_poly, random_poly, variables
 from varsmooth.errors import LimitExceededError
@@ -541,6 +541,165 @@ def test_basis_cap_raises():
     budget = Budget(Limits(max_basis=1))
     with pytest.raises(LimitExceededError):
         buchberger(cyclic3, budget=budget)
+
+
+# -- runs seeded from the cached basis of a base ideal -------------------------
+
+SEED_RINGS = {p: Ring(QQ if not p else GF(p), ("x", "y", "z"))
+              for p in (0, 32003)}
+
+
+def _terms_st(top):
+    """Term lists of up to three terms, exponents at most top."""
+    return st.lists(st.tuples(st.tuples(*[st.integers(0, top)] * 3),
+                              st.integers(-5, 5).filter(bool)),
+                    min_size=1, max_size=3)
+
+
+def _gens_st(top):
+    return st.lists(_terms_st(top), min_size=2, max_size=4)
+
+
+def _split_ideal(p, terms, k):
+    """(base, extra) from generator term lists, None when a generator is
+    zero; k is reduced to a split with both parts nonempty."""
+    ring = SEED_RINGS[p]
+    gens = [Polynomial.from_terms(ring, t) for t in terms]
+    if any(g.is_zero() for g in gens):
+        return None
+    k = 1 + k % (len(gens) - 1)
+    return Ideal(ring, gens[:k]), gens[k:]
+
+
+def _cold_and_seeded(base, extra):
+    """(cold basis, seeded basis, seeded budget) of base + extra."""
+    clear_caches()
+    cold = buchberger(Ideal(base.ring, [*base.generators, *extra]))
+    clear_caches()
+    buchberger(base)
+    budget = Budget()
+    seeded = buchberger(base.extended(extra), budget=budget)
+    return cold, seeded, budget
+
+
+def test_extended_ideal_is_equal_to_the_plain_one():
+    r3 = Ring(QQ, ("x", "y", "z"))
+    x, y, z = variables(r3)
+    base = Ideal(r3, [x * y - z, y * y])
+    ext = base.extended([x - 1, Polynomial.zero(r3)])
+    plain = Ideal(r3, [x * y - z, y * y, x - 1])
+    assert ext.base is base and plain.base is None
+    assert ext.generators == plain.generators
+    assert ext == plain and hash(ext) == hash(plain)
+    assert ext.fingerprint() == plain.fingerprint()
+    clear_caches()
+    assert buchberger(plain) is buchberger(ext)   # one cache entry
+
+
+@given(st.sampled_from(sorted(SEED_RINGS)), _gens_st(2), st.integers(0, 3))
+@settings(max_examples=60)
+def test_seeded_basis_equals_cold_basis(p, terms, k):
+    split = _split_ideal(p, terms, k)
+    if split is None:
+        return
+    base, extra = split
+    cold, seeded, budget = _cold_and_seeded(base, extra)
+    assert seeded._divisors == cold._divisors
+    assert seeded._lead_keys == cold._lead_keys
+    assert (budget.gb_queries, budget.runs_started,
+            budget.runs_seeded) == (1, 1, 1)
+
+
+# multilinear: a Rabinowitsch run on degree-6 input can take seconds
+@given(st.sampled_from(sorted(SEED_RINGS)), _gens_st(1), st.integers(0, 3),
+       _terms_st(1))
+@settings(max_examples=60)
+def test_radical_membership_same_with_warm_or_cold_base(p, terms, k,
+                                                        f_terms):
+    split = _split_ideal(p, terms, k)
+    f = Polynomial.from_terms(SEED_RINGS[p], f_terms)
+    if split is None:
+        return
+    base, extra = split
+    target = base.extended(extra)
+    got = []
+    for warm in (None, base, target):
+        clear_caches()
+        if warm is not None:
+            buchberger(warm)
+        budget = Budget()
+        got.append((radical_membership(f, target, budget=budget),
+                    budget.gb_queries))
+    assert got[0] == got[1] == got[2]
+
+
+def test_seeded_run_from_a_unit_base():
+    for p, ring in SEED_RINGS.items():
+        x, y, z = variables(ring)
+        one = Polynomial.constant(ring, 1)
+        base = Ideal(ring, [x * y, x * y - one])    # unit, no constant
+        cold, seeded, budget = _cold_and_seeded(base, [y * y + z])
+        assert seeded.is_unit() and cold.is_unit()
+        assert seeded._divisors == cold._divisors
+        assert budget.runs_seeded == 1
+        clear_caches()
+        buchberger(base)
+        assert radical_membership(z, base.extended([y - z]))
+
+
+def test_seeded_run_with_an_extra_lead_dividing_a_base_lead():
+    for p, ring in SEED_RINGS.items():
+        x, y, z = variables(ring)
+        base = Ideal(ring, [x ** 3 - y * z, y * y - z])
+        base_leads = buchberger(base)._lead_keys
+        extra = [x * x - z]
+        assert any(ring.divides(extra[0].leading_key(), lk)
+                   for lk in base_leads)
+        cold, seeded, budget = _cold_and_seeded(base, extra)
+        assert seeded._divisors == cold._divisors
+        assert budget.runs_seeded == 1
+        assert not set(base_leads) <= set(seeded._lead_keys)
+
+
+def test_seeded_run_after_the_base_was_evicted(monkeypatch):
+    from varsmooth import groebner
+    r3 = SEED_RINGS[0]
+    x, y, z = variables(r3)
+    base = Ideal(r3, [x * y - z, y * z - x])
+    extra = [x * z - y]
+    cold, _, _ = _cold_and_seeded(base, extra)
+    monkeypatch.setattr(groebner, "_CACHE_MAX", 1)
+    clear_caches()
+    buchberger(base)
+    buchberger(Ideal(r3, [x + y]))      # evicts the base's basis
+    budget = Budget()
+    again = buchberger(base.extended(extra), budget=budget)
+    assert (budget.runs_started, budget.runs_seeded) == (1, 0)
+    assert again._divisors == cold._divisors
+
+
+def test_basis_cap_counts_the_seed_rows():
+    # the extra generator lies in the base, so the seeded run inserts
+    # nothing; the cap still reads the seed rows, as a cold run would
+    # reach the same basis size
+    r3 = SEED_RINGS[0]
+    x, y, z = variables(r3)
+    base = Ideal(r3, [x * y - z, y * z - x, x * z - y])
+    size = len(buchberger(base)._lead_keys)
+    assert size > 1
+    inside = base.generators[0] * z + base.generators[1]
+    for warm in (False, True):
+        clear_caches()
+        if warm:
+            buchberger(base)
+        with pytest.raises(LimitExceededError):
+            buchberger(base.extended([inside]),
+                       budget=Budget(Limits(max_basis=size - 1)))
+    clear_caches()
+    buchberger(base)
+    budget = Budget(Limits(max_basis=size))
+    assert buchberger(base.extended([inside]), budget=budget)._lead_keys \
+        == buchberger(base)._lead_keys
 
 
 # -- pair queue ----------------------------------------------------------------

@@ -197,6 +197,12 @@ def test_cli_main_inprocess_exit_codes(capsys, monkeypatch, tmp_path):
     assert main(["check", str(f), "--assume-radical"]) == 0
     out = capsys.readouterr()
     assert "verdict: smooth" in out.out
+    # the engine runs, and those started from a cached basis, are printed
+    # beside the wall time, never in the JSON report
+    timing = out.out.splitlines()[-1].split()
+    assert timing[0] == "wall_s:" and timing[-4::2] == ["gb_runs:",
+                                                        "gb_runs_seeded:"]
+    assert int(timing[-3]) >= int(timing[-1]) >= 0
     f2 = tmp_path / "cusp.ideal"
     f2.write_text("ring QQ [x,y]\ny^2-x^3\n")
     assert main(["check", str(f2), "--assume-radical"]) == 1
