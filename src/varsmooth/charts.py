@@ -269,17 +269,20 @@ def delta_frame_tasks(chart: Chart, strict: bool = False,
     return enum, checks
 
 
-def _counting_checkpoint(budget: Budget, m: PolyMatrix, size: int):
-    """The checkpoint for one walk over the size-minors of m: the budget
-    gains their number, C(rows, size) * C(cols, size), at once, and one
-    minor formed per call, since the walk calls it once per determinant."""
+def _counted_minors(m: PolyMatrix, size: int, budget: Budget, reducer=None):
+    """iter_minors(m, size, reducer) counted on budget: it gains the number
+    of size-minors, C(rows, size) * C(cols, size), at once, and one minor
+    per size-minor the walk forms.  Every minor formed, those of the
+    prefixes the walk tests to prune row sets too, runs the budget's
+    checkpoint, but only the size-minors count."""
     budget.minors_possible += comb(m.rows, size) * comb(m.cols, size)
 
     def checkpoint():
         budget.minors += 1
         budget.checkpoint()
 
-    return checkpoint
+    return iter_minors(m, size, reducer=reducer, checkpoint=checkpoint,
+                       prefix_checkpoint=budget.checkpoint)
 
 
 def singular_locus_ideal(chart: Chart, f: Polynomial,
@@ -297,8 +300,7 @@ def singular_locus_ideal(chart: Chart, f: Polynomial,
     r = len(chart.ambient.generators)
     stacked_polys = list(chart.ambient.generators) + [f]
     jac = chart.partials.jacobian(stacked_polys)
-    mins = iter_minors(jac, r + 1,
-                       checkpoint=_counting_checkpoint(budget, jac, r + 1))
+    mins = _counted_minors(jac, r + 1, budget)
     return Ideal(ring, [*stacked_polys, *mins])
 
 
@@ -483,9 +485,7 @@ class MinorCheck:
         self.reducer = reducer
 
     def holds(self, test: Polynomial, budget: Budget) -> bool:
-        mins = iter_minors(
-            self.rel, self.size, reducer=self.reducer,
-            checkpoint=_counting_checkpoint(budget, self.rel, self.size))
+        mins = _counted_minors(self.rel, self.size, budget, self.reducer)
         return proved_by_minors(test, self.head, mins, budget)
 
 
@@ -569,7 +569,6 @@ def affine_jacobian_criterion(ideal: Ideal,
         return True
     jac = jacobian(ring, ideal.generators)
     # a nonzero minor in normal form modulo I is not in I, so it is new
-    mins = iter_minors(jac, c, reducer=gb.normal_form,
-                       checkpoint=_counting_checkpoint(budget, jac, c))
+    mins = _counted_minors(jac, c, budget, gb.normal_form)
     return proved_by_minors(Polynomial.constant(ring, 1), ideal.generators,
                             mins, budget)

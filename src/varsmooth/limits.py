@@ -69,7 +69,9 @@ class Budget:
         self.task_path = task_path
         self.gb_queries = 0
         self.frames = 0
-        self.minors = 0           # minors of the requested size formed
+        # size-minors formed: determinants of the size a walk asks for; the
+        # smaller minors it forms to prune row sets are not counted
+        self.minors = 0
         self.minors_possible = 0  # C(rows, size) * C(cols, size) per walk
 
     def child(self, task_path: tuple) -> "Budget":

@@ -24,6 +24,20 @@ walks rows and columns constant-first (those with the most entries that
 have a nonzero constant term first), since a constant minor settles the
 unit-ideal questions its callers ask.
 
+The walk prunes row sets that can only give zero minors.  Row sets come in
+lexicographic order of their ranked positions, so the sets that start with
+a given ranked prefix P are contiguous.  If every k x k minor of P's rows
+is zero, then expanding any larger minor along P's rows (the generalized
+Laplace expansion) writes it as a sum of products of those minors with
+minors of the other rows, so it is zero too: over any commutative ring,
+and modulo an ideal, since a multiple of a member is a member.  So after a
+row set whose minors all vanish, the walk tests the prefixes of that set
+from length 1 up, and when one vanishes it skips every later set that
+starts with it.  Only a row set whose minors all vanished starts those
+tests, and a prefix found to have a nonzero minor is not tested again,
+so a walk that meets no zero row set forms exactly what it did unpruned.
+The yielded stream is the unpruned one, in the same order.
+
 Minors modulo an ideal take a reducer that must be linear and idempotent,
 such as a normal form modulo a Groebner basis.  The kernel then reduces
 monomials only: each distinct monomial's normal form is computed once per
@@ -330,15 +344,31 @@ def _constant_first(counts):
     return sorted(range(len(counts)), key=lambda i: -counts[i])
 
 
-def iter_minors(m: PolyMatrix, size: int, reducer=None, checkpoint=None):
+def iter_minors(m: PolyMatrix, size: int, reducer=None, checkpoint=None,
+                prefix_checkpoint=None):
     """The distinct nonzero size x size minors of m, with their signs, each
     yielded once, as soon as it is formed.  Rows and columns are taken
     constant-first: ranked by how many of their entries have a nonzero
     constant term, descending, ties by index.  Subsets are formed in that
     ranked order and sorted back before the lookup, so each minor is the
-    one of m as given.  `checkpoint` is called once per subset pair, so
-    long enumerations can be interrupted by resource limits; the arguments
-    are checked when called, not on the first step of the iterator.
+    one of m as given.
+
+    Row sets whose minors all vanish are pruned: after a row set whose
+    size-minors are all zero, the walk finds the shortest ranked prefix of
+    it whose minors are all zero, if it is shorter than the row set, and
+    skips every later row set that starts with that prefix.  Those sets
+    are contiguous in the walk, and by Laplace expansion along the
+    prefix's rows every minor of such a set is a combination of the
+    prefix's minors, so it is zero too (modulo the ideal, with a reducer).
+    The stream is therefore exactly the unpruned one, in the same order;
+    only fewer minors are formed.  Prefixes are tested from length 1 up,
+    only after a row set whose minors all vanished, and a prefix found
+    not to vanish is never tested again.
+
+    `checkpoint` is called once per size-minor formed and
+    `prefix_checkpoint` once per minor of a prefix tested, so long
+    enumerations can be interrupted by resource limits; the arguments are
+    checked when called, not on the first step of the iterator.
 
     `reducer` must be linear and idempotent: a normal form modulo a
     Groebner basis (`GroebnerBasis.normal_form`), or None for no reduction.
@@ -360,25 +390,80 @@ def iter_minors(m: PolyMatrix, size: int, reducer=None, checkpoint=None):
                                 for i in range(m.rows)])
     col_rank = _constant_first([sum(const[j::cols]) for j in range(cols)])
     return _distinct_minors(ring, det_of, row_rank, col_rank, size,
-                            checkpoint)
+                            checkpoint, prefix_checkpoint)
 
 
-def _distinct_minors(ring, det_of, row_rank, col_rank, size, checkpoint):
-    """The generator behind iter_minors, over the ranked indices."""
+def _advance(pos, n: int, keep: int) -> bool:
+    """Step pos, a combination of range(n) as an increasing list, to the
+    lexicographically next one whose first `keep` entries differ from
+    pos's; False when there is none."""
+    size = len(pos)
+    i = keep - 1
+    while i >= 0 and pos[i] == n - size + i:
+        i -= 1
+    if i < 0:
+        return False
+    pos[i] += 1
+    for j in range(i + 1, size):
+        pos[j] = pos[j - 1] + 1
+    return True
+
+
+def _distinct_minors(ring, det_of, row_rank, col_rank, size, checkpoint,
+                     prefix_checkpoint):
+    """The generator behind iter_minors, over the ranked indices: row sets
+    are positions in row_rank, walked by _advance."""
     coerce = ring.field.coerce
-    col_sets = [tuple(sorted(cs)) for cs in combinations(col_rank, size)]
+    n = len(row_rank)
+    col_sets = {}  # k -> the column k-sets, ranked order, each sorted
+    live = set()  # ranked prefixes with a nonzero minor
+
+    def cols_of(k):
+        got = col_sets.get(k)
+        if got is None:
+            got = col_sets[k] = [tuple(sorted(cs))
+                                 for cs in combinations(col_rank, k)]
+        return got
+
+    def vanishing_prefix(pos):
+        """The length of the shortest prefix of pos whose minors all vanish
+        and that a later row set starts with, else size."""
+        top = size  # prefixes from pos[:top] on start no later row set
+        while top and pos[top - 1] == n - size + top - 1:
+            top -= 1
+        for k in range(1, top):
+            key = tuple(pos[:k])
+            if key in live:
+                continue
+            rs = tuple(sorted(row_rank[i] for i in key))
+            for cs in cols_of(k):
+                if prefix_checkpoint is not None:
+                    prefix_checkpoint()
+                if det_of(rs, cs):
+                    live.add(key)
+                    break
+            else:
+                return k
+        return size
+
     seen = set()
-    for rs in combinations(row_rank, size):
-        rs = tuple(sorted(rs))
-        for cs in col_sets:
+    pos = list(range(size))
+    full = cols_of(size)
+    while True:
+        rs = tuple(sorted(row_rank[i] for i in pos))
+        vanished = True
+        for cs in full:
             if checkpoint is not None:
                 checkpoint()
             d = det_of(rs, cs)
             if not d:
                 continue
+            vanished = False
             items = tuple(sorted(d.items(), reverse=True))
             if items in seen:
                 continue
             seen.add(items)
             yield Polynomial(ring, [k for k, _ in items],
                              [coerce(c) for _, c in items])
+        if not _advance(pos, n, vanishing_prefix(pos) if vanished else size):
+            return

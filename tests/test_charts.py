@@ -1,20 +1,21 @@
 import random
 from itertools import combinations
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import nonzero_random_poly, reference_minors, variables
 from corpus import corpus50
 from varsmooth.errors import (ContractError, DegenerateGeneratorError,
-                              DescentError)
+                              DescentError, LimitExceededError)
 from varsmooth.fields import QQ, GF
 from varsmooth.charts import (Chart, affine_jacobian_criterion,
                               delta_frame_tasks, descend,
                               embedded_frame_tasks, enumerate_frames,
                               relative_jacobian, singular_locus_ideal,
                               smooth_on_frames)
-from varsmooth import charts, driver
+from varsmooth import charts, driver, limits, matrix
 from varsmooth.bench import (cyclic_polytope_sr, random_coordinate_change,
                              rational_normal_curve, veronese_ci)
 from varsmooth.driver import (Config, projective_smoothness, run_parallel,
@@ -696,12 +697,14 @@ def test_jacobian_forms_far_fewer_minors_than_possible(monkeypatch):
 # affine chart of I1-5 and I1-6: the loop it shares with the hybrid's
 # frames asks the same questions it always did.  Where the first minor is a
 # nonzero constant (three charts of each curve), radical membership answers
-# yes from that unit generator and the query is not counted (3 -> 2)
+# yes from that unit generator and the query is not counted (3 -> 2).  On
+# charts 3 to 5 of I1-6 the walk skips row sets whose minors all vanish on
+# its way to the first nonzero minor
 _JACOBIAN_CHART_STATS = {
     5: [(True, 2, 1, 1050), (True, 3, 1, 1050), (True, 2, 1, 1050)]
        + [(True, 3, 6, 1050)] * 2 + [(True, 2, 1, 1050)],
     6: [(True, 2, 1, 18018), (True, 3, 1, 18018), (True, 2, 1, 18018),
-        (True, 3, 67, 18018)] + [(True, 3, 73, 18018)] * 2
+        (True, 3, 7, 18018)] + [(True, 3, 13, 18018)] * 2
        + [(True, 2, 1, 18018)],
 }
 
@@ -715,6 +718,25 @@ def test_affine_jacobian_criterion_stats_on_rnc():
             got.append((ok, budget.gb_queries, budget.minors,
                         budget.minors_possible))
         assert got == want, d
+
+
+def test_pruned_walk_matches_the_unpruned_walk_on_rnc_charts(monkeypatch):
+    # every reduced minor of each affine chart's Jacobian, walked to the
+    # end, as the walk that never skips a row set yields them
+    real = matrix._advance
+    for d in (5, 6):
+        for ideal in _projective_charts(rational_normal_curve(d)):
+            reduce = buchberger(ideal).normal_form
+            c = ideal.ring.nvars - krull_dimension(ideal)
+            jac = jacobian(ideal.ring, ideal.generators)
+            formed = []
+            got = list(iter_minors(jac, c, reducer=reduce,
+                                   checkpoint=lambda: formed.append(1)))
+            monkeypatch.setattr(matrix, "_advance",
+                                lambda pos, n, keep: real(pos, n, len(pos)))
+            assert got == list(iter_minors(jac, c, reducer=reduce)), d
+            monkeypatch.setattr(matrix, "_advance", real)
+            assert len(formed) < comb(jac.rows, c) * comb(jac.cols, c)
 
 
 def test_hybrid_frames_stop_at_their_first_proof():
@@ -763,6 +785,33 @@ def test_minor_check_without_nonzero_minors_asks_the_variety():
         assert budget.gb_queries == 1
 
 
+def test_minor_check_counts_size_minors_and_stops_in_prefix_tests(
+        monkeypatch):
+    # row 0 of rel vanishes modulo I_X = (x): after the zero row set (0, 1)
+    # the walk tests the prefix (0,), finds its 1-minors zero and skips
+    # (0, 2), so it forms 2 of the 3 minors; the prefix test's minors run
+    # the budget's checkpoint but are not counted
+    ring, (x, y, z) = mkvars(QQ, ("x", "y", "z"))
+    variety = Ideal(ring, [x])
+    rel = PolyMatrix(ring, 3, 2, [x, x * y,
+                                  y, z,
+                                  z, y])
+    check = charts.MinorCheck(variety.generators, rel, 2,
+                              buchberger(variety).normal_form)
+    budget = Budget()
+    assert check.holds(y * y - z * z, budget)
+    assert (budget.minors, budget.minors_possible) == (2, 3)
+    # a clock that ticks once per reading: the deadline passes at the
+    # second checkpoint, the first minor of the prefix test
+    ticks = iter(range(100))
+    monkeypatch.setattr(limits, "time",
+                        SimpleNamespace(monotonic=lambda: next(ticks)))
+    budget = Budget(Limits(time_s=1.5))
+    with pytest.raises(LimitExceededError):
+        check.holds(y * y - z * z, budget)
+    assert (budget.minors, budget.minors_possible) == (1, 3)
+
+
 def _criterion_ideals(monkeypatch, runs):
     """Run `runs()` with the criterion loop shared by both criteria spied
     on.  Returns one record per minor stream it walked: (kind, the deciding
@@ -778,10 +827,12 @@ def _criterion_ideals(monkeypatch, runs):
     real_radical = charts.radical_membership
     kind = ["affine"]
 
-    def spy_iter(m, size, reducer=None, checkpoint=None):
+    def spy_iter(m, size, reducer=None, checkpoint=None,
+                 prefix_checkpoint=None):
         yielded = []
         streams.append(((m, size, reducer), yielded))
-        for f in real_iter(m, size, reducer=reducer, checkpoint=checkpoint):
+        for f in real_iter(m, size, reducer=reducer, checkpoint=checkpoint,
+                           prefix_checkpoint=prefix_checkpoint):
             yielded.append(f)
             yield f
 

@@ -2,6 +2,7 @@ import gc
 import random
 from fractions import Fraction
 from itertools import combinations as icombs
+from math import comb
 
 import pytest
 
@@ -296,6 +297,137 @@ def test_minor_memo_never_holds_the_requested_size(monkeypatch):
                                for rows, _ in memo)
                 sizes += 1
     assert sizes > 100
+
+
+def _ranked_reference(m, size, reducer=None):
+    """The unpruned walk: every row set outer and column set inner, both in
+    the ranked order iter_minors documents, each distinct nonzero minor
+    once, from reference_minors on the (sorted) submatrix."""
+    one = m.ring.one_key
+    const = [bool(e.keys) and e.keys[-1] == one for e in m.entries]
+
+    def ranked(counts):
+        return sorted(range(len(counts)), key=lambda i: -counts[i])
+
+    rows = ranked([sum(const[i * m.cols:(i + 1) * m.cols])
+                   for i in range(m.rows)])
+    cols = ranked([sum(const[j::m.cols]) for j in range(m.cols)])
+    out = []
+    for rs in icombs(rows, size):
+        for cs in icombs(cols, size):
+            got = reference_minors(m.submatrix(sorted(rs), sorted(cs)), size,
+                                   reducer=reducer)
+            if got and got[0] not in out:
+                out.append(got[0])
+    return out
+
+
+def _dependent_cases(seed, count):
+    """_kernel_cases with up to six rows, some of them dependent: zero, a
+    multiple of an earlier row, a sum of two earlier rows, or with every
+    entry in the ideal, so that it vanishes under the reducer."""
+    rng = random.Random(seed)
+    for m, gb in _kernel_cases(seed, count):
+        ring, cols = m.ring, m.cols
+        rows = [list(m.row(i)) for i in range(m.rows)]
+        while len(rows) < 6 and rng.random() < 0.7:
+            pick = rng.randrange(4)
+            if pick == 0:
+                row = [Polynomial.zero(ring)] * cols
+            elif pick == 1:
+                lam = nonzero_random_poly(ring, rng, max_terms=2, max_deg=1)
+                row = [lam * e for e in rng.choice(rows)]
+            elif pick == 2:
+                a, b = rng.choice(rows), rng.choice(rows)
+                row = [u + v for u, v in zip(a, b)]
+            else:
+                g = gb.ideal.generators[0]
+                row = [g * random_poly(ring, rng, max_terms=2, max_deg=1)
+                       for _ in range(cols)]
+            rows.insert(rng.randrange(len(rows) + 1), row)
+        yield (PolyMatrix(ring, len(rows), cols, [e for r in rows for e in r]),
+               gb)
+
+
+def test_pruned_walk_matches_the_unpruned_reference():
+    # same minors, order and signs as the walk over every row set, over
+    # QQ, GF(101) and GF(7), with and without a reducer; an abandoned walk
+    # yields a prefix of the full stream
+    checked = pruned = 0
+    for cases in (_kernel_cases(5150, 90), _dependent_cases(9190, 150)):
+        for m, gb in cases:
+            for size in range(1, min(m.rows, m.cols) + 1):
+                for red in (None, gb.normal_form):
+                    formed = []
+                    got = list(iter_minors(m, size, reducer=red,
+                                           checkpoint=lambda: formed.append(1)))
+                    assert got == _ranked_reference(m, size, red), \
+                        (m, size, red)
+                    possible = comb(m.rows, size) * comb(m.cols, size)
+                    assert len(formed) <= possible
+                    pruned += len(formed) < possible
+                    for stop in range(len(got)):
+                        stream = iter_minors(m, size, reducer=red)
+                        assert [next(stream) for _ in range(stop)] \
+                            == got[:stop]
+                    checked += len(got)
+    assert checked > 1000 and pruned > 50, (checked, pruned)
+
+
+def test_pruned_walk_on_pinned_cases(rxy):
+    # a zero row ranked first: its row sets after the first are skipped,
+    # after one prefix test of its three 1-minors
+    x, y = variables(rxy)
+    zero = Polynomial.zero(rxy)
+    m = PolyMatrix(rxy, 4, 3, [zero, zero, zero,
+                               x, y, zero,
+                               y, x, x * y,
+                               x * y, x, y])
+    formed, probed = [], []
+    got = list(iter_minors(m, 2, checkpoint=lambda: formed.append(1),
+                           prefix_checkpoint=lambda: probed.append(1)))
+    assert got == _ranked_reference(m, 2)
+    # 12 of the C(4, 2) * C(3, 2) = 18 minors
+    assert (len(formed), len(probed)) == (3 + 3 * 3, 3)
+    # rows 0 and 1 proportional: every row set starting with both is
+    # skipped after the first, and rows 1 and 2 vanish modulo (x)
+    m = PolyMatrix(rxy, 5, 3, [x, y, x + y,
+                               x * x, x * y, x * x + x * y,
+                               x, x * y, x * x,
+                               y, x, y * y,
+                               y * y, x + y, x])
+    formed, probed = [], []
+    got = list(iter_minors(m, 3, checkpoint=lambda: formed.append(1),
+                           prefix_checkpoint=lambda: probed.append(1)))
+    assert got == _ranked_reference(m, 3)
+    # (0, 1, 2) formed, (0, 1, 3) and (0, 1, 4) skipped, the rest formed
+    assert len(formed) == comb(5, 3) - 2
+    assert len(probed) == 1 + 3
+    gb = buchberger(Ideal(rxy, [x]))
+    formed = []
+    got = list(iter_minors(m, 2, reducer=gb.normal_form,
+                           checkpoint=lambda: formed.append(1)))
+    assert got == _ranked_reference(m, 2, gb.normal_form)
+    assert len(formed) < comb(5, 2) * comb(3, 2)
+
+
+def test_prefix_checkpoint_interrupts_the_prefix_tests(rxy):
+    x, y = variables(rxy)
+    zero = Polynomial.zero(rxy)
+    m = PolyMatrix(rxy, 3, 2, [zero, zero, x, y, y, x])
+
+    class Stop(Exception):
+        pass
+
+    def bomb():
+        raise Stop()
+
+    formed = []
+    stream = iter_minors(m, 2, checkpoint=lambda: formed.append(1),
+                         prefix_checkpoint=bomb)
+    with pytest.raises(Stop):
+        next(stream)
+    assert formed == [1]  # the zero row set, then its prefix test
 
 
 # -- oracle: fraction-free Bareiss elimination on Polynomial entries ----------

@@ -183,7 +183,9 @@ def test_cli_json_byte_stable_across_jobs():
 
 
 def test_cli_indeterminate_exit_3():
-    gen = run_cli(["gen", "rnc", "8"])
+    # the Jacobian baseline on a cyclic-polytope ideal under a coordinate
+    # change spends far longer than 0.2 s reducing its minors
+    gen = run_cli(["gen", "cyclic", "3", "7", "--coordchange"])
     p = run_cli(["check", "--projective", "--assume-radical", "--mode",
                  "jacobian", "--time-limit", "0.2", "-"],
                 stdin_text=gen.stdout)
