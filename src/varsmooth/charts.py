@@ -7,8 +7,8 @@ ambient Jacobian; each frame supplies a local regular system of parameters
 through its adjugate, and the delta test asks whether the variety's
 relative first-order behaviour already cuts it out where g*q is invertible.
 
-The functions here work on one chart and run sequentially; the driver
-composes them into the recursive test and supplies parallel scheduling.
+The functions here work on one chart; the driver composes them into the
+recursive test as a tree of tasks and walks it.
 What a chart tree shares is its variety and one Partials table: every
 partial derivative the tree reads (ambient Jacobians, relative Jacobians,
 singular-locus minors) comes from that table, so each polynomial is

@@ -1,20 +1,20 @@
-"""Top-level smoothness verdicts and the deterministic chart scheduler.
+"""Top-level smoothness verdicts and the walk over the chart task tree.
 
 The recursive test is broken into small tasks of three kinds, addressed by
 tuple paths: a chart task runs one chart's structural checks, a frame task
 one of its independent frame checks, and a step task, joined after the
 chart's delta frames, descends or spawns relative Jacobian frame checks.
-A pool runs them one at a time on the calling thread, always taking the
-lexicographically smallest pending path.  A failure prunes every pending
-path above its own and commits once no smaller path is pending, so the
-reported witness is the minimal failing path in the whole tree and the
-verdict, witness, and committed statistics are identical for every job
-count and schedule.  No task starts after a commit.
+Tasks run depth first in path order, one at a time on the calling thread,
+and the first failure ends the run: it commits at once, so the witness is
+the minimal failing path in the whole tree, no task starts after the
+commit, and the verdict, witness and statistics are identical for every
+job count.  Each task also gets a finish time on the critical path, the
+time it would end if every task started as soon as those it waits on had
+finished.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
 import time
 from dataclasses import dataclass, field
@@ -128,7 +128,10 @@ class Verdict:
     mode: str
     witness: Optional[Witness]
     stats: dict
-    # wall_s, sim_parallel_s, sequential_s, gb_runs, gb_runs_seeded
+    # wall_s; sequential_s, the sum of the task times; sim_parallel_s, the
+    # critical path of the tasks run, in which a frame waits on its chart,
+    # a step on its chart and frames, and a child chart on its step;
+    # gb_runs, gb_runs_seeded
     timing: dict
     reason: Optional[str] = None
     # indeterminate only: limit | precondition | internal
@@ -171,13 +174,11 @@ class _Outcome:
 
 class _Task:
     kind = "task"
-    is_chart = False
-    __slots__ = ("path", "depth", "ready_at")
+    __slots__ = ("path", "depth")
 
     def __init__(self, path, depth):
         self.path = tuple(path)
         self.depth = depth
-        self.ready_at = 0.0
 
     def run(self, ctx: _RunContext, budget: Budget) -> _Outcome:
         raise NotImplementedError
@@ -231,7 +232,6 @@ class _ChartTask(_Task):
     so its parent's step hands down d_x and only the exits run."""
 
     kind = "chart"
-    is_chart = True
     __slots__ = ("chart", "switch_depth", "d_x")
 
     def __init__(self, path, chart: Optional[Chart], switch_depth=None,
@@ -279,8 +279,8 @@ class _ChartTask(_Task):
 
 class _RootChartTask(_ChartTask):
     """The standard affine chart x_i = 1 of a projective variety.  Its ideal
-    is dehomogenized when the task runs, so a root chart pruned by an
-    earlier failure is never built."""
+    is dehomogenized when the task runs, so a root chart after the first
+    failure is never built."""
 
     __slots__ = ("ideal", "var")
 
@@ -375,14 +375,12 @@ class _StepTask(_Task):
 
 
 class _TaskRecord:
-    __slots__ = ("path", "kind", "is_chart", "depth", "gb_queries",
-                 "frames", "minors", "minors_possible", "dur", "finish")
+    __slots__ = ("path", "kind", "depth", "gb_queries", "frames", "minors",
+                 "minors_possible", "dur", "finish")
 
-    def __init__(self, path, kind, is_chart, depth, budget: Budget, dur,
-                 finish):
+    def __init__(self, path, kind, depth, budget: Budget, dur, finish):
         self.path = path
         self.kind = kind
-        self.is_chart = is_chart
         self.depth = depth
         self.gb_queries = budget.gb_queries
         self.frames = budget.frames
@@ -392,192 +390,133 @@ class _TaskRecord:
         self.finish = finish
 
 
-class _Pool:
-    """Priority work pool with the minimal-failure commit protocol."""
-
-    def __init__(self, ctx: _RunContext, schedule_rng=None):
-        self.ctx = ctx
-        self.heap = []
-        self.seq = 0
-        self.joins = {}          # chart path -> [remaining frames, step]
-        self.records = []
-        self.event_path = None   # minimal known failure or error path
-        self.event = None        # ("fail", witness) | (reason_kind, reason)
-        self.schedule_rng = schedule_rng
-
-    def _push(self, task):
-        if self.event_path is not None and task.path > self.event_path:
-            return  # cannot beat the pending event, prune
-        heapq.heappush(self.heap, (task.path, self.seq, task))
-        self.seq += 1
-
-    def _pop(self):
-        return heapq.heappop(self.heap)[2]
-
-    def _note_event(self, path, event):
-        if self.event_path is None or path < self.event_path:
-            self.event_path = path
-            self.event = event
-            # drop queued work the event makes irrelevant
-            keep = [e for e in self.heap if e[0] <= path]
-            heapq.heapify(keep)
-            self.heap = keep
-
-    def _process(self, task, outcome, dur, budget):
-        finish = task.ready_at + dur
-        self.records.append(_TaskRecord(
-            task.path, task.kind, task.is_chart, task.depth, budget, dur,
-            finish))
-        if isinstance(outcome, _Outcome):
-            if outcome.fail is not None:
-                self._note_event(task.path, ("fail", outcome.fail))
-            else:
-                for sub in outcome.spawn:
-                    sub.ready_at = finish
-                    self._push(sub)
-                if outcome.joined is not None:
-                    cont = outcome.joined
-                    cont.ready_at = finish
-                    if outcome.spawn:
-                        self.joins[task.path] = [len(outcome.spawn), cont]
-                    else:
-                        self._push(cont)
-                self._resolve_join(task, finish)
-        else:
-            kind, info = outcome
-            self._note_event(task.path, (kind, info))
-
-    def _resolve_join(self, task, finish):
-        # frame tasks feed the join of their chart's step
-        if not isinstance(task, _FrameTask):
-            return
-        entry = self.joins.get(task.path[:-1])
-        if entry is None:
-            return
-        entry[0] -= 1
-        cont = entry[1]
-        if cont.ready_at < finish:
-            cont.ready_at = finish
-        if entry[0] == 0:
-            del self.joins[task.path[:-1]]
-            self._push(cont)
-
-    def _execute(self, task):
-        ctx = self.ctx
-        budget = ctx.root_budget.child(task.path)
-        ctx.observer.on_task_start(task.path, task.kind)
-        t0 = time.monotonic()
-        passed = False
-        try:
-            outcome = task.run(ctx, budget)
-            passed = outcome.fail is None
-        except LimitExceededError as e:
-            outcome = ("limit", f"limit: {e}")
-        except MemoryError:
-            outcome = ("limit", "memory exhausted")
-        except VarsmoothError as e:
-            outcome = ("precondition", f"{type(e).__name__}: {e}")
-        except Exception as e:  # a task panic surfaces as indeterminate
-            outcome = ("internal", f"internal {type(e).__name__}: {e}")
-        dur = time.monotonic() - t0
-        ctx.observer.on_task_done(task.path, task.kind, passed)
-        return outcome, dur, budget
-
-    def run(self, roots):
-        """Run the smallest pending path until none is left.  An event
-        prunes every queued path above its own, so an empty heap means
-        every path below the event has finished and the event commits."""
-        for root in roots:
-            root.ready_at = 0.0
-            self._push(root)
-        while self.heap:
-            task = self._pop()
-            if (self.schedule_rng is not None and self.heap
-                    and self.schedule_rng.random() < 0.5):
-                other = self._pop()
-                self._push(task)
-                task = other
-            outcome, dur, budget = self._execute(task)
-            self._process(task, outcome, dur, budget)
-        if self.event_path is not None:
-            self.ctx.observer.on_commit(self.event_path)
-        return self._verdict()
-
-    def _verdict(self):
-        cfg = self.ctx.config
-        if self.event is not None:
-            cutoff = self.event_path
-            committed = [r for r in self.records if r.path <= cutoff]
-        else:
-            committed = list(self.records)
-        stats = {
-            "charts": sum(1 for r in committed if r.is_chart),
-            "frames": sum(r.frames for r in committed),
-            "gb_queries": sum(r.gb_queries for r in committed),
-            "max_depth": max((r.depth for r in committed if r.is_chart),
-                             default=0),
-            "minors": sum(r.minors for r in committed),
-            "minors_possible": sum(r.minors_possible for r in committed),
-        }
-        sim = max((r.finish for r in committed), default=0.0)
-        budget = self.ctx.root_budget
-        # engine runs depend on cache warmth, so they are timing, not stats
-        timing = {"sim_parallel_s": sim,
-                  "sequential_s": sum(r.dur for r in committed),
-                  "gb_runs": budget.runs_started,
-                  "gb_runs_seeded": budget.runs_seeded}
-        if self.event is None:
-            return Verdict("smooth", cfg.mode, None, stats, timing)
-        kind, info = self.event
-        if kind == "fail":
-            return Verdict("singular", cfg.mode, info, stats, timing)
-        return Verdict("indeterminate", cfg.mode, None, stats, timing,
-                       reason=info, reason_kind=kind)
+def _execute(ctx: _RunContext, task):
+    """Run one task under its own budget; a raised error becomes an event
+    (reason_kind, reason) in place of the outcome."""
+    budget = ctx.root_budget.child(task.path)
+    ctx.observer.on_task_start(task.path, task.kind)
+    t0 = time.monotonic()
+    passed = False
+    try:
+        outcome = task.run(ctx, budget)
+        passed = outcome.fail is None
+    except LimitExceededError as e:
+        outcome = ("limit", f"limit: {e}")
+    except MemoryError:
+        outcome = ("limit", "memory exhausted")
+    except VarsmoothError as e:
+        outcome = ("precondition", f"{type(e).__name__}: {e}")
+    except Exception as e:  # a task panic surfaces as indeterminate
+        outcome = ("internal", f"internal {type(e).__name__}: {e}")
+    dur = time.monotonic() - t0
+    ctx.observer.on_task_done(task.path, task.kind, passed)
+    return outcome, dur, budget
 
 
-def _run(roots, config: Optional[Config], observer: Optional[Observer],
-         schedule_seed) -> Verdict:
+def _walk(ctx: _RunContext, task, ready, records):
+    """Run task, ready at time ready on the critical path, then the tasks
+    it spawns in order, each ready at its finish, then its joined step,
+    ready at the latest finish among the task and its frames.  Every path
+    a task spawns extends its own, and a step's path follows its chart's
+    last frame, so this depth-first walk runs paths in increasing order.
+    Appends one record per task and returns the first event, (path,
+    ("fail", witness)) or (path, (reason_kind, reason)), or None."""
+    outcome, dur, budget = _execute(ctx, task)
+    finish = ready + dur
+    mark = len(records)
+    records.append(_TaskRecord(task.path, task.kind, task.depth, budget,
+                               dur, finish))
+    if not isinstance(outcome, _Outcome):
+        return task.path, outcome
+    if outcome.fail is not None:
+        return task.path, ("fail", outcome.fail)
+    for sub in outcome.spawn:
+        event = _walk(ctx, sub, finish, records)
+        if event is not None:
+            return event
+    if outcome.joined is None:
+        return None
+    joined_ready = max(r.finish for r in records[mark:])
+    return _walk(ctx, outcome.joined, joined_ready, records)
+
+
+def _verdict(ctx: _RunContext, event, records) -> Verdict:
+    cfg = ctx.config
+    stats = {
+        "charts": sum(1 for r in records if r.kind == "chart"),
+        "frames": sum(r.frames for r in records),
+        "gb_queries": sum(r.gb_queries for r in records),
+        "max_depth": max((r.depth for r in records if r.kind == "chart"),
+                         default=0),
+        "minors": sum(r.minors for r in records),
+        "minors_possible": sum(r.minors_possible for r in records),
+    }
+    budget = ctx.root_budget
+    # engine runs depend on cache warmth, so they are timing, not stats
+    timing = {"sim_parallel_s": max(r.finish for r in records),
+              "sequential_s": sum(r.dur for r in records),
+              "gb_runs": budget.runs_started,
+              "gb_runs_seeded": budget.runs_seeded}
+    if event is None:
+        return Verdict("smooth", cfg.mode, None, stats, timing)
+    kind, info = event[1]
+    if kind == "fail":
+        return Verdict("singular", cfg.mode, info, stats, timing)
+    return Verdict("indeterminate", cfg.mode, None, stats, timing,
+                   reason=info, reason_kind=kind)
+
+
+def _run(roots, config: Optional[Config],
+         observer: Optional[Observer]) -> Verdict:
+    """Walk the roots, a non-empty list, in order until the first event,
+    which commits."""
     config = config if config is not None else Config()
     observer = observer if observer is not None else Observer()
-    rng = random.Random(schedule_seed) if schedule_seed is not None else None
-    pool = _Pool(_RunContext(config, observer), schedule_rng=rng)
+    ctx = _RunContext(config, observer)
+    records = []
     t0 = time.monotonic()
-    verdict = pool.run(roots)
+    for root in roots:
+        event = _walk(ctx, root, 0.0, records)
+        if event is not None:
+            observer.on_commit(event[0])
+            break
+    verdict = _verdict(ctx, event, records)
     verdict.timing["wall_s"] = time.monotonic() - t0
     return verdict
 
 
 def run_parallel(charts, config: Optional[Config] = None,
-                 observer: Optional[Observer] = None,
-                 _schedule_seed=None) -> Verdict:
-    """Run the task tree rooted at the given charts.  The verdict, witness,
-    and committed statistics are the same for every job count and
-    schedule; a failing check prunes all pending work above it."""
+                 observer: Optional[Observer] = None) -> Verdict:
+    """Run the task tree rooted at the given charts, at least one.  Tasks
+    run depth first in path order and the first failure ends the run, so
+    the verdict, witness and statistics are the same for every job
+    count."""
+    if not charts:
+        raise ContractError("run_parallel needs at least one chart")
     roots = [_ChartTask((i,) if len(charts) > 1 else (), chart)
              for i, chart in enumerate(charts)]
-    return _run(roots, config, observer, _schedule_seed)
+    return _run(roots, config, observer)
 
 
 def smoothness_test(ideal: Ideal, config: Optional[Config] = None,
-                    observer: Optional[Observer] = None,
-                    _schedule_seed=None) -> Verdict:
+                    observer: Optional[Observer] = None) -> Verdict:
     """Decide smoothness of the affine variety cut out by the ideal.
 
     The ideal must be radical and equidimensional; this is a documented
-    precondition, not something the test verifies.  Returns a Verdict with
-    status smooth, singular (with a witness), or indeterminate (limits or
-    input-contract violations, with a reason)."""
-    return _run([_ChartTask((), Chart.root(ideal))], config, observer,
-                _schedule_seed)
+    precondition, not something the test verifies.  Tasks run depth first
+    in path order and the first failure ends the run.  Returns a Verdict
+    with status smooth, singular (with the first failing check as its
+    witness), or indeterminate (limits or input-contract violations, with a
+    reason)."""
+    return _run([_ChartTask((), Chart.root(ideal))], config, observer)
 
 
 def projective_smoothness(ideal: Ideal, config: Optional[Config] = None,
-                          observer: Optional[Observer] = None,
-                          _schedule_seed=None) -> Verdict:
+                          observer: Optional[Observer] = None) -> Verdict:
     """Decide smoothness of the projective variety of a homogeneous ideal
     by testing the standard affine charts x_i = 1 in ascending variable
-    order; each chart runs under the same scheduling contract, and is built
-    only when its task runs."""
+    order; each chart is built only when its task runs, so no chart after
+    the first failure is built."""
     ring = ideal.ring
     if ring.nvars < 2:
         raise ContractError("projective input needs at least two variables")
@@ -585,4 +524,4 @@ def projective_smoothness(ideal: Ideal, config: Optional[Config] = None,
         if not f.is_homogeneous():
             raise NonHomogeneousError(f"{f} is not homogeneous")
     roots = [_RootChartTask((i,), ideal, i) for i in range(ring.nvars)]
-    return _run(roots, config, observer, _schedule_seed)
+    return _run(roots, config, observer)

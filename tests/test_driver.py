@@ -99,14 +99,13 @@ def test_disjoint_point_and_line_smooth():
 
 
 @pytest.mark.parametrize("jobs", [2, 8])
-def test_determinism_across_jobs_and_schedules(jobs):
+def test_determinism_across_jobs(jobs):
     for ideal, expected in ((cusp_ideal(), "singular"),
                             (two_points_ideal(), "smooth")):
         base = smoothness_test(ideal, Config(mode="hironaka", jobs=1,
                                              combinations=False))
         alt = smoothness_test(ideal, Config(mode="hironaka", jobs=jobs,
-                                            combinations=False),
-                              _schedule_seed=jobs * 17)
+                                            combinations=False))
         assert base.status == expected
         assert alt.status == base.status
         assert alt.witness == base.witness
@@ -122,9 +121,8 @@ def test_projective_determinism_and_witness():
     nodal = Ideal(ring, [Y * Y * Z - X * X * (X + Z)])
     base = projective_smoothness(nodal, Config(mode="hironaka", jobs=1))
     assert base.status == "singular"
-    for jobs, seed in ((2, 5), (8, 23)):
-        v = projective_smoothness(nodal, Config(mode="hironaka", jobs=jobs),
-                                  _schedule_seed=seed)
+    for jobs in (2, 8):
+        v = projective_smoothness(nodal, Config(mode="hironaka", jobs=jobs))
         assert v.witness == base.witness
         assert v.stats == base.stats
 
@@ -144,7 +142,7 @@ def test_no_engine_starts_after_commit():
 
     probe = Probe()
     v = smoothness_test(cusp_ideal(), Config(mode="hironaka", jobs=4),
-                        observer=probe, _schedule_seed=11)
+                        observer=probe)
     assert v.status == "singular"
     assert probe.events.count("commit") == 1
     tail = probe.events[probe.events.index("commit") + 1:]
@@ -383,6 +381,61 @@ def test_run_parallel_multiple_roots():
     assert v2.status == "smooth"
 
 
+def test_run_parallel_rejects_an_empty_chart_list():
+    # no chart checks nothing, which must not read as smooth
+    with pytest.raises(ContractError):
+        run_parallel([], Config())
+
+
+class _Clock:
+    """A monotonic clock that advances one unit per reading."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def monotonic(self):
+        self.now += 1.0
+        return self.now
+
+
+class _Starts(Observer):
+    def __init__(self):
+        self.paths = []
+
+    def on_task_start(self, path, kind):
+        self.paths.append(path)
+
+
+def _nodal_cubic():
+    ring = Ring(QQ, ("X", "Y", "Z"))
+    X, Y, Z = variables(ring)
+    return Ideal(ring, [Y * Y * Z - X * X * (X + Z)])
+
+
+@pytest.mark.parametrize("ideal, opts, status, tasks, critical", [
+    (_nodal_cubic(), {}, "singular", 10, 4),
+    (rational_normal_curve(4).ideal, {}, "smooth", 53, 10),
+    (rational_normal_curve(5).ideal, {"mode": "hybrid", "to_codim": 2},
+     "smooth", 65, 10),
+])
+def test_tasks_run_in_path_order_on_the_critical_path_clock(
+        monkeypatch, ideal, opts, status, tasks, critical):
+    # every task lasts one clock unit: sequential_s counts the tasks, and
+    # sim_parallel_s is the longest chain of tasks each waiting on the last
+    # (a frame on its chart, a step on its chart and frames, a child on its
+    # step)
+    from varsmooth import driver
+    monkeypatch.setattr(driver, "time", _Clock())
+    clear_caches()
+    starts = _Starts()
+    v = projective_smoothness(ideal, Config(**opts), observer=starts)
+    assert v.status == status
+    assert len(starts.paths) == tasks
+    assert v.timing["sequential_s"] == tasks
+    assert v.timing["sim_parallel_s"] == critical
+    assert all(a < b for a, b in zip(starts.paths, starts.paths[1:]))
+
+
 def test_projective_requires_two_variables():
     r1 = Ring(QQ, ("x",))
     with pytest.raises(ContractError):
@@ -449,12 +502,6 @@ def test_projective_roots_are_built_when_their_task_runs(monkeypatch):
 
 
 # -- root charts: the order-one check before the dimension ---------------------
-
-
-def _nodal_cubic():
-    ring = Ring(QQ, ("X", "Y", "Z"))
-    X, Y, Z = variables(ring)
-    return Ideal(ring, [Y * Y * Z - X * X * (X + Z)])
 
 
 def _root_chart(ideal, i):
@@ -544,11 +591,9 @@ def test_singular_root_chart_commits_after_one_groebner_run(monkeypatch,
     assert dims == []
     assert base.stats["gb_queries"] == 1
     for jobs in (1, 2, 8):
-        for sched in (None, 7):
-            v = projective_smoothness(ideal, Config(jobs=jobs, **opts),
-                                      _schedule_seed=sched)
-            assert v.witness == base.witness, (jobs, sched)
-            assert v.stats == base.stats, (jobs, sched)
+        v = projective_smoothness(ideal, Config(jobs=jobs, **opts))
+        assert v.witness == base.witness, jobs
+        assert v.stats == base.stats, jobs
     assert dims == []
 
 
