@@ -35,6 +35,8 @@ from .ring import Ring
 class Chart:
     """Ambient/variety ideal pair on the open set D(localizer).
 
+    check verifies I_W inside I_X; descend passes check=False, since a
+    child's ambient adds a variety generator or a combination of them.
     partials is the Partials table of the chart's tree.  A chart made
     without one starts a new tree and a new table; descend hands the
     parent's table to every child, which keeps the parent's variety and
@@ -43,20 +45,18 @@ class Chart:
     __slots__ = ("ambient", "variety", "localizer", "depth", "partials")
 
     def __init__(self, ambient: Ideal, variety: Ideal, localizer: Polynomial,
-                 depth: int = 0, budget: Optional[Budget] = None,
-                 check: bool = True, partials: Optional[Partials] = None):
+                 depth: int = 0, check: bool = True,
+                 partials: Optional[Partials] = None):
         if ambient.ring != variety.ring or localizer.ring != variety.ring:
             raise ContractError("chart pieces live in different rings")
         if localizer.is_zero():
             raise ContractError("chart localizer is zero")
         if depth < 0:
             raise ContractError("negative chart depth")
-        if check and ambient.generators:
-            gb_x = buchberger(variety, budget=ensure_budget(budget))
-            for g in ambient.generators:
-                if not gb_x.contains(g):
-                    raise ContractError(
-                        "ambient ideal is not contained in the variety ideal")
+        if check and ambient.generators and not all(
+                map(buchberger(variety).contains, ambient.generators)):
+            raise ContractError(
+                "ambient ideal is not contained in the variety ideal")
         self.ambient = ambient
         self.variety = variety
         self.localizer = localizer
@@ -420,7 +420,7 @@ def descend(chart: Chart, enum: FrameEnumeration, rng,
         amb = chart.ambient.extended([f])
         if vacuous(amb, g):
             return []
-        return [Chart(amb, chart.variety, g, chart.depth + 1, budget=budget,
+        return [Chart(amb, chart.variety, g, chart.depth + 1, check=False,
                       partials=chart.partials)]
 
     for f in usable:
@@ -464,7 +464,7 @@ def descend(chart: Chart, enum: FrameEnumeration, rng,
         if vacuous(amb, g * h):
             continue  # empty chart, covers no point of the variety
         children.append(Chart(amb, chart.variety, g * h, chart.depth + 1,
-                              budget=budget, partials=chart.partials))
+                              check=False, partials=chart.partials))
     return children
 
 

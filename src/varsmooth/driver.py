@@ -25,7 +25,7 @@ from .charts import (Chart, affine_jacobian_criterion, delta_frame_tasks,
                      descend, embedded_frame_tasks)
 from .errors import (ContractError, LimitExceededError,
                      NonHomogeneousError, VarsmoothError)
-from .groebner import Ideal, equal_on_chart, krull_dimension, radical_membership
+from .groebner import Ideal, krull_dimension, radical_membership
 from .limits import Budget, Limits
 from .poly import dehomogenize
 
@@ -192,18 +192,14 @@ def _witness(path, chart: Chart, check_kind, cols) -> Witness:
 
 def _dimension_exits(chart: Chart, budget,
                      d_x: Optional[int] = None) -> Optional[int]:
-    """The exits that read the variety's dimension d_x: an empty variety, a
-    variety equal to the smooth ambient, or one of the ambient's dimension.
-    d_x is computed unless the caller knows it already.  Returns d_x, or
-    None when one of them settles the chart."""
+    """The exits that read the variety's dimension d_x: an empty variety,
+    or one of the smooth ambient's dimension, which includes X = W on D(g)
+    (descend keeps no chart with W off D(g)).  d_x is computed unless the
+    caller knows it already.  Returns d_x, or None when one settles it."""
     if d_x is None:
         d_x = krull_dimension(chart.variety, budget=budget)
     if d_x < 0:
         return None  # empty variety
-
-    if chart.ambient.generators and equal_on_chart(
-            chart.ambient, chart.variety, chart.localizer, budget=budget):
-        return None  # X equals the smooth ambient here
 
     r = len(chart.ambient.generators)
     n = chart.ring.nvars
@@ -223,13 +219,13 @@ class _ChartTask(_Task):
     delta frame subtasks joined by the chart's step.
 
     The exits that read the variety's dimension d_x run first only on a
-    chart with ambient generators: Chart's containment check has cached
-    the basis they need, and a chart they settle spawns no frames.  With an
-    empty ambient the delta frames do not depend on d_x and a failing one
-    is a witness by itself, so only the syntactic exits run first (a
-    constant generator, the zero ideal) and the step runs the rest once
-    the frames all passed.  A descended chart keeps its parent's variety,
-    so its parent's step hands down d_x and only the exits run."""
+    chart with ambient generators, which descend made: it keeps its
+    parent's variety, so the parent's step hands down d_x, the exits ask
+    for no basis, and a chart they settle spawns no frames.  With an empty
+    ambient the delta frames do not depend on d_x and a failing one is a
+    witness by itself, so only the syntactic exits run first (a constant
+    generator, the zero ideal) and the step runs the rest once the frames
+    all passed."""
 
     kind = "chart"
     __slots__ = ("chart", "switch_depth", "d_x")

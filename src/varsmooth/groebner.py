@@ -35,8 +35,8 @@ they give builds no basis and is not counted as a Groebner query.  Other
 questions use the extra-variable trick: f lies in the radical of I exactly
 when I together with 1 - t*f generates the unit ideal in the extended
 ring; that run starts from the cached basis of I, or else of the ideal I
-extends, lifted into the extended ring.  No elimination orders are used
-anywhere.
+extends, lifted into the extended ring once and kept.  No elimination
+orders are used anywhere.
 """
 
 from __future__ import annotations
@@ -63,9 +63,9 @@ class Ideal:
     base is the ideal this one extends when it was made by extended(): its
     generators are then the first len(base) generators here.  The link only
     lets a Groebner run start from the base's basis; it takes no part in
-    ==, the hash or the fingerprint."""
+    ==, the hash or the fingerprint, and neither does the memo _lifted."""
 
-    __slots__ = ("ring", "generators", "_hash", "base")
+    __slots__ = ("ring", "generators", "_hash", "base", "_lifted")
 
     def __init__(self, ring: Ring, generators):
         gens = []
@@ -78,6 +78,7 @@ class Ideal:
         self.generators = tuple(gens)
         self._hash = None
         self.base = None
+        self._lifted = None
 
     def extended(self, more) -> "Ideal":
         """This ideal's generators followed by more, linked to this ideal as
@@ -124,13 +125,15 @@ class GroebnerBasis:
     prepared divisors; the monic Polynomial elements are built only when
     first read, and the ideal's dimension when krull_dimension first asks."""
 
-    __slots__ = ("ideal", "_elements", "_divisors", "_lead_keys", "_dim")
+    __slots__ = ("ideal", "_elements", "_divisors", "_lead_keys", "_dim",
+                 "_lifted_rows")
 
     def __init__(self, ideal: Ideal, rows):
         p = ideal.ring.field.characteristic
         self.ideal = ideal
         self._elements = None
         self._dim = None
+        self._lifted_rows = None
         self._divisors = [prepare_divisor(k, c, p) for k, c in rows]
         self._lead_keys = tuple(k[0] for k, _ in rows)
 
@@ -149,6 +152,15 @@ class GroebnerBasis:
                 els.append(Polynomial(ring, (lead,) + tkeys, coeffs))
             els = self._elements = tuple(els)
         return els
+
+    def lifted_rows(self):
+        """The prepared rows lifted by _lift_keys, computed once, kept."""
+        if self._lifted_rows is None:
+            n = self.ideal.ring.nvars
+            lifted = [_lift_keys((d[0], *d[2]), n) for d in self._divisors]
+            self._lifted_rows = [(k[0], d[1], tuple(k[1:]), d[3], d[4])
+                                 for k, d in zip(lifted, self._divisors)]
+        return self._lifted_rows
 
     def is_unit(self) -> bool:
         return self._lead_keys == (self.ideal.ring.one_key,)
@@ -608,7 +620,7 @@ def radical_membership(f: Polynomial, target,
     extended by t.  That run starts from the basis of I, or else of the
     ideal I extends, when it is at hand: lifted into the extended ring it
     stays a reduced basis, since degrevlex orders the monomials free of t
-    as before."""
+    as before.  That ideal's generators and basis rows are lifted once."""
     if f.is_zero():
         return True
     ideal = target.ideal if isinstance(target, GroebnerBasis) else target
@@ -624,27 +636,18 @@ def radical_membership(f: Polynomial, target,
         return False
     budget = ensure_budget(budget)
     if f.is_constant():
-        gb = _as_gb(target, budget)
-        return gb.is_unit()
-    ring = ideal.ring
-    ext = ring.extend(ring.fresh_name("t"))
-    lift = [_lift(g, ext) for g in ideal.generators]
-    t = Polynomial.variable(ext, ext.nvars - 1)
-    rab = Polynomial.constant(ext, 1) - t * _lift(f, ext)
+        return _as_gb(target, budget).is_unit()
     src = target if isinstance(target, GroebnerBasis) else _cache.get(ideal)
     if src is None and ideal.base is not None:
-        src = _cache.get(ideal.base)
-    if src is None:
-        gb = buchberger(Ideal(ext, lift + [rab]), budget=budget)
-    else:
-        k = len(src.ideal)
-        n = ring.nvars
-        seed = []
-        for lead, lc, tkeys, tcoeffs, inv in src._divisors:
-            keys = _lift_keys((lead, *tkeys), n)
-            seed.append((keys[0], lc, tuple(keys[1:]), tcoeffs, inv))
-        gb = buchberger(Ideal(ext, lift[:k]).extended([*lift[k:], rab]),
-                        budget=budget, seed=seed)
+        src = _cache.get(ideal.base)  # a peek: no query is counted
+    base = src.ideal if src is not None else ideal.base
+    lifted = _lifted(base if base is not None else Ideal(ideal.ring, ()))
+    ext = lifted.ring
+    more = [_lift(g, ext) for g in ideal.generators[len(lifted):]]
+    t = Polynomial.variable(ext, ext.nvars - 1)
+    rab = Polynomial.constant(ext, 1) - t * _lift(f, ext)
+    seed = src.lifted_rows() if src is not None else None
+    gb = buchberger(lifted.extended([*more, rab]), budget=budget, seed=seed)
     return gb.is_unit()
 
 
@@ -659,6 +662,14 @@ def _lift_keys(keys, n: int) -> list:
             | (k & low) for k in keys]
 
 
+def _lifted(ideal: Ideal) -> Ideal:
+    """The ideal lifted by _lift into its ring and a fresh t, kept."""
+    if ideal._lifted is None:
+        ext = ideal.ring.extend(ideal.ring.fresh_name("t"))
+        ideal._lifted = Ideal(ext, [_lift(g, ext) for g in ideal.generators])
+    return ideal._lifted
+
+
 def _lift(f: Polynomial, ext: Ring) -> Polynomial:
     """f in ext, the ring of f with one more variable appended, at exponent
     0, by _lift_keys: the same as f.map_exponents(ext, lambda e: e + (0,));
@@ -669,15 +680,6 @@ def _lift(f: Polynomial, ext: Ring) -> Polynomial:
     if zf is not None:
         g._zform = (keys, zf[1], zf[2])
     return g
-
-
-def equal_on_chart(i_w: Ideal, i_x: Ideal, g: Polynomial,
-                   budget: Optional[Budget] = None) -> bool:
-    """True when g * f lies in I_W for every generator f of I_X, i.e. the
-    two ideals cut the same set on the chart where g is invertible."""
-    budget = ensure_budget(budget)
-    gb = _as_gb(i_w, budget)
-    return all(gb.contains(g * f) for f in i_x.generators)
 
 
 def krull_dimension(ideal: Ideal, budget: Optional[Budget] = None) -> int:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from varsmooth.fields import QQ, GF
+from varsmooth.groebner import buchberger
 from varsmooth.poly import Polynomial
 from varsmooth.ring import Ring
 
@@ -94,3 +95,12 @@ def reference_minors(m, size, reducer=None):
             if not d.is_zero():
                 out.append(d)
     return out
+
+
+# -- oracle: the two ideals of a chart agree where its localizer is a unit ---
+
+def equal_on_chart(i_w, i_x, g):
+    """True when g * f lies in I_W for every generator f of I_X, i.e. the
+    two ideals cut the same set on the chart where g is invertible."""
+    gb = buchberger(i_w)
+    return all(gb.contains(g * f) for f in i_x.generators)

@@ -5,7 +5,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import nonzero_random_poly, reference_minors, variables
+from conftest import (equal_on_chart, nonzero_random_poly, reference_minors,
+                      variables)
 from corpus import corpus50
 from varsmooth.errors import (ContractError, DegenerateGeneratorError,
                               DescentError, LimitExceededError)
@@ -20,12 +21,12 @@ from varsmooth.bench import (cyclic_polytope_sr, random_coordinate_change,
                              rational_normal_curve, veronese_ci)
 from varsmooth.driver import (Config, projective_smoothness, run_parallel,
                               smoothness_test)
-from varsmooth.groebner import (Ideal, buchberger, equal_on_chart,
-                                ideal_membership, krull_dimension,
-                                radical_membership)
+from varsmooth.groebner import (Ideal, buchberger, ideal_membership,
+                                krull_dimension, radical_membership)
 from varsmooth.limits import Budget, Limits
 from varsmooth.matrix import (PolyMatrix, _gradient, adjugate, determinant,
                               iter_minors, jacobian)
+from varsmooth.parser import ideal_file_text, parse_ideal_file
 from varsmooth.poly import Polynomial, dehomogenize
 from varsmooth.ring import Ring
 
@@ -408,6 +409,50 @@ def test_descend_two_point_example_both_flavors():
     combined = descend_on_frames(root, random.Random(1), combinations=True)
     assert len(combined) == 1
     assert len(combined[0].ambient.generators) == 1
+
+
+def _rnc_over(field_text, d):
+    text = ideal_file_text(rational_normal_curve(d).ideal)
+    return parse_ideal_file(text.replace("ring QQ", f"ring {field_text}"))[1]
+
+
+@pytest.mark.parametrize("combinations", [True, False],
+                         ids=["combinations", "no-combinations"])
+def test_descended_ambients_lie_in_the_variety(monkeypatch, combinations):
+    # descend builds its children with check=False: each child's ambient
+    # adds a variety generator, or a combination of them, to its parent's,
+    # so I_W lies in I_X by construction; every descent the driver runs
+    # must keep that
+    real = driver.descend
+    made = {"children": 0, "covering": 0, "combination": 0}
+    strays = []     # (generator, chart) of ambient generators outside I_X
+
+    def checked(chart, enum, rng, **kw):
+        children = real(chart, enum, rng, **kw)
+        gb_x = buchberger(chart.variety)
+        for child in children:
+            strays.extend((str(h), child) for h in child.ambient.generators
+                          if child.variety is not chart.variety
+                          or not gb_x.normal_form(h).is_zero())
+            made["children"] += 1
+            made["covering"] += child.localizer != chart.localizer
+            made["combination"] += (child.ambient.generators[-1]
+                                    not in chart.variety.generators)
+        return children
+
+    monkeypatch.setattr(driver, "descend", checked)
+    ring, (x, y) = mkvars(QQ, ("x", "y"))
+    one = Polynomial.constant(ring, 1)
+    points = Ideal(ring, [x * (y + one), y * (x + one)])
+    cfg = Config(combinations=combinations)
+    assert smoothness_test(points, cfg).status == "smooth", strays
+    assert made["covering"] == (0 if combinations else 2)
+    for ideal in (_rnc_over("QQ", 4), _rnc_over("QQ", 5),
+                  _rnc_over("F32003", 4)):
+        assert projective_smoothness(ideal, cfg).status == "smooth", strays
+    assert not strays, strays
+    assert made["children"] > 30, made
+    assert (made["combination"] > 0) == combinations, made
 
 
 def test_descend_rejects_chart_with_no_usable_generator():

@@ -621,12 +621,14 @@ def _empty_root_point():
 # first minor that proves it: the nodal cubic's two smooth embedded charts
 # form one of their two minors each (minors 4 -> 2).  A radical membership
 # decided by a unit generator or by the origin is not a Groebner query, and
-# a descended chart takes its dimension from its parent's step, so the
-# gb_queries here are those the certificates leave.
+# a descended chart takes its dimension from its parent's step and asks
+# neither whether its variety equals its ambient nor whether its ambient
+# lies in the variety, so the gb_queries here are those the certificates
+# leave.
 _EDGE = {
     ("double point", "hironaka"): (
         "singular", ((2, 1, 0, 1, 0, 0), 2, "delta", (0, 2)),
-        {"charts": 5, "frames": 5, "gb_queries": 9, "max_depth": 2,
+        {"charts": 5, "frames": 5, "gb_queries": 5, "max_depth": 2,
          "minors": 0, "minors_possible": 0}),
     ("double point", "hybrid"): (
         "singular", ((2, 1, 0), 0, "jacobian", ()),
@@ -634,7 +636,7 @@ _EDGE = {
          "minors": 1, "minors_possible": 1}),
     ("double point", "hybrid-1"): (
         "singular", ((2, 1, 0, 1, 0, 0), 2, "delta", (0, 2)),
-        {"charts": 5, "frames": 5, "gb_queries": 9, "max_depth": 2,
+        {"charts": 5, "frames": 5, "gb_queries": 5, "max_depth": 2,
          "minors": 0, "minors_possible": 0}),
     ("double point", "jacobian"): (
         "singular", ((2,), 0, "criterion", None),
@@ -642,7 +644,7 @@ _EDGE = {
          "minors": 1, "minors_possible": 1}),
     ("point", "hironaka"): (
         "smooth", None,
-        {"charts": 7, "frames": 5, "gb_queries": 12, "max_depth": 3,
+        {"charts": 7, "frames": 5, "gb_queries": 6, "max_depth": 3,
          "minors": 0, "minors_possible": 0}),
     ("point", "hybrid"): (
         "smooth", None,
@@ -650,7 +652,7 @@ _EDGE = {
          "minors": 1, "minors_possible": 1}),
     ("point", "hybrid-1"): (
         "smooth", None,
-        {"charts": 6, "frames": 6, "gb_queries": 10, "max_depth": 2,
+        {"charts": 6, "frames": 6, "gb_queries": 6, "max_depth": 2,
          "minors": 1, "minors_possible": 1}),
     ("point", "jacobian"): (
         "smooth", None,
@@ -658,7 +660,7 @@ _EDGE = {
          "minors": 1, "minors_possible": 1}),
     ("nodal cubic", "hironaka"): (
         "singular", ((2, 0), 0, "delta", ()),
-        {"charts": 5, "frames": 3, "gb_queries": 13, "max_depth": 1,
+        {"charts": 5, "frames": 3, "gb_queries": 9, "max_depth": 1,
          "minors": 0, "minors_possible": 0}),
     ("nodal cubic", "hybrid"): (
         "singular", ((2, 0), 0, "delta", ()),

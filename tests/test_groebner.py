@@ -6,13 +6,13 @@ from itertools import combinations as icombs
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import nonzero_random_poly, random_poly, variables
+from conftest import (equal_on_chart, nonzero_random_poly, random_poly,
+                      variables)
 from varsmooth.errors import LimitExceededError
 from varsmooth.fields import QQ, GF
 from varsmooth.groebner import (GroebnerBasis, Ideal, _PairQueue, _lift,
-                                buchberger, clear_caches, equal_on_chart,
-                                ideal_membership, krull_dimension,
-                                normal_form, prepare_divisor,
+                                buchberger, clear_caches, ideal_membership,
+                                krull_dimension, normal_form, prepare_divisor,
                                 radical_membership, reduce_terms)
 from varsmooth.limits import Budget, Limits, ensure_budget
 from varsmooth.poly import Polynomial
@@ -676,6 +676,81 @@ def test_seeded_run_after_the_base_was_evicted(monkeypatch):
     again = buchberger(base.extended(extra), budget=budget)
     assert (budget.runs_started, budget.runs_seeded) == (1, 0)
     assert again._divisors == cold._divisors
+
+
+def test_each_base_is_lifted_once_per_run(monkeypatch):
+    # one hironaka run of rnc5: a Rabinowitsch query lifts f and the
+    # generators past its base, and the base's generators and the seed
+    # rows only the first time that base (basis) seeds a query
+    from varsmooth import charts, driver, groebner
+    from varsmooth.bench import rational_normal_curve
+    real_lift, real_keys = groebner._lift, groebner._lift_keys
+    real_rm = groebner.radical_membership
+    polys, rows = [], []    # lifted in the open query, by _lift and not
+    in_lift = False
+    queries = []    # (f, target, own basis cached, answer, polys, rows)
+
+    def lift(f, ext):
+        nonlocal in_lift
+        polys.append(f)
+        in_lift = True
+        try:
+            return real_lift(f, ext)
+        finally:
+            in_lift = False
+
+    def lift_keys(keys, n):
+        if not in_lift:
+            rows.append(tuple(keys))
+        return real_keys(keys, n)
+
+    def rm(f, target, budget=None):
+        own = isinstance(target, GroebnerBasis) or target in groebner._cache
+        answer = real_rm(f, target, budget=budget)
+        if isinstance(target, GroebnerBasis):
+            target = target.ideal
+        queries.append((f, target, own, answer, polys[:], rows[:]))
+        del polys[:], rows[:]
+        return answer
+
+    monkeypatch.setattr(groebner, "_lift", lift)
+    monkeypatch.setattr(groebner, "_lift_keys", lift_keys)
+    for mod in (groebner, charts, driver):
+        monkeypatch.setattr(mod, "radical_membership", rm)
+    clear_caches()
+    verdict = driver.projective_smoothness(rational_normal_curve(5).ideal)
+    assert verdict.status == "smooth"
+
+    lifted_bases, lifted_bases_rows = set(), set()
+    engine_queries = 0
+    for f, target, own, _, lifts, seed_rows in queries:
+        if not lifts:       # a certificate or a constant f: nothing lifted
+            assert not seed_rows
+            continue
+        engine_queries += 1
+        gens = target.generators
+        base = gens if own else (target.base.generators
+                                 if target.base is not None else ())
+        assert lifts.pop() == f     # lifted after the generators
+        if lifts != list(gens[len(base):]):
+            # the first query this base seeds lifts its generators
+            assert lifts == list(gens), "a query lifted a stray poly"
+            key = (target.ring, base)
+            assert key not in lifted_bases, "a base was lifted twice"
+            lifted_bases.add(key)
+        if seed_rows:
+            key = (target.ring, tuple(seed_rows))
+            assert key not in lifted_bases_rows, "seed rows lifted twice"
+            lifted_bases_rows.add(key)
+    assert engine_queries > 20 and lifted_bases and lifted_bases_rows
+
+    monkeypatch.setattr(groebner, "_lift", real_lift)
+    monkeypatch.setattr(groebner, "_lift_keys", real_keys)
+    for f, target, _, answer, _, _ in queries:
+        clear_caches()
+        assert real_rm(f, target) == answer
+        clear_caches()
+        assert real_rm(f, Ideal(target.ring, target.generators)) == answer
 
 
 def test_basis_cap_counts_the_seed_rows():

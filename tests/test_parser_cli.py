@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -119,6 +120,24 @@ def test_cli_gen_check_pipeline_smooth():
     assert chk.returncode == 0, (chk.stdout, chk.stderr)
     assert "verdict: smooth" in chk.stdout
     assert "assume" not in chk.stderr
+
+
+def test_readme_quick_start_matches_the_cli():
+    # the verdict and stats lines the README shows for its first command;
+    # the timing line after them depends on the cache, so it is left out
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    cmd = ("$ varsmooth gen rnc 4 | varsmooth check --projective "
+           "--assume-radical -")
+    at = lines.index(cmd)
+    shown = lines[at + 1:at + 3]
+    assert shown[0].startswith("verdict: ")
+    assert shown[1].startswith("charts: ")
+    gen = run_cli(["gen", "rnc", "4"])
+    chk = run_cli(["check", "--projective", "--assume-radical", "-"],
+                  stdin_text=gen.stdout)
+    assert chk.returncode == 0, chk.stderr
+    assert chk.stdout.splitlines()[:2] == shown
 
 
 def test_cli_gen_check_pipeline_singular():
