@@ -81,16 +81,15 @@ class Chart:
 class FrameData:
     """One invertible submatrix of the ambient Jacobian.
 
-    rows/cols are the selected row and column index tuples of the ambient
-    Jacobian jac (shared by the chart's frames, read from the chart's
-    Partials table), q the determinant of that square submatrix m, and adj
-    its cofactor matrix normalized so that
+    cols are the selected column indices of the ambient Jacobian jac (all
+    of its rows are selected; jac is shared by the chart's frames, read
+    from the chart's Partials table), q the determinant of that square
+    submatrix m, and adj its cofactor matrix normalized so that
     sum_k adj[l][k] * m[l'][k] == q * delta(l, l')."""
 
-    __slots__ = ("rows", "cols", "q", "adj", "jac")
+    __slots__ = ("cols", "q", "adj", "jac")
 
-    def __init__(self, rows, cols, q, adj, jac):
-        self.rows = tuple(rows)
+    def __init__(self, cols, q, adj, jac):
         self.cols = tuple(cols)
         self.q = q
         self.adj = adj
@@ -104,42 +103,40 @@ class FrameEnumeration:
     """Materialized frame sequence with the covering exit applied.
 
     frames: the FrameData list, in deterministic (lexicographic column
-    subset) order, truncated as soon as the covering test succeeded.
-    cover_complete: whether the exit test fired (exhausting all candidate
-    subsets without it is not an error).
-    determinants: the q_i of the yielded frames, for post-hoc auditing.
-    tests: the products q_i * g with the chart's localizer g, the test
-    polynomial of every check on frames[i].
+    subset) order, truncated as soon as the frames cover the chart.
+    cover_complete: whether they do, i.e. the localizer g lies in the
+    radical of I_W + (q_1..q_t).  Exhausting every candidate subset
+    without it is not an error here (the ambient is then singular where g
+    is invertible); delta_frame_tasks refuses such an enumeration.
+    tests: the products q_i * g, the test polynomial of every check on
+    frames[i].
     rows: filled by delta_frame_tasks, None before; rows[i] maps each
     variety generator outside the ambient list to its relative Jacobian
     row on frames[i], which the descent and the embedded step read.
     """
 
-    __slots__ = ("frames", "cover_complete", "determinants", "tests", "rows")
+    __slots__ = ("frames", "cover_complete", "tests", "rows")
 
-    def __init__(self, frames, cover_complete, determinants, localizer):
+    def __init__(self, frames, cover_complete, localizer):
         self.frames = frames
         self.cover_complete = cover_complete
-        self.determinants = determinants
-        self.tests = [q * localizer for q in determinants]
+        self.tests = [fr.q * localizer for fr in frames]
         self.rows = None
 
 
-def enumerate_frames(chart: Chart, strict: bool = False,
+def enumerate_frames(chart: Chart,
                      budget: Optional[Budget] = None) -> FrameEnumeration:
     """Frames of the chart's ambient Jacobian in lexicographic column order.
 
     Each candidate submatrix gets its determinant first; zero ones are
     skipped, and only the frames kept get an adjugate.  Enumeration stops as
-    soon as the yielded determinants q_1..q_t cover the chart: by default
-    when g lies in the radical of I_W + (q_1..q_t), in strict mode when g
-    lies in the plain ideal (q_1..q_t).  A constant determinant covers
+    soon as the kept determinants q_1..q_t cover the chart, when g lies in
+    the radical of I_W + (q_1..q_t).  A constant determinant covers
     immediately, so a frameless chart yields the single empty frame.
     """
     budget = ensure_budget(budget)
-    ring = chart.ring
     r = len(chart.ambient.generators)
-    n = ring.nvars
+    n = chart.ring.nvars
     g = chart.localizer
     if r > n:
         raise ContractError(f"{r} ambient generators in {n} variables")
@@ -147,7 +144,6 @@ def enumerate_frames(chart: Chart, strict: bool = False,
     jac = chart.partials.jacobian(chart.ambient.generators)
     rows = tuple(range(r))
     frames = []
-    dets = []
     for cols in _combinations(range(n), r):
         budget.checkpoint()
         m = jac.submatrix(rows, cols)
@@ -155,18 +151,12 @@ def enumerate_frames(chart: Chart, strict: bool = False,
         if q.is_zero():
             continue
         adj, _ = adjugate(m)
-        frames.append(FrameData(rows, cols, q, adj, jac))
-        dets.append(q)
-        if q.is_constant():
-            return FrameEnumeration(frames, True, dets, g)
-        if strict:
-            covered = ideal_membership(g, Ideal(ring, dets), budget=budget)
-        else:
-            covered = radical_membership(g, chart.ambient.extended(dets),
-                                         budget=budget)
-        if covered:
-            return FrameEnumeration(frames, True, dets, g)
-    return FrameEnumeration(frames, False, dets, g)
+        frames.append(FrameData(cols, q, adj, jac))
+        if q.is_constant() or radical_membership(
+                g, chart.ambient.extended([fr.q for fr in frames]),
+                budget=budget):
+            return FrameEnumeration(frames, True, g)
+    return FrameEnumeration(frames, False, g)
 
 
 def relative_jacobian(polys, chart: Chart, frame: FrameData) -> PolyMatrix:
@@ -252,14 +242,20 @@ def _delta_ideal(chart: Chart, frame: FrameData):
             {f: rel.row(i) for i, f in enumerate(fs)})
 
 
-def delta_frame_tasks(chart: Chart, strict: bool = False,
-                      budget: Optional[Budget] = None):
+def delta_frame_tasks(chart: Chart, budget: Optional[Budget] = None):
     """(enumeration, checks): checks[i] = (frame, ideal, test polynomial);
     the frame check passes when the test polynomial lies in the radical of
     the ideal.  The enumeration keeps the relative Jacobian rows for the
-    descent and the embedded step."""
+    descent and the embedded step, which read only enumerations built
+    here, so they may assume the frames cover the chart: frames that do
+    not (the ambient is singular where the localizer is invertible) raise
+    ContractError."""
     budget = ensure_budget(budget)
-    enum = enumerate_frames(chart, strict=strict, budget=budget)
+    enum = enumerate_frames(chart, budget=budget)
+    if not enum.cover_complete:
+        raise ContractError(
+            "the frames do not cover the chart: its ambient is singular "
+            "where the localizer is invertible")
     checks = []
     enum.rows = []
     for frame, test in zip(enum.frames, enum.tests):
@@ -369,10 +365,11 @@ def descend(chart: Chart, enum: FrameEnumeration, rng,
             budget: Optional[Budget] = None) -> list:
     """Charts one level deeper: the ambient gains one variety generator.
 
-    enum is the chart's enumeration from delta_frame_tasks, with the
-    relative Jacobian rows of the variety generators on its frames.  The
-    new hypersurface must be smooth where g is invertible, which
-    smooth_on_frames reads from those rows, frame by frame.  Single
+    enum is the chart's enumeration from delta_frame_tasks: its frames
+    cover the chart, and it keeps the relative Jacobian rows of the variety
+    generators on them.  The new hypersurface must be smooth where g is
+    invertible, which smooth_on_frames reads from those rows, frame by
+    frame.  Single
     generators are tried in order, then up to three random linear
     combinations, whose rows are the same combinations of the stored rows.
     When none is smooth, the singular-locus ideals (with their minors) are
@@ -384,11 +381,6 @@ def descend(chart: Chart, enum: FrameEnumeration, rng,
     the generators' gradients.  Every child's ambient extends the chart's
     (Ideal.extended), so its basis is computed from the chart's ambient
     basis.
-
-    The frame-wise test needs the frames to cover the chart.  When the
-    enumeration's exit never fired (possible under strict covering), g must
-    lie in the radical of I_W + (q_1..q_t); otherwise the ambient is
-    singular on D(g) and ContractError is raised.
     """
     budget = ensure_budget(budget)
     ring = chart.ring
@@ -406,11 +398,6 @@ def descend(chart: Chart, enum: FrameEnumeration, rng,
     if enum.rows is None:
         raise ContractError(
             "descend needs the relative Jacobian rows of delta_frame_tasks")
-    if not enum.cover_complete and not radical_membership(
-            g, chart.ambient.extended(enum.determinants), budget=budget):
-        raise ContractError(
-            "the frames do not cover the chart: its ambient is singular "
-            "where the localizer is invertible")
 
     def vacuous(amb, loc):
         # localizer vanishing on the new ambient means the chart is empty

@@ -56,8 +56,6 @@ def _build_parser():
     chk.add_argument("--assume-radical", action="store_true",
                      help="acknowledge that the input is radical and "
                           "equidimensional (silences the reminder)")
-    chk.add_argument("--strict-cover", action="store_true",
-                     help="frame covers exit on plain ideal membership")
     chk.add_argument("--no-combinations", action="store_true",
                      help="skip random linear combinations during descent")
     chk.add_argument("--time-limit", type=float, metavar="SECS", default=None)
@@ -127,7 +125,6 @@ def _cmd_check(args) -> int:
             jobs=args.jobs,
             seed=args.seed,
             limits=Limits(time_s=args.time_limit),
-            strict_cover=args.strict_cover,
             combinations=not args.no_combinations,
         )
     except ContractError as e:

@@ -40,8 +40,7 @@ class Config:
     Jacobian criterion.  descent_depth applies to hybrid mode and counts
     descents before switching to the relative Jacobian criterion;
     to_codim, when set, overrides it with max(0, codim - to_codim).
-    strict_cover switches the frame-cover exit to plain ideal membership,
-    and combinations toggles the random-linear-combination shortcut during
+    combinations toggles the random-linear-combination shortcut during
     descent.  jobs must be >= 1; runs are sequential, and no report
     depends on it.
     """
@@ -52,7 +51,6 @@ class Config:
     jobs: int = 1
     seed: int = 0
     limits: Limits = field(default_factory=Limits)
-    strict_cover: bool = False
     combinations: bool = True
 
     def __post_init__(self):
@@ -74,9 +72,10 @@ class Observer:
     actually starts (cache misses only); on_commit fires exactly once when
     a verdict commits; on_task_start / on_task_done bracket every task
     execution and name its kind (chart, frame or step); on_cover reports
-    each chart's frame enumeration, once per chart (the FrameEnumeration
-    carries the frames, their determinants, and the cover-complete flag)
-    so covers can be re-verified after the run.
+    each chart's frame enumeration, once per chart, so covers can be
+    re-verified after the run.  Only enumerations whose frames cover the
+    chart are reported: a chart whose frames do not ends the run as a
+    broken precondition.
     """
 
     def on_gb_start(self, task_path):
@@ -260,8 +259,7 @@ class _ChartTask(_Task):
         elif not chart.variety.generators:
             return _Outcome()  # the zero ideal: the whole space, smooth
 
-        enum, checks = delta_frame_tasks(chart, strict=cfg.strict_cover,
-                                         budget=budget)
+        enum, checks = delta_frame_tasks(chart, budget=budget)
         ctx.observer.on_cover(self.path, chart, enum)
         frame_tasks = [
             _FrameTask(self.path + (i,), chart, "delta", frame.cols,

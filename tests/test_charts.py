@@ -130,36 +130,35 @@ def test_enumerate_frames_skips_zero_determinants():
 
 def test_enumerate_frames_cover_flag_matches_radical_check():
     for chart, enum in random_ambient_charts(99, 25):
-        dets = list(enum.determinants)
+        dets = [fr.q for fr in enum.frames]
         total = Ideal(chart.ring,
                       list(chart.ambient.generators) + dets)
         want = radical_membership(chart.localizer, total)
         assert enum.cover_complete == want
 
 
-def test_strict_cover_demands_plain_membership():
-    # determinants generate x^2 while g = x: radical cover yes, strict no
+def test_radical_cover_exits_on_a_power_of_the_localizer():
+    # the first determinant 3x^2 does not generate g = x, but a power of g
+    # lies in it: the cover exits there, before the constant q = -1 on y
     ring, (x, y) = mkvars(QQ, ("x", "y"))
     f = x * x * x - y  # df/dx = 3x^2, df/dy = -1
     w = Ideal(ring, [f])
-    chart_rad = Chart(w, w, x, depth=1, check=False)
-    enum = enumerate_frames(chart_rad)
-    assert enum.cover_complete  # q = -1 on column y covers everything
-    only_x = [fr for fr in enum.frames if fr.cols == (0,)]
-    assert only_x and only_x[0].q == 3 * x * x
+    enum = enumerate_frames(Chart(w, w, x, depth=1, check=False))
+    assert enum.cover_complete
+    assert [(fr.cols, fr.q) for fr in enum.frames] == [((0,), 3 * x * x)]
 
 
-def _eager_frames(chart, strict=False):
+def _eager_frames(chart):
     """Reference enumeration: an adjugate for every candidate submatrix,
-    then the cover scan over the nonzero ones.  Returns (frames as
-    (cols, q, adj) triples, cover_complete, determinants)."""
+    then the radical cover scan over the nonzero ones.  Returns (frames
+    as (cols, q, adj) triples, cover_complete)."""
     ring = chart.ring
     r = len(chart.ambient.generators)
     g = chart.localizer
     if r == 0:
         one = Polynomial.constant(ring, 1)
         empty = PolyMatrix(ring, 0, 0, ())
-        return [((), one, empty)], True, [one]
+        return [((), one, empty)], True
     jac = jacobian(ring, chart.ambient.generators)
     rows = tuple(range(r))
     candidates = []
@@ -171,16 +170,10 @@ def _eager_frames(chart, strict=False):
     for cols, q, adj in candidates:
         frames.append((cols, q, adj))
         dets.append(q)
-        if q.is_constant():
-            return frames, True, dets
-        if strict:
-            covered = ideal_membership(g, Ideal(ring, dets))
-        else:
-            covered = radical_membership(
-                g, Ideal(ring, list(chart.ambient.generators) + dets))
-        if covered:
-            return frames, True, dets
-    return frames, False, dets
+        if q.is_constant() or radical_membership(
+                g, Ideal(ring, list(chart.ambient.generators) + dets)):
+            return frames, True
+    return frames, False
 
 
 def _rnc_charts():
@@ -189,9 +182,9 @@ def _rnc_charts():
     seen = []
     original = charts.enumerate_frames
 
-    def record(chart, strict=False, budget=None):
+    def record(chart, budget=None):
         seen.append(chart)
-        return original(chart, strict=strict, budget=budget)
+        return original(chart, budget=budget)
 
     charts.enumerate_frames = record
     try:
@@ -206,15 +199,18 @@ def _rnc_charts():
 def test_lazy_frames_match_eager_reference(monkeypatch):
     ring, (x, y) = mkvars(QQ, ("x", "y"))
     cubic = Ideal(ring, [x * x * x - y])
-    # q = 3x^2 and 3y^2: the radical cover fires on the first frame, the
-    # strict one never does and exhausts both
+    # q = 3x^2 and 3y^2: the radical cover fires on the first frame
     fermat = Ideal(ring, [x ** 3 + y ** 3 + 1])
-    cases = [(Chart(cubic, cubic, x, depth=1, check=False), False),
-             (Chart(fermat, fermat, x, depth=1, check=False), False),
-             (Chart(fermat, fermat, x, depth=1, check=False), True)]
+    # q = -3x^2 and 2y both vanish at the origin, a singular point of the
+    # cusp: no frame covers D(1), and the enumeration exhausts both
+    cusp = Ideal(ring, [y * y - x * x * x])
+    one = Polynomial.constant(ring, 1)
+    cases = [Chart(cubic, cubic, x, depth=1, check=False),
+             Chart(fermat, fermat, x, depth=1, check=False),
+             Chart(cusp, cusp, one, depth=1, check=False)]
     rnc = _rnc_charts()
     assert {len(c.ambient.generators) for c in rnc} == {0, 1, 2, 3}
-    cases += [(c, strict) for c in rnc for strict in (False, True)]
+    cases += rnc
     calls = []
 
     def counting(m):
@@ -223,14 +219,14 @@ def test_lazy_frames_match_eager_reference(monkeypatch):
 
     monkeypatch.setattr(charts, "adjugate", counting)
     exhausted = 0
-    for chart, strict in cases:
+    for chart in cases:
         del calls[:]
-        enum = enumerate_frames(chart, strict=strict)
-        frames, cover, dets = _eager_frames(chart, strict=strict)
+        enum = enumerate_frames(chart)
+        frames, cover = _eager_frames(chart)
         assert [(fr.cols, fr.q, fr.adj) for fr in enum.frames] == frames
         assert enum.cover_complete == cover
-        assert enum.determinants == dets
-        assert len(calls) == len(enum.frames), (chart, strict)
+        assert enum.tests == [fr.q * chart.localizer for fr in enum.frames]
+        assert len(calls) == len(enum.frames), chart
         exhausted += not cover
     assert exhausted  # the exhaustion path is exercised too
 
@@ -326,7 +322,7 @@ def test_combined_ambient_reads_the_shared_table(field):
         enum = enumerate_frames(grand)
         assert enum.frames
         assert ([(fr.cols, fr.q, fr.adj) for fr in enum.frames],
-                enum.cover_complete, enum.determinants) == _eager_frames(grand)
+                enum.cover_complete) == _eager_frames(grand)
         fresh = Chart(grand.ambient, grand.variety, grand.localizer,
                       grand.depth, check=False)
         assert fresh.partials is not grand.partials
@@ -512,15 +508,15 @@ def test_singular_locus_ideal_takes_each_reference_minor_once():
     assert checked > 100
 
 
-def _frame_wise_against_loci(chart, strict=False):
+def _frame_wise_against_loci(chart):
     """The descent's frame-wise answers for the chart's usable generators
     and three seeded combinations, each checked against the whole-ideal
     answer g in rad(singular_locus_ideal(chart, f)); returns them."""
-    enum, _ = delta_frame_tasks(chart, strict=strict)
+    enum, _ = delta_frame_tasks(chart)
     ring, g = chart.ring, chart.localizer
     # the equivalence needs frames covering the chart
     assert radical_membership(g, Ideal(ring, [*chart.ambient.generators,
-                                              *enum.determinants]))
+                                              *(fr.q for fr in enum.frames)]))
     usable = [f for f in chart.variety.generators
               if not ideal_membership(f, chart.ambient)]
     cases = [(f, [rows[f] for rows in enum.rows]) for f in usable]
@@ -550,7 +546,7 @@ def _frame_wise_against_loci(chart, strict=False):
 def _sphere_chart(field):
     """The sphere as ambient in three variables, cut by a plane z = 2 (a
     smooth circle) and by z(x - y) (two circles meeting in two points).
-    Its frames are 2x, 2y, 2z: they cover it radically, never strictly."""
+    Its frames are 2x, 2y, 2z, and it takes all three to cover it."""
     ring, (x, y, z) = mkvars(field, ("x", "y", "z"))
     sphere = x * x + y * y + z * z - 1
     w = Ideal(ring, [sphere])
@@ -569,22 +565,22 @@ def test_frame_wise_hypersurface_test_matches_singular_locus():
     cusp = Ideal(ring, [y * y - x * x * x])
     localized = [Chart(Ideal(ring, []), cusp, g) for g in (x, x - 1)]
     families = {
-        "rnc": [(c, False) for c in _rnc_charts()],
-        "localized": [(c, False) for c in localized],
-        "two-point": [(c, False) for c in two_point],
-        "GF(32003)": [(_sphere_chart(GF(32003)), False)],
-        "strict": [(_sphere_chart(QQ), True), (_sphere_chart(GF(7)), True)],
+        "rnc": _rnc_charts(),
+        "localized": localized,
+        "two-point": two_point,
+        "GF(32003)": [_sphere_chart(GF(32003))],
+        "sphere": [_sphere_chart(QQ), _sphere_chart(GF(7))],
     }
     for name, cases in families.items():
-        answers = [a for chart, strict in cases
-                   for a in _frame_wise_against_loci(chart, strict)]
+        answers = [a for chart in cases
+                   for a in _frame_wise_against_loci(chart)]
         assert True in answers and False in answers, (name, answers)
     assert len(families["rnc"]) > 50
-    # strict covering never fires on the sphere; the radical cover holds,
-    # so the descent goes on and takes the plane section
+    # the sphere's cover needs all three frames; the descent reads them
+    # and takes the plane section
     chart = _sphere_chart(QQ)
-    enum, _ = delta_frame_tasks(chart, strict=True)
-    assert not enum.cover_complete and len(enum.frames) == 3
+    enum, _ = delta_frame_tasks(chart)
+    assert enum.cover_complete and len(enum.frames) == 3
     kids = descend(chart, enum, random.Random(0), combinations=False)
     assert [k.ambient.generators[-1] for k in kids] == [
         chart.variety.generators[-1]]
@@ -597,15 +593,16 @@ def test_descend_rejects_frames_that_do_not_cover():
     cusp = y * y - x * x * x
     chart = Chart(Ideal(ring, [cusp]), Ideal(ring, [cusp, x - y]),
                   Polynomial.constant(ring, 1), depth=1)
-    for strict in (False, True):
-        enum, _ = delta_frame_tasks(chart, strict=strict)
-        assert not enum.cover_complete
-        with pytest.raises(ContractError, match="do not cover"):
-            descend(chart, enum, random.Random(0))
-    # the driver reports it as a broken precondition, not as an answer
-    v = driver.run_parallel([chart])
-    assert v.status == "indeterminate" and v.reason_kind == "precondition"
-    assert "do not cover" in v.reason
+    assert not enumerate_frames(chart).cover_complete
+    with pytest.raises(ContractError, match="do not cover"):
+        delta_frame_tasks(chart)
+    # every mode that reads frames reports it as a broken precondition, not
+    # as an answer
+    for cfg in (Config(), Config(mode="hybrid"),
+                Config(mode="hybrid", to_codim=2)):
+        v = driver.run_parallel([chart], cfg)
+        assert v.status == "indeterminate", (cfg, v.status)
+        assert v.reason_kind == "precondition" and "do not cover" in v.reason
     # enumerated without the rows, the descent has nothing to read
     with pytest.raises(ContractError, match="rows"):
         descend(chart, enumerate_frames(chart), random.Random(0))

@@ -367,7 +367,7 @@ def test_observer_cover_reports_verifiable_covers():
     for chart, enum in probe.rows:
         assert enum.cover_complete
         total = Id(chart.ring, list(chart.ambient.generators)
-                   + list(enum.determinants))
+                   + [fr.q for fr in enum.frames])
         assert radical_membership(chart.localizer, total)
 
 
@@ -788,6 +788,7 @@ def test_embedded_step_reuses_the_chart_frames(monkeypatch):
             self.charts = []
 
         def on_cover(self, path, chart, enum):
+            assert enum.cover_complete
             self.charts.append(chart)
 
     monkeypatch.setattr(charts, "enumerate_frames", enum_spy)

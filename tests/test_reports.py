@@ -68,8 +68,6 @@ for _mode in ("hironaka", "hybrid"):
                                    {"mode": _mode})
 for _mode in ("hironaka", "hybrid", "jacobian"):
     CASES[f"cone/{_mode}"] = (lambda: _text("cone"), False, {"mode": _mode})
-CASES["rnc5/hironaka-strict"] = (lambda: _rnc(5), True,
-                                 {"strict_cover": True})
 
 
 def report(name):
