@@ -85,15 +85,18 @@ class FrameData:
     of its rows are selected; jac is shared by the chart's frames, read
     from the chart's Partials table), q the determinant of that square
     submatrix m, and adj its cofactor matrix normalized so that
-    sum_k adj[l][k] * m[l'][k] == q * delta(l, l')."""
+    sum_k adj[l][k] * m[l'][k] == q * delta(l, l').  proj is the frame's
+    projection, which relative_jacobian forms on its first call and keeps
+    here (None before)."""
 
-    __slots__ = ("cols", "q", "adj", "jac")
+    __slots__ = ("cols", "q", "adj", "jac", "proj")
 
     def __init__(self, cols, q, adj, jac):
         self.cols = tuple(cols)
         self.q = q
         self.adj = adj
         self.jac = jac
+        self.proj = None
 
     def __repr__(self):
         return f"<frame cols={self.cols} q={self.q}>"
@@ -110,9 +113,10 @@ class FrameEnumeration:
     is invertible); delta_frame_tasks refuses such an enumeration.
     tests: the products q_i * g, the test polynomial of every check on
     frames[i].
-    rows: filled by delta_frame_tasks, None before; rows[i] maps each
-    variety generator outside the ambient list to its relative Jacobian
-    row on frames[i], which the descent and the embedded step read.
+    rows: filled by delta_frame_tasks, None before; rows[i] is the
+    FrameRows of frames[i], which maps each variety generator to its
+    relative Jacobian row there, formed when first read.  The delta
+    checks, the descent and the embedded step read them.
     """
 
     __slots__ = ("frames", "cover_complete", "tests", "rows")
@@ -171,45 +175,27 @@ def relative_jacobian(polys, chart: Chart, frame: FrameData) -> PolyMatrix:
     where g_l are the ambient generators and c_k the frame columns; up to
     sign it is the determinant of the ambient Jacobian's rows stacked on the
     gradient of f_i, on the columns c_1..c_r and j.  The projection P
-    depends on the frame only, so it is formed once per call, and each
-    polynomial then costs r + 1 products per free column.  Every partial
-    comes from the chart's Partials table.  The sums are formed on term
-    dicts with the matrix kernel's multiply-accumulate step, products with
-    an empty factor are skipped, and each nonzero entry becomes a
-    Polynomial once; the zero entries share one zero.  For a frameless
-    chart (no ambient generators) this is the plain Jacobian.
+    depends on the frame only, so it is formed on the frame's first call
+    and kept on the frame, and each polynomial then costs r + 1 products
+    per free column.  Every partial comes from the chart's Partials table.
+    The sums are formed on term dicts with the matrix kernel's
+    multiply-accumulate step, products with an empty factor are skipped,
+    and each nonzero entry becomes a Polynomial once; the zero entries
+    share one zero.  For a frameless chart (no ambient generators) this is
+    the plain Jacobian.
     """
     ring = chart.ring
-    n = ring.nvars
-    r = len(chart.ambient.generators)
     table = chart.partials
     polys = list(polys)
-    if r == 0:
+    if not chart.ambient.generators:
         return table.jacobian(polys)
-    cols = frame.cols
-    colset = set(cols)
-    free = [j for j in range(n) if j not in colset]
-    adj = frame.adj.entries
+    free, q, proj, frame_deg = _projection(chart, frame)
     # a partial derivative of f has degree below deg f
-    _check_degree(_top_degree(polys) - 1
-                  + max(frame.q.total_degree(),
-                        _top_degree(frame.jac.entries) + _top_degree(adj)))
+    _check_degree(_top_degree(polys) - 1 + frame_deg)
 
     p = ring.field.characteristic
     off = ring.mul_off
-    q = _terms(frame.q, p)
-    adj = [_terms(a, p) for a in adj]
-    dg = [table.gradient(g) for g in chart.ambient.generators]
-    proj = []  # proj[i][k] = P[free[i]][k]
-    for j in free:
-        row = []
-        for k in range(r):
-            acc = {}
-            for l in range(r):
-                if dg[l][j] and adj[l * r + k]:
-                    _mac(acc, dg[l][j], adj[l * r + k], off)
-            row.append(tuple((key, -c) for key, c in _settle(acc, p).items()))
-        proj.append(row)
+    cols = frame.cols
     zero = Polynomial.zero(ring)
     entries = []
     for f in polys:
@@ -227,41 +213,112 @@ def relative_jacobian(polys, chart: Chart, frame: FrameData) -> PolyMatrix:
     return PolyMatrix(ring, len(polys), len(free), entries)
 
 
-def _delta_ideal(chart: Chart, frame: FrameData):
-    """(ideal, rows): I_X plus the relative Jacobian entries of the variety
-    generators, and each generator's row of entries keyed by generator.
-    Generators syntactically in the ambient set contribute identically zero
-    rows (the frame identity) and are skipped."""
+def _projection(chart: Chart, frame: FrameData):
+    """frame.proj, formed on first request: (free, q, proj, degree), the
+    free columns, q's terms, proj[i][k] = P[free[i]][k] of
+    relative_jacobian in term form, and the top degree of q and of the
+    products d g_l * adj[l][k]."""
+    if frame.proj is not None:
+        return frame.proj
+    ring = chart.ring
+    r = len(chart.ambient.generators)
+    colset = set(frame.cols)
+    free = [j for j in range(ring.nvars) if j not in colset]
+    adj = frame.adj.entries
+    degree = max(frame.q.total_degree(),
+                 _top_degree(frame.jac.entries) + _top_degree(adj))
+    _check_degree(degree)
+    p = ring.field.characteristic
+    off = ring.mul_off
+    adj = [_terms(a, p) for a in adj]
+    dg = [chart.partials.gradient(g) for g in chart.ambient.generators]
+    proj = []
+    for j in free:
+        row = []
+        for k in range(r):
+            acc = {}
+            for l in range(r):
+                if dg[l][j] and adj[l * r + k]:
+                    _mac(acc, dg[l][j], adj[l * r + k], off)
+            row.append(tuple((key, -c) for key, c in _settle(acc, p).items()))
+        proj.append(row)
+    frame.proj = (free, _terms(frame.q, p), proj, degree)
+    return frame.proj
+
+
+class FrameRows:
+    """The relative Jacobian rows of one frame of a chart, each formed by
+    relative_jacobian when first read: rows[f] is f's row."""
+
+    __slots__ = ("chart", "frame", "_rows")
+
+    def __init__(self, chart: Chart, frame: FrameData):
+        self.chart = chart
+        self.frame = frame
+        self._rows = {}
+
+    def __getitem__(self, f: Polynomial) -> tuple:
+        row = self._rows.get(f)
+        if row is None:
+            row = self._rows[f] = relative_jacobian(
+                [f], self.chart, self.frame).row(0)
+        return row
+
+
+def _transverse(chart: Chart) -> list:
+    """The variety generators outside the ambient list, in order: those
+    inside it have identically zero rows, which no check reads."""
     ambient_set = set(chart.ambient.generators)
-    fs = [f for f in chart.variety.generators if f not in ambient_set]
-    if not fs:
-        return chart.variety, {}
-    rel = relative_jacobian(fs, chart, frame)
-    # Ideal drops the zero entries
-    return (chart.variety.extended(rel.entries),
-            {f: rel.row(i) for i, f in enumerate(fs)})
+    return [f for f in chart.variety.generators if f not in ambient_set]
+
+
+class DeltaCheck:
+    """A delta frame check, whose rows are formed when its frame task runs
+    it: the test polynomial must lie in the radical of I_X plus the
+    relative Jacobian entries of the generators fs on the frame of rows,
+    in their order.  The rows
+    are read in that order, and a row with a nonzero constant entry ends
+    the check: the ideal is then the unit ideal, which radical_membership
+    answers from that entry alone, with no basis, so no later row is
+    formed."""
+
+    __slots__ = ("fs", "rows")
+
+    def __init__(self, fs, rows: FrameRows):
+        self.fs = fs
+        self.rows = rows
+
+    def holds(self, test: Polynomial, budget: Budget) -> bool:
+        entries = []
+        for f in self.fs:
+            row = self.rows[f]
+            if any(e.is_constant() and not e.is_zero() for e in row):
+                return True
+            entries.extend(row)
+        # Ideal drops the zero entries
+        return radical_membership(
+            test, self.rows.chart.variety.extended(entries), budget=budget)
 
 
 def delta_frame_tasks(chart: Chart, budget: Optional[Budget] = None):
-    """(enumeration, checks): checks[i] = (frame, ideal, test polynomial);
-    the frame check passes when the test polynomial lies in the radical of
-    the ideal.  The enumeration keeps the relative Jacobian rows for the
-    descent and the embedded step, which read only enumerations built
-    here, so they may assume the frames cover the chart: frames that do
-    not (the ambient is singular where the localizer is invertible) raise
-    ContractError."""
+    """(enumeration, checks): checks[i] = (frame, DeltaCheck, test
+    polynomial); the frame check passes when the test polynomial lies in
+    the radical of its ideal.  The enumeration keeps each frame's relative
+    Jacobian rows, formed when first read, for the checks, the descent and
+    the embedded step, which read only enumerations built here, so they
+    may assume the frames cover the chart: frames that do not (the ambient
+    is singular where the localizer is invertible) raise ContractError."""
     budget = ensure_budget(budget)
     enum = enumerate_frames(chart, budget=budget)
     if not enum.cover_complete:
         raise ContractError(
             "the frames do not cover the chart: its ambient is singular "
             "where the localizer is invertible")
-    checks = []
-    enum.rows = []
-    for frame, test in zip(enum.frames, enum.tests):
-        cm, rows = _delta_ideal(chart, frame)
-        enum.rows.append(rows)
-        checks.append((frame, cm, test))
+    enum.rows = [FrameRows(chart, frame) for frame in enum.frames]
+    fs = _transverse(chart)
+    checks = [(frame, DeltaCheck(fs, rows), test)
+              for frame, test, rows in zip(enum.frames, enum.tests,
+                                           enum.rows)]
     return enum, checks
 
 
@@ -331,8 +388,9 @@ def smooth_on_frames(chart: Chart, enum: FrameEnumeration, f: Polynomial,
                      f_rows, budget: Optional[Budget] = None) -> bool:
     """Whether V(I_W + f) is smooth where the localizer g is invertible,
     read frame by frame: g*q_i must lie in the radical of I_W + f + row_i
-    for every frame i, where f_rows[i] is f's relative Jacobian row on
-    frames[i].
+    for every frame i, where row_i, the i-th item of the iterable f_rows,
+    is f's relative Jacobian row on frames[i].  f_rows is read only up to
+    the first frame that fails, so rows formed on demand stop there.
 
     Where q_i is nonzero the ambient rows are independent, so the stacked
     Jacobian (I_W; f) has rank r+1 exactly where some entry of row_i is
@@ -360,18 +418,48 @@ def _combined_row(lams, rows) -> tuple:
     return tuple(acc)
 
 
+def smooth_generator(chart: Chart, enum: FrameEnumeration,
+                     budget: Optional[Budget] = None):
+    """The descent's first search: (gb_w, usable, f), the basis of the
+    ambient I_W, the variety generators outside I_W, and the first of them
+    whose hypersurface V(I_W + f) is smooth where the localizer is
+    invertible (smooth_on_frames), or None when none is.
+
+    Such an f also settles every delta check of the chart: smooth on frame
+    i puts g*q_i in the radical of I_W + f + row_i(f), an ideal inside
+    frame i's delta ideal, which is I_X plus every generator's row.  enum
+    is the chart's enumeration from delta_frame_tasks."""
+    budget = ensure_budget(budget)
+    if enum.rows is None:
+        raise ContractError(
+            "the descent needs the relative Jacobian rows of "
+            "delta_frame_tasks")
+    gb_w = buchberger(chart.ambient, budget=budget)
+    usable = [f for f in chart.variety.generators if not gb_w.contains(f)]
+    if not usable:
+        raise ContractError(
+            "descend called although the chart is already settled")
+    for f in usable:
+        budget.checkpoint()
+        if smooth_on_frames(chart, enum, f, (rows[f] for rows in enum.rows),
+                            budget=budget):
+            return gb_w, usable, f
+    return gb_w, usable, None
+
+
 def descend(chart: Chart, enum: FrameEnumeration, rng,
             combinations: bool = True,
-            budget: Optional[Budget] = None) -> list:
+            budget: Optional[Budget] = None, search=None) -> list:
     """Charts one level deeper: the ambient gains one variety generator.
 
     enum is the chart's enumeration from delta_frame_tasks: its frames
     cover the chart, and it keeps the relative Jacobian rows of the variety
     generators on them.  The new hypersurface must be smooth where g is
     invertible, which smooth_on_frames reads from those rows, frame by
-    frame.  Single
-    generators are tried in order, then up to three random linear
-    combinations, whose rows are the same combinations of the stored rows.
+    frame.  Single generators are tried in order (smooth_generator, whose
+    answer for this chart and enum the caller may pass as search, so it is
+    not asked again), then up to three random linear combinations drawn
+    from rng, whose rows are the same combinations of the stored rows.
     When none is smooth, the singular-locus ideals (with their minors) are
     built for a covering: from their generators h_j it picks a minimal set
     with g in the radical of (h_j), so the sets D(g * h_j) cover D(g), and
@@ -385,19 +473,14 @@ def descend(chart: Chart, enum: FrameEnumeration, rng,
     budget = ensure_budget(budget)
     ring = chart.ring
     g = chart.localizer
-    gb_w = buchberger(chart.ambient, budget=budget)
 
     for f in chart.variety.generators:
         if f.is_constant():
             return []  # unit ideal: nothing on this chart
 
-    usable = [f for f in chart.variety.generators if not gb_w.contains(f)]
-    if not usable:
-        raise ContractError(
-            "descend called although the chart is already settled")
-    if enum.rows is None:
-        raise ContractError(
-            "descend needs the relative Jacobian rows of delta_frame_tasks")
+    if search is None:
+        search = smooth_generator(chart, enum, budget=budget)
+    gb_w, usable, smooth = search
 
     def vacuous(amb, loc):
         # localizer vanishing on the new ambient means the chart is empty
@@ -410,11 +493,8 @@ def descend(chart: Chart, enum: FrameEnumeration, rng,
         return [Chart(amb, chart.variety, g, chart.depth + 1, check=False,
                       partials=chart.partials)]
 
-    for f in usable:
-        budget.checkpoint()
-        if smooth_on_frames(chart, enum, f, [rows[f] for rows in enum.rows],
-                            budget=budget):
-            return child_single(f)
+    if smooth is not None:
+        return child_single(smooth)
 
     if combinations and len(usable) >= 2:
         p = ring.field.characteristic
@@ -427,8 +507,8 @@ def descend(chart: Chart, enum: FrameEnumeration, rng,
                 f = f + lam * u
             if f.is_zero() or gb_w.contains(f):
                 continue
-            f_rows = [_combined_row(lams, [rows[u] for u in usable])
-                      for rows in enum.rows]
+            f_rows = (_combined_row(lams, [rows[u] for u in usable])
+                      for rows in enum.rows)
             if smooth_on_frames(chart, enum, f, f_rows, budget=budget):
                 chart.partials.combine(f, lams, usable)
                 return child_single(f)
@@ -508,7 +588,7 @@ def embedded_frame_tasks(chart: Chart, enum: FrameEnumeration, d_x: int,
     that delta_frame_tasks built for it: checks[i] = (frame, MinorCheck,
     test) like delta_frame_tasks' checks.  Each frame's relative Jacobian
     is stacked from the rows enum keeps, so the frames are not enumerated
-    again and no relative Jacobian is rebuilt.  A relative codimension of
+    again and no row is formed twice.  A relative codimension of
     0 or less raises ContractError: the dimension exits settle that chart
     before any step."""
     budget = ensure_budget(budget)
@@ -524,10 +604,7 @@ def embedded_frame_tasks(chart: Chart, enum: FrameEnumeration, d_x: int,
             "the embedded step needs the relative Jacobian rows of "
             "delta_frame_tasks")
     gb_x = buchberger(chart.variety, budget=budget)
-    ambient_set = set(chart.ambient.generators)
-    # generators repeated from the ambient list have exactly zero rows; the
-    # rest keep their order, as in _delta_ideal
-    fs = [f for f in chart.variety.generators if f not in ambient_set]
+    fs = _transverse(chart)
     return [(frame,
              MinorCheck(chart.variety.generators,
                         PolyMatrix(chart.ring, len(fs), n - r,

@@ -4,6 +4,8 @@ The recursive test is broken into small tasks of three kinds, addressed by
 tuple paths: a chart task runs one chart's structural checks, a frame task
 one of its independent frame checks, and a step task, joined after the
 chart's delta frames, descends or spawns relative Jacobian frame checks.
+A chart whose descent search finds a hypersurface smooth on every frame
+descends in its own task, since that settles its delta frames too.
 Tasks run depth first in path order, one at a time on the calling thread,
 and the first failure ends the run: it commits at once, so the witness is
 the minimal failing path in the whole tree, no task starts after the
@@ -18,14 +20,15 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Optional
 
 from .charts import (Chart, affine_jacobian_criterion, delta_frame_tasks,
-                     descend, embedded_frame_tasks)
+                     descend, embedded_frame_tasks, smooth_generator)
 from .errors import (ContractError, LimitExceededError,
                      NonHomogeneousError, VarsmoothError)
-from .groebner import Ideal, krull_dimension, radical_membership
+# radical_membership is no longer called here; perfbench's tracer tests
+# check that its wrapper reaches this binding too
+from .groebner import Ideal, krull_dimension, radical_membership  # noqa: F401
 from .limits import Budget, Limits
 from .poly import dehomogenize
 
@@ -213,6 +216,18 @@ def _dimension_exits(chart: Chart, budget,
     return d_x
 
 
+def _switch_depth(cfg: Config, chart: Chart, d_x: int, switch_depth):
+    """The hybrid switch depth: the one handed down, or, on the first chart
+    that knows d_x, cfg.descent_depth, or max(0, c_rel - to_codim) below
+    this chart's depth when to_codim is set.  None outside hybrid mode."""
+    if cfg.mode != "hybrid" or switch_depth is not None:
+        return switch_depth
+    if cfg.to_codim is None:
+        return cfg.descent_depth
+    c_rel = chart.ring.nvars - len(chart.ambient.generators) - d_x
+    return max(0, c_rel - cfg.to_codim) + chart.depth
+
+
 class _ChartTask(_Task):
     """Structural checks for one chart, then either a settled answer or
     delta frame subtasks joined by the chart's step.
@@ -224,7 +239,16 @@ class _ChartTask(_Task):
     ambient the delta frames do not depend on d_x and a failing one is a
     witness by itself, so only the syntactic exits run first (a constant
     generator, the zero ideal) and the step runs the rest once the frames
-    all passed."""
+    all passed.
+
+    A chart with ambient generators that will descend (every one in
+    hironaka mode, those above the switch depth in hybrid mode) runs the
+    descent's single-generator search (smooth_generator) before any frame.
+    A generator smooth on every frame settles every delta check too, so
+    the chart spawns no frame task and no step: it counts its frames as
+    passed and spawns the child at the path the step would have given it.
+    Otherwise the frames and the step run as on any chart, and the step
+    takes the search's answer instead of asking again."""
 
     kind = "chart"
     __slots__ = ("chart", "switch_depth", "d_x")
@@ -252,22 +276,36 @@ class _ChartTask(_Task):
                                           None))
 
         d_x = None
+        switch_depth = self.switch_depth
         if chart.ambient.generators:
             d_x = _dimension_exits(chart, budget, self.d_x)
             if d_x is None:
                 return _Outcome()
+            switch_depth = _switch_depth(cfg, chart, d_x, switch_depth)
         elif not chart.variety.generators:
             return _Outcome()  # the zero ideal: the whole space, smooth
 
         enum, checks = delta_frame_tasks(chart, budget=budget)
         ctx.observer.on_cover(self.path, chart, enum)
+        step_path = self.path + (len(checks),)
+        search = None
+        if chart.ambient.generators and (cfg.mode == "hironaka"
+                                         or chart.depth < switch_depth):
+            search = smooth_generator(chart, enum, budget=budget)
+            if search[2] is not None:
+                budget.frames += len(checks)  # settled by the search
+                children = descend(chart, enum, ctx.rng_for(step_path),
+                                   combinations=cfg.combinations,
+                                   budget=budget, search=search)
+                return _Outcome(spawn=[
+                    _ChartTask(step_path + (j,), child, switch_depth, d_x)
+                    for j, child in enumerate(children)])
         frame_tasks = [
             _FrameTask(self.path + (i,), chart, "delta", frame.cols,
-                       partial(radical_membership, target=ideal), test)
-            for i, (frame, ideal, test) in enumerate(checks)
+                       check.holds, test)
+            for i, (frame, check, test) in enumerate(checks)
         ]
-        step = _StepTask(self.path + (len(frame_tasks),), chart, enum, d_x,
-                         self.switch_depth)
+        step = _StepTask(step_path, chart, enum, d_x, switch_depth, search)
         return _Outcome(spawn=frame_tasks, joined=step)
 
 
@@ -292,9 +330,9 @@ class _RootChartTask(_ChartTask):
 
 class _FrameTask(_Task):
     """One frame check: the frame passes when holds(test, budget=...) says
-    the test polynomial vanishes where the check requires, by radical
-    membership in the delta ideal for a delta frame, or by a MinorCheck's
-    minor stream for a hybrid frame."""
+    the test polynomial vanishes where the check requires, by a
+    DeltaCheck's radical membership in the delta ideal for a delta frame,
+    or by a MinorCheck's minor stream for a hybrid frame."""
 
     kind = "frame"
     __slots__ = ("chart", "check_kind", "cols", "holds", "test")
@@ -320,21 +358,23 @@ class _StepTask(_Task):
     """Joined after a chart's delta frames, at the chart's path plus (number
     of frames,).  It runs the dimension exits when the chart task did not
     (d_x is None, an empty ambient), fixes the hybrid switch depth on the
-    first chart that knows d_x (from to_codim when set), then either spawns
-    the relative Jacobian frame checks, in hybrid mode at the switch depth,
-    or descends, reading the frame enumeration enum and its relative
-    Jacobian rows that the chart task built.  A child chart keeps this
-    chart's variety, so it is handed d_x."""
+    first chart that knows d_x, then either spawns the relative Jacobian
+    frame checks, in hybrid mode at the switch depth, or descends, reading
+    the frame enumeration enum and its relative Jacobian rows that the
+    chart task built, and the chart task's failed single-generator search
+    when it ran one.  A child chart keeps this chart's variety, so it is
+    handed d_x."""
 
     kind = "step"
-    __slots__ = ("chart", "enum", "d_x", "switch_depth")
+    __slots__ = ("chart", "enum", "d_x", "switch_depth", "search")
 
-    def __init__(self, path, chart, enum, d_x, switch_depth):
+    def __init__(self, path, chart, enum, d_x, switch_depth, search=None):
         super().__init__(path, chart.depth)
         self.chart = chart
         self.enum = enum
         self.d_x = d_x
         self.switch_depth = switch_depth
+        self.search = search
 
     def run(self, ctx, budget):
         chart = self.chart
@@ -345,24 +385,18 @@ class _StepTask(_Task):
             if d_x is None:
                 return _Outcome()
 
-        switch_depth = self.switch_depth
-        if cfg.mode == "hybrid":
-            if switch_depth is None and cfg.to_codim is not None:
-                c_rel = (chart.ring.nvars - len(chart.ambient.generators)
-                         - d_x)
-                switch_depth = max(0, c_rel - cfg.to_codim) + chart.depth
-            elif switch_depth is None:
-                switch_depth = cfg.descent_depth
-            if chart.depth >= switch_depth:
-                checks = embedded_frame_tasks(chart, self.enum, d_x,
-                                              budget=budget)
-                return _Outcome(spawn=[
-                    _FrameTask(self.path + (i,), chart, "jacobian",
-                               frame.cols, check.holds, test)
-                    for i, (frame, check, test) in enumerate(checks)])
+        switch_depth = _switch_depth(cfg, chart, d_x, self.switch_depth)
+        if cfg.mode == "hybrid" and chart.depth >= switch_depth:
+            checks = embedded_frame_tasks(chart, self.enum, d_x,
+                                          budget=budget)
+            return _Outcome(spawn=[
+                _FrameTask(self.path + (i,), chart, "jacobian",
+                           frame.cols, check.holds, test)
+                for i, (frame, check, test) in enumerate(checks)])
 
         children = descend(chart, self.enum, ctx.rng_for(self.path),
-                           combinations=cfg.combinations, budget=budget)
+                           combinations=cfg.combinations, budget=budget,
+                           search=self.search)
         return _Outcome(spawn=[
             _ChartTask(self.path + (j,), child, switch_depth, d_x)
             for j, child in enumerate(children)])

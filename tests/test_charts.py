@@ -367,15 +367,30 @@ def test_delta_check_known_curves():
         assert (v.witness.depth, v.witness.kind) == (0, "delta"), ideal
 
 
-def test_delta_frame_tasks_shape():
+def test_delta_frame_tasks_shape(monkeypatch):
+    # each check asks radical membership of its test polynomial in I_X
+    # plus the frame's rows, when it runs
     ring, (x, y) = mkvars(QQ, ("x", "y"))
     one = Polynomial.constant(ring, 1)
     circle = Ideal(ring, [x * x + y * y - 1])
     chart = Chart(circle, circle, one, depth=1)
+    asked = []
+    real = charts.radical_membership
+
+    def spy(f, target, budget=None):
+        asked.append((f, target))
+        return real(f, target, budget=budget)
+
+    monkeypatch.setattr(charts, "radical_membership", spy)
     enum, checks = delta_frame_tasks(chart)
     assert len(checks) == len(enum.frames)
-    for frame, ideal, test in checks:
+    del asked[:]
+    for frame, check, test in checks:
         assert test == frame.q * one
+        check.holds(test, Budget())
+        (f, ideal), = asked
+        del asked[:]
+        assert f == test
         gens = set(map(str, ideal.generators))
         assert str(circle.generators[0]) in gens
 

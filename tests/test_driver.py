@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from conftest import variables
+from corpus import corpus50
 from varsmooth import matrix
 from varsmooth.bench import rational_normal_curve
 from varsmooth.charts import Chart
@@ -15,6 +16,7 @@ from varsmooth.fields import QQ, GF
 from varsmooth.groebner import (Ideal, buchberger, clear_caches,
                                 krull_dimension, radical_membership)
 from varsmooth.limits import Limits
+from varsmooth.parser import ideal_file_text, parse_ideal_file
 from varsmooth.poly import Polynomial
 from varsmooth.ring import Ring
 
@@ -414,9 +416,9 @@ def _nodal_cubic():
 
 @pytest.mark.parametrize("ideal, opts, status, tasks, critical", [
     (_nodal_cubic(), {}, "singular", 10, 4),
-    (rational_normal_curve(4).ideal, {}, "smooth", 53, 10),
+    (rational_normal_curve(4).ideal, {}, "smooth", 30, 6),
     (rational_normal_curve(5).ideal, {"mode": "hybrid", "to_codim": 2},
-     "smooth", 65, 10),
+     "smooth", 52, 8),
 ])
 def test_tasks_run_in_path_order_on_the_critical_path_clock(
         monkeypatch, ideal, opts, status, tasks, critical):
@@ -624,11 +626,14 @@ def _empty_root_point():
 # a descended chart takes its dimension from its parent's step and asks
 # neither whether its variety equals its ambient nor whether its ambient
 # lies in the variety, so the gb_queries here are those the certificates
-# leave.
+# leave.  A descended chart that will descend again searches for a smooth
+# generator before its frames: the double point's failing depth-2 chart in
+# hironaka asks its failed search's query before its frame fails
+# (gb_queries 5 -> 6).
 _EDGE = {
     ("double point", "hironaka"): (
         "singular", ((2, 1, 0, 1, 0, 0), 2, "delta", (0, 2)),
-        {"charts": 5, "frames": 5, "gb_queries": 5, "max_depth": 2,
+        {"charts": 5, "frames": 5, "gb_queries": 6, "max_depth": 2,
          "minors": 0, "minors_possible": 0}),
     ("double point", "hybrid"): (
         "singular", ((2, 1, 0), 0, "jacobian", ()),
@@ -717,10 +722,17 @@ def test_empty_ambient_edge_cases(monkeypatch):
         assert got == witness, (name, label)
         assert v.stats == stats, (name, label, v.stats)
         dims = [e[1] for e in events if e[0] == "dimension"]
-        # the descent and the embedded frames start only in step tasks
+        # the embedded frames start only in step tasks, and the descent in
+        # a step or in the task of a chart whose search found a smooth
+        # generator, which then runs no frame and no step of its own
         for e in events:
-            if e[0] in ("descend", "embedded"):
+            if e[0] == "embedded":
                 assert log.kinds[e[1]] == ["step"], (name, label, e)
+            elif e[0] == "descend" and log.kinds[e[1]] != ["step"]:
+                path = e[1]
+                assert log.kinds[path] == ["chart"] and path, (name, label, e)
+                assert not [p for p in log.kinds if len(p) == len(path) + 1
+                            and p[:len(path)] == path], (name, label, e)
         # a root chart has an empty ambient: its one frame runs at (i, 0)
         # before any dimension, which its step at (i, 1) computes; a
         # descended chart keeps the variety, and its parent's step hands
@@ -760,12 +772,13 @@ def test_empty_ambient_edge_cases(monkeypatch):
 
 def test_embedded_step_reuses_the_chart_frames(monkeypatch):
     # the embedded step stacks each frame's relative Jacobian from the rows
-    # its chart task kept: no chart is enumerated twice, no frame's relative
-    # Jacobian is rebuilt, and each chart reports its cover once
+    # its chart task kept: no chart is enumerated twice, no generator's row
+    # on a frame is formed twice, and each chart reports its cover once
     from varsmooth import charts, driver
     from varsmooth.bench import rational_normal_curve
     enumerated = []   # the chart of every enumerate_frames call
-    rebuilt = []      # (chart, frame columns) of every relative_jacobian
+    rebuilt = []      # (chart, frame columns, generators) of every
+    # relative_jacobian call
     embedded = []
     real_enum = charts.enumerate_frames
     real_rel = charts.relative_jacobian
@@ -776,7 +789,7 @@ def test_embedded_step_reuses_the_chart_frames(monkeypatch):
         return real_enum(chart, *args, **kwargs)
 
     def rel_spy(polys, chart, frame):
-        rebuilt.append((id(chart), frame.cols))
+        rebuilt.append((id(chart), frame.cols, tuple(polys)))
         return real_rel(polys, chart, frame)
 
     def embedded_spy(chart, enum, *args, **kwargs):
@@ -837,3 +850,117 @@ def test_each_partial_is_formed_once_per_run(monkeypatch, cfg, jobs):
     assert seen
     twice = [key for key, n in Counter(seen).items() if n > 1]
     assert not twice, [(str(f), i) for f, i in twice]
+
+
+def _rnc_over(field_text, d):
+    text = ideal_file_text(rational_normal_curve(d).ideal)
+    return parse_ideal_file(text.replace("ring QQ", f"ring {field_text}"))[1]
+
+
+def _nodal_space_curve():
+    ring = Ring(QQ, ("x", "y", "z"))
+    x, y, z = variables(ring)
+    return Ideal(ring, [z - x * y, y * y - x * x * (x + 1)])
+
+
+def test_a_smooth_generator_settles_every_delta_check_it_skips(monkeypatch):
+    # a chart task whose search finds a generator smooth on every frame
+    # runs none of its delta checks; each of them, run here against the
+    # eagerly formed delta ideal, must pass
+    from varsmooth import charts, driver
+    settled = []    # (chart, enumeration) of every chart settled that way
+    real = driver.smooth_generator
+
+    def spy(chart, enum, budget=None):
+        found = real(chart, enum, budget=budget)
+        if found[2] is not None:
+            settled.append((chart, enum))
+        return found
+
+    monkeypatch.setattr(driver, "smooth_generator", spy)
+    runs = []       # (label, verdict status, expected status)
+    for field in ("QQ", "F32003"):
+        for d in (4, 5, 6):
+            for cfg in (Config(), Config(mode="hybrid", to_codim=2)):
+                v = projective_smoothness(_rnc_over(field, d), cfg)
+                runs.append((f"rnc{d} {field} {cfg.mode}", v.status,
+                             "smooth"))
+    rnc_settled = len(settled)
+    for inst in corpus50():
+        for cfg in (Config(), Config(mode="hybrid", to_codim=2)):
+            v = smoothness_test(inst.ideal, cfg)
+            runs.append((f"{inst.name} {cfg.mode}", v.status, inst.expected))
+    # singular inputs whose first failure is a delta frame below the root
+    for cfg in (Config(), Config(mode="hybrid", descent_depth=2)):
+        v = projective_smoothness(x2_cone_ideal(), cfg)
+        runs.append((f"X2 {cfg.mode}", v.status, "singular"))
+    v = smoothness_test(_nodal_space_curve())
+    runs.append(("nodal space curve", v.status, "singular"))
+    assert all(got == want for _, got, want in runs), runs
+    assert rnc_settled > 100 and len(settled) > rnc_settled, len(settled)
+
+    checked = 0
+    for chart, enum in settled:
+        assert chart.ambient.generators
+        fs = [f for f in chart.variety.generators
+              if f not in chart.ambient.generators]
+        for frame, test in zip(enum.frames, enum.tests):
+            rel = charts.relative_jacobian(fs, chart, frame)
+            delta = chart.variety.extended(rel.entries)
+            assert radical_membership(test, delta), (chart, frame)
+            checked += 1
+    assert checked >= len(settled)
+
+
+@pytest.mark.parametrize("cfg", [Config(), Config(mode="hybrid", to_codim=2)],
+                         ids=["hironaka", "hybrid"])
+def test_each_row_is_formed_once_and_a_constant_row_ends_its_check(
+        monkeypatch, cfg):
+    # relative_jacobian forms one generator's row per call, each (frame,
+    # generator) row at most once per run; a delta check reads its rows in
+    # generator order and forms none after the first with a nonzero
+    # constant entry, and then asks no radical membership
+    from varsmooth import charts
+    formed = []     # (frame, generator) of every relative_jacobian call
+    frames = []     # keeps every frame alive, so ids stay unique
+    in_check = []   # radical memberships asked inside the open check
+    stopped = 0     # checks ended by a constant row
+    real_rel = charts.relative_jacobian
+    real_holds = charts.DeltaCheck.holds
+    real_rm = charts.radical_membership
+
+    def rel_spy(polys, chart, frame):
+        polys = list(polys)
+        frames.append(frame)
+        formed.extend((id(frame), f) for f in polys)
+        assert len(polys) == 1
+        return real_rel(polys, chart, frame)
+
+    def rm_spy(*args, **kwargs):
+        in_check.append(args)
+        return real_rm(*args, **kwargs)
+
+    def holds_spy(self, test, budget):
+        nonlocal stopped
+        at = len(formed)
+        del in_check[:]
+        answer = real_holds(self, test, budget)
+        mine = [f for key, f in formed[at:] if key == id(self.rows.frame)]
+        assert mine == self.fs[:len(mine)]
+        constant = [i for i, f in enumerate(mine)
+                    if any(e.is_constant() and not e.is_zero()
+                           for e in self.rows[f])]
+        if constant:
+            assert constant == [len(mine) - 1] and answer and not in_check
+            stopped += 1
+        return answer
+
+    monkeypatch.setattr(charts, "relative_jacobian", rel_spy)
+    monkeypatch.setattr(charts, "radical_membership", rm_spy)
+    monkeypatch.setattr(charts.DeltaCheck, "holds", holds_spy)
+    clear_caches()
+    v = projective_smoothness(rational_normal_curve(6).ideal, cfg)
+    assert v.status == "smooth"
+    assert formed and stopped
+    twice = [key for key, n in Counter(formed).items() if n > 1]
+    assert not twice, twice

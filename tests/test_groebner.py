@@ -679,7 +679,7 @@ def test_seeded_run_after_the_base_was_evicted(monkeypatch):
 
 
 def test_each_base_is_lifted_once_per_run(monkeypatch):
-    # one hironaka run of rnc5: a Rabinowitsch query lifts f and the
+    # one hironaka run of rnc6: a Rabinowitsch query lifts f and the
     # generators past its base, and the base's generators and the seed
     # rows only the first time that base (basis) seeds a query
     from varsmooth import charts, driver, groebner
@@ -715,10 +715,10 @@ def test_each_base_is_lifted_once_per_run(monkeypatch):
 
     monkeypatch.setattr(groebner, "_lift", lift)
     monkeypatch.setattr(groebner, "_lift_keys", lift_keys)
-    for mod in (groebner, charts, driver):
+    for mod in (groebner, charts):
         monkeypatch.setattr(mod, "radical_membership", rm)
     clear_caches()
-    verdict = driver.projective_smoothness(rational_normal_curve(5).ideal)
+    verdict = driver.projective_smoothness(rational_normal_curve(6).ideal)
     assert verdict.status == "smooth"
 
     lifted_bases, lifted_bases_rows = set(), set()

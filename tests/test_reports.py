@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from varsmooth.bench import (cyclic_polytope_sr, random_coordinate_change,
-                             rational_normal_curve)
+                             rational_normal_curve, veronese_ci)
 from varsmooth.driver import Config, projective_smoothness, smoothness_test
 from varsmooth.groebner import clear_caches
 from varsmooth.parser import ideal_file_text, parse_ideal_file
@@ -41,6 +41,8 @@ _TEXTS = {
     "emptyroot": "ring QQ [X, Y, Z, W]\nW - X\nW + X\nX*Z - Y^2\n",
     # singular at the origin, decided from constant terms
     "cone": "ring QQ [x, y, z]\nx^2 + y^2 - z^2\n",
+    # a nodal space curve: smooth root frame, singular on a depth-1 chart
+    "nodal": "ring QQ [x, y, z]\nz - x*y\ny^2 - x^2*x - x^2\n",
 }
 
 
@@ -66,6 +68,11 @@ CASES["points/hironaka-nocomb"] = (lambda: _text("points"), False,
 for _mode in ("hironaka", "hybrid"):
     CASES[f"emptyroot/{_mode}"] = (lambda: _text("emptyroot"), True,
                                    {"mode": _mode})
+# X2 and the nodal curve first fail on a delta frame below the root
+CASES["x2/hironaka"] = (lambda: _generated(veronese_ci()), True, {})
+CASES["x2/hybrid-descents2"] = (lambda: _generated(veronese_ci()), True,
+                                {"mode": "hybrid", "descent_depth": 2})
+CASES["nodal/hironaka"] = (lambda: _text("nodal"), False, {})
 for _mode in ("hironaka", "hybrid", "jacobian"):
     CASES[f"cone/{_mode}"] = (lambda: _text("cone"), False, {"mode": _mode})
 
