@@ -8,7 +8,10 @@ through its adjugate, and the delta test asks whether the variety's
 relative first-order behaviour already cuts it out where g*q is invertible.
 
 The functions here work on one chart; the driver composes them into the
-recursive test as a tree of tasks and walks it.
+recursive test as a tree of tasks and walks it.  A frame keeps its chart,
+its test polynomial q*g and the relative Jacobian rows read on it, so a
+frame check (a DeltaCheck, or the hybrid's MinorCheck) holds its frame
+and nothing of the enumeration.
 What a chart tree shares is its variety and one Partials table: every
 partial derivative the tree reads (ambient Jacobians, relative Jacobians,
 singular-locus minors) comes from that table, so each polynomial is
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 from itertools import combinations as _combinations
 from math import comb
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ContractError, DegenerateGeneratorError, DescentError
 from .groebner import (Ideal, buchberger, ideal_membership, krull_dimension,
@@ -79,30 +82,43 @@ class Chart:
 
 
 class FrameData:
-    """One invertible submatrix of the ambient Jacobian.
+    """One invertible submatrix of the ambient Jacobian of chart.
 
     cols are the selected column indices of the ambient Jacobian jac (all
     of its rows are selected; jac is shared by the chart's frames, read
     from the chart's Partials table), q the determinant of that square
     submatrix m, and adj its cofactor matrix normalized so that
-    sum_k adj[l][k] * m[l'][k] == q * delta(l, l').  proj is the frame's
-    projection, which relative_jacobian forms on its first call and keeps
-    here (None before)."""
+    sum_k adj[l][k] * m[l'][k] == q * delta(l, l').  test is q * g, g the
+    chart's localizer: the test polynomial of every check on the frame.
+    proj is the frame's projection, which relative_jacobian forms on its
+    first call and keeps here (None before)."""
 
-    __slots__ = ("cols", "q", "adj", "jac", "proj")
+    __slots__ = ("chart", "cols", "q", "adj", "jac", "test", "proj", "_rows")
 
-    def __init__(self, cols, q, adj, jac):
+    def __init__(self, chart: Chart, cols, q, adj, jac):
+        self.chart = chart
         self.cols = tuple(cols)
         self.q = q
         self.adj = adj
         self.jac = jac
+        self.test = q * chart.localizer
         self.proj = None
+        self._rows = {}
+
+    def row(self, f: Polynomial):
+        """f's relative Jacobian row on this frame, formed by
+        relative_jacobian when first read and kept."""
+        row = self._rows.get(f)
+        if row is None:
+            row = self._rows[f] = relative_jacobian([f], self.chart,
+                                                    self).row(0)
+        return row
 
     def __repr__(self):
         return f"<frame cols={self.cols} q={self.q}>"
 
 
-class FrameEnumeration:
+class FrameEnumeration(NamedTuple):
     """Materialized frame sequence with the covering exit applied.
 
     frames: the FrameData list, in deterministic (lexicographic column
@@ -110,22 +126,21 @@ class FrameEnumeration:
     cover_complete: whether they do, i.e. the localizer g lies in the
     radical of I_W + (q_1..q_t).  Exhausting every candidate subset
     without it is not an error here (the ambient is then singular where g
-    is invertible); delta_frame_tasks refuses such an enumeration.
-    tests: the products q_i * g, the test polynomial of every check on
-    frames[i].
-    rows: filled by delta_frame_tasks, None before; rows[i] is the
-    FrameRows of frames[i], which maps each variety generator to its
-    relative Jacobian row there, formed when first read.  The delta
-    checks, the descent and the embedded step read them.
+    is invertible); the checks, the descent and the embedded step refuse
+    such an enumeration (_require_cover).
     """
 
-    __slots__ = ("frames", "cover_complete", "tests", "rows")
+    frames: list
+    cover_complete: bool
 
-    def __init__(self, frames, cover_complete, localizer):
-        self.frames = frames
-        self.cover_complete = cover_complete
-        self.tests = [fr.q * localizer for fr in frames]
-        self.rows = None
+
+def _require_cover(enum: FrameEnumeration) -> None:
+    """Raise ContractError unless enum's frames cover its chart: every
+    reader of frame checks assumes they do."""
+    if not enum.cover_complete:
+        raise ContractError(
+            "the frames do not cover the chart: its ambient is singular "
+            "where the localizer is invertible")
 
 
 def enumerate_frames(chart: Chart,
@@ -155,12 +170,12 @@ def enumerate_frames(chart: Chart,
         if q.is_zero():
             continue
         adj, _ = adjugate(m)
-        frames.append(FrameData(cols, q, adj, jac))
+        frames.append(FrameData(chart, cols, q, adj, jac))
         if q.is_constant() or radical_membership(
                 g, chart.ambient.extended([fr.q for fr in frames]),
                 budget=budget):
-            return FrameEnumeration(frames, True, g)
-    return FrameEnumeration(frames, False, g)
+            return FrameEnumeration(frames, True)
+    return FrameEnumeration(frames, False)
 
 
 def relative_jacobian(polys, chart: Chart, frame: FrameData) -> PolyMatrix:
@@ -246,25 +261,6 @@ def _projection(chart: Chart, frame: FrameData):
     return frame.proj
 
 
-class FrameRows:
-    """The relative Jacobian rows of one frame of a chart, each formed by
-    relative_jacobian when first read: rows[f] is f's row."""
-
-    __slots__ = ("chart", "frame", "_rows")
-
-    def __init__(self, chart: Chart, frame: FrameData):
-        self.chart = chart
-        self.frame = frame
-        self._rows = {}
-
-    def __getitem__(self, f: Polynomial) -> tuple:
-        row = self._rows.get(f)
-        if row is None:
-            row = self._rows[f] = relative_jacobian(
-                [f], self.chart, self.frame).row(0)
-        return row
-
-
 def _transverse(chart: Chart) -> list:
     """The variety generators outside the ambient list, in order: those
     inside it have identically zero rows, which no check reads."""
@@ -274,52 +270,43 @@ def _transverse(chart: Chart) -> list:
 
 class DeltaCheck:
     """A delta frame check, whose rows are formed when its frame task runs
-    it: the test polynomial must lie in the radical of I_X plus the
-    relative Jacobian entries of the generators fs on the frame of rows,
-    in their order.  The rows
-    are read in that order, and a row with a nonzero constant entry ends
-    the check: the ideal is then the unit ideal, which radical_membership
-    answers from that entry alone, with no basis, so no later row is
-    formed."""
+    it: the frame's test polynomial must lie in the radical of I_X plus the
+    relative Jacobian rows of the generators fs on the frame, read in that
+    order.  A row with a nonzero constant entry ends the check: the ideal
+    is then the unit ideal, which radical_membership answers from that
+    entry alone, with no basis, so no later row is formed."""
 
-    __slots__ = ("fs", "rows")
+    kind = "delta"
+    __slots__ = ("frame", "fs")
 
-    def __init__(self, fs, rows: FrameRows):
+    def __init__(self, frame: FrameData, fs):
+        self.frame = frame
         self.fs = fs
-        self.rows = rows
 
-    def holds(self, test: Polynomial, budget: Budget) -> bool:
+    def holds(self, budget: Budget) -> bool:
+        frame = self.frame
         entries = []
         for f in self.fs:
-            row = self.rows[f]
+            row = frame.row(f)
             if any(e.is_constant() and not e.is_zero() for e in row):
                 return True
             entries.extend(row)
         # Ideal drops the zero entries
         return radical_membership(
-            test, self.rows.chart.variety.extended(entries), budget=budget)
+            frame.test, frame.chart.variety.extended(entries), budget=budget)
 
 
 def delta_frame_tasks(chart: Chart, budget: Optional[Budget] = None):
-    """(enumeration, checks): checks[i] = (frame, DeltaCheck, test
-    polynomial); the frame check passes when the test polynomial lies in
-    the radical of its ideal.  The enumeration keeps each frame's relative
-    Jacobian rows, formed when first read, for the checks, the descent and
-    the embedded step, which read only enumerations built here, so they
-    may assume the frames cover the chart: frames that do not (the ambient
-    is singular where the localizer is invertible) raise ContractError."""
+    """(enumeration, checks): one DeltaCheck per frame, in frame order.
+    Each frame keeps its relative Jacobian rows, formed when first read,
+    for the checks, the descent and the embedded step.  Frames that do not
+    cover the chart (its ambient is singular where the localizer is
+    invertible) raise ContractError."""
     budget = ensure_budget(budget)
     enum = enumerate_frames(chart, budget=budget)
-    if not enum.cover_complete:
-        raise ContractError(
-            "the frames do not cover the chart: its ambient is singular "
-            "where the localizer is invertible")
-    enum.rows = [FrameRows(chart, frame) for frame in enum.frames]
+    _require_cover(enum)
     fs = _transverse(chart)
-    checks = [(frame, DeltaCheck(fs, rows), test)
-              for frame, test, rows in zip(enum.frames, enum.tests,
-                                           enum.rows)]
-    return enum, checks
+    return enum, [DeltaCheck(frame, fs) for frame in enum.frames]
 
 
 def _counted_minors(m: PolyMatrix, size: int, budget: Budget, reducer=None):
@@ -399,10 +386,11 @@ def smooth_on_frames(chart: Chart, enum: FrameEnumeration, f: Polynomial,
     singular_locus_ideal(chart, f), from n-r row entries per frame instead
     of every minor."""
     budget = ensure_budget(budget)
-    for test, row in zip(enum.tests, f_rows):
+    for frame, row in zip(enum.frames, f_rows):
         budget.checkpoint()
         # Ideal drops the zero entries
-        if not radical_membership(test, chart.ambient.extended([f, *row]),
+        if not radical_membership(frame.test,
+                                  chart.ambient.extended([f, *row]),
                                   budget=budget):
             return False
     return True
@@ -428,12 +416,10 @@ def smooth_generator(chart: Chart, enum: FrameEnumeration,
     Such an f also settles every delta check of the chart: smooth on frame
     i puts g*q_i in the radical of I_W + f + row_i(f), an ideal inside
     frame i's delta ideal, which is I_X plus every generator's row.  enum
-    is the chart's enumeration from delta_frame_tasks."""
+    is the chart's frame enumeration; frames that do not cover the chart
+    raise ContractError."""
     budget = ensure_budget(budget)
-    if enum.rows is None:
-        raise ContractError(
-            "the descent needs the relative Jacobian rows of "
-            "delta_frame_tasks")
+    _require_cover(enum)
     gb_w = buchberger(chart.ambient, budget=budget)
     usable = [f for f in chart.variety.generators if not gb_w.contains(f)]
     if not usable:
@@ -441,7 +427,8 @@ def smooth_generator(chart: Chart, enum: FrameEnumeration,
             "descend called although the chart is already settled")
     for f in usable:
         budget.checkpoint()
-        if smooth_on_frames(chart, enum, f, (rows[f] for rows in enum.rows),
+        if smooth_on_frames(chart, enum, f,
+                            (frame.row(f) for frame in enum.frames),
                             budget=budget):
             return gb_w, usable, f
     return gb_w, usable, None
@@ -452,14 +439,14 @@ def descend(chart: Chart, enum: FrameEnumeration, rng,
             budget: Optional[Budget] = None, search=None) -> list:
     """Charts one level deeper: the ambient gains one variety generator.
 
-    enum is the chart's enumeration from delta_frame_tasks: its frames
-    cover the chart, and it keeps the relative Jacobian rows of the variety
-    generators on them.  The new hypersurface must be smooth where g is
-    invertible, which smooth_on_frames reads from those rows, frame by
-    frame.  Single generators are tried in order (smooth_generator, whose
-    answer for this chart and enum the caller may pass as search, so it is
-    not asked again), then up to three random linear combinations drawn
-    from rng, whose rows are the same combinations of the stored rows.
+    enum is the chart's frame enumeration, whose frames must cover the
+    chart; each frame keeps the relative Jacobian rows of the variety
+    generators.  The new hypersurface must be smooth where g is invertible,
+    which smooth_on_frames reads from those rows, frame by frame.  Single
+    generators are tried in order (smooth_generator, whose answer for this
+    chart and enum the caller may pass as search, so it is not asked
+    again), then up to three random linear combinations drawn from rng,
+    whose rows are the same combinations of the stored rows.
     When none is smooth, the singular-locus ideals (with their minors) are
     built for a covering: from their generators h_j it picks a minimal set
     with g in the radical of (h_j), so the sets D(g * h_j) cover D(g), and
@@ -507,8 +494,8 @@ def descend(chart: Chart, enum: FrameEnumeration, rng,
                 f = f + lam * u
             if f.is_zero() or gb_w.contains(f):
                 continue
-            f_rows = (_combined_row(lams, [rows[u] for u in usable])
-                      for rows in enum.rows)
+            f_rows = (_combined_row(lams, [frame.row(u) for u in usable])
+                      for frame in enum.frames)
             if smooth_on_frames(chart, enum, f, f_rows, budget=budget):
                 chart.partials.combine(f, lams, usable)
                 return child_single(f)
@@ -536,24 +523,27 @@ def descend(chart: Chart, enum: FrameEnumeration, rng,
 
 
 class MinorCheck:
-    """A hybrid frame check, walked when its frame task runs: the test
-    polynomial must lie in the radical of the variety generators `head`
-    plus the distinct `size`-minors of the relative Jacobian `rel`, each
-    reduced by `reducer` (the normal form modulo I_X) as it is formed.
+    """A hybrid frame check, walked when its frame task runs: the frame's
+    test polynomial must lie in the radical of the variety generators
+    `head` plus the distinct `size`-minors of the relative Jacobian `rel`,
+    each reduced by `reducer` (the normal form modulo I_X) as it is formed.
     Nothing is expanded until holds() runs, so a pending check keeps no
     minor memo, and the minors it forms count on the budget it runs on."""
 
-    __slots__ = ("head", "rel", "size", "reducer")
+    kind = "jacobian"
+    __slots__ = ("frame", "head", "rel", "size", "reducer")
 
-    def __init__(self, head, rel: PolyMatrix, size: int, reducer):
+    def __init__(self, frame: FrameData, head, rel: PolyMatrix, size: int,
+                 reducer):
+        self.frame = frame
         self.head = head
         self.rel = rel
         self.size = size
         self.reducer = reducer
 
-    def holds(self, test: Polynomial, budget: Budget) -> bool:
+    def holds(self, budget: Budget) -> bool:
         mins = _counted_minors(self.rel, self.size, budget, self.reducer)
-        return proved_by_minors(test, self.head, mins, budget)
+        return proved_by_minors(self.frame.test, self.head, mins, budget)
 
 
 def proved_by_minors(test: Polynomial, head, minors, budget: Budget) -> bool:
@@ -583,14 +573,14 @@ def proved_by_minors(test: Polynomial, head, minors, budget: Budget) -> bool:
 
 def embedded_frame_tasks(chart: Chart, enum: FrameEnumeration, d_x: int,
                          budget: Optional[Budget] = None):
-    """Frame tasks for the relative Jacobian criterion at this chart, whose
-    variety has dimension d_x below the ambient's, on the enumeration enum
-    that delta_frame_tasks built for it: checks[i] = (frame, MinorCheck,
-    test) like delta_frame_tasks' checks.  Each frame's relative Jacobian
-    is stacked from the rows enum keeps, so the frames are not enumerated
-    again and no row is formed twice.  A relative codimension of
-    0 or less raises ContractError: the dimension exits settle that chart
-    before any step."""
+    """The relative Jacobian criterion at this chart, whose variety has
+    dimension d_x below the ambient's: one MinorCheck per frame of enum,
+    the enumeration delta_frame_tasks built for it, in frame order.  Each
+    frame's relative Jacobian is stacked from the rows the frame keeps, so
+    the frames are not enumerated again and no row is formed twice.  A
+    relative codimension of 0 or less raises ContractError (the dimension
+    exits settle that chart before any step), and so do frames that do not
+    cover the chart."""
     budget = ensure_budget(budget)
     n = chart.ring.nvars
     r = len(chart.ambient.generators)
@@ -599,19 +589,14 @@ def embedded_frame_tasks(chart: Chart, enum: FrameEnumeration, d_x: int,
         raise ContractError(
             "the embedded step needs the ambient above the variety's "
             "dimension")
-    if enum.rows is None:
-        raise ContractError(
-            "the embedded step needs the relative Jacobian rows of "
-            "delta_frame_tasks")
+    _require_cover(enum)
     gb_x = buchberger(chart.variety, budget=budget)
     fs = _transverse(chart)
-    return [(frame,
-             MinorCheck(chart.variety.generators,
-                        PolyMatrix(chart.ring, len(fs), n - r,
-                                   [e for f in fs for e in rows[f]]),
-                        c_rel, gb_x.normal_form),
-             test)
-            for frame, test, rows in zip(enum.frames, enum.tests, enum.rows)]
+    return [MinorCheck(frame, chart.variety.generators,
+                       PolyMatrix(chart.ring, len(fs), n - r,
+                                  [e for f in fs for e in frame.row(f)]),
+                       c_rel, gb_x.normal_form)
+            for frame in enum.frames]
 
 
 def affine_jacobian_criterion(ideal: Ideal,

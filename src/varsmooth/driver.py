@@ -4,6 +4,7 @@ The recursive test is broken into small tasks of three kinds, addressed by
 tuple paths: a chart task runs one chart's structural checks, a frame task
 one of its independent frame checks, and a step task, joined after the
 chart's delta frames, descends or spawns relative Jacobian frame checks.
+Which of the two a chart does is read off the chart itself (_descends).
 A chart whose descent search finds a hypersurface smooth on every frame
 descends in its own task, since that settles its delta frames too.
 Tasks run depth first in path order, one at a time on the calling thread,
@@ -20,7 +21,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from .charts import (Chart, affine_jacobian_criterion, delta_frame_tasks,
                      descend, embedded_frame_tasks, smooth_generator)
@@ -40,9 +41,10 @@ class Config:
     """Run parameters.
 
     mode selects the descent test, the hybrid variant, or the classical
-    Jacobian criterion.  descent_depth applies to hybrid mode and counts
-    descents before switching to the relative Jacobian criterion;
-    to_codim, when set, overrides it with max(0, codim - to_codim).
+    Jacobian criterion.  descent_depth applies to hybrid mode: a chart
+    descends while its depth is below it, and then switches to the
+    relative Jacobian criterion.  to_codim, when set, replaces it: a chart
+    descends while its relative codimension is above to_codim.
     combinations toggles the random-linear-combination shortcut during
     descent.  jobs must be >= 1; runs are sequential, and no report
     depends on it.
@@ -75,10 +77,11 @@ class Observer:
     actually starts (cache misses only); on_commit fires exactly once when
     a verdict commits; on_task_start / on_task_done bracket every task
     execution and name its kind (chart, frame or step); on_cover reports
-    each chart's frame enumeration, once per chart, so covers can be
-    re-verified after the run.  Only enumerations whose frames cover the
-    chart are reported: a chart whose frames do not ends the run as a
-    broken precondition.
+    each chart's frame enumeration once per chart, its frames with their
+    determinants q and test polynomials q*g, so covers can be re-verified
+    after the run.  Only enumerations whose frames cover the chart are
+    reported: a chart whose frames do not ends the run as a broken
+    precondition.
     """
 
     def on_gb_start(self, task_path):
@@ -216,16 +219,19 @@ def _dimension_exits(chart: Chart, budget,
     return d_x
 
 
-def _switch_depth(cfg: Config, chart: Chart, d_x: int, switch_depth):
-    """The hybrid switch depth: the one handed down, or, on the first chart
-    that knows d_x, cfg.descent_depth, or max(0, c_rel - to_codim) below
-    this chart's depth when to_codim is set.  None outside hybrid mode."""
-    if cfg.mode != "hybrid" or switch_depth is not None:
-        return switch_depth
+def _descends(cfg: Config, chart: Chart, d_x: int) -> bool:
+    """Whether a chart whose variety has dimension d_x descends, rather
+    than take the relative Jacobian criterion: always in hironaka mode; in
+    hybrid mode while its depth is below descent_depth, or, with to_codim
+    set, while its relative codimension n - r - d_x is above to_codim.  A
+    descent adds one ambient generator and keeps the variety, so the
+    relative codimension falls by one per level."""
+    if cfg.mode != "hybrid":
+        return True
     if cfg.to_codim is None:
-        return cfg.descent_depth
-    c_rel = chart.ring.nvars - len(chart.ambient.generators) - d_x
-    return max(0, c_rel - cfg.to_codim) + chart.depth
+        return chart.depth < cfg.descent_depth
+    n, r = chart.ring.nvars, len(chart.ambient.generators)
+    return n - r - d_x > cfg.to_codim
 
 
 class _ChartTask(_Task):
@@ -241,8 +247,7 @@ class _ChartTask(_Task):
     generator, the zero ideal) and the step runs the rest once the frames
     all passed.
 
-    A chart with ambient generators that will descend (every one in
-    hironaka mode, those above the switch depth in hybrid mode) runs the
+    A chart with ambient generators that will descend (_descends) runs the
     descent's single-generator search (smooth_generator) before any frame.
     A generator smooth on every frame settles every delta check too, so
     the chart spawns no frame task and no step: it counts its frames as
@@ -251,13 +256,11 @@ class _ChartTask(_Task):
     takes the search's answer instead of asking again."""
 
     kind = "chart"
-    __slots__ = ("chart", "switch_depth", "d_x")
+    __slots__ = ("chart", "d_x")
 
-    def __init__(self, path, chart: Optional[Chart], switch_depth=None,
-                 d_x=None):
+    def __init__(self, path, chart: Optional[Chart], d_x=None):
         super().__init__(path, chart.depth if chart is not None else 0)
         self.chart = chart
-        self.switch_depth = switch_depth
         self.d_x = d_x
 
     def run(self, ctx, budget):
@@ -276,12 +279,10 @@ class _ChartTask(_Task):
                                           None))
 
         d_x = None
-        switch_depth = self.switch_depth
         if chart.ambient.generators:
             d_x = _dimension_exits(chart, budget, self.d_x)
             if d_x is None:
                 return _Outcome()
-            switch_depth = _switch_depth(cfg, chart, d_x, switch_depth)
         elif not chart.variety.generators:
             return _Outcome()  # the zero ideal: the whole space, smooth
 
@@ -289,8 +290,7 @@ class _ChartTask(_Task):
         ctx.observer.on_cover(self.path, chart, enum)
         step_path = self.path + (len(checks),)
         search = None
-        if chart.ambient.generators and (cfg.mode == "hironaka"
-                                         or chart.depth < switch_depth):
+        if chart.ambient.generators and _descends(cfg, chart, d_x):
             search = smooth_generator(chart, enum, budget=budget)
             if search[2] is not None:
                 budget.frames += len(checks)  # settled by the search
@@ -298,14 +298,11 @@ class _ChartTask(_Task):
                                    combinations=cfg.combinations,
                                    budget=budget, search=search)
                 return _Outcome(spawn=[
-                    _ChartTask(step_path + (j,), child, switch_depth, d_x)
+                    _ChartTask(step_path + (j,), child, d_x)
                     for j, child in enumerate(children)])
-        frame_tasks = [
-            _FrameTask(self.path + (i,), chart, "delta", frame.cols,
-                       check.holds, test)
-            for i, (frame, check, test) in enumerate(checks)
-        ]
-        step = _StepTask(step_path, chart, enum, d_x, switch_depth, search)
+        frame_tasks = [_FrameTask(self.path + (i,), check)
+                       for i, check in enumerate(checks)]
+        step = _StepTask(step_path, chart, enum, d_x, search)
         return _Outcome(spawn=frame_tasks, joined=step)
 
 
@@ -329,51 +326,46 @@ class _RootChartTask(_ChartTask):
 
 
 class _FrameTask(_Task):
-    """One frame check: the frame passes when holds(test, budget=...) says
-    the test polynomial vanishes where the check requires, by a
-    DeltaCheck's radical membership in the delta ideal for a delta frame,
-    or by a MinorCheck's minor stream for a hybrid frame."""
+    """One frame check, a DeltaCheck (radical membership in the frame's
+    delta ideal) or a MinorCheck (the hybrid's minor stream): the frame
+    passes when check.holds(budget) says its test polynomial vanishes
+    where the check requires."""
 
     kind = "frame"
-    __slots__ = ("chart", "check_kind", "cols", "holds", "test")
+    __slots__ = ("check",)
 
-    def __init__(self, path, chart, check_kind, cols,
-                 holds: Callable[..., bool], test):
-        super().__init__(path, chart.depth)
-        self.chart = chart
-        self.check_kind = check_kind
-        self.cols = cols
-        self.holds = holds
-        self.test = test
+    def __init__(self, path, check):
+        super().__init__(path, check.frame.chart.depth)
+        self.check = check
 
     def run(self, ctx, budget):
         budget.frames += 1
-        if self.holds(self.test, budget=budget):
+        check = self.check
+        if check.holds(budget):
             return _Outcome()
-        return _Outcome(fail=_witness(self.path, self.chart, self.check_kind,
-                                      self.cols))
+        frame = check.frame
+        return _Outcome(fail=_witness(self.path, frame.chart, check.kind,
+                                      frame.cols))
 
 
 class _StepTask(_Task):
     """Joined after a chart's delta frames, at the chart's path plus (number
     of frames,).  It runs the dimension exits when the chart task did not
-    (d_x is None, an empty ambient), fixes the hybrid switch depth on the
-    first chart that knows d_x, then either spawns the relative Jacobian
-    frame checks, in hybrid mode at the switch depth, or descends, reading
-    the frame enumeration enum and its relative Jacobian rows that the
-    chart task built, and the chart task's failed single-generator search
-    when it ran one.  A child chart keeps this chart's variety, so it is
-    handed d_x."""
+    (d_x is None, an empty ambient), then either descends (_descends) or,
+    in hybrid mode past the switch, spawns the relative Jacobian frame
+    checks.  Both read the frame enumeration enum that the chart task
+    built, with its frames' relative Jacobian rows, and the descent takes
+    the chart task's failed single-generator search when it ran one.  A
+    child chart keeps this chart's variety, so it is handed d_x."""
 
     kind = "step"
-    __slots__ = ("chart", "enum", "d_x", "switch_depth", "search")
+    __slots__ = ("chart", "enum", "d_x", "search")
 
-    def __init__(self, path, chart, enum, d_x, switch_depth, search=None):
+    def __init__(self, path, chart, enum, d_x, search=None):
         super().__init__(path, chart.depth)
         self.chart = chart
         self.enum = enum
         self.d_x = d_x
-        self.switch_depth = switch_depth
         self.search = search
 
     def run(self, ctx, budget):
@@ -385,20 +377,17 @@ class _StepTask(_Task):
             if d_x is None:
                 return _Outcome()
 
-        switch_depth = _switch_depth(cfg, chart, d_x, self.switch_depth)
-        if cfg.mode == "hybrid" and chart.depth >= switch_depth:
+        if not _descends(cfg, chart, d_x):
             checks = embedded_frame_tasks(chart, self.enum, d_x,
                                           budget=budget)
-            return _Outcome(spawn=[
-                _FrameTask(self.path + (i,), chart, "jacobian",
-                           frame.cols, check.holds, test)
-                for i, (frame, check, test) in enumerate(checks)])
+            return _Outcome(spawn=[_FrameTask(self.path + (i,), check)
+                                   for i, check in enumerate(checks)])
 
         children = descend(chart, self.enum, ctx.rng_for(self.path),
                            combinations=cfg.combinations, budget=budget,
                            search=self.search)
         return _Outcome(spawn=[
-            _ChartTask(self.path + (j,), child, switch_depth, d_x)
+            _ChartTask(self.path + (j,), child, d_x)
             for j, child in enumerate(children)])
 
 

@@ -15,6 +15,7 @@ and column positions.
 from __future__ import annotations
 
 import re
+from math import gcd
 from typing import Optional
 
 from .errors import DegreeOverflowError, ParseError
@@ -241,15 +242,8 @@ def _clear_denominators(f: Polynomial) -> Polynomial:
     for c in f.coeffs:
         d = int(c.denominator)
         if d != 1:
-            g = _gcd(lcm, d)
-            lcm = lcm // g * d
+            lcm = lcm // gcd(lcm, d) * d
     return f if lcm == 1 else f * lcm
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def polynomial_source(f: Polynomial) -> str:

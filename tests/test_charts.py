@@ -225,7 +225,9 @@ def test_lazy_frames_match_eager_reference(monkeypatch):
         frames, cover = _eager_frames(chart)
         assert [(fr.cols, fr.q, fr.adj) for fr in enum.frames] == frames
         assert enum.cover_complete == cover
-        assert enum.tests == [fr.q * chart.localizer for fr in enum.frames]
+        assert all(fr.chart is chart for fr in enum.frames)
+        assert [fr.test for fr in enum.frames] == [
+            fr.q * chart.localizer for fr in enum.frames]
         assert len(calls) == len(enum.frames), chart
         exhausted += not cover
     assert exhausted  # the exhaustion path is exercised too
@@ -383,14 +385,15 @@ def test_delta_frame_tasks_shape(monkeypatch):
 
     monkeypatch.setattr(charts, "radical_membership", spy)
     enum, checks = delta_frame_tasks(chart)
-    assert len(checks) == len(enum.frames)
+    assert [check.frame for check in checks] == enum.frames
     del asked[:]
-    for frame, check, test in checks:
-        assert test == frame.q * one
-        check.holds(test, Budget())
+    for check in checks:
+        frame = check.frame
+        assert check.kind == "delta" and frame.test == frame.q * one
+        check.holds(Budget())
         (f, ideal), = asked
         del asked[:]
-        assert f == test
+        assert f == frame.test
         gens = set(map(str, ideal.generators))
         assert str(circle.generators[0]) in gens
 
@@ -534,7 +537,7 @@ def _frame_wise_against_loci(chart):
                                               *(fr.q for fr in enum.frames)]))
     usable = [f for f in chart.variety.generators
               if not ideal_membership(f, chart.ambient)]
-    cases = [(f, [rows[f] for rows in enum.rows]) for f in usable]
+    cases = [(f, [fr.row(f) for fr in enum.frames]) for f in usable]
     p = ring.field.characteristic
     for seed in range(3 if len(usable) >= 2 else 0):
         rng = random.Random(seed)
@@ -544,8 +547,8 @@ def _frame_wise_against_loci(chart):
             f = f + lam * u
         if f.is_zero() or ideal_membership(f, chart.ambient):
             continue
-        f_rows = [charts._combined_row(lams, [rows[u] for u in usable])
-                  for rows in enum.rows]
+        f_rows = [charts._combined_row(lams, [fr.row(u) for u in usable])
+                  for fr in enum.frames]
         # the row is linear in f
         for frame, row in zip(enum.frames, f_rows):
             assert row == relative_jacobian([f], chart, frame).entries
@@ -618,9 +621,13 @@ def test_descend_rejects_frames_that_do_not_cover():
         v = driver.run_parallel([chart], cfg)
         assert v.status == "indeterminate", (cfg, v.status)
         assert v.reason_kind == "precondition" and "do not cover" in v.reason
-    # enumerated without the rows, the descent has nothing to read
-    with pytest.raises(ContractError, match="rows"):
-        descend(chart, enumerate_frames(chart), random.Random(0))
+    # handed such an enumeration directly, the descent and the embedded
+    # step refuse it the same way
+    enum = enumerate_frames(chart)
+    with pytest.raises(ContractError, match="do not cover"):
+        descend(chart, enum, random.Random(0))
+    with pytest.raises(ContractError, match="do not cover"):
+        embedded_frame_tasks(chart, enum, krull_dimension(chart.variety))
 
 
 def _embedded_at(chart):
@@ -827,6 +834,15 @@ def test_failing_hybrid_frame_walks_its_whole_stream():
                            "minors_possible": 3}, jobs
 
 
+def _frame_testing(variety, test):
+    """The one frame of the frameless chart of variety on D(test), whose
+    test polynomial is test itself."""
+    chart = Chart(Ideal(variety.ring, []), variety, test, check=False)
+    frame, = enumerate_frames(chart).frames
+    assert frame.test == test
+    return frame
+
+
 def test_minor_check_without_nonzero_minors_asks_the_variety():
     # every minor reduces to zero modulo I_X, so the stream is empty and
     # the frame passes exactly when the test vanishes on X alone
@@ -834,10 +850,11 @@ def test_minor_check_without_nonzero_minors_asks_the_variety():
     variety = Ideal(ring, [x])
     rel = PolyMatrix(ring, 1, 2, [x, x * y])
     for test, want in ((x * y, True), (y, False)):
-        check = charts.MinorCheck(variety.generators, rel, 1,
+        check = charts.MinorCheck(_frame_testing(variety, test),
+                                  variety.generators, rel, 1,
                                   buchberger(variety).normal_form)
         budget = Budget()
-        assert check.holds(test, budget) is want
+        assert check.holds(budget) is want
         assert budget.minors == budget.minors_possible == 2
         assert budget.gb_queries == 1
 
@@ -853,10 +870,11 @@ def test_minor_check_counts_size_minors_and_stops_in_prefix_tests(
     rel = PolyMatrix(ring, 3, 2, [x, x * y,
                                   y, z,
                                   z, y])
-    check = charts.MinorCheck(variety.generators, rel, 2,
+    check = charts.MinorCheck(_frame_testing(variety, y * y - z * z),
+                              variety.generators, rel, 2,
                               buchberger(variety).normal_form)
     budget = Budget()
-    assert check.holds(y * y - z * z, budget)
+    assert check.holds(budget)
     assert (budget.minors, budget.minors_possible) == (2, 3)
     # a clock that ticks once per reading: the deadline passes at the
     # second checkpoint, the first minor of the prefix test
@@ -865,7 +883,7 @@ def test_minor_check_counts_size_minors_and_stops_in_prefix_tests(
                         SimpleNamespace(monotonic=lambda: next(ticks)))
     budget = Budget(Limits(time_s=1.5))
     with pytest.raises(LimitExceededError):
-        check.holds(y * y - z * z, budget)
+        check.holds(budget)
     assert (budget.minors, budget.minors_possible) == (1, 3)
 
 
@@ -893,10 +911,10 @@ def _criterion_ideals(monkeypatch, runs):
             yielded.append(f)
             yield f
 
-    def spy_holds(self, test, budget):
+    def spy_holds(self, budget):
         kind[0] = "embedded"
         try:
-            return real_holds(self, test, budget)
+            return real_holds(self, budget)
         finally:
             kind[0] = "affine"
 

@@ -1,4 +1,5 @@
 import json
+import random
 import threading
 from collections import Counter
 
@@ -8,7 +9,7 @@ from conftest import variables
 from corpus import corpus50
 from varsmooth import matrix
 from varsmooth.bench import rational_normal_curve
-from varsmooth.charts import Chart
+from varsmooth.charts import Chart, delta_frame_tasks, descend
 from varsmooth.errors import ContractError
 from varsmooth.driver import (Config, Observer, Verdict, projective_smoothness,
                               run_parallel, smoothness_test)
@@ -17,7 +18,7 @@ from varsmooth.groebner import (Ideal, buchberger, clear_caches,
                                 krull_dimension, radical_membership)
 from varsmooth.limits import Limits
 from varsmooth.parser import ideal_file_text, parse_ideal_file
-from varsmooth.poly import Polynomial
+from varsmooth.poly import Polynomial, dehomogenize
 from varsmooth.ring import Ring
 
 
@@ -210,7 +211,22 @@ def test_hybrid_all_depths_agree():
             assert v.status == expected, (depth, v.status)
 
 
-def test_to_codim_equivalent_to_depth():
+def _rnc_started_charts():
+    """The charts one to three descents below the root chart x_0 = 1 of
+    I1-5."""
+    ideal = rational_normal_curve(5).ideal
+    root = Chart.root(Ideal(ideal.ring.drop(0),
+                            [dehomogenize(f, 0) for f in ideal.generators]))
+    level, started = [root], []
+    for _ in range(3):
+        level = [child for chart in level
+                 for child in descend(chart, delta_frame_tasks(chart)[0],
+                                      random.Random(0))]
+        started += level
+    return started
+
+
+def test_to_codim_equivalent_to_depth(monkeypatch):
     ideal = two_points_ideal()
     codim = 2
     for c in range(codim + 1):
@@ -219,6 +235,37 @@ def test_to_codim_equivalent_to_depth():
                                           descent_depth=codim - c))
         assert a.status == b.status == "smooth"
         assert a.stats == b.stats
+    # a chart started at depth d0 with relative codimension c_rel0: to_codim
+    # c switches where descent_depth d0 + max(0, c_rel0 - c) does, so the
+    # same charts reach the embedded step
+    from varsmooth import driver
+    embedded = []
+    real = driver.embedded_frame_tasks
+
+    def spy(chart, enum, d_x, budget=None):
+        embedded.append((chart.depth, chart.ambient.fingerprint(),
+                         str(chart.localizer)))
+        return real(chart, enum, d_x, budget=budget)
+
+    monkeypatch.setattr(driver, "embedded_frame_tasks", spy)
+    started = _rnc_started_charts()
+    assert {chart.depth for chart in started} == {1, 2, 3}
+    reached = 0
+    for chart in started:
+        c_rel0 = (chart.ring.nvars - len(chart.ambient.generators)
+                  - krull_dimension(chart.variety))
+        for c in range(c_rel0 + 2):
+            runs = []
+            for cfg in (Config(mode="hybrid", to_codim=c),
+                        Config(mode="hybrid", descent_depth=chart.depth
+                               + max(0, c_rel0 - c))):
+                del embedded[:]
+                v = run_parallel([chart], cfg)
+                runs.append((v.status, v.stats, sorted(embedded)))
+            a, b = runs
+            assert a == b and a[0] == "smooth", (chart, c)
+            reached += bool(a[2])
+    assert reached
 
 
 def test_max_depth_bounded_by_codimension():
@@ -904,10 +951,11 @@ def test_a_smooth_generator_settles_every_delta_check_it_skips(monkeypatch):
         assert chart.ambient.generators
         fs = [f for f in chart.variety.generators
               if f not in chart.ambient.generators]
-        for frame, test in zip(enum.frames, enum.tests):
+        for frame in enum.frames:
+            assert frame.chart is chart
             rel = charts.relative_jacobian(fs, chart, frame)
             delta = chart.variety.extended(rel.entries)
-            assert radical_membership(test, delta), (chart, frame)
+            assert radical_membership(frame.test, delta), (chart, frame)
             checked += 1
     assert checked >= len(settled)
 
@@ -940,16 +988,16 @@ def test_each_row_is_formed_once_and_a_constant_row_ends_its_check(
         in_check.append(args)
         return real_rm(*args, **kwargs)
 
-    def holds_spy(self, test, budget):
+    def holds_spy(self, budget):
         nonlocal stopped
         at = len(formed)
         del in_check[:]
-        answer = real_holds(self, test, budget)
-        mine = [f for key, f in formed[at:] if key == id(self.rows.frame)]
+        answer = real_holds(self, budget)
+        mine = [f for key, f in formed[at:] if key == id(self.frame)]
         assert mine == self.fs[:len(mine)]
         constant = [i for i, f in enumerate(mine)
                     if any(e.is_constant() and not e.is_zero()
-                           for e in self.rows[f])]
+                           for e in self.frame.row(f))]
         if constant:
             assert constant == [len(mine) - 1] and answer and not in_check
             stopped += 1
