@@ -13,7 +13,10 @@ the minimal failing path in the whole tree, no task starts after the
 commit, and the verdict, witness and statistics are identical for every
 job count.  Each task also gets a finish time on the critical path, the
 time it would end if every task started as soon as those it waits on had
-finished.
+finished.  A projective run's roots are the standard charts x_i = 1; one
+that the charts before it cover passes in its chart task, with one exact
+query and no frame, since a singular point on it lies on an earlier chart,
+which fails first.
 """
 
 from __future__ import annotations
@@ -27,11 +30,9 @@ from .charts import (Chart, affine_jacobian_criterion, delta_frame_tasks,
                      descend, embedded_frame_tasks, smooth_generator)
 from .errors import (ContractError, LimitExceededError,
                      NonHomogeneousError, VarsmoothError)
-# radical_membership is no longer called here; perfbench's tracer tests
-# check that its wrapper reaches this binding too
-from .groebner import Ideal, krull_dimension, radical_membership  # noqa: F401
+from .groebner import Ideal, krull_dimension, radical_membership
 from .limits import Budget, Limits
-from .poly import dehomogenize
+from .poly import Polynomial, dehomogenize
 
 MODES = ("hironaka", "hybrid", "jacobian")
 
@@ -81,7 +82,8 @@ class Observer:
     determinants q and test polynomials q*g, so covers can be re-verified
     after the run.  Only enumerations whose frames cover the chart are
     reported: a chart whose frames do not ends the run as a broken
-    precondition.
+    precondition.  A projective root chart that the root charts before it
+    cover enumerates no frame and is not reported.
     """
 
     def on_gb_start(self, task_path):
@@ -264,7 +266,9 @@ class _ChartTask(_Task):
         self.d_x = d_x
 
     def run(self, ctx, budget):
-        chart = self.chart
+        return self._check(ctx, budget, self.chart)
+
+    def _check(self, ctx, budget, chart):
         cfg = ctx.config
 
         for f in chart.variety.generators:
@@ -309,7 +313,14 @@ class _ChartTask(_Task):
 class _RootChartTask(_ChartTask):
     """The standard affine chart x_i = 1 of a projective variety.  Its ideal
     is dehomogenized when the task runs, so a root chart after the first
-    failure is never built."""
+    failure is never built, and the task keeps no chart: the tree holds it
+    only while its tasks are walked.
+
+    Chart i > 0 is covered by the charts before it when 1 lies in
+    I_i + (x_0, ..., x_{i-1}), I_i the ideal dehomogenized at x_i (x_j
+    keeps its index for j < i): every point with x_i != 0 then has an
+    earlier x_j != 0.  Such a chart passes without a frame: a singular
+    point on it lies on an earlier chart, which fails first."""
 
     __slots__ = ("ideal", "var")
 
@@ -320,9 +331,15 @@ class _RootChartTask(_ChartTask):
 
     def run(self, ctx, budget):
         i = self.var
+        ring = self.ideal.ring.drop(i)
         gens = [dehomogenize(f, i) for f in self.ideal.generators]
-        self.chart = Chart.root(Ideal(self.ideal.ring.drop(i), gens))
-        return super().run(ctx, budget)
+        if i and radical_membership(
+                Polynomial.constant(ring, 1),
+                Ideal(ring, gens + [Polynomial.variable(ring, j)
+                                    for j in range(i)]),
+                budget=budget):
+            return _Outcome()  # covered by root charts 0 .. i-1
+        return self._check(ctx, budget, Chart.root(Ideal(ring, gens)))
 
 
 class _FrameTask(_Task):
@@ -533,7 +550,9 @@ def projective_smoothness(ideal: Ideal, config: Optional[Config] = None,
     """Decide smoothness of the projective variety of a homogeneous ideal
     by testing the standard affine charts x_i = 1 in ascending variable
     order; each chart is built only when its task runs, so no chart after
-    the first failure is built."""
+    the first failure is built.  A chart that the charts before it cover
+    passes without a frame (_RootChartTask); the verdict, witness and
+    reason are those of a walk over every chart."""
     ring = ideal.ring
     if ring.nvars < 2:
         raise ContractError("projective input needs at least two variables")

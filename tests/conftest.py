@@ -5,8 +5,8 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from varsmooth.fields import QQ, GF
-from varsmooth.groebner import buchberger
-from varsmooth.poly import Polynomial
+from varsmooth.groebner import Ideal, buchberger
+from varsmooth.poly import Polynomial, dehomogenize
 from varsmooth.ring import Ring
 
 settings.register_profile(
@@ -29,6 +29,18 @@ def rxyz():
 
 def variables(ring):
     return [Polynomial.variable(ring, i) for i in range(ring.nvars)]
+
+
+def chart_ideals(ideal):
+    """Every standard affine chart x_i = 1 of a homogeneous ideal, in
+    ascending i: the ideal dehomogenized at x_i, in the ring without x_i.
+    A projective run skips the charts the earlier ones cover; these are
+    all of them, for tests that use a projective input as a source of
+    charts."""
+    ring = ideal.ring
+    return [Ideal(ring.drop(i), [dehomogenize(f, i)
+                                 for f in ideal.generators])
+            for i in range(ring.nvars)]
 
 
 def random_poly(ring, rng, max_terms=5, max_deg=3, coeff_bound=4):

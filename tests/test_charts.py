@@ -5,8 +5,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import (equal_on_chart, nonzero_random_poly, reference_minors,
-                      variables)
+from conftest import (chart_ideals, equal_on_chart, nonzero_random_poly,
+                      reference_minors, variables)
 from corpus import corpus50
 from varsmooth.errors import (ContractError, DegenerateGeneratorError,
                               DescentError, LimitExceededError)
@@ -27,7 +27,7 @@ from varsmooth.limits import Budget, Limits
 from varsmooth.matrix import (PolyMatrix, _gradient, adjugate, determinant,
                               iter_minors, jacobian)
 from varsmooth.parser import ideal_file_text, parse_ideal_file
-from varsmooth.poly import Polynomial, dehomogenize
+from varsmooth.poly import Polynomial
 from varsmooth.ring import Ring
 
 
@@ -177,8 +177,9 @@ def _eager_frames(chart):
 
 
 def _rnc_charts():
-    """Every chart the driver enumerates frames on for I1-4 and I1-5, in
-    hironaka and hybrid mode: frameless roots and descended charts."""
+    """Every chart the driver enumerates frames on for the standard affine
+    charts of I1-4 and I1-5, in hironaka and hybrid mode: frameless roots
+    and descended charts."""
     seen = []
     original = charts.enumerate_frames
 
@@ -190,7 +191,8 @@ def _rnc_charts():
     try:
         for d in (4, 5):
             for cfg in (Config(), Config(mode="hybrid", to_codim=2)):
-                projective_smoothness(rational_normal_curve(d).ideal, cfg)
+                for ideal in chart_ideals(rational_normal_curve(d).ideal):
+                    smoothness_test(ideal, cfg)
     finally:
         charts.enumerate_frames = original
     return seen
@@ -463,7 +465,8 @@ def test_descended_ambients_lie_in_the_variety(monkeypatch, combinations):
     assert made["covering"] == (0 if combinations else 2)
     for ideal in (_rnc_over("QQ", 4), _rnc_over("QQ", 5),
                   _rnc_over("F32003", 4)):
-        assert projective_smoothness(ideal, cfg).status == "smooth", strays
+        for chart in chart_ideals(ideal):
+            assert smoothness_test(chart, cfg).status == "smooth", strays
     assert not strays, strays
     assert made["children"] > 30, made
     assert (made["combination"] > 0) == combinations, made
@@ -681,14 +684,6 @@ def test_affine_jacobian_criterion_known_varieties():
     assert not affine_jacobian_criterion(x2cone)
 
 
-def _projective_charts(inst):
-    ideal = inst.ideal
-    ring = ideal.ring
-    for i in range(ring.nvars):
-        yield Ideal(ring.drop(i), [dehomogenize(f, i)
-                                   for f in ideal.generators])
-
-
 def _criterion_on_every_minor(ideal):
     """The criterion without early exit: I plus all minors, tested once."""
     ring = ideal.ring
@@ -706,12 +701,12 @@ def _criterion_on_every_minor(ideal):
 def test_early_exit_agrees_with_every_minor():
     ring, (x, y) = mkvars(QQ, ("x", "y"))
     singular = [Ideal(ring, [y * y - x * x * x])]
-    singular += _projective_charts(veronese_ci())
+    singular += chart_ideals(veronese_ci().ideal)
     for n, d in ((4, 2), (5, 3)):
-        singular += _projective_charts(random_coordinate_change(
-            cyclic_polytope_sr(d, n), 0, 4))
+        singular += chart_ideals(random_coordinate_change(
+            cyclic_polytope_sr(d, n), 0, 4).ideal)
     rnc = [c for d in (3, 4, 5, 6)
-           for c in _projective_charts(rational_normal_curve(d))]
+           for c in chart_ideals(rational_normal_curve(d).ideal)]
     verdicts = []
     for ideal in ([inst.ideal for inst in corpus50()] + rnc + singular):
         budget = Budget()
@@ -723,7 +718,7 @@ def test_early_exit_agrees_with_every_minor():
     assert not any(verdicts[50 + len(rnc):])
     assert 0 < sum(verdicts[:50]) < 50
     # every I1-6 chart is proved smooth before its walk ends
-    for ideal in _projective_charts(rational_normal_curve(6)):
+    for ideal in chart_ideals(rational_normal_curve(6).ideal):
         budget = Budget()
         assert affine_jacobian_criterion(ideal, budget=budget)
         assert 0 < budget.minors < budget.minors_possible, ideal
@@ -776,7 +771,7 @@ _JACOBIAN_CHART_STATS = {
 def test_affine_jacobian_criterion_stats_on_rnc():
     for d, want in _JACOBIAN_CHART_STATS.items():
         got = []
-        for ideal in _projective_charts(rational_normal_curve(d)):
+        for ideal in chart_ideals(rational_normal_curve(d).ideal):
             budget = Budget()
             ok = affine_jacobian_criterion(ideal, budget=budget)
             got.append((ok, budget.gb_queries, budget.minors,
@@ -789,7 +784,7 @@ def test_pruned_walk_matches_the_unpruned_walk_on_rnc_charts(monkeypatch):
     # end, as the walk that never skips a row set yields them
     real = matrix._advance
     for d in (5, 6):
-        for ideal in _projective_charts(rational_normal_curve(d)):
+        for ideal in chart_ideals(rational_normal_curve(d).ideal):
             reduce = buchberger(ideal).normal_form
             c = ideal.ring.nvars - krull_dimension(ideal)
             jac = jacobian(ideal.ring, ideal.generators)

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import variables
+from conftest import chart_ideals, variables
 from corpus import corpus50
 from varsmooth import matrix
 from varsmooth.bench import rational_normal_curve
@@ -18,7 +18,7 @@ from varsmooth.groebner import (Ideal, buchberger, clear_caches,
                                 krull_dimension, radical_membership)
 from varsmooth.limits import Limits
 from varsmooth.parser import ideal_file_text, parse_ideal_file
-from varsmooth.poly import Polynomial, dehomogenize
+from varsmooth.poly import Polynomial
 from varsmooth.ring import Ring
 
 
@@ -215,8 +215,7 @@ def _rnc_started_charts():
     """The charts one to three descents below the root chart x_0 = 1 of
     I1-5."""
     ideal = rational_normal_curve(5).ideal
-    root = Chart.root(Ideal(ideal.ring.drop(0),
-                            [dehomogenize(f, 0) for f in ideal.generators]))
+    root = Chart.root(chart_ideals(ideal)[0])
     level, started = [root], []
     for _ in range(3):
         level = [child for chart in level
@@ -326,23 +325,33 @@ def test_seeded_runs_leave_reports_unchanged(monkeypatch):
         rows = [((d[0],) + d[2], (d[1],) + d[3]) for d in seed]
         return engine(ring, rows + list(gens_raw), budget)
 
-    cases = [(projective_smoothness, rational_normal_curve(5).ideal,
-              Config(mode=mode, **opts))
-             for mode, opts in (("hironaka", {}), ("hybrid", {"to_codim": 1}),
-                                ("jacobian", {}))]
-    cases.append((smoothness_test, two_points_ideal(),
-                  Config(combinations=False)))
-    for runner, ideal, cfg in cases:
-        clear_caches()
-        seeded = runner(ideal, cfg)
-        assert seeded.timing["gb_runs_seeded"] > 0, cfg
-        assert seeded.timing["gb_runs_seeded"] <= seeded.timing["gb_runs"]
-        with monkeypatch.context() as m:
-            m.setattr(groebner, "_engine", cold)
+    # each group: the projective run of I1-5 and each of its charts by
+    # itself, which also runs the charts the projective run skips as covered
+    rnc5 = rational_normal_curve(5).ideal
+    groups = []
+    for mode, opts in (("hironaka", {}), ("hybrid", {"to_codim": 1}),
+                       ("jacobian", {})):
+        cfg = Config(mode=mode, **opts)
+        groups.append([(projective_smoothness, rnc5, cfg)]
+                      + [(smoothness_test, chart, cfg)
+                         for chart in chart_ideals(rnc5)])
+    groups.append([(smoothness_test, two_points_ideal(),
+                    Config(combinations=False))])
+    for group in groups:
+        seeded_runs = 0
+        for runner, ideal, cfg in group:
             clear_caches()
-            plain = runner(ideal, cfg)
-        assert json.dumps(seeded.as_report()) == json.dumps(plain.as_report())
-        assert seeded.timing["gb_runs"] == plain.timing["gb_runs"]
+            seeded = runner(ideal, cfg)
+            seeded_runs += seeded.timing["gb_runs_seeded"]
+            assert seeded.timing["gb_runs_seeded"] <= seeded.timing["gb_runs"]
+            with monkeypatch.context() as m:
+                m.setattr(groebner, "_engine", cold)
+                clear_caches()
+                plain = runner(ideal, cfg)
+            assert (json.dumps(seeded.as_report())
+                    == json.dumps(plain.as_report()))
+            assert seeded.timing["gb_runs"] == plain.timing["gb_runs"]
+        assert seeded_runs > 0, cfg
 
 
 def test_reason_kind_tells_preconditions_and_crashes_apart(monkeypatch):
@@ -463,9 +472,9 @@ def _nodal_cubic():
 
 @pytest.mark.parametrize("ideal, opts, status, tasks, critical", [
     (_nodal_cubic(), {}, "singular", 10, 4),
-    (rational_normal_curve(4).ideal, {}, "smooth", 30, 6),
+    (rational_normal_curve(4).ideal, {}, "smooth", 15, 6),
     (rational_normal_curve(5).ideal, {"mode": "hybrid", "to_codim": 2},
-     "smooth", 52, 8),
+     "smooth", 24, 8),
 ])
 def test_tasks_run_in_path_order_on_the_critical_path_clock(
         monkeypatch, ideal, opts, status, tasks, critical):
@@ -550,14 +559,110 @@ def test_projective_roots_are_built_when_their_task_runs(monkeypatch):
     assert built == []
 
 
+# -- root charts: a chart the charts before it cover ---------------------------
+
+
+def _charts_in_order(ideal, cfg):
+    """The projective verdict read off the standard affine charts, each run
+    by itself: the status of the first chart that is not smooth, and its
+    index, or smooth and None."""
+    for i, chart in enumerate(chart_ideals(ideal)):
+        status = smoothness_test(chart, cfg).status
+        if status != "smooth":
+            return status, i
+    return "smooth", None
+
+
+def test_covered_root_charts_keep_the_verdict_and_the_witness(monkeypatch):
+    # root chart i > 0 passes with no frame when 1 lies in
+    # I_i + (x_0, ..., x_{i-1}); the verdict must be the one the charts
+    # give one by one, a witness must lie on the first chart that fails,
+    # and each chart taken as covered must be covered in the homogeneous
+    # ring: x_i lies in the radical of I + (x_0, ..., x_{i-1})
+    from varsmooth import driver
+    from varsmooth.bench import (cyclic_polytope_sr, random_coordinate_change,
+                                 veronese_ci)
+    covered = []    # root chart indices whose cover query said yes
+    real = driver.radical_membership
+
+    def spy(f, target, budget=None):
+        answer = real(f, target, budget=budget)
+        if answer and len(budget.task_path) == 1:
+            covered.append(budget.task_path[0])
+        return answer
+
+    monkeypatch.setattr(driver, "radical_membership", spy)
+    all_modes = [Config(), Config(mode="hybrid", to_codim=2),
+                 Config(mode="jacobian")]
+    cases = [(f"rnc{d}", rational_normal_curve(d).ideal, all_modes,
+              set(range(1, d))) for d in (3, 4, 5)]
+    cases += [("X2", veronese_ci().ideal, all_modes, None),
+              ("emptyroot", _empty_root_ideal(), all_modes, {1}),
+              ("rnc3-cc", random_coordinate_change(
+                  rational_normal_curve(3), 0).ideal, all_modes[:2], {2, 3})]
+    for d, n in ((3, 6), (3, 7)):
+        cases.append((f"cyclic{d}{n}-cc", random_coordinate_change(
+            cyclic_polytope_sr(d, n), 0).ideal, all_modes[:2], set()))
+    seen = 0
+    for name, ideal, cfgs, want in cases:
+        ring = ideal.ring
+        xs = variables(ring)
+        for cfg in cfgs:
+            label = (name, cfg.mode)
+            del covered[:]
+            log = _Starts()
+            v = projective_smoothness(ideal, cfg, observer=log)
+            status, first = _charts_in_order(ideal, cfg)
+            assert v.status == status, label
+            if status == "singular":
+                assert v.witness.path[0] == first, (label, v.witness.path)
+            if want is not None:
+                assert set(covered) == want, (label, covered)
+            for i in covered:
+                assert i > 0 and (i,) in log.paths, (label, i)
+                # a covered chart spawns nothing
+                assert not [p for p in log.paths
+                            if len(p) > 1 and p[0] == i], (label, i)
+                assert radical_membership(
+                    xs[i], Ideal(ring, [*ideal.generators, *xs[:i]])), \
+                    (label, i)
+            seen += len(covered)
+    assert seen > 20, seen
+
+
+def test_no_earlier_root_tree_is_alive_when_a_root_starts():
+    # a root chart's tree, its Partials table with it, is released once
+    # the root's walk is done
+    import gc
+    from varsmooth.matrix import Partials
+
+    def tables():
+        gc.collect()
+        return sum(isinstance(o, Partials) for o in gc.get_objects())
+
+    class Count(Observer):
+        def __init__(self):
+            self.alive = {}
+
+        def on_task_start(self, path, kind):
+            if len(path) == 1:
+                self.alive[path] = tables()
+
+    from varsmooth.bench import random_coordinate_change
+    cases = [(rational_normal_curve(7).ideal, Config()),
+             (rational_normal_curve(7).ideal, Config(mode="jacobian")),
+             (random_coordinate_change(rational_normal_curve(3), 0).ideal,
+              Config(mode="hybrid"))]
+    for ideal, cfg in cases:
+        before = tables()
+        count = Count()
+        assert projective_smoothness(ideal, cfg, observer=count).status == \
+            "smooth"
+        assert len(count.alive) == ideal.ring.nvars
+        assert set(count.alive.values()) == {before}, (cfg.mode, count.alive)
+
+
 # -- root charts: the order-one check before the dimension ---------------------
-
-
-def _root_chart(ideal, i):
-    """The variety ideal of the standard affine chart x_i = 1."""
-    from varsmooth.poly import dehomogenize
-    return Ideal(ideal.ring.drop(i),
-                 [dehomogenize(f, i) for f in ideal.generators])
 
 
 class _Log(Observer):
@@ -604,7 +709,7 @@ def test_root_chart_witnesses_fail_the_classical_criterion():
             assert w is not None
             if w.depth:
                 continue
-            chart = _root_chart(ideal, w.path[0])
+            chart = chart_ideals(ideal)[w.path[0]]
             assert (w.variety, w.ambient, w.localizer) == (
                 chart.fingerprint(), Ideal(chart.ring, []).fingerprint(),
                 "1"), (opts, w.path)
@@ -676,19 +781,24 @@ def _empty_root_point():
 # leave.  A descended chart that will descend again searches for a smooth
 # generator before its frames: the double point's failing depth-2 chart in
 # hironaka asks its failed search's query before its frame fails
-# (gb_queries 5 -> 6).
+# (gb_queries 5 -> 6).  A root chart that the root charts before it cover
+# runs no frame and no dimension, only its cover query: Y = 1 of the double
+# point, covered by X = 1, and W = 1 of the point, covered by X = 1 and
+# Z = 1 (frames -1 each; gb_queries unchanged, as the cover query takes
+# the place of one query of the chart it skips, or of none on Y = 1 of the
+# point, whose constant generator 1 answers it).
 _EDGE = {
     ("double point", "hironaka"): (
         "singular", ((2, 1, 0, 1, 0, 0), 2, "delta", (0, 2)),
-        {"charts": 5, "frames": 5, "gb_queries": 6, "max_depth": 2,
+        {"charts": 5, "frames": 4, "gb_queries": 6, "max_depth": 2,
          "minors": 0, "minors_possible": 0}),
     ("double point", "hybrid"): (
         "singular", ((2, 1, 0), 0, "jacobian", ()),
-        {"charts": 3, "frames": 4, "gb_queries": 4, "max_depth": 0,
+        {"charts": 3, "frames": 3, "gb_queries": 4, "max_depth": 0,
          "minors": 1, "minors_possible": 1}),
     ("double point", "hybrid-1"): (
         "singular", ((2, 1, 0, 1, 0, 0), 2, "delta", (0, 2)),
-        {"charts": 5, "frames": 5, "gb_queries": 5, "max_depth": 2,
+        {"charts": 5, "frames": 4, "gb_queries": 5, "max_depth": 2,
          "minors": 0, "minors_possible": 0}),
     ("double point", "jacobian"): (
         "singular", ((2,), 0, "criterion", None),
@@ -696,15 +806,15 @@ _EDGE = {
          "minors": 1, "minors_possible": 1}),
     ("point", "hironaka"): (
         "smooth", None,
-        {"charts": 7, "frames": 5, "gb_queries": 6, "max_depth": 3,
+        {"charts": 7, "frames": 4, "gb_queries": 6, "max_depth": 3,
          "minors": 0, "minors_possible": 0}),
     ("point", "hybrid"): (
         "smooth", None,
-        {"charts": 4, "frames": 4, "gb_queries": 4, "max_depth": 0,
+        {"charts": 4, "frames": 3, "gb_queries": 4, "max_depth": 0,
          "minors": 1, "minors_possible": 1}),
     ("point", "hybrid-1"): (
         "smooth", None,
-        {"charts": 6, "frames": 6, "gb_queries": 6, "max_depth": 2,
+        {"charts": 6, "frames": 5, "gb_queries": 6, "max_depth": 2,
          "minors": 1, "minors_possible": 1}),
     ("point", "jacobian"): (
         "smooth", None,
@@ -929,9 +1039,10 @@ def test_a_smooth_generator_settles_every_delta_check_it_skips(monkeypatch):
     for field in ("QQ", "F32003"):
         for d in (4, 5, 6):
             for cfg in (Config(), Config(mode="hybrid", to_codim=2)):
-                v = projective_smoothness(_rnc_over(field, d), cfg)
-                runs.append((f"rnc{d} {field} {cfg.mode}", v.status,
-                             "smooth"))
+                for i, chart in enumerate(chart_ideals(_rnc_over(field, d))):
+                    v = smoothness_test(chart, cfg)
+                    runs.append((f"rnc{d} {field} {cfg.mode} x{i} = 1",
+                                 v.status, "smooth"))
     rnc_settled = len(settled)
     for inst in corpus50():
         for cfg in (Config(), Config(mode="hybrid", to_codim=2)):

@@ -6,8 +6,8 @@ from itertools import combinations as icombs
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (equal_on_chart, nonzero_random_poly, random_poly,
-                      variables)
+from conftest import (chart_ideals, equal_on_chart, nonzero_random_poly,
+                      random_poly, variables)
 from varsmooth.errors import LimitExceededError
 from varsmooth.fields import QQ, GF
 from varsmooth.groebner import (GroebnerBasis, Ideal, _PairQueue, _lift,
@@ -679,8 +679,8 @@ def test_seeded_run_after_the_base_was_evicted(monkeypatch):
 
 
 def test_each_base_is_lifted_once_per_run(monkeypatch):
-    # one hironaka run of rnc6: a Rabinowitsch query lifts f and the
-    # generators past its base, and the base's generators and the seed
+    # hironaka runs on the charts of rnc6: a Rabinowitsch query lifts f and
+    # the generators past its base, and the base's generators and the seed
     # rows only the first time that base (basis) seeds a query
     from varsmooth import charts, driver, groebner
     from varsmooth.bench import rational_normal_curve
@@ -718,8 +718,8 @@ def test_each_base_is_lifted_once_per_run(monkeypatch):
     for mod in (groebner, charts):
         monkeypatch.setattr(mod, "radical_membership", rm)
     clear_caches()
-    verdict = driver.projective_smoothness(rational_normal_curve(6).ideal)
-    assert verdict.status == "smooth"
+    for chart in chart_ideals(rational_normal_curve(6).ideal):
+        assert driver.smoothness_test(chart).status == "smooth"
 
     lifted_bases, lifted_bases_rows = set(), set()
     engine_queries = 0

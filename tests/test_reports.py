@@ -34,10 +34,15 @@ def _cyclic_cc(d, n):
     return _generated(random_coordinate_change(cyclic_polytope_sr(d, n), 0))
 
 
+def _rnc_cc(d):
+    return _generated(random_coordinate_change(rational_normal_curve(d), 0))
+
+
 _TEXTS = {
     # x*(y+1) = y*(x+1) = 0: two affine points, reaching the covering step
     "points": "ring QQ [x, y]\nx*y + x\nx*y + y\n",
-    # the charts X = 1 and Y = 1 are empty with no constant generator
+    # the chart X = 1 is empty with no constant generator and is settled
+    # by its dimension; the chart Y = 1 is covered by X = 1, with no frame
     "emptyroot": "ring QQ [X, Y, Z, W]\nW - X\nW + X\nX*Z - Y^2\n",
     # singular at the origin, decided from constant terms
     "cone": "ring QQ [x, y, z]\nx^2 + y^2 - z^2\n",
@@ -63,6 +68,9 @@ for _d, _n in ((3, 6), (3, 7)):
     for _mode in ("hironaka", "hybrid"):
         CASES[f"cyclic{_d}{_n}cc/{_mode}"] = (
             lambda d=_d, n=_n: _cyclic_cc(d, n), True, {"mode": _mode})
+# a curve in general position: root charts 2 and 3 are covered by 0 and 1
+for _mode in ("hironaka", "hybrid"):
+    CASES[f"rnc3cc/{_mode}"] = (lambda: _rnc_cc(3), True, {"mode": _mode})
 CASES["points/hironaka-nocomb"] = (lambda: _text("points"), False,
                                    {"combinations": False})
 for _mode in ("hironaka", "hybrid"):
