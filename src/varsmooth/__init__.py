@@ -14,9 +14,8 @@ from .matrix import (PolyMatrix, adjugate, determinant, iter_minors,
 from .groebner import (GroebnerBasis, Ideal, buchberger, ideal_membership,
                        krull_dimension, normal_form, radical_membership)
 from .limits import Budget, Limits
-from .charts import (Chart, FrameData, affine_jacobian_criterion, descend,
-                     enumerate_frames, relative_jacobian,
-                     singular_locus_ideal)
+from .charts import (Chart, FrameData, descend, enumerate_frames,
+                     relative_jacobian, singular_locus_ideal)
 from .driver import (Config, Observer, Verdict, Witness,
                      projective_smoothness, run_parallel, smoothness_test)
 from .bench import (BenchInstance, cyclic_polytope_sr,
@@ -31,7 +30,7 @@ __all__ = [
     "GroebnerBasis", "Ideal", "buchberger", "ideal_membership",
     "krull_dimension", "normal_form", "radical_membership",
     "Budget", "Limits",
-    "Chart", "FrameData", "affine_jacobian_criterion", "descend",
+    "Chart", "FrameData", "descend",
     "enumerate_frames", "relative_jacobian", "singular_locus_ideal",
     "Config", "Observer", "Verdict", "Witness", "projective_smoothness",
     "run_parallel", "smoothness_test",

@@ -10,8 +10,8 @@ relative first-order behaviour already cuts it out where g*q is invertible.
 The functions here work on one chart; the driver composes them into the
 recursive test as a tree of tasks and walks it.  A frame keeps its chart,
 its test polynomial q*g and the relative Jacobian rows read on it, so a
-frame check (a DeltaCheck, or the hybrid's MinorCheck) holds its frame
-and nothing of the enumeration.
+frame check (a DeltaCheck, or a MinorCheck of the relative criterion)
+holds its frame and nothing of the enumeration.
 What a chart tree shares is its variety and one Partials table: every
 partial derivative the tree reads (ambient Jacobians, relative Jacobians,
 singular-locus minors) comes from that table, so each polynomial is
@@ -25,12 +25,11 @@ from math import comb
 from typing import NamedTuple, Optional
 
 from .errors import ContractError, DegenerateGeneratorError, DescentError
-from .groebner import (Ideal, buchberger, ideal_membership, krull_dimension,
-                       radical_membership)
+from .groebner import Ideal, buchberger, ideal_membership, radical_membership
 from .limits import Budget, ensure_budget
 from .matrix import (Partials, PolyMatrix, _check_degree, _mac, _poly,
                      _settle, _terms, _top_degree, adjugate, determinant,
-                     iter_minors, jacobian)
+                     iter_minors)
 from .poly import Polynomial
 from .ring import Ring
 
@@ -523,7 +522,8 @@ def descend(chart: Chart, enum: FrameEnumeration, rng,
 
 
 class MinorCheck:
-    """A hybrid frame check, walked when its frame task runs: the frame's
+    """A relative-criterion frame check, of the hybrid past its switch and
+    of the Jacobian baseline, walked when its frame task runs: the frame's
     test polynomial must lie in the radical of the variety generators
     `head` plus the distinct `size`-minors of the relative Jacobian `rel`,
     each reduced by `reducer` (the normal form modulo I_X) as it is formed.
@@ -548,8 +548,9 @@ class MinorCheck:
 
 def proved_by_minors(test: Polynomial, head, minors, budget: Budget) -> bool:
     """Whether test lies in the radical of (head) plus the stream `minors`
-    of distinct polynomials, none in (head): the criterion loop of both the
-    Jacobian baseline (test 1) and the hybrid's frames (test q*g).
+    of distinct polynomials, none in (head): the criterion loop of every
+    MinorCheck, test q*g on a frame of the hybrid or of the Jacobian
+    baseline, whose root charts have one frame with test 1.
 
     The head plus the minors so far is tested after the 1st, 2nd, 4th, 8th,
     ... new minor and at once after a constant one.  A yes on a prefix
@@ -597,27 +598,3 @@ def embedded_frame_tasks(chart: Chart, enum: FrameEnumeration, d_x: int,
                                   [e for f in fs for e in frame.row(f)]),
                        c_rel, gb_x.normal_form)
             for frame in enum.frames]
-
-
-def affine_jacobian_criterion(ideal: Ideal,
-                              budget: Optional[Budget] = None) -> bool:
-    """Classical criterion for an equidimensional radical ideal: smooth iff
-    1 lies in I plus the codimension-size minors of the Jacobian, the minors
-    reduced modulo I as they are formed, walked by proved_by_minors, so a
-    unit ideal on a prefix of them ends the walk."""
-    budget = ensure_budget(budget)
-    ring = ideal.ring
-    if not ideal.generators:
-        return True
-    gb = buchberger(ideal, budget=budget)
-    if gb.is_unit():
-        return True
-    d = krull_dimension(ideal, budget=budget)
-    c = ring.nvars - d
-    if c == 0:
-        return True
-    jac = jacobian(ring, ideal.generators)
-    # a nonzero minor in normal form modulo I is not in I, so it is new
-    mins = _counted_minors(jac, c, budget, gb.normal_form)
-    return proved_by_minors(Polynomial.constant(ring, 1), ideal.generators,
-                            mins, budget)

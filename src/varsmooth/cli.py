@@ -157,10 +157,9 @@ def _cmd_check(args) -> int:
             print(f"reason: {verdict.reason}")
         if verdict.witness is not None:
             w = verdict.witness
-            cols = ("-" if w.frame_cols is None
-                    else ",".join(map(str, w.frame_cols)))
-            print(f"witness: path={'/'.join(map(str, w.path)) or 'root'} "
-                  f"depth={w.depth} check={w.kind} frame_cols={cols}")
+            print(f"witness: path={'/'.join(map(str, w.path))} "
+                  f"depth={w.depth} check={w.kind} "
+                  f"frame_cols={','.join(map(str, w.frame_cols))}")
         s = verdict.stats
         print(f"charts: {s['charts']}  frames: {s['frames']}  "
               f"groebner_queries: {s['gb_queries']}  "

@@ -5,6 +5,8 @@ tuple paths: a chart task runs one chart's structural checks, a frame task
 one of its independent frame checks, and a step task, joined after the
 chart's delta frames, descends or spawns relative Jacobian frame checks.
 Which of the two a chart does is read off the chart itself (_descends).
+The Jacobian baseline is the relative criterion with no delta frame: a
+root chart has one frame, and its step spawns that frame's minor check.
 A chart whose descent search finds a hypersurface smooth on every frame
 descends in its own task, since that settles its delta frames too.
 Tasks run depth first in path order, one at a time on the calling thread,
@@ -26,8 +28,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .charts import (Chart, affine_jacobian_criterion, delta_frame_tasks,
-                     descend, embedded_frame_tasks, smooth_generator)
+from .charts import (Chart, delta_frame_tasks, descend, embedded_frame_tasks,
+                     smooth_generator)
 from .errors import (ContractError, LimitExceededError,
                      NonHomogeneousError, VarsmoothError)
 from .groebner import Ideal, krull_dimension, radical_membership
@@ -42,7 +44,9 @@ class Config:
     """Run parameters.
 
     mode selects the descent test, the hybrid variant, or the classical
-    Jacobian criterion.  descent_depth applies to hybrid mode: a chart
+    Jacobian criterion as a baseline, which each chart runs as the
+    relative criterion on its frames (a root chart has one), with no delta
+    frame and no descent.  descent_depth applies to hybrid mode: a chart
     descends while its depth is below it, and then switches to the
     relative Jacobian criterion.  to_codim, when set, replaces it: a chart
     descends while its relative codimension is above to_codim.
@@ -80,8 +84,9 @@ class Observer:
     execution and name its kind (chart, frame or step); on_cover reports
     each chart's frame enumeration once per chart, its frames with their
     determinants q and test polynomials q*g, so covers can be re-verified
-    after the run.  Only enumerations whose frames cover the chart are
-    reported: a chart whose frames do not ends the run as a broken
+    after the run; in every mode, the Jacobian baseline's one frame per
+    root chart included.  Only enumerations whose frames cover the chart
+    are reported: a chart whose frames do not ends the run as a broken
     precondition.  A projective root chart that the root charts before it
     cover enumerates no frame and is not reported.
     """
@@ -104,14 +109,14 @@ class Observer:
 
 @dataclass(frozen=True)
 class Witness:
-    """Locates a failed check: the task path, the chart depth, the kind of
-    check (delta, jacobian, criterion), the frame columns if any, and
+    """Locates a failed frame check: the frame task's path, the chart
+    depth, the kind of check (delta or jacobian), the frame's columns, and
     fingerprints of the chart data."""
 
     path: tuple
     depth: int
     kind: str
-    frame_cols: Optional[tuple]
+    frame_cols: tuple
     ambient: str
     variety: str
     localizer: str
@@ -121,8 +126,7 @@ class Witness:
             "path": list(self.path),
             "depth": self.depth,
             "kind": self.kind,
-            "frame_cols": (list(self.frame_cols)
-                           if self.frame_cols is not None else None),
+            "frame_cols": list(self.frame_cols),
             "ambient": self.ambient,
             "variety": self.variety,
             "localizer": self.localizer,
@@ -191,12 +195,6 @@ class _Task:
         raise NotImplementedError
 
 
-def _witness(path, chart: Chart, check_kind, cols) -> Witness:
-    return Witness(path, chart.depth, check_kind, cols,
-                   chart.ambient.fingerprint(), chart.variety.fingerprint(),
-                   str(chart.localizer))
-
-
 def _dimension_exits(chart: Chart, budget,
                      d_x: Optional[int] = None) -> Optional[int]:
     """The exits that read the variety's dimension d_x: an empty variety,
@@ -223,13 +221,14 @@ def _dimension_exits(chart: Chart, budget,
 
 def _descends(cfg: Config, chart: Chart, d_x: int) -> bool:
     """Whether a chart whose variety has dimension d_x descends, rather
-    than take the relative Jacobian criterion: always in hironaka mode; in
-    hybrid mode while its depth is below descent_depth, or, with to_codim
-    set, while its relative codimension n - r - d_x is above to_codim.  A
-    descent adds one ambient generator and keeps the variety, so the
-    relative codimension falls by one per level."""
+    than take the relative Jacobian criterion: always in hironaka mode,
+    never in jacobian mode, and in hybrid mode while its depth is below
+    descent_depth, or, with to_codim set, while its relative codimension
+    n - r - d_x is above to_codim.  A descent adds one ambient generator
+    and keeps the variety, so the relative codimension falls by one per
+    level."""
     if cfg.mode != "hybrid":
-        return True
+        return cfg.mode == "hironaka"
     if cfg.to_codim is None:
         return chart.depth < cfg.descent_depth
     n, r = chart.ring.nvars, len(chart.ambient.generators)
@@ -238,7 +237,8 @@ def _descends(cfg: Config, chart: Chart, d_x: int) -> bool:
 
 class _ChartTask(_Task):
     """Structural checks for one chart, then either a settled answer or
-    delta frame subtasks joined by the chart's step.
+    delta frame subtasks joined by the chart's step.  In jacobian mode the
+    chart spawns no delta frame and goes straight to its step.
 
     The exits that read the variety's dimension d_x run first only on a
     chart with ambient generators, which descend made: it keeps its
@@ -275,13 +275,6 @@ class _ChartTask(_Task):
             if f.is_constant():
                 return _Outcome()  # unit ideal, nothing to check
 
-        if cfg.mode == "jacobian":
-            ok = affine_jacobian_criterion(chart.variety, budget=budget)
-            if ok:
-                return _Outcome()
-            return _Outcome(fail=_witness(self.path, chart, "criterion",
-                                          None))
-
         d_x = None
         if chart.ambient.generators:
             d_x = _dimension_exits(chart, budget, self.d_x)
@@ -292,6 +285,8 @@ class _ChartTask(_Task):
 
         enum, checks = delta_frame_tasks(chart, budget=budget)
         ctx.observer.on_cover(self.path, chart, enum)
+        if cfg.mode == "jacobian":
+            checks = []  # the baseline runs no delta frame
         step_path = self.path + (len(checks),)
         search = None
         if chart.ambient.generators and _descends(cfg, chart, d_x):
@@ -344,9 +339,10 @@ class _RootChartTask(_ChartTask):
 
 class _FrameTask(_Task):
     """One frame check, a DeltaCheck (radical membership in the frame's
-    delta ideal) or a MinorCheck (the hybrid's minor stream): the frame
-    passes when check.holds(budget) says its test polynomial vanishes
-    where the check requires."""
+    delta ideal) or a MinorCheck (the relative criterion's minor stream):
+    the frame passes when check.holds(budget) says its test polynomial
+    vanishes where the check requires, and fails with a witness
+    otherwise."""
 
     kind = "frame"
     __slots__ = ("check",)
@@ -361,19 +357,23 @@ class _FrameTask(_Task):
         if check.holds(budget):
             return _Outcome()
         frame = check.frame
-        return _Outcome(fail=_witness(self.path, frame.chart, check.kind,
-                                      frame.cols))
+        chart = frame.chart
+        return _Outcome(fail=Witness(
+            self.path, chart.depth, check.kind, frame.cols,
+            chart.ambient.fingerprint(), chart.variety.fingerprint(),
+            str(chart.localizer)))
 
 
 class _StepTask(_Task):
     """Joined after a chart's delta frames, at the chart's path plus (number
     of frames,).  It runs the dimension exits when the chart task did not
     (d_x is None, an empty ambient), then either descends (_descends) or,
-    in hybrid mode past the switch, spawns the relative Jacobian frame
-    checks.  Both read the frame enumeration enum that the chart task
-    built, with its frames' relative Jacobian rows, and the descent takes
-    the chart task's failed single-generator search when it ran one.  A
-    child chart keeps this chart's variety, so it is handed d_x."""
+    in jacobian mode and in hybrid mode past the switch, spawns the
+    relative Jacobian frame checks.  Both read the frame enumeration enum
+    that the chart task built, with its frames' relative Jacobian rows,
+    and the descent takes the chart task's failed single-generator search
+    when it ran one.  A child chart keeps this chart's variety, so it is
+    handed d_x."""
 
     kind = "step"
     __slots__ = ("chart", "enum", "d_x", "search")

@@ -15,14 +15,14 @@ the kernel (mixing with rationals stays exact), over F_p residues are
 reduced once per subdeterminant, and a Polynomial is built only for each
 result.
 
-`iter_minors` is the one minor enumerator, and it serves all three
-callers: the Jacobian criterion and the hybrid's frame tasks, which stop at
-their first proof, and the descent's singular-locus ideals, which take
-every minor.  It yields each distinct nonzero minor once, as soon as it is
-formed, deduplicated on its term dict before any Polynomial is built.  It
-walks rows and columns constant-first (those with the most entries that
-have a nonzero constant term first), since a constant minor settles the
-unit-ideal questions its callers ask.
+`iter_minors` is the one minor enumerator, and it serves both callers:
+the relative criterion's frame tasks, of the hybrid and of the Jacobian
+baseline, which stop at their first proof, and the descent's
+singular-locus ideals, which take every minor.  It yields each distinct
+nonzero minor once, as soon as it is formed, deduplicated on its term dict
+before any Polynomial is built.  It walks rows and columns constant-first
+(those with the most entries that have a nonzero constant term first),
+since a constant minor settles the unit-ideal questions its callers ask.
 
 The walk prunes row sets that can only give zero minors.  Row sets come in
 lexicographic order of their ranked positions, so the sets that start with

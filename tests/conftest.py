@@ -5,7 +5,8 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from varsmooth.fields import QQ, GF
-from varsmooth.groebner import Ideal, buchberger
+from varsmooth.groebner import Ideal, buchberger, krull_dimension
+from varsmooth.matrix import iter_minors, jacobian
 from varsmooth.poly import Polynomial, dehomogenize
 from varsmooth.ring import Ring
 
@@ -116,3 +117,21 @@ def equal_on_chart(i_w, i_x, g):
     two ideals cut the same set on the chart where g is invertible."""
     gb = buchberger(i_w)
     return all(gb.contains(g * f) for f in i_x.generators)
+
+
+# -- oracle: the classical Jacobian criterion, with no early exit ------------
+
+def criterion_on_every_minor(ideal):
+    """Whether the affine variety of an equidimensional radical ideal I is
+    smooth by the classical criterion: 1 lies in I plus every
+    codimension-size minor of its Jacobian, reduced modulo I, asked once."""
+    ring = ideal.ring
+    gb = buchberger(ideal)
+    if not ideal.generators or gb.is_unit():
+        return True
+    c = ring.nvars - krull_dimension(ideal)
+    if c == 0:
+        return True
+    mins = iter_minors(jacobian(ring, ideal.generators), c,
+                       reducer=gb.normal_form)
+    return buchberger(Ideal(ring, [*ideal.generators, *mins])).is_unit()

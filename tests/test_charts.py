@@ -5,14 +5,14 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import (chart_ideals, equal_on_chart, nonzero_random_poly,
-                      reference_minors, variables)
+from conftest import (chart_ideals, criterion_on_every_minor,
+                      equal_on_chart, nonzero_random_poly, reference_minors,
+                      variables)
 from corpus import corpus50
 from varsmooth.errors import (ContractError, DegenerateGeneratorError,
                               DescentError, LimitExceededError)
 from varsmooth.fields import QQ, GF
-from varsmooth.charts import (Chart, affine_jacobian_criterion,
-                              delta_frame_tasks, descend,
+from varsmooth.charts import (Chart, delta_frame_tasks, descend,
                               embedded_frame_tasks, enumerate_frames,
                               relative_jacobian, singular_locus_ideal,
                               smooth_on_frames)
@@ -617,10 +617,11 @@ def test_descend_rejects_frames_that_do_not_cover():
     assert not enumerate_frames(chart).cover_complete
     with pytest.raises(ContractError, match="do not cover"):
         delta_frame_tasks(chart)
-    # every mode that reads frames reports it as a broken precondition, not
-    # as an answer
+    # every mode reports it as a broken precondition, not as an answer;
+    # the Jacobian baseline too, which reads the chart's frames rather than
+    # the whole variety
     for cfg in (Config(), Config(mode="hybrid"),
-                Config(mode="hybrid", to_codim=2)):
+                Config(mode="hybrid", to_codim=2), Config(mode="jacobian")):
         v = driver.run_parallel([chart], cfg)
         assert v.status == "indeterminate", (cfg, v.status)
         assert v.reason_kind == "precondition" and "do not cover" in v.reason
@@ -668,34 +669,28 @@ def test_embedded_jacobian_equal_dimensions_passes():
         embedded_frame_tasks(chart, enum, krull_dimension(circle))
 
 
-def test_affine_jacobian_criterion_known_varieties():
+def _baseline(ideal):
+    """The Jacobian baseline's verdict on an affine ideal, which must reach
+    one, and its stats."""
+    v = smoothness_test(ideal, Config(mode="jacobian"))
+    assert v.status in ("smooth", "singular"), v.reason
+    return v.status == "smooth", v.stats
+
+
+def test_jacobian_mode_known_varieties():
     ring, (x, y) = mkvars(QQ, ("x", "y"))
     one = Polynomial.constant(ring, 1)
-    assert affine_jacobian_criterion(Ideal(ring, [x * x + y * y - 1]))
-    assert not affine_jacobian_criterion(Ideal(ring, [y * y - x * x * x]))
-    assert affine_jacobian_criterion(Ideal(ring, []))
-    assert affine_jacobian_criterion(Ideal(ring, [one + one]))
+    assert _baseline(Ideal(ring, [x * x + y * y - 1]))[0]
+    assert not _baseline(Ideal(ring, [y * y - x * x * x]))[0]
+    assert _baseline(Ideal(ring, []))[0]
+    assert _baseline(Ideal(ring, [one + one]))[0]
     # three reduced points: the classic full-minor trap must stay smooth
     trap = Ideal(ring, [x * x - x, y * y - y, x * y])
-    assert affine_jacobian_criterion(trap)
+    assert _baseline(trap)[0]
     r6, vs6 = mkvars(QQ, ("x1", "x2", "x3", "x4", "y1", "y2"))
     x1, x2, x3, x4, y1, y2 = vs6
     x2cone = Ideal(r6, [x1 * x3 - y1 * y2, x2 * x4 - y1 * y2])
-    assert not affine_jacobian_criterion(x2cone)
-
-
-def _criterion_on_every_minor(ideal):
-    """The criterion without early exit: I plus all minors, tested once."""
-    ring = ideal.ring
-    gb = buchberger(ideal)
-    if not ideal.generators or gb.is_unit():
-        return True
-    c = ring.nvars - krull_dimension(ideal)
-    if c == 0:
-        return True
-    mins = iter_minors(jacobian(ring, ideal.generators), c,
-                       reducer=gb.normal_form)
-    return buchberger(Ideal(ring, [*ideal.generators, *mins])).is_unit()
+    assert not _baseline(x2cone)[0]
 
 
 def test_early_exit_agrees_with_every_minor():
@@ -709,19 +704,18 @@ def test_early_exit_agrees_with_every_minor():
            for c in chart_ideals(rational_normal_curve(d).ideal)]
     verdicts = []
     for ideal in ([inst.ideal for inst in corpus50()] + rnc + singular):
-        budget = Budget()
-        got = affine_jacobian_criterion(ideal, budget=budget)
-        assert got == _criterion_on_every_minor(ideal), ideal
-        assert budget.minors <= budget.minors_possible
+        got, stats = _baseline(ideal)
+        assert got == criterion_on_every_minor(ideal), ideal
+        assert stats["minors"] <= stats["minors_possible"]
         verdicts.append(got)
     assert all(verdicts[50:50 + len(rnc)])
     assert not any(verdicts[50 + len(rnc):])
     assert 0 < sum(verdicts[:50]) < 50
     # every I1-6 chart is proved smooth before its walk ends
     for ideal in chart_ideals(rational_normal_curve(6).ideal):
-        budget = Budget()
-        assert affine_jacobian_criterion(ideal, budget=budget)
-        assert 0 < budget.minors < budget.minors_possible, ideal
+        got, stats = _baseline(ideal)
+        assert got
+        assert 0 < stats["minors"] < stats["minors_possible"], ideal
 
 
 def test_jacobian_forms_far_fewer_minors_than_possible(monkeypatch):
@@ -752,13 +746,14 @@ def test_jacobian_forms_far_fewer_minors_than_possible(monkeypatch):
     assert loci == list(pts.generators)
 
 
-# (verdict, gb_queries, minors, minors_possible) of the criterion on each
-# affine chart of I1-5 and I1-6: the loop it shares with the hybrid's
-# frames asks the same questions it always did.  Where the first minor is a
-# nonzero constant (three charts of each curve), radical membership answers
-# yes from that unit generator and the query is not counted (3 -> 2).  On
-# charts 3 to 5 of I1-6 the walk skips row sets whose minors all vanish on
-# its way to the first nonzero minor
+# (verdict, gb_queries, minors, minors_possible) of the Jacobian baseline
+# on each affine chart of I1-5 and I1-6: run as the relative criterion on
+# the chart's one frame, it asks the questions the classical criterion
+# always did.  Where the first minor is a nonzero constant (three charts of
+# each curve), radical membership answers yes from that unit generator and
+# the query is not counted (3 -> 2).  On charts 3 to 5 of I1-6 the walk
+# skips row sets whose minors all vanish on its way to the first nonzero
+# minor
 _JACOBIAN_CHART_STATS = {
     5: [(True, 2, 1, 1050), (True, 3, 1, 1050), (True, 2, 1, 1050)]
        + [(True, 3, 6, 1050)] * 2 + [(True, 2, 1, 1050)],
@@ -768,14 +763,13 @@ _JACOBIAN_CHART_STATS = {
 }
 
 
-def test_affine_jacobian_criterion_stats_on_rnc():
+def test_jacobian_mode_stats_on_rnc():
     for d, want in _JACOBIAN_CHART_STATS.items():
         got = []
         for ideal in chart_ideals(rational_normal_curve(d).ideal):
-            budget = Budget()
-            ok = affine_jacobian_criterion(ideal, budget=budget)
-            got.append((ok, budget.gb_queries, budget.minors,
-                        budget.minors_possible))
+            ok, stats = _baseline(ideal)
+            got.append((ok, stats["gb_queries"], stats["minors"],
+                        stats["minors_possible"]))
         assert got == want, d
 
 
@@ -883,19 +877,18 @@ def test_minor_check_counts_size_minors_and_stops_in_prefix_tests(
 
 
 def _criterion_ideals(monkeypatch, runs):
-    """Run `runs()` with the criterion loop shared by both criteria spied
-    on.  Returns one record per minor stream it walked: (kind, the deciding
-    ideal, the head followed by the minors the stream yielded before the
-    decision, the head followed by every minor with repeats as
-    `reference_minors` returns them, the verdict, and a function giving the
-    verdict for any ideal)."""
+    """Run each (runner, ideal, config) of `runs` with the criterion loop
+    spied on.  Returns one record per minor stream it walked: (the run's
+    mode, the deciding ideal, the head followed by the minors the stream
+    yielded before the decision, the head followed by every minor with
+    repeats as `reference_minors` returns them, the verdict, and a function
+    giving the verdict for any ideal)."""
     records = []
     streams = []   # (args, yielded) per iter_minors call
     real_iter = charts.iter_minors
     real_proved = charts.proved_by_minors
-    real_holds = charts.MinorCheck.holds
     real_radical = charts.radical_membership
-    kind = ["affine"]
+    mode = [None]
 
     def spy_iter(m, size, reducer=None, checkpoint=None,
                  prefix_checkpoint=None):
@@ -905,13 +898,6 @@ def _criterion_ideals(monkeypatch, runs):
                            prefix_checkpoint=prefix_checkpoint):
             yielded.append(f)
             yield f
-
-    def spy_holds(self, budget):
-        kind[0] = "embedded"
-        try:
-            return real_holds(self, budget)
-        finally:
-            kind[0] = "affine"
 
     def spy_proved(test, head, minors, budget):
         asked = []
@@ -932,29 +918,28 @@ def _criterion_ideals(monkeypatch, runs):
         def decide(i):
             return radical_membership(test, i)
 
-        records.append((kind[0], asked[-1], gens + yielded,
+        records.append((mode[0], asked[-1], gens + yielded,
                         gens + reference_minors(*args), ok, decide))
         return ok
 
     monkeypatch.setattr(charts, "iter_minors", spy_iter)
     monkeypatch.setattr(charts, "proved_by_minors", spy_proved)
-    monkeypatch.setattr(charts.MinorCheck, "holds", spy_holds)
-    runs()
+    for runner, ideal, cfg in runs:
+        mode[0] = cfg.mode
+        runner(ideal, cfg)
     return records
 
 
 def test_criterion_ideals_take_each_minor_once(monkeypatch):
-    def runs():
-        for cfg in (Config(mode="jacobian"),
-                    Config(mode="hybrid", to_codim=2)):
-            projective_smoothness(rational_normal_curve(4).ideal, cfg)
-        for inst in corpus50()[:12]:
-            for cfg in (Config(mode="jacobian"), Config(mode="hybrid")):
-                smoothness_test(inst.ideal, cfg)
-
+    runs = [(projective_smoothness, rational_normal_curve(4).ideal, cfg)
+            for cfg in (Config(mode="jacobian"),
+                        Config(mode="hybrid", to_codim=2))]
+    runs += [(smoothness_test, inst.ideal, cfg)
+             for inst in corpus50()[:12]
+             for cfg in (Config(mode="jacobian"), Config(mode="hybrid"))]
     records = _criterion_ideals(monkeypatch, runs)
-    repeats = {"affine": 0, "embedded": 0}
-    early = {"affine": 0, "embedded": 0}
+    repeats = {"jacobian": 0, "hybrid": 0}
+    early = {"jacobian": 0, "hybrid": 0}
     for kind, ideal, prefix, full, verdict, decide in records:
         gens = list(ideal.generators)
         assert len(set(gens)) == len(gens), kind
@@ -968,7 +953,7 @@ def test_criterion_ideals_take_each_minor_once(monkeypatch):
         # the verdict on every minor, repeats included, agrees
         assert decide(Ideal(ideal.ring, full)) == verdict, kind
         repeats[kind] += len(full) - len(set(full))
-    assert all(repeats.values()), repeats  # both streams skipped repeats
+    assert all(repeats.values()), repeats  # both modes skipped repeats
     assert all(early.values()), early      # both stopped at a first proof
 
 

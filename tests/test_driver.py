@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import chart_ideals, variables
+from conftest import chart_ideals, criterion_on_every_minor, variables
 from corpus import corpus50
 from varsmooth import matrix
 from varsmooth.bench import rational_normal_curve
@@ -360,14 +360,14 @@ def test_reason_kind_tells_preconditions_and_crashes_apart(monkeypatch):
     assert smoothness_test(cusp_ideal(), Config()).reason_kind is None
 
     def raising(exc):
-        def criterion(*args, **kwargs):
+        def embedded_frame_tasks(*args, **kwargs):
             raise exc
-        return criterion
+        return embedded_frame_tasks
 
     for exc, kind in ((DescentError("no cover"), "precondition"),
                       (ZeroDivisionError("bug"), "internal")):
         clear_caches()
-        monkeypatch.setattr(driver, "affine_jacobian_criterion", raising(exc))
+        monkeypatch.setattr(driver, "embedded_frame_tasks", raising(exc))
         w = smoothness_test(circle_ideal(), Config(mode="jacobian"))
         assert (w.status, w.reason_kind) == ("indeterminate", kind), w.reason
 
@@ -381,8 +381,11 @@ def test_witness_contents():
     d = w.as_dict()
     assert d["kind"] == "delta"
     assert isinstance(d["ambient"], str) and isinstance(d["variety"], str)
+    # the Jacobian baseline fails on the minor frame that its root chart's
+    # step spawns: the chart's one frame, with no columns
     vj = smoothness_test(cusp_ideal(), Config(mode="jacobian"))
-    assert vj.witness.kind == "criterion"
+    assert (vj.witness.path, vj.witness.kind) == ((0, 0), "jacobian")
+    assert vj.witness.as_dict()["frame_cols"] == []
     vh = smoothness_test(cusp_ideal(), Config(mode="hybrid",
                                               descent_depth=0))
     assert vh.witness.kind in ("delta", "jacobian")
@@ -689,14 +692,16 @@ _ROOT_MODES = ({"mode": "hironaka"}, {"mode": "hybrid"},
 def test_root_chart_witnesses_fail_the_classical_criterion():
     """Every depth-0 witness names its root chart x_i = 1: the chart rebuilt
     from the path's first entry has the witness's variety fingerprint, and
-    the classical Jacobian criterion, run on it apart from the driver,
-    fails there.  On the coordinate-changed cyclic inputs only the
-    fingerprint is checked: on swollen normal forms the criterion takes
-    over 20 s on the first root chart of I4-6-3-cc, and over two minutes on
-    that of I4-7-3-cc."""
+    the classical Jacobian criterion, run on it apart from the driver
+    (criterion_on_every_minor), fails there.  The Jacobian baseline's
+    witnesses are audited too, on the inputs where the criterion runs.  On
+    the coordinate-changed cyclic inputs only the fingerprint is checked,
+    and the baseline does not run: on swollen normal forms the criterion
+    takes about 5 s on the first root chart of I4-6-3-cc (2-vCPU x86-64,
+    Python 3.11), as does the baseline on the whole input, and over two
+    minutes on the first root chart of I4-7-3-cc."""
     from varsmooth.bench import (cyclic_polytope_sr, random_coordinate_change,
                                  veronese_ci)
-    from varsmooth.charts import affine_jacobian_criterion
     cases = [(_nodal_cubic(), True), (veronese_ci().ideal, True)]
     for d, n in ((3, 6), (3, 7)):
         base = cyclic_polytope_sr(d, n)
@@ -704,7 +709,9 @@ def test_root_chart_witnesses_fail_the_classical_criterion():
         cases.append((random_coordinate_change(base, 0).ideal, False))
     audited = criteria = 0
     for ideal, run_criterion in cases:
-        for opts in _ROOT_MODES:
+        modes = _ROOT_MODES + (({"mode": "jacobian"},) if run_criterion
+                               else ())
+        for opts in modes:
             w = projective_smoothness(ideal, Config(**opts)).witness
             assert w is not None
             if w.depth:
@@ -715,16 +722,16 @@ def test_root_chart_witnesses_fail_the_classical_criterion():
                 "1"), (opts, w.path)
             audited += 1
             if run_criterion:
-                assert not affine_jacobian_criterion(chart), (opts, w.path)
+                assert not criterion_on_every_minor(chart), (opts, w.path)
                 criteria += 1
-    assert (audited, criteria) == (17, 11)
+    assert (audited, criteria) == (21, 15)
 
 
 @pytest.mark.parametrize("opts", [{"mode": "hironaka"},
                                   {"mode": "hybrid", "to_codim": 2}])
 def test_singular_root_chart_commits_after_one_groebner_run(monkeypatch,
                                                             opts):
-    from varsmooth import charts, driver, groebner
+    from varsmooth import driver, groebner
     from varsmooth.bench import cyclic_polytope_sr, random_coordinate_change
     ideal = random_coordinate_change(cyclic_polytope_sr(3, 7), 0).ideal
     dims = []
@@ -734,7 +741,7 @@ def test_singular_root_chart_commits_after_one_groebner_run(monkeypatch,
         dims.append(args)
         return real(*args, **kwargs)
 
-    for module in (charts, driver, groebner):
+    for module in (driver, groebner):
         monkeypatch.setattr(module, "krull_dimension", counted)
     clear_caches()
     log = _Log()
@@ -786,7 +793,11 @@ def _empty_root_point():
 # point, covered by X = 1, and W = 1 of the point, covered by X = 1 and
 # Z = 1 (frames -1 each; gb_queries unchanged, as the cover query takes
 # the place of one query of the chart it skips, or of none on Y = 1 of the
-# point, whose constant generator 1 answers it).
+# point, whose constant generator 1 answers it).  The Jacobian baseline
+# runs as the relative criterion on each root chart's one frame, in a
+# minor frame task under the chart's step: every root chart that reaches
+# its step counts that frame (the empty chart X = 1 stops at its dimension
+# first), and a witness names it at (i, 0, 0).
 _EDGE = {
     ("double point", "hironaka"): (
         "singular", ((2, 1, 0, 1, 0, 0), 2, "delta", (0, 2)),
@@ -801,8 +812,8 @@ _EDGE = {
         {"charts": 5, "frames": 4, "gb_queries": 5, "max_depth": 2,
          "minors": 0, "minors_possible": 0}),
     ("double point", "jacobian"): (
-        "singular", ((2,), 0, "criterion", None),
-        {"charts": 3, "frames": 0, "gb_queries": 4, "max_depth": 0,
+        "singular", ((2, 0, 0), 0, "jacobian", ()),
+        {"charts": 3, "frames": 1, "gb_queries": 4, "max_depth": 0,
          "minors": 1, "minors_possible": 1}),
     ("point", "hironaka"): (
         "smooth", None,
@@ -818,7 +829,7 @@ _EDGE = {
          "minors": 1, "minors_possible": 1}),
     ("point", "jacobian"): (
         "smooth", None,
-        {"charts": 4, "frames": 0, "gb_queries": 4, "max_depth": 0,
+        {"charts": 4, "frames": 1, "gb_queries": 4, "max_depth": 0,
          "minors": 1, "minors_possible": 1}),
     ("nodal cubic", "hironaka"): (
         "singular", ((2, 0), 0, "delta", ()),
@@ -833,8 +844,8 @@ _EDGE = {
         {"charts": 3, "frames": 5, "gb_queries": 8, "max_depth": 0,
          "minors": 2, "minors_possible": 4}),
     ("nodal cubic", "jacobian"): (
-        "singular", ((2,), 0, "criterion", None),
-        {"charts": 3, "frames": 0, "gb_queries": 8, "max_depth": 0,
+        "singular", ((2, 0, 0), 0, "jacobian", ()),
+        {"charts": 3, "frames": 3, "gb_queries": 8, "max_depth": 0,
          "minors": 4, "minors_possible": 6}),
 }
 
@@ -891,18 +902,22 @@ def test_empty_ambient_edge_cases(monkeypatch):
                 assert not [p for p in log.kinds if len(p) == len(path) + 1
                             and p[:len(path)] == path], (name, label, e)
         # a root chart has an empty ambient: its one frame runs at (i, 0)
-        # before any dimension, which its step at (i, 1) computes; a
+        # before any dimension, which its step at (i, 1) computes; the
+        # baseline runs no delta frame, so its step is at (i, 0); a
         # descended chart keeps the variety, and its parent's step hands
         # down the dimension, so no other task computes one
-        steps = [(i, 1) for i in range(inputs[name].ring.nvars)
-                 if (i, 1) in log.kinds]
+        k = 0 if label == "jacobian" else 1
+        steps = [(i, k) for i in range(inputs[name].ring.nvars)
+                 if (i, k) in log.kinds]
         assert dims == steps, (name, label, dims)
-        for i, _ in steps:
-            assert log.kinds[(i, 0)] == ["frame"], (name, label, i)
-            assert log.kinds[(i, 1)] == ["step"], (name, label, i)
-            at = events.index(("dimension", (i, 1)))
-            assert ("done", (i, 0), "frame", True) in events[:at], (
-                name, label, i)
+        for step in steps:
+            assert log.kinds[step] == ["step"], (name, label, step)
+            if k:
+                frame = (step[0], 0)
+                assert log.kinds[frame] == ["frame"], (name, label, step)
+                at = events.index(("dimension", step))
+                assert ("done", frame, "frame", True) in events[:at], (
+                    name, label, step)
         # a chart's step reuses the dimension its chart task computed
         assert len(set(dims)) == len(dims), (name, label, dims)
     # hybrid to_codim=1 on a plane curve: codimension 1, so each root chart
