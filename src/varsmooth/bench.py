@@ -22,7 +22,7 @@ from .driver import Config, Verdict, projective_smoothness, smoothness_test
 from .errors import SingularMatrixError
 from .fields import QQ
 from .groebner import Ideal, clear_caches
-from .poly import Polynomial, apply_linear_change
+from .poly import Polynomial, linear_change
 from .ring import Ring
 
 try:
@@ -131,7 +131,10 @@ def random_coordinate_change(inst: BenchInstance, seed: int,
                              bitlength: int = 4) -> BenchInstance:
     """Applies a seeded invertible matrix with nonzero integer entries of
     absolute value below 2^bitlength to every generator.  A linear
-    automorphism, so the verdict carries over."""
+    automorphism, so the verdict carries over.  Each matrix drawn is
+    checked for invertibility once (by linear_change), and a singular one
+    is replaced by the next draw; the generators are then expanded on
+    integers, sharing the images of their common monomials."""
     ring = inst.ideal.ring
     if ring.field.characteristic:
         raise ValueError("coordinate changes are generated over QQ only")
@@ -144,11 +147,11 @@ def random_coordinate_change(inst: BenchInstance, seed: int,
         matrix = [[rng.randint(1, hi) * (1 if rng.random() < 0.5 else -1)
                    for _ in range(n)] for _ in range(n)]
         try:
-            gens = [apply_linear_change(f, matrix)
-                    for f in inst.ideal.generators]
+            change = linear_change(ring, matrix)
             break
         except SingularMatrixError:
             continue
+    gens = [change(f) for f in inst.ideal.generators]
     prov = dict(inst.provenance)
     prov.update({"coordchange_seed": seed, "bitlength": bitlength})
     return BenchInstance(inst.name + "-cc", Ideal(ring, gens),

@@ -27,10 +27,9 @@ from typing import NamedTuple, Optional
 from .errors import ContractError, DegenerateGeneratorError, DescentError
 from .groebner import Ideal, buchberger, ideal_membership, radical_membership
 from .limits import Budget, ensure_budget
-from .matrix import (Partials, PolyMatrix, _check_degree, _mac, _poly,
-                     _settle, _terms, _top_degree, adjugate, determinant,
-                     iter_minors)
-from .poly import Polynomial
+from .matrix import (Partials, PolyMatrix, _check_degree, _top_degree,
+                     adjugate, determinant, iter_minors)
+from .poly import Polynomial, _mac, _poly, _settle, _terms
 from .ring import Ring
 
 

@@ -41,10 +41,21 @@ The yielded stream is the unpruned one, in the same order.
 Minors modulo an ideal take a reducer that must be linear and idempotent,
 such as a normal form modulo a Groebner basis.  The kernel then reduces
 monomials only: each distinct monomial's normal form is computed once per
-call and kept in a table local to that call, a product entry * subminor is
-the sum of c_e * c_s * NF(x^(e+s)) over their terms, and a sum of normal
-forms is already one, so it is never reduced again.  Without a reducer the
-products are accumulated directly (_mac).
+call and kept in a table local to that call.  A product entry * subminor
+is first summed unreduced (_mac), and each monomial it reaches adds its
+coefficient times that monomial's normal form; a sum of normal forms is
+already one, so it is never reduced again.  Without a reducer the
+products are accumulated directly.
+
+Over QQ a normal form modulo a basis whose integer rows are not monic has
+denominators, and a sum of Fraction products, one per term, is slow.  So
+with integral entries each monomial's normal form and each subdeterminant
+are kept as integer numerators over one denominator (the normal form's
+over the lcm of its coefficients' denominators), and only a yielded minor
+gets Fractions; where every normal form is integral, as on the charts of
+the rational normal curves, every denominator is 1.  Over F_p, and with
+entries that have denominators, the same loop runs on the field's
+coefficients over 1.
 
 Jacobians come from a Partials table, which differentiates each polynomial
 once (by _gradient) and keeps its gradient in the kernel's term form.
@@ -57,10 +68,11 @@ exponent limit, and raises DegreeOverflowError otherwise.
 from __future__ import annotations
 
 from itertools import combinations
+from math import gcd
 
 from .errors import DegreeOverflowError, RingMismatchError
 from .fields import mpq
-from .poly import Polynomial, _content
+from .poly import Polynomial, _mac, _poly, _settle, _terms
 from .ring import CAP, EXP_LIMIT, Ring
 
 
@@ -102,16 +114,6 @@ def jacobian(ring: Ring, polys) -> PolyMatrix:
     """Rows are gradients: J[i][j] = d f_i / d x_j.  A chart reads its
     Jacobians from its tree's Partials table instead."""
     return Partials(ring).jacobian(polys)
-
-
-def _terms(f: Polynomial, p: int):
-    """f as a tuple of (key, coeff) pairs, descending.  Over QQ integral
-    coefficients become ints: int arithmetic is far cheaper, and mixing int
-    with mpq stays exact."""
-    if p:
-        return tuple(zip(f.keys, f.coeffs))
-    return tuple((k, c if c.denominator != 1 else int(c.numerator))
-                 for k, c in zip(f.keys, f.coeffs))
 
 
 def _gradient(f: Polynomial, p: int):
@@ -194,40 +196,6 @@ class Partials:
         self._grads[f] = out
 
 
-def _settle(acc: dict, p: int) -> dict:
-    """acc without zero coefficients, residues reduced mod p."""
-    if p:
-        return {k: r for k, c in acc.items() if (r := c % p)}
-    return {k: c for k, c in acc.items() if c}
-
-
-def _poly(ring: Ring, d: dict, sign: int = 1) -> Polynomial:
-    """sign * d as a Polynomial; d must be settled (see _settle).  Over QQ,
-    when every coefficient is an int, the integer form that hashing and the
-    Groebner engine read (Polynomial.zform) is preset from those ints, so
-    the Fractions are never converted back."""
-    keys = sorted(d, reverse=True)
-    vals = [sign * d[k] for k in keys]
-    p = ring.field.characteristic
-    if p:
-        return Polynomial(ring, keys, [v % p for v in vals])
-    f = Polynomial(ring, keys, map(mpq, vals))
-    if vals and all(type(v) is int for v in vals):
-        g = _content(vals)
-        f._zform = (keys, [v // g for v in vals], mpq(g))
-    return f
-
-
-def _mac(acc: dict, a, b, off: int):
-    """acc += a * b on (key, coeff) pairs; put the shorter factor in a."""
-    get = acc.get
-    for kb, cb in b:
-        shift = kb - off
-        for ka, ca in a:
-            k = ka + shift
-            acc[k] = get(k, 0) + ca * cb
-
-
 def _top_degree(polys) -> int:
     return max((f.total_degree() for f in polys), default=0)
 
@@ -239,15 +207,26 @@ def _check_degree(degree: int):
 
 
 def _expand(memo, ctx, rows, cs):
-    """Determinant of the (rows, cs) submatrix by first-row expansion.  The
-    subdeterminants it expands are recorded in memo, the result itself is
-    not: the caller stores it if it will be read again.  A module function,
-    not a recursive closure, so the memo holds no reference cycle and dies
-    with its caller's reference."""
-    ents, negs, ncols, off, nf, p = ctx
+    """Determinant of the (rows, cs) submatrix by first-row expansion, as
+    a settled dict of numerators over a positive den, recorded in dens
+    under (rows, cs) when it is not 1.  The subdeterminants it expands are
+    recorded in memo, the result itself is not: the caller stores it if it
+    will be read again.  A module function, not a recursive closure, so
+    the memo holds no reference cycle and dies with its caller's reference.
+
+    With a reducer, nf(key) is the monomial's normal form as (pairs, den),
+    and entry * subminor is summed unreduced first (_mac), so each monomial
+    it reaches is reduced once; its coefficient times that normal form has
+    the denominator of the subminor times the normal form's.  acc keeps
+    numerators over one running denominator, raised to the lcm (and acc
+    with it) when a product's denominator does not divide it; the result
+    is divided by the gcd of its numerators and den, so equal minors get
+    the same numerators and den."""
+    ents, negs, ncols, off, nf, dens, p = ctx
     known = memo.get
     acc = {}
     get = acc.get
+    den = 1
     base = rows[0] * ncols
     rest = rows[1:]
     for idx, c in enumerate(cs):
@@ -261,23 +240,49 @@ def _expand(memo, ctx, rows, cs):
         if nf is None:
             _mac(acc, entry, sub.items(), off)
             continue
-        for ks, cv in sub.items():
-            shift = ks - off
-            for ke, ce in entry:
-                prod = ce * cv
-                for nk, nc in nf(ke + shift):
-                    acc[nk] = get(nk, 0) + prod * nc
-    return _settle(acc, p)
+        sden = dens.get((rest, sub_cs), 1)
+        raw = {}
+        _mac(raw, entry, sub.items(), off)
+        for key, prod in raw.items():
+            if not prod:
+                continue
+            terms, d = nf(key)
+            d *= sden
+            if d != den:
+                if den % d:
+                    lift = d // gcd(den, d)
+                    for k in acc:
+                        acc[k] *= lift
+                    den *= lift
+                prod *= den // d
+            for nk, nc in terms:
+                acc[nk] = get(nk, 0) + prod * nc
+    acc = _settle(acc, p)
+    if den != 1:
+        g = gcd(den, *acc.values())
+        if g != 1:
+            den //= g
+            acc = {k: c // g for k, c in acc.items()}
+        if den != 1:
+            dens[rows, cs] = den
+    return acc
 
 
 def _laplace(m: PolyMatrix, reducer=None, transpose=False):
     """det_of(rows, cols): the (reduced) determinant of the submatrix on
-    those index tuples, of equal length, as a settled term dict.  With
-    transpose the kernel expands the transposed matrix, which gives the same
-    determinants; det_of still takes row and column indices of m."""
+    those index tuples, of equal length, as (settled term dict of
+    numerators, their denominator).  With transpose the kernel expands the
+    transposed matrix, which gives the same determinants; det_of still
+    takes row and column indices of m.
+
+    With a reducer over QQ and integral entries, each monomial's normal
+    form is kept as integers over the lcm of its coefficients'
+    denominators.  Over F_p, or with entries that have denominators, it
+    keeps the field's coefficients over 1, and so does every result."""
     ring = m.ring
     p = ring.field.characteristic
     memo = {((), ()): {ring.one_key: 1}}  # the 0x0 determinant
+    dens = {}  # (rows, cols) -> the denominator of a result, when not 1
     ents = [_terms(e, p) for e in m.entries]
     ncols = m.cols
     if transpose:
@@ -288,22 +293,38 @@ def _laplace(m: PolyMatrix, reducer=None, transpose=False):
     nf = None
     if reducer is not None:
         one = ring.field.one()
-        table = {}  # monomial key -> its normal form as (key, coeff) pairs
+        scale = not p and all(type(c) is int for e in ents for _, c in e)
+        table = {}  # monomial key -> its normal form as (pairs, den)
 
         def nf(key):
             got = table.get(key)
             if got is None:
-                got = _terms(reducer(Polynomial(ring, (key,), (one,))), p)
-                table[key] = got
+                terms = _terms(reducer(Polynomial(ring, (key,), (one,))), p)
+                den = 1
+                if scale:
+                    for _, c in terms:
+                        if type(c) is not int:
+                            d = int(c.denominator)
+                            den *= d // gcd(den, d)
+                    if den != 1:
+                        terms = tuple(
+                            (k, int(c.numerator) * (den // int(c.denominator)))
+                            for k, c in terms)
+                got = table[key] = (terms, den)
             return got
 
-    ctx = (ents, negs, ncols, ring.mul_off, nf, p)
+    ctx = (ents, negs, ncols, ring.mul_off, nf, dens, p)
 
     def det_of(rows, cols):
         if transpose:
             rows, cols = cols, rows
-        got = memo.get((rows, cols))
-        return _expand(memo, ctx, rows, cols) if got is None else got
+        key = rows, cols
+        got = memo.get(key)
+        if got is not None:
+            return got, dens.get(key, 1)
+        got = _expand(memo, ctx, rows, cols)
+        # the memo does not keep the result, nor dens its denominator
+        return got, dens.pop(key, 1)
 
     return det_of
 
@@ -314,7 +335,7 @@ def determinant(m: PolyMatrix) -> Polynomial:
         raise ValueError("determinant of a non-square matrix")
     _check_degree(m.rows * _top_degree(m.entries))
     idx = tuple(range(m.rows))
-    return _poly(m.ring, _laplace(m)(idx, idx))
+    return _poly(m.ring, _laplace(m)(idx, idx)[0])
 
 
 def adjugate(m: PolyMatrix):
@@ -329,12 +350,12 @@ def adjugate(m: PolyMatrix):
     _check_degree(n * _top_degree(m.entries))
     det_of = _laplace(m)
     idx = tuple(range(n))
-    q = _poly(ring, det_of(idx, idx))
+    q = _poly(ring, det_of(idx, idx)[0])
     ents = []
     for l in range(n):
         rows = idx[:l] + idx[l + 1:]
         for k in range(n):
-            d = det_of(rows, idx[:k] + idx[k + 1:])
+            d, _ = det_of(rows, idx[:k] + idx[k + 1:])
             ents.append(_poly(ring, d, -1 if (l + k) & 1 else 1))
     return PolyMatrix(ring, n, n, ents), q
 
@@ -439,7 +460,7 @@ def _distinct_minors(ring, det_of, row_rank, col_rank, size, checkpoint,
             for cs in cols_of(k):
                 if prefix_checkpoint is not None:
                     prefix_checkpoint()
-                if det_of(rs, cs):
+                if det_of(rs, cs)[0]:
                     live.add(key)
                     break
             else:
@@ -455,15 +476,17 @@ def _distinct_minors(ring, det_of, row_rank, col_rank, size, checkpoint,
         for cs in full:
             if checkpoint is not None:
                 checkpoint()
-            d = det_of(rs, cs)
+            d, den = det_of(rs, cs)
             if not d:
                 continue
             vanished = False
             items = tuple(sorted(d.items(), reverse=True))
-            if items in seen:
+            value = items, den
+            if value in seen:
                 continue
-            seen.add(items)
+            seen.add(value)
             yield Polynomial(ring, [k for k, _ in items],
-                             [coerce(c) for _, c in items])
+                             [coerce(c) for _, c in items] if den == 1
+                             else [mpq(c, den) for _, c in items])
         if not _advance(pos, n, vanishing_prefix(pos) if vanished else size):
             return

@@ -366,6 +366,57 @@ def _content(coeffs):
     return g
 
 
+# -- the kernel's term form ------------------------------------------------
+#
+# Kernels that expand products (the coordinate change here, the matrix
+# kernel in matrix.py, the frame algebra in charts.py) work on (key, coeff)
+# pairs and dicts {key: coeff}, and build one Polynomial per result.
+
+
+def _terms(f: Polynomial, p: int):
+    """f as a tuple of (key, coeff) pairs, descending.  Over QQ integral
+    coefficients become ints: int arithmetic is far cheaper, and mixing int
+    with mpq stays exact."""
+    if p:
+        return tuple(zip(f.keys, f.coeffs))
+    return tuple((k, c if c.denominator != 1 else int(c.numerator))
+                 for k, c in zip(f.keys, f.coeffs))
+
+
+def _settle(acc: dict, p: int) -> dict:
+    """acc without zero coefficients, residues reduced mod p."""
+    if p:
+        return {k: r for k, c in acc.items() if (r := c % p)}
+    return {k: c for k, c in acc.items() if c}
+
+
+def _poly(ring: Ring, d: dict, sign: int = 1) -> Polynomial:
+    """sign * d as a Polynomial; d must be settled (see _settle).  Over QQ,
+    when every coefficient is an int, the integer form that hashing and the
+    Groebner engine read (Polynomial.zform) is preset from those ints, so
+    the Fractions are never converted back."""
+    keys = sorted(d, reverse=True)
+    vals = [sign * d[k] for k in keys]
+    p = ring.field.characteristic
+    if p:
+        return Polynomial(ring, keys, [v % p for v in vals])
+    f = Polynomial(ring, keys, map(mpq, vals))
+    if vals and all(type(v) is int for v in vals):
+        g = _content(vals)
+        f._zform = (keys, [v // g for v in vals], mpq(g))
+    return f
+
+
+def _mac(acc: dict, a, b, off: int):
+    """acc += a * b on (key, coeff) pairs; put the shorter factor in a."""
+    get = acc.get
+    for kb, cb in b:
+        shift = kb - off
+        for ka, ca in a:
+            k = ka + shift
+            acc[k] = get(k, 0) + ca * cb
+
+
 def partial_derivative(f: Polynomial, i: int) -> Polynomial:
     return f.derivative(i)
 
@@ -397,37 +448,70 @@ def _field_matrix_is_invertible(ring: Ring, rows) -> bool:
     return True
 
 
-def apply_linear_change(f: Polynomial, matrix) -> Polynomial:
-    """Substitute x_i -> sum_j matrix[i][j] * x_j (row i gives the image of
-    the i-th variable).  The matrix must be square and invertible."""
-    ring = f.ring
+def linear_change(ring: Ring, matrix):
+    """The substitution x_i -> sum_j matrix[i][j] * x_j (row i gives the
+    image of the i-th variable) as a function on polynomials of ring.  The
+    matrix must be square and invertible; it is checked once, here, however
+    many polynomials the function is applied to.
+
+    The expansion runs on the kernel's term tuples (see _terms): over QQ
+    integral coefficients stay ints, so integer input costs no Fraction
+    until the result is built.  The image of each monomial is kept, so the
+    images of a monomial's lower powers, and of monomials the polynomials
+    share, are expanded once: x^e's image is the image of x^e / x_i times
+    x_i's, with x_i the last variable of x^e."""
     n = ring.nvars
     rows = [tuple(ring.field.coerce(v) for v in row) for row in matrix]
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValueError(f"need a {n}x{n} matrix")
     if not _field_matrix_is_invertible(ring, rows):
         raise SingularMatrixError("coordinate change matrix is singular")
-    images = [Polynomial.from_terms(
-        ring, [(tuple(1 if j == c else 0 for c in range(n)), v)
-               for j, v in enumerate(row) if v])
+    p = ring.field.characteristic
+    off = ring.mul_off
+    lines = [_terms(Polynomial.from_key_dict(
+        ring, {ring.var_key(j): v for j, v in enumerate(row)}), p)
         for row in rows]
-    powers = {}
+    images = {(0,) * n: ((ring.one_key, 1),)}  # exponents -> image terms
 
-    def image_power(i, e):
-        got = powers.get((i, e))
-        if got is None:
-            got = images[i] ** e if e > 1 else images[i]
-            powers[(i, e)] = got
+    def image(exps):
+        got = images.get(exps)
+        chain = []  # (exponents, i) down to the first image known
+        while got is None:
+            i = max(j for j, e in enumerate(exps) if e)
+            chain.append((exps, i))
+            exps = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
+            got = images.get(exps)
+        for exps, i in reversed(chain):
+            acc = {}
+            _mac(acc, lines[i], got, off)
+            got = images[exps] = tuple(_settle(acc, p).items())
         return got
 
-    total = Polynomial.zero(ring)
-    for exps, c in f.terms():
-        term = Polynomial.constant(ring, c)
-        for i, e in enumerate(exps):
-            if e:
-                term = term * image_power(i, e)
-        total = total + term
-    return total
+    def apply(f: Polynomial) -> Polynomial:
+        if f.ring != ring:
+            raise RingMismatchError(
+                f"operands in {f.ring!r} and {ring!r}")
+        if f.total_degree() >= EXP_LIMIT:
+            # an image of that degree leaves the packed exponent lanes
+            raise DegreeOverflowError(
+                "product degree exceeds the packed-monomial range")
+        unpack = ring.unpack
+        acc = {}
+        get = acc.get
+        for k, c in _terms(f, p):
+            for key, v in image(unpack(k)):
+                acc[key] = get(key, 0) + c * v
+        return _poly(ring, _settle(acc, p))
+
+    return apply
+
+
+def apply_linear_change(f: Polynomial, matrix) -> Polynomial:
+    """Substitute x_i -> sum_j matrix[i][j] * x_j (row i gives the image of
+    the i-th variable).  The matrix must be square and invertible.  To
+    change several polynomials by one matrix, use linear_change, which
+    checks the matrix once and shares the monomial images."""
+    return linear_change(f.ring, matrix)(f)
 
 
 def dehomogenize(f: Polynomial, i: int) -> Polynomial:

@@ -151,6 +151,33 @@ def test_coordinate_change_preserves_verdict_and_is_deterministic():
     assert vs.status == "singular"
 
 
+def test_coordinate_change_checks_each_drawn_matrix_once(monkeypatch):
+    from varsmooth import poly
+    real = poly._field_matrix_is_invertible
+    calls = []
+
+    def spy(ring, rows):
+        calls.append(rows)
+        return real(ring, rows)
+
+    monkeypatch.setattr(poly, "_field_matrix_is_invertible", spy)
+    inst = cyclic_polytope_sr(3, 7)
+    cc = random_coordinate_change(inst, seed=0)
+    assert len(inst.ideal.generators) > 1
+    assert len(calls) == 1
+    # a rejected draw is replaced by the next one, checked once too
+    del calls[:]
+    monkeypatch.setattr(poly, "_field_matrix_is_invertible",
+                        lambda ring, rows: bool(spy(ring, rows))
+                        and len(calls) > 1)
+    redrawn = random_coordinate_change(inst, seed=0)
+    assert len(calls) == 2 and calls[0] != calls[1]
+    assert redrawn.ideal.generators != cc.ideal.generators
+    monkeypatch.setattr(poly, "_field_matrix_is_invertible", real)
+    for f, g in zip(redrawn.ideal.generators, inst.ideal.generators):
+        assert f == poly.apply_linear_change(g, calls[1])
+
+
 def test_suites_contents():
     assert set(SUITE_NAMES) == {"rnc", "cyclic", "x2", "quick", "all"}
     rnc = get_suite("rnc")

@@ -1,7 +1,7 @@
 import gc
 import random
 from fractions import Fraction
-from itertools import combinations as icombs
+from itertools import combinations as icombs, islice
 from math import comb
 
 import pytest
@@ -14,7 +14,7 @@ from varsmooth.groebner import Ideal, buchberger
 from varsmooth import matrix
 from varsmooth.matrix import (PolyMatrix, adjugate, determinant, iter_minors,
                               jacobian)
-from varsmooth.poly import Polynomial
+from varsmooth.poly import Polynomial, _terms
 from varsmooth.ring import EXP_LIMIT, Ring
 
 
@@ -554,6 +554,153 @@ def _rnc_jacobian(d):
     from varsmooth.bench import rational_normal_curve
     ideal = rational_normal_curve(d).ideal
     return jacobian(ideal.ring, ideal.generators)
+
+
+def _fraction_laplace(m, reducer=None, transpose=False):
+    """The reference for matrix._laplace's loop on scaled integers: products
+    summed on (key, coeff) pairs, with each normal form's coefficients
+    Fractions wherever they have a denominator, so one Fraction per term.
+    Its det_of gives (settled dict, 1), the shape iter_minors reads."""
+    ring = m.ring
+    off = ring.mul_off
+    one = ring.field.one()
+    ents = [_terms(e, 0) for e in m.entries]
+    ncols = m.cols
+    if transpose:
+        ents = [ents[i * ncols + j] for j in range(ncols)
+                for i in range(m.rows)]
+        ncols = m.rows
+    memo = {((), ()): {ring.one_key: 1}}
+    table = {}
+
+    def nf(key):
+        if key not in table:
+            table[key] = _terms(
+                reducer(Polynomial(ring, (key,), (one,))), 0)
+        return table[key]
+
+    def expand(rows, cs):
+        acc = {}
+        for idx, c in enumerate(cs):
+            entry = ents[rows[0] * ncols + c]
+            sub = (rows[1:], cs[:idx] + cs[idx + 1:])
+            if sub not in memo:
+                memo[sub] = expand(*sub)
+            for ks, cv in memo[sub].items():
+                for ke, ce in entry:
+                    prod = -ce * cv if idx & 1 else ce * cv
+                    for nk, nc in nf(ke + ks - off):
+                        acc[nk] = acc.get(nk, 0) + prod * nc
+        return {k: c for k, c in acc.items() if c}
+
+    def det_of(rows, cols):
+        if transpose:
+            rows, cols = cols, rows
+        return expand(rows, cols), 1
+
+    return det_of
+
+
+def _scaled_cases(seed, count):
+    """Integral matrices over QQ, some rows dependent (zero, a multiple of
+    another, or in the ideal), modulo bases whose leading coefficients are
+    not 1, so that normal forms of monomials carry denominators."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        ring = Ring(QQ, tuple(f"x{i}" for i in range(rng.randint(2, 4))))
+        cols = rng.randint(2, 4)
+        gens = [nonzero_random_poly(ring, rng, max_terms=3, max_deg=2,
+                                    coeff_bound=5)
+                for _ in range(rng.randint(1, 2))]
+        rows = []
+        for _ in range(rng.randint(2, 5)):
+            pick = rng.randrange(6) if rows else 5
+            if pick == 0:
+                row = [Polynomial.zero(ring)] * cols
+            elif pick == 1:
+                row = [e * rng.randint(-2, 2) for e in rng.choice(rows)]
+            elif pick == 2:
+                row = [gens[0] * random_poly(ring, rng, max_terms=2,
+                                             max_deg=1) for _ in range(cols)]
+            else:
+                row = [random_poly(ring, rng, max_terms=3, max_deg=2)
+                       for _ in range(cols)]
+            rows.append(row)
+        yield (PolyMatrix(ring, len(rows), cols, [e for r in rows for e in r]),
+               buchberger(Ideal(ring, gens)))
+
+
+def _i4_6_3_chart_jacobian():
+    """The Jacobian of I4-6-3-cc's first affine chart, its variety's
+    Groebner basis and codimension: integral entries, normal forms with
+    denominators of up to 16 digits."""
+    from conftest import chart_ideals
+    from varsmooth.bench import cyclic_polytope_sr, random_coordinate_change
+    from varsmooth.groebner import krull_dimension
+    ideal = chart_ideals(random_coordinate_change(
+        cyclic_polytope_sr(3, 6), 0).ideal)[0]
+    ring = ideal.ring
+    return (jacobian(ring, ideal.generators), buchberger(ideal),
+            ring.nvars - krull_dimension(ideal))
+
+
+def test_scaled_minors_match_the_fraction_kernel(monkeypatch):
+    # integral entries, normal forms with denominators: the same stream,
+    # order and coefficient types as the Fraction kernel; each distinct
+    # nonzero minor once, also where the walk forms repeats and zeros
+    real_laplace = matrix._laplace
+    scaled = []
+
+    def streams(m, size, reduce, stop=None):
+        def red(f):
+            # notes each monomial's normal form that has a denominator
+            r = reduce(f)
+            scaled.append(any(c.denominator != 1 for c in r.coeffs))
+            return r
+
+        formed = []
+        got = list(islice(iter_minors(m, size, reducer=red,
+                                      checkpoint=lambda: formed.append(1)),
+                          stop))
+        monkeypatch.setattr(matrix, "_laplace", _fraction_laplace)
+        want = list(islice(iter_minors(m, size, reducer=reduce), stop))
+        monkeypatch.setattr(matrix, "_laplace", real_laplace)
+        assert got == want, (m, size)
+        assert _coeff_types(got) == _coeff_types(want)
+        assert len(set(got)) == len(got) and not any(f.is_zero()
+                                                     for f in got)
+        return got, len(formed)
+
+    # 2x reduces to y over 2 times 2: the same minor as y, yielded once
+    ring = Ring(QQ, ("x", "y"))
+    x, y = variables(ring)
+    red = buchberger(Ideal(ring, [2 * x - y])).normal_form
+    assert streams(PolyMatrix(ring, 1, 2, [2 * x, y]), 1, red)[0] == [y]
+    jac, gb_x, c = _i4_6_3_chart_jacobian()
+    for size, stop in ((1, None), (2, None), (c, 4)):
+        del scaled[:]
+        got, _ = streams(jac, size, gb_x.normal_form, stop)
+        assert len(got) == (stop or len(got)) and any(scaled)
+    assert any(c.denominator > 10 ** 12 for f in got for c in f.coeffs)
+    cases = dropped = went_scaled = 0
+    for m, gb in _scaled_cases(3131, 120):
+        for size in range(1, min(m.rows, m.cols) + 1):
+            del scaled[:]
+            got, formed = streams(m, size, gb.normal_form)
+            assert got == _ranked_reference(m, size, gb.normal_form)
+            dropped += formed > len(got)
+            went_scaled += any(scaled)
+            cases += 1
+    assert cases > 300 and dropped > 50 and went_scaled > 60, \
+        (cases, dropped, went_scaled)
+    # the scaled loop leaves no reference cycle
+    gc.collect()
+    gc.disable()
+    try:
+        list(iter_minors(jac, 2, reducer=gb_x.normal_form))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_kernel_leaves_no_reference_cycles():

@@ -205,11 +205,91 @@ def test_apply_linear_change_matches_point_oracle(rxyz):
             assert g.evaluate(v) == f.evaluate(w)
 
 
+def _reference_linear_change(f, matrix):
+    """x_i -> sum_j matrix[i][j] * x_j on Polynomial arithmetic: products
+    and sums of Polynomials, one field scalar per term."""
+    ring = f.ring
+    n = ring.nvars
+    images = [Polynomial.from_terms(
+        ring, [(tuple(1 if j == c else 0 for c in range(n)), v)
+               for j, v in enumerate(row) if v])
+        for row in matrix]
+    total = Polynomial.zero(ring)
+    for exps, c in f.terms():
+        term = Polynomial.constant(ring, c)
+        for i, e in enumerate(exps):
+            if e:
+                term = term * images[i] ** e
+        total = total + term
+    return total
+
+
+def _same_polynomial(got, want):
+    assert got == want
+    assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+    assert got.zform() == want.zform()
+    assert hash(got) == hash(want)
+
+
+def test_linear_change_matches_polynomial_arithmetic():
+    # over QQ with integral and with rational entries, and over GF(101);
+    # exponents up to 4, one change applied to several polynomials
+    from varsmooth.errors import SingularMatrixError
+    from varsmooth.poly import linear_change
+    rng = random.Random(2727)
+    checked = singular = 0
+    for t in range(60):
+        ring = Ring((QQ, QQ, GF(101))[t % 3],
+                    tuple(f"x{i}" for i in range(rng.randint(1, 4))))
+        n = ring.nvars
+        if t % 3 == 1:
+            mat = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                    for _ in range(n)] for _ in range(n)]
+        else:
+            mat = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        polys = [random_poly(ring, rng, max_terms=6, max_deg=4,
+                             coeff_bound=9) for _ in range(3)]
+        polys[0] = polys[0] * Fraction(1, rng.randint(1, 3))
+        try:
+            change = linear_change(ring, mat)
+        except SingularMatrixError:
+            singular += 1
+            continue
+        field_mat = [[ring.field.coerce(v) for v in row] for row in mat]
+        for f in polys:
+            want = _reference_linear_change(f, field_mat)
+            _same_polynomial(change(f), want)
+            _same_polynomial(apply_linear_change(f, mat), want)
+            checked += not want.is_zero()
+    assert checked > 100 and singular
+
+
 def test_apply_linear_change_rejects_singular_matrix(rxy):
     from varsmooth.errors import SingularMatrixError
     x, y = variables(rxy)
     with pytest.raises(SingularMatrixError):
         apply_linear_change(x + y, [[1, 1], [2, 2]])
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF101"])
+def test_apply_linear_change_rejects_degree_overflow(field):
+    # every exponent fits its lane, the total degree does not: the images
+    # would leave the packed range, as a product of that degree does (a
+    # diagonal matrix keeps each image one term, so nothing else is slow)
+    from varsmooth.poly import linear_change
+    ring = Ring(field, ("x", "y"))
+    x, y = variables(ring)
+    half = EXP_LIMIT // 2
+    f = Polynomial.from_terms(ring, [((half, half), 1), ((1, 0), 1)])
+    mat = [[2, 0], [0, -1]]
+    with pytest.raises(DegreeOverflowError):
+        x ** half * y ** half
+    with pytest.raises(DegreeOverflowError):
+        apply_linear_change(f, mat)
+    change = linear_change(ring, mat)
+    with pytest.raises(DegreeOverflowError):
+        change(f)
+    assert change(x * y + y) == -2 * x * y - y
 
 
 def test_dehomogenize_matches_point_oracle():

@@ -68,6 +68,10 @@ for _d, _n in ((3, 6), (3, 7)):
     for _mode in ("hironaka", "hybrid"):
         CASES[f"cyclic{_d}{_n}cc/{_mode}"] = (
             lambda d=_d, n=_n: _cyclic_cc(d, n), True, {"mode": _mode})
+# the Jacobian baseline in general coordinates: integral minors modulo a
+# basis whose normal forms carry denominators
+CASES["cyclic36cc/jacobian"] = (lambda: _cyclic_cc(3, 6), True,
+                                {"mode": "jacobian"})
 # a curve in general position: root charts 2 and 3 are covered by 0 and 1
 for _mode in ("hironaka", "hybrid"):
     CASES[f"rnc3cc/{_mode}"] = (lambda: _rnc_cc(3), True, {"mode": _mode})
