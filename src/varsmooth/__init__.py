@@ -7,8 +7,7 @@ fields, together with benchmark ideal families and a small CLI.
 
 from .fields import GF, QQ, FieldSpec
 from .ring import Ring
-from .poly import (Polynomial, apply_linear_change, dehomogenize,
-                   partial_derivative, variables)
+from .poly import Polynomial, apply_linear_change, dehomogenize, variables
 from .matrix import (PolyMatrix, adjugate, determinant, iter_minors,
                      jacobian)
 from .groebner import (GroebnerBasis, Ideal, buchberger, ideal_membership,
@@ -25,7 +24,7 @@ from .parser import ideal_file_text, parse_ideal_file
 
 __all__ = [
     "GF", "QQ", "FieldSpec", "Ring", "Polynomial", "apply_linear_change",
-    "dehomogenize", "partial_derivative", "variables", "PolyMatrix",
+    "dehomogenize", "variables", "PolyMatrix",
     "adjugate", "determinant", "iter_minors", "jacobian",
     "GroebnerBasis", "Ideal", "buchberger", "ideal_membership",
     "krull_dimension", "normal_form", "radical_membership",

@@ -370,12 +370,12 @@ def _covering_subset(g: Polynomial, hs, budget: Budget) -> Optional[list]:
 
 
 def smooth_on_frames(chart: Chart, enum: FrameEnumeration, f: Polynomial,
-                     f_rows, budget: Optional[Budget] = None) -> bool:
+                     budget: Optional[Budget] = None) -> bool:
     """Whether V(I_W + f) is smooth where the localizer g is invertible,
     read frame by frame: g*q_i must lie in the radical of I_W + f + row_i
-    for every frame i, where row_i, the i-th item of the iterable f_rows,
-    is f's relative Jacobian row on frames[i].  f_rows is read only up to
-    the first frame that fails, so rows formed on demand stop there.
+    for every frame i, where row_i = frames[i].row(f) is f's relative
+    Jacobian row on that frame.  Rows are read only up to the first frame
+    that fails, so no row is formed past it.
 
     Where q_i is nonzero the ambient rows are independent, so the stacked
     Jacobian (I_W; f) has rank r+1 exactly where some entry of row_i is
@@ -384,24 +384,14 @@ def smooth_on_frames(chart: Chart, enum: FrameEnumeration, f: Polynomial,
     singular_locus_ideal(chart, f), from n-r row entries per frame instead
     of every minor."""
     budget = ensure_budget(budget)
-    for frame, row in zip(enum.frames, f_rows):
+    for frame in enum.frames:
         budget.checkpoint()
         # Ideal drops the zero entries
         if not radical_membership(frame.test,
-                                  chart.ambient.extended([f, *row]),
+                                  chart.ambient.extended([f, *frame.row(f)]),
                                   budget=budget):
             return False
     return True
-
-
-def _combined_row(lams, rows) -> tuple:
-    """The relative Jacobian row of sum lam_k * u_k from the rows of the
-    u_k: an entry is linear in the polynomial, so the row is the same
-    combination of theirs."""
-    acc = [lams[0] * e for e in rows[0]]
-    for lam, row in zip(lams[1:], rows[1:]):
-        acc = [a + lam * e for a, e in zip(acc, row)]
-    return tuple(acc)
 
 
 def smooth_generator(chart: Chart, enum: FrameEnumeration,
@@ -425,9 +415,7 @@ def smooth_generator(chart: Chart, enum: FrameEnumeration,
             "descend called although the chart is already settled")
     for f in usable:
         budget.checkpoint()
-        if smooth_on_frames(chart, enum, f,
-                            (frame.row(f) for frame in enum.frames),
-                            budget=budget):
+        if smooth_on_frames(chart, enum, f, budget=budget):
             return gb_w, usable, f
     return gb_w, usable, None
 
@@ -438,22 +426,22 @@ def descend(chart: Chart, enum: FrameEnumeration, rng,
     """Charts one level deeper: the ambient gains one variety generator.
 
     enum is the chart's frame enumeration, whose frames must cover the
-    chart; each frame keeps the relative Jacobian rows of the variety
-    generators.  The new hypersurface must be smooth where g is invertible,
-    which smooth_on_frames reads from those rows, frame by frame.  Single
-    generators are tried in order (smooth_generator, whose answer for this
-    chart and enum the caller may pass as search, so it is not asked
-    again), then up to three random linear combinations drawn from rng,
-    whose rows are the same combinations of the stored rows.
+    chart.  The new hypersurface must be smooth where g is invertible,
+    which smooth_on_frames reads from its relative Jacobian rows, frame by
+    frame.  Single generators are tried in order (smooth_generator, whose
+    answer for this chart and enum the caller may pass as search, so it is
+    not asked again), then up to three random linear combinations drawn
+    from rng.  A combination is differentiated like any polynomial, when
+    smooth_on_frames first reads its rows, and the chart's Partials table
+    keeps its gradient.
     When none is smooth, the singular-locus ideals (with their minors) are
     built for a covering: from their generators h_j it picks a minimal set
     with g in the radical of (h_j), so the sets D(g * h_j) cover D(g), and
     each picked h_j spawns a chart on D(g * h_j) whose ambient uses the
-    owning generator.  Every child shares the chart's Partials table; a
-    combination's gradient is recorded there as the same combination of
-    the generators' gradients.  Every child's ambient extends the chart's
-    (Ideal.extended), so its basis is computed from the chart's ambient
-    basis.
+    owning generator.  Every child shares the chart's Partials table, which
+    already holds its new ambient generator's gradient.  Every child's
+    ambient extends the chart's (Ideal.extended), so its basis is computed
+    from the chart's ambient basis.
     """
     budget = ensure_budget(budget)
     ring = chart.ring
@@ -492,10 +480,7 @@ def descend(chart: Chart, enum: FrameEnumeration, rng,
                 f = f + lam * u
             if f.is_zero() or gb_w.contains(f):
                 continue
-            f_rows = (_combined_row(lams, [frame.row(u) for u in usable])
-                      for frame in enum.frames)
-            if smooth_on_frames(chart, enum, f, f_rows, budget=budget):
-                chart.partials.combine(f, lams, usable)
+            if smooth_on_frames(chart, enum, f, budget=budget):
                 return child_single(f)
 
     combined = []

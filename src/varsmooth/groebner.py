@@ -50,7 +50,7 @@ from typing import Optional
 from .errors import RingMismatchError
 from .fields import mpq
 from .limits import Budget, ensure_budget
-from .poly import Polynomial, _content
+from .poly import Polynomial, _content, _mac, _settle
 from .ring import Ring
 
 
@@ -172,7 +172,7 @@ class GroebnerBasis:
         zk, zc, scale = f.zform()
         ring = self.ideal.ring
         rk, rc, mult = reduce_terms(
-            list(zk), list(zc), self._divisors, ring.guards,
+            dict(zip(zk, zc)), self._divisors, ring.guards,
             ring.field.characteristic)
         return rk, rc, mult, scale
 
@@ -211,12 +211,13 @@ def clear_caches():
 
 # -- reduction kernel ----------------------------------------------------------
 #
-# Polynomials cross this boundary as parallel lists (packed keys descending,
-# integer coefficients).  Over the rationals the engine works with primitive
-# integer polynomials and pseudo-division: reduce_terms returns a remainder
-# equal to mult * NF(f) for a positive integer mult, which callers divide out
-# when they need the exact field normal form.  Over F_p coefficients are
-# residues and mult is always 1.
+# A polynomial enters as a term dict {packed key: integer coeff} and its
+# remainder leaves as parallel lists, keys descending.  Over the
+# rationals the engine works with primitive integer polynomials and
+# pseudo-division: reduce_terms returns a remainder equal to mult * NF(f)
+# for a positive integer mult, which callers divide out when they need the
+# exact field normal form.  Over F_p coefficients are residues and mult is
+# always 1.
 
 
 def prepare_divisor(keys, coeffs, p):
@@ -227,16 +228,18 @@ def prepare_divisor(keys, coeffs, p):
     return (lead, lc, tuple(keys[1:]), tuple(coeffs[1:]), inv)
 
 
-def reduce_terms(fk, fc, divisors, guards, p):
+def reduce_terms(work, divisors, guards, p):
     """Fully reduce f by the divisor list (first matching divisor wins).
 
+    work: f as a term dict, which the reduction consumes; its keys are
+    heapified, so their order does not matter, and zero coefficients are
+    skipped.  Over F_p the coefficients must be residues.
     divisors: sequence of prepare_divisor tuples, order fixed by the caller.
     Returns (keys, coeffs, mult) with keys descending.  Over F_p the
     reduction is exact and mult == 1; over the integers the remainder is
     mult * NF(f) with mult a positive integer.
     """
-    work = dict(zip(fk, fc))
-    heap = [-k for k in fk]
+    heap = [-k for k in work]
     heapq.heapify(heap)
     rem_keys = []
     rem_coeffs = []
@@ -396,59 +399,6 @@ class _PairQueue:
         return None
 
 
-def _merge_scaled(ka, ca, sa, fa, kb, cb, sb, fb, p):
-    """fa * x^sa * a  +  fb * x^sb * b over the coefficient domain.
-    sa/sb are key offsets, fa/fb scalars.  Inputs descending, output too."""
-    i = j = 0
-    na, nb = len(ka), len(kb)
-    keys, coeffs = [], []
-    while i < na and j < nb:
-        x = ka[i] + sa
-        y = kb[j] + sb
-        if x > y:
-            c = fa * ca[i]
-            if p:
-                c %= p
-            if c:
-                keys.append(x)
-                coeffs.append(c)
-            i += 1
-        elif x < y:
-            c = fb * cb[j]
-            if p:
-                c %= p
-            if c:
-                keys.append(y)
-                coeffs.append(c)
-            j += 1
-        else:
-            c = fa * ca[i] + fb * cb[j]
-            if p:
-                c %= p
-            if c:
-                keys.append(x)
-                coeffs.append(c)
-            i += 1
-            j += 1
-    while i < na:
-        c = fa * ca[i]
-        if p:
-            c %= p
-        if c:
-            keys.append(ka[i] + sa)
-            coeffs.append(c)
-        i += 1
-    while j < nb:
-        c = fb * cb[j]
-        if p:
-            c %= p
-        if c:
-            keys.append(kb[j] + sb)
-            coeffs.append(c)
-        j += 1
-    return keys, coeffs
-
-
 # -- engine --------------------------------------------------------------------
 
 
@@ -463,6 +413,7 @@ def _engine(ring: Ring, gens_raw, budget: Budget, seed=()):
     p = ring.field.characteristic
     one_key = ring.one_key
     guards = ring.guards
+    off = ring.mul_off
 
     basis = [((d[0],) + d[2], (d[1],) + d[3]) for d in seed]
     divisors = list(seed)
@@ -497,7 +448,7 @@ def _engine(ring: Ring, gens_raw, budget: Budget, seed=()):
 
     for keys, coeffs in sorted(gens_raw, key=lambda g: g[0][0]):
         budget.checkpoint()
-        rk, rc, _ = reduce_terms(list(keys), list(coeffs), divisors, guards, p)
+        rk, rc, _ = reduce_terms(dict(zip(keys, coeffs)), divisors, guards, p)
         if rk:
             if insert(rk, rc):
                 return basis
@@ -516,11 +467,13 @@ def _engine(ring: Ring, gens_raw, budget: Budget, seed=()):
             a, b = ci[0], cj[0]
             g = gcd(a, b)
             fa, fb = b // g, -(a // g)
-        sk, sc = _merge_scaled(ki, ci, Lkey - ki[0], fa,
-                               kj, cj, Lkey - kj[0], fb, p)
-        if not sk:
-            continue
-        rk, rc, _ = reduce_terms(sk, sc, divisors, guards, p)
+        # fa * x^a * f_i + fb * x^b * f_j, x^a the key lcm - lead_i + off;
+        # the leads cancel, and reduce_terms skips zero coefficients
+        acc = {}
+        _mac(acc, ((Lkey - ki[0] + off, fa),), zip(ki, ci), off)
+        _mac(acc, ((Lkey - kj[0] + off, fb),), zip(kj, cj), off)
+        rk, rc, _ = reduce_terms(_settle(acc, p) if p else acc, divisors,
+                                 guards, p)
         if rk:
             if insert(rk, rc):
                 return basis
@@ -544,7 +497,7 @@ def _engine(ring: Ring, gens_raw, budget: Budget, seed=()):
     divs = [prepare_divisor(k, c, p) for k, c in reduced]
     for idx, (k, c) in enumerate(reduced):
         budget.checkpoint()
-        rk, rc, _ = reduce_terms(list(k), list(c),
+        rk, rc, _ = reduce_terms(dict(zip(k, c)),
                                  divs[:idx] + divs[idx + 1:], guards, p)
         reduced[idx] = normalize(rk, rc)
     return reduced

@@ -144,9 +144,8 @@ class Partials:
 
     A chart tree shares one table (Chart.partials).  Its variety stays the
     same down the tree and a new ambient generator is a variety generator
-    or a combination that descend records with `combine` before it spawns
-    the child, so once the root chart has differentiated the variety
-    generators no task of the tree differentiates again."""
+    or a combination of them, differentiated when the descent first reads
+    its rows, so no polynomial of the tree is differentiated twice."""
 
     __slots__ = ("ring", "_grads", "_rows")
 
@@ -179,21 +178,6 @@ class Partials:
         polys = list(polys)
         return PolyMatrix(self.ring, len(polys), self.ring.nvars,
                           [e for f in polys for e in self.row(f)])
-
-    def combine(self, f: Polynomial, lams, us):
-        """Record f = sum lam_k * u_k: a gradient is linear in its
-        polynomial, so f's is the same combination of the u_k's."""
-        p = self.ring.field.characteristic
-        grads = [self.gradient(u) for u in us]
-        out = []
-        for j in range(self.ring.nvars):
-            acc = {}
-            get = acc.get
-            for lam, grad in zip(lams, grads):
-                for k, c in grad[j]:
-                    acc[k] = get(k, 0) + lam * c
-            out.append(tuple(sorted(_settle(acc, p).items(), reverse=True)))
-        self._grads[f] = out
 
 
 def _top_degree(polys) -> int:

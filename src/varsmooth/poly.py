@@ -417,10 +417,6 @@ def _mac(acc: dict, a, b, off: int):
             acc[k] = get(k, 0) + ca * cb
 
 
-def partial_derivative(f: Polynomial, i: int) -> Polynomial:
-    return f.derivative(i)
-
-
 def variables(ring: Ring):
     return tuple(Polynomial.variable(ring, i) for i in range(ring.nvars))
 

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import chart_ideals, criterion_on_every_minor, variables
 from corpus import corpus50
-from varsmooth import matrix
+from varsmooth import charts, matrix
 from varsmooth.bench import rational_normal_curve
 from varsmooth.charts import Chart, delta_frame_tasks, descend
 from varsmooth.errors import ContractError
@@ -1001,9 +1001,13 @@ def test_embedded_step_reuses_the_chart_frames(monkeypatch):
 @pytest.mark.parametrize("cfg", [Config(), Config(mode="hybrid", to_codim=2)],
                          ids=["hironaka", "hybrid"])
 def test_each_partial_is_formed_once_per_run(monkeypatch, cfg, jobs):
-    # every chart of a tree reads its partials from the tree's one table
+    # every chart of a tree reads its partials from the tree's one table;
+    # on the combo input, over QQ and F_32003, the descent takes a random
+    # combination, which is differentiated when its rows are first read
     seen = []
+    taken = []      # the combinations the descent takes
     derivative, gradient = Polynomial.derivative, matrix._gradient
+    smooth_on_frames = charts.smooth_on_frames
 
     def spy_derivative(f, i):
         seen.append((f, i))
@@ -1013,15 +1017,38 @@ def test_each_partial_is_formed_once_per_run(monkeypatch, cfg, jobs):
         seen.extend((f, i) for i in range(f.ring.nvars))
         return gradient(f, p)
 
+    def spy_smooth(chart, enum, f, budget=None):
+        smooth = smooth_on_frames(chart, enum, f, budget=budget)
+        if smooth and f not in chart.variety.generators:
+            taken.append(f)
+        return smooth
+
     monkeypatch.setattr(Polynomial, "derivative", spy_derivative)
     monkeypatch.setattr(matrix, "_gradient", spy_gradient)
-    v = projective_smoothness(rational_normal_curve(6).ideal,
-                              Config(mode=cfg.mode, to_codim=cfg.to_codim,
-                                     jobs=jobs))
-    assert v.status == "smooth" and v.stats["charts"] > 7
-    assert seen
-    twice = [key for key, n in Counter(seen).items() if n > 1]
-    assert not twice, [(str(f), i) for f, i in twice]
+    monkeypatch.setattr(charts, "smooth_on_frames", spy_smooth)
+    runs = [("rnc6", projective_smoothness, rational_normal_curve(6).ideal,
+             Config(mode=cfg.mode, to_codim=cfg.to_codim, jobs=jobs))]
+    # the hybrid takes its combination at depth 1, below to_codim=2's switch
+    runs += [(f"combo {field}", smoothness_test, _combo_over(field),
+              Config(mode=cfg.mode, descent_depth=2, jobs=jobs))
+             for field in ("QQ", "F32003")]
+    for name, runner, ideal, run_cfg in runs:
+        seen.clear()
+        taken.clear()
+        v = runner(ideal, run_cfg)
+        assert v.status == "smooth", name
+        assert name != "rnc6" or v.stats["charts"] > 7
+        assert seen and bool(taken) == (name != "rnc6"), name
+        assert all((f, 0) in seen for f in taken), name
+        twice = [key for key, n in Counter(seen).items() if n > 1]
+        assert not twice, (name, [(str(f), i) for f, i in twice])
+
+
+def _combo_over(field_text):
+    # no single generator is smooth on the depth-1 chart (see the golden
+    # report cases combo/hironaka and combop/hironaka)
+    return parse_ideal_file(f"ring {field_text} [x, y, z]\n"
+                            "x*y + x\nx*y + y\nz - x\n")[1]
 
 
 def _rnc_over(field_text, d):

@@ -934,7 +934,7 @@ def test_reduce_terms_integer_contract(f, divisors):
     fk, fc = f
     divs = [prepare_divisor(list(dk), _positive_leading(list(dc)), 0)
             for dk, dc in divisors]
-    rk, rc, mult = reduce_terms(list(fk), list(fc), divs, RING3.guards, 0)
+    rk, rc, mult = reduce_terms(dict(zip(fk, fc)), divs, RING3.guards, 0)
     assert mult >= 1
     assert all(rk[i] > rk[i + 1] for i in range(len(rk) - 1))
     assert all(c != 0 for c in rc)
@@ -956,7 +956,7 @@ def test_reduce_terms_mod_p_exact(f, divisors):
         if not all(dc):
             return
         divs.append(prepare_divisor(list(dk), list(dc), p))
-    rk, rc, mult = reduce_terms(list(fk), list(fc), divs, RING3.guards, p)
+    rk, rc, mult = reduce_terms(dict(zip(fk, fc)), divs, RING3.guards, p)
     assert mult == 1
     assert all(0 < c < p for c in rc)
 
@@ -995,7 +995,7 @@ def test_reduce_terms_remainder_is_mult_times_textbook_division(field):
             if len(dk) >= 2 and dk[0] != ring.one_key:
                 divs.append(prepare_divisor(dk, dc, p))
                 oracle_divs.append(as_dict(dk, dc))
-        rk, rc, mult = reduce_terms(fk, fc, divs, ring.guards, p)
+        rk, rc, mult = reduce_terms(dict(zip(fk, fc)), divs, ring.guards, p)
         want = naive_normal_form(as_dict(fk, fc), oracle_divs, p)
         assert as_dict(rk, rc) == {e: c * mult % p if p else c * mult
                                    for e, c in want.items()}

@@ -48,6 +48,10 @@ _TEXTS = {
     "cone": "ring QQ [x, y, z]\nx^2 + y^2 - z^2\n",
     # a nodal space curve: smooth root frame, singular on a depth-1 chart
     "nodal": "ring QQ [x, y, z]\nz - x*y\ny^2 - x^2*x - x^2\n",
+    # no single generator is smooth on the depth-1 chart, so the descent
+    # takes a random linear combination of the variety generators there
+    "combo": "ring QQ [x, y, z]\nx*y + x\nx*y + y\nz - x\n",
+    "combop": "ring F32003 [x, y, z]\nx*y + x\nx*y + y\nz - x\n",
 }
 
 
@@ -85,6 +89,10 @@ CASES["x2/hironaka"] = (lambda: _generated(veronese_ci()), True, {})
 CASES["x2/hybrid-descents2"] = (lambda: _generated(veronese_ci()), True,
                                 {"mode": "hybrid", "descent_depth": 2})
 CASES["nodal/hironaka"] = (lambda: _text("nodal"), False, {})
+CASES["combo/hironaka"] = (lambda: _text("combo"), False, {})
+CASES["combo/hybrid-descents2"] = (lambda: _text("combo"), False,
+                                   {"mode": "hybrid", "descent_depth": 2})
+CASES["combop/hironaka"] = (lambda: _text("combop"), False, {})
 for _mode in ("hironaka", "hybrid", "jacobian"):
     CASES[f"cone/{_mode}"] = (lambda: _text("cone"), False, {"mode": _mode})
 
