@@ -11,7 +11,7 @@ from .poly import Polynomial, apply_linear_change, dehomogenize, variables
 from .matrix import (PolyMatrix, adjugate, determinant, iter_minors,
                      jacobian)
 from .groebner import (GroebnerBasis, Ideal, buchberger, ideal_membership,
-                       krull_dimension, normal_form, radical_membership)
+                       krull_dimension, radical_membership)
 from .limits import Budget, Limits
 from .charts import (Chart, FrameData, descend, enumerate_frames,
                      relative_jacobian, singular_locus_ideal)
@@ -27,7 +27,7 @@ __all__ = [
     "dehomogenize", "variables", "PolyMatrix",
     "adjugate", "determinant", "iter_minors", "jacobian",
     "GroebnerBasis", "Ideal", "buchberger", "ideal_membership",
-    "krull_dimension", "normal_form", "radical_membership",
+    "krull_dimension", "radical_membership",
     "Budget", "Limits",
     "Chart", "FrameData", "descend",
     "enumerate_frames", "relative_jacobian", "singular_locus_ideal",

@@ -16,14 +16,15 @@ ones.
 
 Most ideals asked about are a known ideal plus a few polynomials, built by
 Ideal.extended, which keeps a link to that base.  On a cache miss the
-engine starts from the base's cached basis, when there is one: its rows
-become the initial basis and their leads enter the pair queue with no pair
-formed among them, since a Groebner basis's own S-pairs all reduce to zero
-by it (Gebauer and Moeller, "On an installation of Buchberger's
-algorithm", J. Symbolic Comput. 6, 1988).  Only the new generators are then
-reduced and inserted.  Looking up the base is a peek, not a query.  A
-reduced basis is unique, so a seeded run returns the rows a cold one would,
-and no verdict, witness or stat depends on whether a run was seeded.
+engine starts from the base's cached basis, when there is one; the cache
+is the only place a run finds a seed.  The seed's rows become the initial
+basis and their leads enter the pair queue with no pair formed among them,
+since a Groebner basis's own S-pairs all reduce to zero by it (Gebauer and
+Moeller, "On an installation of Buchberger's algorithm", J. Symbolic
+Comput. 6, 1988).  Only the new generators are then reduced and inserted.
+Looking up the base is a peek, not a query.  A reduced basis is unique, so
+a seeded run returns the rows a cold one would, and no verdict, witness or
+stat depends on whether a run was seeded.
 
 Radical membership first tries two exact certificates, read from the
 constant terms alone (the last packed key of a polynomial, since the
@@ -34,9 +35,11 @@ zero set of f, so f is not.  Both hold over QQ and F_p alike, and an answer
 they give builds no basis and is not counted as a Groebner query.  Other
 questions use the extra-variable trick: f lies in the radical of I exactly
 when I together with 1 - t*f generates the unit ideal in the extended
-ring; that run starts from the cached basis of I, or else of the ideal I
-extends, lifted into the extended ring once and kept.  No elimination
-orders are used anywhere.
+ring.  The cached basis of I, or else of the ideal I extends, is lifted
+into the extended ring and cached under the lifted ideal the first time,
+so that run's peek at its base starts from it.  Every predicate takes an
+Ideal, and raises RingMismatchError for a polynomial of another ring.  No
+elimination orders are used anywhere.
 """
 
 from __future__ import annotations
@@ -52,6 +55,11 @@ from .fields import mpq
 from .limits import Budget, ensure_budget
 from .poly import Polynomial, _content, _mac, _settle
 from .ring import Ring
+
+
+def _check_ring(f: Polynomial, ring: Ring):
+    if f.ring is not ring and f.ring != ring:
+        raise RingMismatchError(f"polynomial in {f.ring!r}, ideal in {ring!r}")
 
 
 class Ideal:
@@ -70,8 +78,7 @@ class Ideal:
     def __init__(self, ring: Ring, generators):
         gens = []
         for g in generators:
-            if g.ring is not ring and g.ring != ring:
-                raise RingMismatchError("generator outside the ideal's ring")
+            _check_ring(g, ring)
             if not g.is_zero():
                 gens.append(g)
         self.ring = ring
@@ -125,15 +132,13 @@ class GroebnerBasis:
     prepared divisors; the monic Polynomial elements are built only when
     first read, and the ideal's dimension when krull_dimension first asks."""
 
-    __slots__ = ("ideal", "_elements", "_divisors", "_lead_keys", "_dim",
-                 "_lifted_rows")
+    __slots__ = ("ideal", "_elements", "_divisors", "_lead_keys", "_dim")
 
     def __init__(self, ideal: Ideal, rows):
         p = ideal.ring.field.characteristic
         self.ideal = ideal
         self._elements = None
         self._dim = None
-        self._lifted_rows = None
         self._divisors = [prepare_divisor(k, c, p) for k, c in rows]
         self._lead_keys = tuple(k[0] for k, _ in rows)
 
@@ -153,15 +158,6 @@ class GroebnerBasis:
             els = self._elements = tuple(els)
         return els
 
-    def lifted_rows(self):
-        """The prepared rows lifted by _lift_keys, computed once, kept."""
-        if self._lifted_rows is None:
-            n = self.ideal.ring.nvars
-            lifted = [_lift_keys((d[0], *d[2]), n) for d in self._divisors]
-            self._lifted_rows = [(k[0], d[1], tuple(k[1:]), d[3], d[4])
-                                 for k, d in zip(lifted, self._divisors)]
-        return self._lifted_rows
-
     def is_unit(self) -> bool:
         return self._lead_keys == (self.ideal.ring.one_key,)
 
@@ -177,15 +173,17 @@ class GroebnerBasis:
         return rk, rc, mult, scale
 
     def contains(self, f: Polynomial) -> bool:
+        _check_ring(f, self.ideal.ring)
         if f.is_zero():
             return True
         rk, _, _, _ = self._reduce_raw(f)
         return not rk
 
     def normal_form(self, f: Polynomial) -> Polynomial:
+        ring = self.ideal.ring
+        _check_ring(f, ring)
         if f.is_zero():
             return f
-        ring = self.ideal.ring
         rk, rc, mult, scale = self._reduce_raw(f)
         p = ring.field.characteristic
         if p:
@@ -207,6 +205,12 @@ _CACHE_MAX = 4096
 
 def clear_caches():
     _cache.clear()
+
+
+def _store(ideal: Ideal, gb: GroebnerBasis):
+    if len(_cache) >= _CACHE_MAX:
+        del _cache[next(iter(_cache))]
+    _cache[ideal] = gb
 
 
 # -- reduction kernel ----------------------------------------------------------
@@ -506,16 +510,15 @@ def _engine(ring: Ring, gens_raw, budget: Budget, seed=()):
 # -- public API -----------------------------------------------------------------
 
 
-def buchberger(ideal: Ideal, budget: Optional[Budget] = None,
-               seed=None) -> GroebnerBasis:
+def buchberger(ideal: Ideal, budget: Optional[Budget] = None) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal (degrevlex).
 
     On a cache miss for an ideal made by Ideal.extended, the engine starts
-    from a reduced basis of its base: seed, that basis's prepared rows when
-    the caller passes them, or else the base's cached basis.  Looking for
-    that one is a peek, not a query.  Only the generators after the base's
-    are then reduced and inserted.  The reduced basis is unique, so a
-    seeded run returns the rows a cold one would."""
+    from the base's cached basis, when there is one; looking for it is a
+    peek, not a query, and the cache is the only place a seed comes from.
+    Only the generators after the base's are then reduced and inserted.
+    The reduced basis is unique, so a seeded run returns the rows a cold
+    one would."""
     budget = ensure_budget(budget)
     got = _cache.get(ideal)
     budget.record_query()
@@ -523,44 +526,26 @@ def buchberger(ideal: Ideal, budget: Optional[Budget] = None,
         return got
     budget.checkpoint()
     base = ideal.base
-    if seed is None and base is not None:
+    gens = ideal.generators
+    seed = ()
+    if base is not None:
         got = _cache.get(base)  # a peek: no query is counted
         if got is not None:
             seed = got._divisors
-    gens = ideal.generators
-    if seed is None:
-        seed = ()
-    else:
-        gens = gens[len(base):]
+            gens = gens[len(base):]
     budget.record_run_start(seeded=bool(seed))
     gens_raw = [g.zform()[:2] for g in gens]
     gb = GroebnerBasis(ideal, _engine(ideal.ring, gens_raw, budget, seed))
-    if len(_cache) >= _CACHE_MAX:
-        del _cache[next(iter(_cache))]
-    _cache[ideal] = gb
+    _store(ideal, gb)
     return gb
 
 
-def _as_gb(target, budget) -> GroebnerBasis:
-    if isinstance(target, GroebnerBasis):
-        return target
-    return buchberger(target, budget=budget)
-
-
-def normal_form(f: Polynomial, target, budget: Optional[Budget] = None
-                ) -> Polynomial:
-    """Canonical remainder of f modulo the ideal (idempotent)."""
-    gb = _as_gb(target, ensure_budget(budget))
-    return gb.normal_form(f)
-
-
-def ideal_membership(f: Polynomial, target,
+def ideal_membership(f: Polynomial, ideal: Ideal,
                      budget: Optional[Budget] = None) -> bool:
-    gb = _as_gb(target, ensure_budget(budget))
-    return gb.contains(f)
+    return buchberger(ideal, budget=budget).contains(f)
 
 
-def radical_membership(f: Polynomial, target,
+def radical_membership(f: Polynomial, ideal: Ideal,
                        budget: Optional[Budget] = None) -> bool:
     """Whether f vanishes on the zero set of the ideal (over the closure).
 
@@ -568,15 +553,16 @@ def radical_membership(f: Polynomial, target,
     nonzero constant generator gives True, and generators that all vanish
     at the origin, with f nonzero there, give False.  Such an answer runs
     no engine and is not a Groebner query on the budget.  Any other
-    question asks for one basis, of I itself when f is a constant (none
-    when target already is a basis), else of I + (1 - t*f) in the ring
-    extended by t.  That run starts from the basis of I, or else of the
-    ideal I extends, when it is at hand: lifted into the extended ring it
-    stays a reduced basis, since degrevlex orders the monomials free of t
-    as before.  That ideal's generators and basis rows are lifted once."""
+    question asks for one basis, of I itself when f is a constant, else of
+    I + (1 - t*f) in the ring extended by t.  When the basis of I, or else
+    of the ideal I extends, is cached, it is lifted into the extended ring
+    and cached under that ideal's lift the first time, so the run's peek at
+    its base seeds from it: lifted, it stays a reduced basis, since
+    degrevlex orders the monomials free of t as before.  That ideal's
+    generators are lifted once."""
+    _check_ring(f, ideal.ring)
     if f.is_zero():
         return True
-    ideal = target.ideal if isinstance(target, GroebnerBasis) else target
     one = ideal.ring.one_key
     at_origin = True    # every generator vanishes at the origin
     for g in ideal.generators:
@@ -589,19 +575,22 @@ def radical_membership(f: Polynomial, target,
         return False
     budget = ensure_budget(budget)
     if f.is_constant():
-        return _as_gb(target, budget).is_unit()
-    src = target if isinstance(target, GroebnerBasis) else _cache.get(ideal)
+        return buchberger(ideal, budget=budget).is_unit()
+    src = _cache.get(ideal)
     if src is None and ideal.base is not None:
         src = _cache.get(ideal.base)  # a peek: no query is counted
     base = src.ideal if src is not None else ideal.base
     lifted = _lifted(base if base is not None else Ideal(ideal.ring, ()))
+    if src is not None and lifted not in _cache:
+        n = base.ring.nvars
+        _store(lifted, GroebnerBasis(lifted, [
+            (_lift_keys((d[0], *d[2]), n), (d[1], *d[3]))
+            for d in src._divisors]))
     ext = lifted.ring
     more = [_lift(g, ext) for g in ideal.generators[len(lifted):]]
     t = Polynomial.variable(ext, ext.nvars - 1)
     rab = Polynomial.constant(ext, 1) - t * _lift(f, ext)
-    seed = src.lifted_rows() if src is not None else None
-    gb = buchberger(lifted.extended([*more, rab]), budget=budget, seed=seed)
-    return gb.is_unit()
+    return buchberger(lifted.extended([*more, rab]), budget=budget).is_unit()
 
 
 def _lift_keys(keys, n: int) -> list:

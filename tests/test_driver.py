@@ -354,6 +354,18 @@ def test_seeded_runs_leave_reports_unchanged(monkeypatch):
         assert seeded_runs > 0, cfg
 
 
+@pytest.mark.parametrize("d, opts, runs", [
+    (6, {}, (27, 16)), (6, {"mode": "hybrid", "to_codim": 2}, (22, 11)),
+    (7, {}, (35, 23)), (7, {"mode": "hybrid", "to_codim": 2}, (30, 18))])
+def test_cold_engine_runs_and_seeded_runs(d, opts, runs):
+    # (gb_runs, gb_runs_seeded) of a cold run: every seed comes from the
+    # cache, the Rabinowitsch runs' from the lifted bases cached there
+    clear_caches()
+    v = projective_smoothness(rational_normal_curve(d).ideal, Config(**opts))
+    assert v.status == "smooth"
+    assert (v.timing["gb_runs"], v.timing["gb_runs_seeded"]) == runs
+
+
 def test_reason_kind_tells_preconditions_and_crashes_apart(monkeypatch):
     from varsmooth import driver
     from varsmooth.errors import DescentError
@@ -725,6 +737,58 @@ def test_root_chart_witnesses_fail_the_classical_criterion():
                 assert not criterion_on_every_minor(chart), (opts, w.path)
                 criteria += 1
     assert (audited, criteria) == (21, 15)
+
+
+class _Covers(Observer):
+    """(chart, enumeration) of every covered chart, keyed by its path."""
+
+    def __init__(self):
+        self.charts = {}
+
+    def on_cover(self, path, chart, enumeration):
+        self.charts[path] = (chart, enumeration)
+
+
+def test_witnesses_below_the_root_fail_the_classical_criterion():
+    """Every golden case whose witness lies at depth >= 1 names a chart the
+    run reported: the one at the longest reported path that is a prefix of
+    the witness's path has its fingerprints and a frame with its columns.
+    A failed delta or minor check puts a singular point of X inside
+    D(q*g), so the frame's test q*g is not in the radical of I_X plus
+    every c-minor of the Jacobian of I_X reduced mod I_X, c = n - dim I_X.
+    """
+    from varsmooth.bench import veronese_ci
+    from varsmooth.matrix import iter_minors, jacobian
+    x2 = veronese_ci().ideal
+    cases = [("x2/hironaka", projective_smoothness, x2, {}),
+             ("x2/hybrid-descents2", projective_smoothness, x2,
+              {"mode": "hybrid", "descent_depth": 2}),
+             ("nodal/hironaka", smoothness_test, _nodal_space_curve(), {}),
+             ("emptyroot/hironaka", projective_smoothness,
+              _empty_root_ideal(), {})]
+    depths = {}
+    for name, runner, ideal, opts in cases:
+        clear_caches()
+        covers = _Covers()
+        w = runner(ideal, Config(**opts), observer=covers).witness
+        assert w is not None and w.depth >= 1, name
+        path = max((p for p in covers.charts if w.path[:len(p)] == p),
+                   key=len)
+        chart, enum = covers.charts[path]
+        assert (w.ambient, w.variety, w.localizer) == (
+            chart.ambient.fingerprint(), chart.variety.fingerprint(),
+            str(chart.localizer)), name
+        frame, = [fr for fr in enum.frames if fr.cols == w.frame_cols]
+        i_x = chart.variety
+        ring = i_x.ring
+        c = ring.nvars - krull_dimension(i_x)
+        mins = iter_minors(jacobian(ring, i_x.generators), c,
+                           reducer=buchberger(i_x).normal_form)
+        assert not radical_membership(
+            frame.test, Ideal(ring, [*i_x.generators, *mins])), name
+        depths[name] = w.depth
+    assert depths == {"x2/hironaka": 1, "x2/hybrid-descents2": 1,
+                      "nodal/hironaka": 1, "emptyroot/hironaka": 2}
 
 
 @pytest.mark.parametrize("opts", [{"mode": "hironaka"},

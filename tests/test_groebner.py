@@ -8,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (chart_ideals, equal_on_chart, nonzero_random_poly,
                       random_poly, variables)
-from varsmooth.errors import LimitExceededError
+from varsmooth.errors import LimitExceededError, RingMismatchError
 from varsmooth.fields import QQ, GF
-from varsmooth.groebner import (GroebnerBasis, Ideal, _PairQueue, _lift,
-                                buchberger, clear_caches, ideal_membership,
-                                krull_dimension, normal_form, prepare_divisor,
+from varsmooth.groebner import (Ideal, _PairQueue, _lift, buchberger,
+                                clear_caches, ideal_membership,
+                                krull_dimension, prepare_divisor,
                                 radical_membership, reduce_terms)
 from varsmooth.limits import Budget, Limits, ensure_budget
 from varsmooth.poly import Polynomial
@@ -243,8 +243,8 @@ def test_normal_form_idempotent_and_matches_oracle():
         gb = buchberger(ideal)
         for _ in range(6):
             f = random_poly(ideal.ring, rng)
-            nf = normal_form(f, gb)
-            assert normal_form(nf, gb) == nf
+            nf = gb.normal_form(f)
+            assert gb.normal_form(nf) == nf
             assert _poly_dict(nf, p) == naive_normal_form(
                 f, list(gb.elements), p)
 
@@ -259,7 +259,7 @@ def test_normal_form_is_linear_over_the_ideal():
             for g in ideal.generators:
                 mix = mix + random_poly(ideal.ring, rng, max_terms=2,
                                         max_deg=2) * g
-            assert normal_form(mix, gb) == normal_form(f, gb)
+            assert gb.normal_form(mix) == gb.normal_form(f)
 
 
 def test_membership_round_trip():
@@ -272,22 +272,46 @@ def test_membership_round_trip():
         for g in ideal.generators:
             mix = mix + random_poly(ideal.ring, rng, max_terms=2,
                                     max_deg=2) * g
-        assert ideal_membership(mix, gb)
+        assert ideal_membership(mix, ideal)
         # anything with a nonzero naive remainder is not
         for _ in range(4):
             f = random_poly(ideal.ring, rng)
             if naive_normal_form(f, list(gb.elements), p):
-                assert not ideal_membership(f, gb)
+                assert not ideal_membership(f, ideal)
+
+
+def test_predicates_reject_a_polynomial_of_another_ring():
+    # against (x^2, y) in QQ[x, y]: a variable of a larger ring, of an
+    # unrelated ring and of the same names over F_7, and the zero of
+    # another ring, each raise in every predicate, where they used to give
+    # a malformed remainder, a degree overflow or a wrong answer
+    ring = Ring(QQ, ("x", "y"))
+    x, y = variables(ring)
+    ideal = Ideal(ring, [x * x, y])
+    gb = buchberger(ideal)
+    z = variables(Ring(QQ, ("x", "y", "z")))[2]
+    u = variables(Ring(QQ, ("u", "v")))[0]
+    x7 = variables(Ring(GF(7), ("x", "y")))[0]
+    asks = (gb.normal_form, gb.contains,
+            lambda f: ideal_membership(f, ideal),
+            lambda f: radical_membership(f, ideal))
+    for f in (z + 1, z, u, x7, x7 + 1, Polynomial.zero(u.ring)):
+        for ask in asks:
+            with pytest.raises(RingMismatchError):
+                ask(f)
+    # an equal ring that is another object is the same ring
+    xe = variables(Ring(QQ, ("x", "y")))[0]
+    assert radical_membership(xe, ideal) and ideal_membership(xe * xe, ideal)
+    assert gb.normal_form(xe + 1) == x + 1 and not gb.contains(xe)
 
 
 # -- radical membership vs the power oracle ----------------------------------
 
 def power_oracle(f, ideal, max_m=6):
-    gb = buchberger(ideal)
     acc = Polynomial.constant(f.ring, 1)
     for _ in range(max_m):
         acc = acc * f
-        if ideal_membership(acc, gb):
+        if ideal_membership(acc, ideal):
             return True
     return False
 
@@ -355,8 +379,8 @@ def _rabinowitsch(f, ideal):
 def test_radical_certificates_agree_with_rabinowitsch(field):
     # a nonzero constant generator answers yes, generators all vanishing at
     # the origin where f does not answer no; either answer is exact and is
-    # no Groebner query, and every other question is one query (none for a
-    # constant f against a basis, whose unit test needs no engine)
+    # no Groebner query, and every other question is one query, with the
+    # ideal's basis cached or not
     rng = random.Random(15)
     fired = {"unit": 0, "origin": 0, None: 0}
     for trial in range(500):
@@ -380,7 +404,8 @@ def test_radical_certificates_agree_with_rabinowitsch(field):
         f = rng.choice((Polynomial.zero(ring),
                         Polynomial.constant(ring, rng.randint(-3, 3)),
                         poly(), at_origin(poly())))
-        target = ideal if rng.random() < 0.5 else buchberger(ideal)
+        if rng.random() >= 0.5:
+            buchberger(ideal)   # a warm cache
 
         if any(g.is_constant() for g in ideal.generators):
             rule = "unit"
@@ -391,12 +416,11 @@ def test_radical_certificates_agree_with_rabinowitsch(field):
             rule = None
         fired[rule] += 1
         budget = Budget()
-        got = radical_membership(f, target, budget=budget)
+        got = radical_membership(f, ideal, budget=budget)
         assert got == _rabinowitsch(f, ideal), (str(f), ideal, trial)
         if rule is not None:
             assert got is (rule == "unit"), (rule, str(f), ideal, trial)
-        free = rule is not None or f.is_zero() or (
-            f.is_constant() and isinstance(target, GroebnerBasis))
+        free = rule is not None or f.is_zero()
         assert budget.gb_queries == (0 if free else 1), (
             rule, str(f), ideal, trial)
     assert min(fired.values()) >= 50, fired
@@ -705,10 +729,8 @@ def test_each_base_is_lifted_once_per_run(monkeypatch):
         return real_keys(keys, n)
 
     def rm(f, target, budget=None):
-        own = isinstance(target, GroebnerBasis) or target in groebner._cache
+        own = target in groebner._cache
         answer = real_rm(f, target, budget=budget)
-        if isinstance(target, GroebnerBasis):
-            target = target.ideal
         queries.append((f, target, own, answer, polys[:], rows[:]))
         del polys[:], rows[:]
         return answer
@@ -751,6 +773,47 @@ def test_each_base_is_lifted_once_per_run(monkeypatch):
         assert real_rm(f, target) == answer
         clear_caches()
         assert real_rm(f, Ideal(target.ring, target.generators)) == answer
+
+
+def test_the_cache_is_the_only_seed_route(monkeypatch):
+    # with room for two bases, a query's lifted base outlives the base it
+    # was lifted from: the next query finds only the lifted basis and
+    # starts from it; once that is evicted too, a query that finds the base
+    # again lifts it again, once, and no answer moves
+    from varsmooth import groebner
+    r3 = SEED_RINGS[0]
+    x, y, z = variables(r3)
+    base = Ideal(r3, [x * y - z, y * z - x])
+    target = base.extended([x * z - y])
+    clear_caches()
+    plain = Ideal(r3, target.generators)
+    want = [radical_membership(f, plain) for f in (x, y, z)]
+    stored = []
+    real_store = groebner._store
+
+    def store(ideal, gb):
+        stored.append(ideal)
+        real_store(ideal, gb)
+
+    def ask(f):
+        budget = Budget()
+        answer = radical_membership(f, target, budget=budget)
+        return (answer, budget.runs_started, budget.runs_seeded,
+                sum(i is lifted for i in stored))
+
+    monkeypatch.setattr(groebner, "_store", store)
+    monkeypatch.setattr(groebner, "_CACHE_MAX", 2)
+    clear_caches()
+    lifted = groebner._lifted(base)
+    buchberger(base)
+    assert ask(x) == (want[0], 1, 1, 1)
+    assert base not in groebner._cache and lifted in groebner._cache
+    # (a) the unlifted basis is gone, the lifted one seeds
+    assert ask(y) == (want[1], 1, 1, 1)
+    assert lifted not in groebner._cache
+    # (b) the lifted basis is gone: the base's basis is lifted again
+    buchberger(base)
+    assert ask(z) == (want[2], 1, 1, 2)
 
 
 def test_basis_cap_counts_the_seed_rows():
