@@ -14,6 +14,18 @@ integer, so the divisibility test needs no degree ranking: the distinct
 lcms are sorted as plain ints and each is tested against the smaller
 ones.
 
+Before the first S-pair, each generator row has its tail (every term after
+its lead) reduced by the other rows: a generator is reduced only by the
+rows inserted before it, and a later lead may divide its tail.  A row whose
+lead is below every later lead is skipped, since no later lead can divide a
+term below it.  The pass is exact.  A rewritten row is mult*r minus
+multiples of the other rows, each below r's lead, so the ideal and every
+lead stay as they were, and the pair queue reads only leads.  The reduced
+basis is unique, so the run returns the rows it would without the pass;
+the S-pairs, of which most reduce to zero on singular inputs in general
+coordinates, meet shorter rows.  Over QQ a rewritten row can carry larger
+integers (each reduction step scales it), which is what the pass costs.
+
 Most ideals asked about are a known ideal plus a few polynomials, built by
 Ideal.extended, which keeps a link to that base.  On a cache miss the
 engine starts from the base's cached basis, when there is one; the cache
@@ -412,8 +424,17 @@ def _engine(ring: Ring, gens_raw, budget: Budget, seed=()):
     generators extend, if there is one.  The run starts with those rows as
     its basis and their leads registered in the pair queue, but forms no
     pair among them: each reduces to zero by the seed itself, so all of them
-    are already treated (Gebauer-Moeller).  Returns the raw reduced basis
-    as a list of (keys, coeffs) in ascending leading-key order."""
+    are already treated (Gebauer-Moeller).
+
+    Before the first pair, the tail of each generator row is reduced by
+    the other rows, the last inserted first; the seed rows are left alone.
+    A row was reduced by the rows before it when it was inserted, so only a
+    later lead can divide its tail, and none can when its own lead is below
+    every later lead: such a row is skipped.  A rewritten row is
+    mult*r - sum q_i*d_i with every q_i*d_i below r's lead, so the ideal and
+    the leads, which are all the pair queue reads, are unchanged; the
+    reduced basis is unique, so the result is too.  Returns the raw reduced
+    basis as a list of (keys, coeffs) in ascending leading-key order."""
     p = ring.field.characteristic
     one_key = ring.one_key
     guards = ring.guards
@@ -456,6 +477,19 @@ def _engine(ring: Ring, gens_raw, budget: Budget, seed=()):
         if rk:
             if insert(rk, rc):
                 return basis
+
+    later = None    # the smallest lead inserted after the current row
+    for idx in range(len(basis) - 1, len(seed) - 1, -1):
+        budget.checkpoint()
+        keys, coeffs = basis[idx]
+        lead = keys[0]
+        if later is None or lead < later:
+            later = lead
+            continue
+        rk, rc, mult = reduce_terms(dict(zip(keys[1:], coeffs[1:])),
+                                    divisors, guards, p)
+        basis[idx] = normalize([lead, *rk], [coeffs[0] * mult, *rc])
+        divisors[idx] = prepare_divisor(*basis[idx], p)
 
     while True:
         budget.checkpoint()

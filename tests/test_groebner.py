@@ -1,6 +1,7 @@
 import heapq
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import combinations as icombs
 
 import pytest
@@ -96,7 +97,7 @@ def naive_normal_form(f, basis, p):
 
 
 def naive_spoly(f, g, p):
-    df, dg = _poly_dict(f, p), _poly_dict(g, p)
+    df, dg = (h if isinstance(h, dict) else _poly_dict(h, p) for h in (f, g))
     lf, lg = _lead(df), _lead(dg)
     lcm = tuple(max(a, b) for a, b in zip(lf, lg))
     out = {}
@@ -114,6 +115,34 @@ def naive_spoly(f, g, p):
             else:
                 out.pop(k, None)
     return out
+
+
+def naive_buchberger(ideal):
+    """Textbook Buchberger: every pair, no criterion, then minimalize,
+    interreduce and make monic.  The reduced basis as term dicts in
+    ascending lead order."""
+    p = ideal.ring.field.characteristic
+    basis = [_poly_dict(g, p) for g in ideal.generators]
+    pairs = list(icombs(range(len(basis)), 2))
+    while pairs:
+        i, j = pairs.pop()
+        r = naive_normal_form(naive_spoly(basis[i], basis[j], p), basis, p)
+        if r:
+            pairs.extend((k, len(basis)) for k in range(len(basis)))
+            basis.append(r)
+    kept = []
+    for d in sorted(basis, key=cmp_to_key(
+            lambda a, b: -1 if _drl_less(_lead(a), _lead(b)) else 1)):
+        if not any(_divides(_lead(k), _lead(d)) for k in kept):
+            kept.append(d)
+    reduced = []
+    for i, d in enumerate(kept):
+        r = naive_normal_form(d, kept[:i] + kept[i + 1:], p)
+        lc = r[_lead(r)]
+        inv = pow(lc, -1, p) if p else 1 / lc
+        reduced.append({e: (c * inv % p if p else c * inv)
+                        for e, c in r.items()})
+    return reduced
 
 
 FIXED_SYSTEMS = []
@@ -193,6 +222,53 @@ def test_reduced_basis_shape():
             others = [g.leading_key() for j, g in enumerate(els) if j != i]
             for key in f.keys:
                 assert not any(ring.divides(lk, key) for lk in others), str(f)
+
+
+def test_basis_equals_textbook_buchberger():
+    # the oracle's basis generates the input ideal and no larger one, and
+    # a reduced basis is unique, so the two must agree element by element
+    for ideal in all_systems():
+        p = ideal.ring.field.characteristic
+        clear_caches()
+        got = [_poly_dict(f, p) for f in buchberger(ideal).elements]
+        assert got == naive_buchberger(ideal), repr(ideal)
+
+
+@pytest.mark.parametrize("p", [0, 32003])
+def test_generator_rows_are_tail_reduced_before_the_pairs(p, monkeypatch):
+    # xy + yz enters first; xy + yz + y reduces by it to y, whose lead
+    # divides the first row's tail yz.  The engine must reduce that tail to
+    # zero before its one pair, whose S-polynomial xy - x*y then cancels
+    # outright.  With y + z first and x^2 + z after, the later lead is
+    # above y: no tail is reduced, and the coprime leads form no pair.
+    ring = Ring(GF(p) if p else QQ, ("x", "y", "z"))
+    x, y, z = variables(ring)
+    calls = []
+
+    def spy(work, divisors, guards, char):
+        taken = {k for k, c in work.items() if c}
+        out = reduce_terms(work, divisors, guards, char)
+        calls.append((taken, out[0]))
+        return out
+
+    monkeypatch.setattr("varsmooth.groebner.reduce_terms", spy)
+    xy, yz, yk, zk, xx = ((x * y).keys[0], (y * z).keys[0], y.keys[0],
+                          z.keys[0], (x * x).keys[0])
+    clear_caches()
+    ideal = Ideal(ring, [x * y + y * z, x * y + y * z + y])
+    gb = buchberger(ideal)
+    assert [taken for taken, _ in calls] \
+        == [{xy, yz}, {xy, yz, yk}, {yz}, set(), {yk}]
+    assert calls[2][1] == []
+    assert [str(f) for f in gb.elements] == ["y"]
+    calls.clear()
+    clear_caches()
+    ascending = Ideal(ring, [y + z, x * x + z])
+    gb = buchberger(ascending)
+    assert [taken for taken, _ in calls] \
+        == [{yk, zk}, {xx, zk}, {yk, zk}, {xx, zk}]
+    assert [_poly_dict(f, p) for f in gb.elements] \
+        == naive_buchberger(ascending)
 
 
 def test_basis_rows_are_the_integer_forms_of_its_elements():
