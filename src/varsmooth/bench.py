@@ -161,25 +161,23 @@ def random_coordinate_change(inst: BenchInstance, seed: int,
 SUITE_NAMES = ("rnc", "cyclic", "x2", "quick", "all")
 
 
-def get_suite(name: str, seed: int = 0, bitlength: int = 4):
+def get_suite(name: str, seed: int = 0):
     """Named instance lists; the cyclic family carries the coordinate
     change it is benchmarked with."""
     if name == "rnc":
         return [rational_normal_curve(d) for d in (6, 7, 8)]
     if name == "cyclic":
-        return [random_coordinate_change(cyclic_polytope_sr(d, n), seed,
-                                         bitlength)
+        return [random_coordinate_change(cyclic_polytope_sr(d, n), seed)
                 for n, d in ((6, 3), (7, 3), (7, 4))]
     if name == "x2":
         return [veronese_ci()]
     if name == "quick":
         return [rational_normal_curve(2), rational_normal_curve(3),
-                random_coordinate_change(cyclic_polytope_sr(2, 4), seed,
-                                         bitlength),
+                random_coordinate_change(cyclic_polytope_sr(2, 4), seed),
                 veronese_ci()]
     if name == "all":
-        return get_suite("rnc", seed, bitlength) + \
-            get_suite("cyclic", seed, bitlength) + get_suite("x2")
+        return get_suite("rnc", seed) + get_suite("cyclic", seed) + \
+            get_suite("x2")
     raise ValueError(f"unknown suite {name!r}; "
                      f"choose from {', '.join(SUITE_NAMES)}")
 

@@ -37,11 +37,11 @@ class DescentError(VarsmoothError):
 
 
 class LimitExceededError(VarsmoothError):
-    """A configured resource limit (time, basis size) was exhausted."""
+    """A configured resource limit was exhausted."""
 
-    def __init__(self, which: str, detail: str = ""):
+    def __init__(self, which: str):
         self.which = which
-        super().__init__(f"limit exceeded: {which}" + (f" ({detail})" if detail else ""))
+        super().__init__(f"limit exceeded: {which}")
 
 
 class ParseError(VarsmoothError):

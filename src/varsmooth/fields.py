@@ -10,10 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 try:
-    from gmpy2 import mpq, mpz
+    from gmpy2 import mpq
 except ImportError:  # pragma: no cover - exercised only without gmpy2
     from fractions import Fraction as mpq
-    mpz = int
 
 MAX_PRIME = 1 << 31
 

@@ -14,6 +14,12 @@ integer, so the divisibility test needs no degree ranking: the distinct
 lcms are sorted as plain ints and each is tested against the smaller
 ones.
 
+The basis has one form, the prepared divisor row that reduce_terms reads
+(lead key, leading coefficient, tail keys, tail coefficients, the inverse
+of the leading coefficient over F_p): a seed arrives in it, a run returns
+it and GroebnerBasis keeps it.  An S-polynomial sums the two tails only,
+since its multipliers make the leads cancel.
+
 Before the first S-pair, each generator row has its tail (every term after
 its lead) reduced by the other rows: a generator is reduced only by the
 rows inserted before it, and a later lead may divide its tail.  A row whose
@@ -25,6 +31,7 @@ basis is unique, so the run returns the rows it would without the pass;
 the S-pairs, of which most reduce to zero on singular inputs in general
 coordinates, meet shorter rows.  Over QQ a rewritten row can carry larger
 integers (each reduction step scales it), which is what the pass costs.
+The same tail step interreduces the minimal rows at the end.
 
 Most ideals asked about are a known ideal plus a few polynomials, built by
 Ideal.extended, which keeps a link to that base.  On a cache miss the
@@ -138,21 +145,20 @@ class GroebnerBasis:
     """Reduced basis: monic elements, ascending leading keys, pairwise
     non-divisible leads.
 
-    It is built from the engine's rows (keys, coeffs): primitive with
-    positive leading coefficient over QQ, monic residues over F_p, in
-    ascending leading-key order.  Reduction runs on those rows, kept as
-    prepared divisors; the monic Polynomial elements are built only when
-    first read, and the ideal's dimension when krull_dimension first asks."""
+    It keeps the engine's rows as given, prepare_divisor tuples: primitive
+    with positive leading coefficient over QQ, monic residues over F_p, in
+    ascending leading-key order.  Reduction runs on those rows; the monic
+    Polynomial elements are built only when first read, and the ideal's
+    dimension when krull_dimension first asks."""
 
     __slots__ = ("ideal", "_elements", "_divisors", "_lead_keys", "_dim")
 
-    def __init__(self, ideal: Ideal, rows):
-        p = ideal.ring.field.characteristic
+    def __init__(self, ideal: Ideal, divisors):
         self.ideal = ideal
         self._elements = None
         self._dim = None
-        self._divisors = [prepare_divisor(k, c, p) for k, c in rows]
-        self._lead_keys = tuple(k[0] for k, _ in rows)
+        self._divisors = divisors
+        self._lead_keys = tuple(d[0] for d in divisors)
 
     @property
     def elements(self):
@@ -419,77 +425,76 @@ class _PairQueue:
 
 
 def _engine(ring: Ring, gens_raw, budget: Budget, seed=()):
-    """Raw Buchberger; gens_raw are (keys, coeffs) primitive/residue lists.
-    seed holds the prepared rows of a reduced basis of an ideal that the
-    generators extend, if there is one.  The run starts with those rows as
-    its basis and their leads registered in the pair queue, but forms no
-    pair among them: each reduces to zero by the seed itself, so all of them
-    are already treated (Gebauer-Moeller).
+    """Raw Buchberger; gens_raw are (keys, coeffs) primitive/residue lists,
+    seed the rows of a reduced basis of an ideal that the generators
+    extend, if there is one.  Returns the reduced basis as prepare_divisor
+    rows, the one form the run keeps, in ascending leading-key order.
 
-    Before the first pair, the tail of each generator row is reduced by
-    the other rows, the last inserted first; the seed rows are left alone.
-    A row was reduced by the rows before it when it was inserted, so only a
-    later lead can divide its tail, and none can when its own lead is below
-    every later lead: such a row is skipped.  A rewritten row is
-    mult*r - sum q_i*d_i with every q_i*d_i below r's lead, so the ideal and
-    the leads, which are all the pair queue reads, are unchanged; the
-    reduced basis is unique, so the result is too.  Returns the raw reduced
-    basis as a list of (keys, coeffs) in ascending leading-key order."""
+    The run starts with the seed rows as its basis and their leads
+    registered in the pair queue, but forms no pair among them: each
+    reduces to zero by the seed itself, so all of them are already treated
+    (Gebauer-Moeller).  Before the first pair, tail_reduced rewrites each
+    generator row, the last inserted first.  A row was reduced by the rows
+    before it when it was inserted, so only a later lead can divide its
+    tail, and none can when its own lead is below every later lead: such a
+    row is skipped.  A rewritten row is mult*r - sum q_i*d_i with every
+    q_i*d_i below r's lead, so the ideal and the leads, which are all the
+    pair queue reads, are unchanged; the reduced basis is unique, so the
+    result is too."""
     p = ring.field.characteristic
     one_key = ring.one_key
     guards = ring.guards
     off = ring.mul_off
 
-    basis = [((d[0],) + d[2], (d[1],) + d[3]) for d in seed]
-    divisors = list(seed)
+    basis = list(seed)
     queue = _PairQueue(ring)
     for d in seed:
         queue.add_treated(d[0])
-    budget.basis_guard(len(basis))
 
-    def normalize(keys, coeffs):
+    def prepared(keys, coeffs):
+        """The row of keys and coeffs, primitive or monic."""
         if p:
             inv = pow(coeffs[0], -1, p)
             if inv != 1:
                 coeffs = [c * inv % p for c in coeffs]
-            return keys, coeffs
-        g = _content(coeffs)
-        if g not in (0, 1):
-            coeffs = [c // g for c in coeffs]
-        return keys, coeffs
+        else:
+            g = _content(coeffs)
+            if g not in (0, 1):
+                coeffs = [c // g for c in coeffs]
+        return prepare_divisor(keys, coeffs, p)
+
+    def tail_reduced(row, rows):
+        """row with its tail reduced by rows, which may hold row itself (no
+        lead divides a term below it), and its lead times mult put back."""
+        lead, lc, tkeys, tcoeffs, _ = row
+        rk, rc, mult = reduce_terms(dict(zip(tkeys, tcoeffs)), rows, guards,
+                                    p)
+        return prepared([lead, *rk], [lc * mult, *rc])
 
     def insert(keys, coeffs) -> bool:
         """Returns True when a constant entered the basis (unit ideal)."""
-        keys, coeffs = normalize(keys, coeffs)
         if keys[0] == one_key:
-            basis.clear()
-            basis.append(([one_key], [1]))
+            basis[:] = [prepare_divisor([one_key], [1], p)]
             return True
-        basis.append((keys, coeffs))
-        divisors.append(prepare_divisor(keys, coeffs, p))
-        queue.add_element(keys[0])
-        budget.basis_guard(len(basis))
+        row = prepared(keys, coeffs)
+        basis.append(row)
+        queue.add_element(row[0])
         return False
 
     for keys, coeffs in sorted(gens_raw, key=lambda g: g[0][0]):
         budget.checkpoint()
-        rk, rc, _ = reduce_terms(dict(zip(keys, coeffs)), divisors, guards, p)
-        if rk:
-            if insert(rk, rc):
-                return basis
+        rk, rc, _ = reduce_terms(dict(zip(keys, coeffs)), basis, guards, p)
+        if rk and insert(rk, rc):
+            return basis
 
     later = None    # the smallest lead inserted after the current row
     for idx in range(len(basis) - 1, len(seed) - 1, -1):
         budget.checkpoint()
-        keys, coeffs = basis[idx]
-        lead = keys[0]
+        lead = basis[idx][0]
         if later is None or lead < later:
             later = lead
             continue
-        rk, rc, mult = reduce_terms(dict(zip(keys[1:], coeffs[1:])),
-                                    divisors, guards, p)
-        basis[idx] = normalize([lead, *rk], [coeffs[0] * mult, *rc])
-        divisors[idx] = prepare_divisor(*basis[idx], p)
+        basis[idx] = tail_reduced(basis[idx], basis)
 
     while True:
         budget.checkpoint()
@@ -497,47 +502,33 @@ def _engine(ring: Ring, gens_raw, budget: Budget, seed=()):
         if item is None:
             break
         i, j, Lkey = item
-        ki, ci = basis[i]
-        kj, cj = basis[j]
+        li, ai, tki, tci, _ = basis[i]
+        lj, aj, tkj, tcj, _ = basis[j]
         if p:
             fa, fb = 1, p - 1
         else:
-            a, b = ci[0], cj[0]
-            g = gcd(a, b)
-            fa, fb = b // g, -(a // g)
-        # fa * x^a * f_i + fb * x^b * f_j, x^a the key lcm - lead_i + off;
-        # the leads cancel, and reduce_terms skips zero coefficients
+            g = gcd(ai, aj)
+            fa, fb = aj // g, -(ai // g)
+        # fa * x^a * tail_i + fb * x^b * tail_j, x^a the key lcm - lead_i
+        # + off: the leads, times fa and fb, cancel
         acc = {}
-        _mac(acc, ((Lkey - ki[0] + off, fa),), zip(ki, ci), off)
-        _mac(acc, ((Lkey - kj[0] + off, fb),), zip(kj, cj), off)
-        rk, rc, _ = reduce_terms(_settle(acc, p) if p else acc, divisors,
+        _mac(acc, ((Lkey - li + off, fa),), zip(tki, tci), off)
+        _mac(acc, ((Lkey - lj + off, fb),), zip(tkj, tcj), off)
+        rk, rc, _ = reduce_terms(_settle(acc, p) if p else acc, basis,
                                  guards, p)
-        if rk:
-            if insert(rk, rc):
-                return basis
+        if rk and insert(rk, rc):
+            return basis
 
-    # minimalize: drop elements whose lead is divisible by another lead
-    order = sorted(range(len(basis)), key=lambda t: basis[t][0][0])
-    lead_keys = [basis[t][0][0] for t in order]
-    kept = []
-    kept_leads = []
-    for pos, t in enumerate(order):
-        lk = lead_keys[pos]
-        if any(ring.divides(other, lk) for other in kept_leads):
-            continue
-        kept.append(t)
-        kept_leads.append(lk)
-    reduced = [basis[t] for t in kept]
-
-    # interreduce tails (leads are pairwise non-divisible, so one pass is
-    # exact and each element keeps its lead; the reduced tail is unique, so
-    # the rows can reduce by the unreduced others)
-    divs = [prepare_divisor(k, c, p) for k, c in reduced]
-    for idx, (k, c) in enumerate(reduced):
+    # minimalize: drop rows whose lead is divisible by another lead
+    reduced = []
+    for row in sorted(basis, key=lambda d: d[0]):
+        if not any(ring.divides(r[0], row[0]) for r in reduced):
+            reduced.append(row)
+    # interreduce: the leads are pairwise non-divisible, so one pass is
+    # exact; the reduced tail is unique, so rows not yet reduced may reduce
+    for idx, row in enumerate(reduced):
         budget.checkpoint()
-        rk, rc, _ = reduce_terms(dict(zip(k, c)),
-                                 divs[:idx] + divs[idx + 1:], guards, p)
-        reduced[idx] = normalize(rk, rc)
+        reduced[idx] = tail_reduced(row, reduced)
     return reduced
 
 
@@ -617,9 +608,11 @@ def radical_membership(f: Polynomial, ideal: Ideal,
     lifted = _lifted(base if base is not None else Ideal(ideal.ring, ()))
     if src is not None and lifted not in _cache:
         n = base.ring.nvars
-        _store(lifted, GroebnerBasis(lifted, [
-            (_lift_keys((d[0], *d[2]), n), (d[1], *d[3]))
-            for d in src._divisors]))
+        rows = []
+        for lead, lc, tkeys, tcoeffs, inv in src._divisors:
+            lead, *tkeys = _lift_keys((lead, *tkeys), n)
+            rows.append((lead, lc, tuple(tkeys), tcoeffs, inv))
+        _store(lifted, GroebnerBasis(lifted, rows))
     ext = lifted.ring
     more = [_lift(g, ext) for g in ideal.generators[len(lifted):]]
     t = Polynomial.variable(ext, ext.nvars - 1)

@@ -1,7 +1,7 @@
 """Resource limits and work accounting.
 
 A Budget is handed down into every Groebner computation.  It carries the
-shared wall-clock deadline and basis-size cap, and two kinds of counters:
+shared wall-clock deadline and two kinds of counters:
 per-task counters (deterministic, aggregated into reports) and shared
 instrumentation counters (engine runs actually started, reported to the
 observer, and how many of them started from a cached basis).
@@ -19,33 +19,23 @@ from .errors import ContractError, LimitExceededError
 
 @dataclass(frozen=True)
 class Limits:
-    """User-facing resource caps; None disables a cap, and a cap must be a
-    number >= 0.
-
-    max_basis caps the working basis of every Groebner engine run.  A run
-    that starts from the cached basis of an ideal it extends counts those
-    seed rows too: the cap is checked once the seed is in place, and again
-    at every insertion."""
+    """User-facing resource caps: time_s is a wall-clock limit in seconds,
+    a number >= 0, or None for none."""
     time_s: Optional[float] = None
-    max_basis: Optional[int] = None
 
     def __post_init__(self):
         if self.time_s is not None and (math.isnan(self.time_s)
                                         or self.time_s < 0):
             raise ContractError("time limit must be a number >= 0")
-        if self.max_basis is not None and self.max_basis < 0:
-            raise ContractError("max_basis must be >= 0")
 
 
 class _SharedState:
-    __slots__ = ("deadline", "max_basis", "gb_runs_started",
-                 "gb_runs_seeded", "observer")
+    __slots__ = ("deadline", "gb_runs_started", "gb_runs_seeded", "observer")
 
     def __init__(self, limits: Optional[Limits], observer=None):
         now = time.monotonic()
         self.deadline = (now + limits.time_s
                          if limits and limits.time_s is not None else None)
-        self.max_basis = limits.max_basis if limits else None
         self.gb_runs_started = 0
         self.gb_runs_seeded = 0
         self.observer = observer
@@ -81,11 +71,6 @@ class Budget:
         dl = self.shared.deadline
         if dl is not None and time.monotonic() > dl:
             raise LimitExceededError("time")
-
-    def basis_guard(self, size: int):
-        cap = self.shared.max_basis
-        if cap is not None and size > cap:
-            raise LimitExceededError("basis", f"{size} elements")
 
     def record_query(self):
         self.gb_queries += 1

@@ -5,9 +5,10 @@ expansion on term dicts {monomial key: coefficient}: _laplace(m) returns
 det_of(rows, cols) over one memo.  `determinant`, `adjugate` and
 `iter_minors` each make one for their matrix and read every subdeterminant
 they need from it, so shared submatrices are expanded once; an adjugate
-takes q and all of its (n-1)-minors from the same memo.  The memo keeps the
-subdeterminants an expansion reads, never the requested determinants
-themselves, which nothing reads twice; a matrix with more rows than columns
+takes q and all of its (n-1)-minors from the same memo.  The memo keeps one
+record per subdeterminant an expansion reads, its numerators and their
+denominator, and never the requested determinants themselves, which
+nothing reads twice; a matrix with more rows than columns
 is expanded as its transpose, whose rows are the shorter side, so the memo
 keeps fewer row suffixes.  There is no elimination (Bareiss) and no
 polynomial division.  Over QQ integral coefficients are plain ints inside
@@ -192,11 +193,11 @@ def _check_degree(degree: int):
 
 def _expand(memo, ctx, rows, cs):
     """Determinant of the (rows, cs) submatrix by first-row expansion, as
-    a settled dict of numerators over a positive den, recorded in dens
-    under (rows, cs) when it is not 1.  The subdeterminants it expands are
-    recorded in memo, the result itself is not: the caller stores it if it
-    will be read again.  A module function, not a recursive closure, so
-    the memo holds no reference cycle and dies with its caller's reference.
+    the record (settled dict of numerators, their positive den).  The
+    subdeterminants it expands are recorded in memo, the result itself is
+    not: the caller stores it if it will be read again.  A module function,
+    not a recursive closure, so the memo holds no reference cycle and dies
+    with its caller's reference.
 
     With a reducer, nf(key) is the monomial's normal form as (pairs, den),
     and entry * subminor is summed unreduced first (_mac), so each monomial
@@ -206,7 +207,7 @@ def _expand(memo, ctx, rows, cs):
     with it) when a product's denominator does not divide it; the result
     is divided by the gcd of its numerators and den, so equal minors get
     the same numerators and den."""
-    ents, negs, ncols, off, nf, dens, p = ctx
+    ents, negs, ncols, off, nf, p = ctx
     known = memo.get
     acc = {}
     get = acc.get
@@ -221,10 +222,10 @@ def _expand(memo, ctx, rows, cs):
         sub = known((rest, sub_cs))
         if sub is None:
             sub = memo[rest, sub_cs] = _expand(memo, ctx, rest, sub_cs)
+        sub, sden = sub
         if nf is None:
             _mac(acc, entry, sub.items(), off)
             continue
-        sden = dens.get((rest, sub_cs), 1)
         raw = {}
         _mac(raw, entry, sub.items(), off)
         for key, prod in raw.items():
@@ -247,15 +248,14 @@ def _expand(memo, ctx, rows, cs):
         if g != 1:
             den //= g
             acc = {k: c // g for k, c in acc.items()}
-        if den != 1:
-            dens[rows, cs] = den
-    return acc
+    return acc, den
 
 
 def _laplace(m: PolyMatrix, reducer=None, transpose=False):
     """det_of(rows, cols): the (reduced) determinant of the submatrix on
-    those index tuples, of equal length, as (settled term dict of
-    numerators, their denominator).  With transpose the kernel expands the
+    those index tuples, of equal length, as the memo's record for it:
+    (settled term dict of numerators, their denominator), read from the
+    memo or expanded.  With transpose the kernel expands the
     transposed matrix, which gives the same determinants; det_of still
     takes row and column indices of m.
 
@@ -265,8 +265,7 @@ def _laplace(m: PolyMatrix, reducer=None, transpose=False):
     keeps the field's coefficients over 1, and so does every result."""
     ring = m.ring
     p = ring.field.characteristic
-    memo = {((), ()): {ring.one_key: 1}}  # the 0x0 determinant
-    dens = {}  # (rows, cols) -> the denominator of a result, when not 1
+    memo = {((), ()): ({ring.one_key: 1}, 1)}  # the 0x0 determinant
     ents = [_terms(e, p) for e in m.entries]
     ncols = m.cols
     if transpose:
@@ -297,18 +296,16 @@ def _laplace(m: PolyMatrix, reducer=None, transpose=False):
                 got = table[key] = (terms, den)
             return got
 
-    ctx = (ents, negs, ncols, ring.mul_off, nf, dens, p)
+    ctx = (ents, negs, ncols, ring.mul_off, nf, p)
 
     def det_of(rows, cols):
         if transpose:
             rows, cols = cols, rows
-        key = rows, cols
-        got = memo.get(key)
-        if got is not None:
-            return got, dens.get(key, 1)
-        got = _expand(memo, ctx, rows, cols)
-        # the memo does not keep the result, nor dens its denominator
-        return got, dens.pop(key, 1)
+        got = memo.get((rows, cols))
+        if got is None:
+            # the memo does not keep the result
+            got = _expand(memo, ctx, rows, cols)
+        return got
 
     return det_of
 

@@ -9,13 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (chart_ideals, equal_on_chart, nonzero_random_poly,
                       random_poly, variables)
-from varsmooth.errors import LimitExceededError, RingMismatchError
+from varsmooth.errors import RingMismatchError
 from varsmooth.fields import QQ, GF
 from varsmooth.groebner import (Ideal, _PairQueue, _lift, buchberger,
                                 clear_caches, ideal_membership,
                                 krull_dimension, prepare_divisor,
                                 radical_membership, reduce_terms)
-from varsmooth.limits import Budget, Limits, ensure_budget
+from varsmooth.limits import Budget, ensure_budget
 from varsmooth.poly import Polynomial
 from varsmooth.ring import EXP_LIMIT, Ring
 
@@ -239,16 +239,20 @@ def test_generator_rows_are_tail_reduced_before_the_pairs(p, monkeypatch):
     # xy + yz enters first; xy + yz + y reduces by it to y, whose lead
     # divides the first row's tail yz.  The engine must reduce that tail to
     # zero before its one pair, whose S-polynomial xy - x*y then cancels
-    # outright.  With y + z first and x^2 + z after, the later lead is
-    # above y: no tail is reduced, and the coprime leads form no pair.
+    # outright: it sums the two empty tails, and the leads, which cancel,
+    # never enter its work dict.  The interreduction then reduces the one
+    # minimal row's empty tail.  With y + z first and x^2 + z after, the
+    # later lead is above y: no tail is reduced before the interreduction,
+    # and the coprime leads form no pair.
     ring = Ring(GF(p) if p else QQ, ("x", "y", "z"))
     x, y, z = variables(ring)
     calls = []
 
     def spy(work, divisors, guards, char):
         taken = {k for k, c in work.items() if c}
+        held = set(work)
         out = reduce_terms(work, divisors, guards, char)
-        calls.append((taken, out[0]))
+        calls.append((taken, out[0], held))
         return out
 
     monkeypatch.setattr("varsmooth.groebner.reduce_terms", spy)
@@ -257,16 +261,17 @@ def test_generator_rows_are_tail_reduced_before_the_pairs(p, monkeypatch):
     clear_caches()
     ideal = Ideal(ring, [x * y + y * z, x * y + y * z + y])
     gb = buchberger(ideal)
-    assert [taken for taken, _ in calls] \
-        == [{xy, yz}, {xy, yz, yk}, {yz}, set(), {yk}]
+    assert [taken for taken, _, _ in calls] \
+        == [{xy, yz}, {xy, yz, yk}, {yz}, set(), set()]
     assert calls[2][1] == []
+    assert xy not in calls[3][2]    # the pair's lcm key
     assert [str(f) for f in gb.elements] == ["y"]
     calls.clear()
     clear_caches()
     ascending = Ideal(ring, [y + z, x * x + z])
     gb = buchberger(ascending)
-    assert [taken for taken, _ in calls] \
-        == [{yk, zk}, {xx, zk}, {yk, zk}, {xx, zk}]
+    assert [taken for taken, _, _ in calls] \
+        == [{yk, zk}, {xx, zk}, {zk}, {zk}]
     assert [_poly_dict(f, p) for f in gb.elements] \
         == naive_buchberger(ascending)
 
@@ -632,17 +637,6 @@ def test_budget_counts_engine_runs():
     assert b2.runs_started == 1
 
 
-def test_basis_cap_raises():
-    clear_caches()
-    r3 = Ring(QQ, ("x", "y", "z"))
-    x, y, z = variables(r3)
-    cyclic3 = Ideal(r3, [x + y + z, x * y + y * z + z * x,
-                         x * y * z - 1])
-    budget = Budget(Limits(max_basis=1))
-    with pytest.raises(LimitExceededError):
-        buchberger(cyclic3, budget=budget)
-
-
 # -- runs seeded from the cached basis of a base ideal -------------------------
 
 SEED_RINGS = {p: Ring(QQ if not p else GF(p), ("x", "y", "z"))
@@ -778,6 +772,32 @@ def test_seeded_run_after_the_base_was_evicted(monkeypatch):
     assert again._divisors == cold._divisors
 
 
+@pytest.mark.parametrize("p", sorted(SEED_RINGS))
+def test_lifted_basis_equals_a_cold_basis_of_the_lifted_ideal(p):
+    # radical_membership lifts the cached basis of I row by row into the
+    # ring extended by t and caches it under I's lift; lifted, a reduced
+    # basis stays one, so it must equal what a cold run on an equal ideal
+    # with no link to I returns.  The leading coefficients are not 1, so
+    # the rows over QQ are not monic and those over F_p were scaled.
+    from varsmooth import groebner
+    ring = SEED_RINGS[p]
+    x, y, z = variables(ring)
+    for gens in ([2 * x * y - 3 * z, 5 * y * z - x, 3 * x * z - 7 * y],
+                 [3 * x ** 3 - 2 * y * z, 5 * y * y - z],
+                 [2 * x * x - y, 7 * y * y - 3 * x * z + z * z]):
+        base = Ideal(ring, gens)
+        clear_caches()
+        buchberger(base)
+        radical_membership(x + y, base)
+        lifted = groebner._lifted(base)
+        stored = groebner._cache[lifted]
+        clear_caches()
+        cold = buchberger(Ideal(lifted.ring, lifted.generators))
+        assert stored is not cold
+        assert stored._divisors == cold._divisors
+        assert stored.elements == cold.elements
+
+
 def test_each_base_is_lifted_once_per_run(monkeypatch):
     # hironaka runs on the charts of rnc6: a Rabinowitsch query lifts f and
     # the generators past its base, and the base's generators and the seed
@@ -890,30 +910,6 @@ def test_the_cache_is_the_only_seed_route(monkeypatch):
     # (b) the lifted basis is gone: the base's basis is lifted again
     buchberger(base)
     assert ask(z) == (want[2], 1, 1, 2)
-
-
-def test_basis_cap_counts_the_seed_rows():
-    # the extra generator lies in the base, so the seeded run inserts
-    # nothing; the cap still reads the seed rows, as a cold run would
-    # reach the same basis size
-    r3 = SEED_RINGS[0]
-    x, y, z = variables(r3)
-    base = Ideal(r3, [x * y - z, y * z - x, x * z - y])
-    size = len(buchberger(base)._lead_keys)
-    assert size > 1
-    inside = base.generators[0] * z + base.generators[1]
-    for warm in (False, True):
-        clear_caches()
-        if warm:
-            buchberger(base)
-        with pytest.raises(LimitExceededError):
-            buchberger(base.extended([inside]),
-                       budget=Budget(Limits(max_basis=size - 1)))
-    clear_caches()
-    buchberger(base)
-    budget = Budget(Limits(max_basis=size))
-    assert buchberger(base.extended([inside]), budget=budget)._lead_keys \
-        == buchberger(base)._lead_keys
 
 
 # -- pair queue ----------------------------------------------------------------
