@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import Optional
 
-from .driver import Config, Verdict, projective_smoothness, smoothness_test
+from .driver import Config, projective_smoothness, smoothness_test
 from .errors import SingularMatrixError
 from .fields import QQ
 from .groebner import Ideal, clear_caches

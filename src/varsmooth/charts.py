@@ -29,7 +29,7 @@ from .groebner import Ideal, buchberger, ideal_membership, radical_membership
 from .limits import Budget, ensure_budget
 from .matrix import (Partials, PolyMatrix, _check_degree, _top_degree,
                      adjugate, determinant, iter_minors)
-from .poly import Polynomial, _mac, _poly, _settle, _terms
+from .poly import Polynomial, _mac, _poly, _settle
 from .ring import Ring
 
 
@@ -243,7 +243,7 @@ def _projection(chart: Chart, frame: FrameData):
     _check_degree(degree)
     p = ring.field.characteristic
     off = ring.mul_off
-    adj = [_terms(a, p) for a in adj]
+    adj = [tuple(zip(a.keys, a.coeffs)) for a in adj]
     dg = [chart.partials.gradient(g) for g in chart.ambient.generators]
     proj = []
     for j in free:
@@ -255,7 +255,7 @@ def _projection(chart: Chart, frame: FrameData):
                     _mac(acc, dg[l][j], adj[l * r + k], off)
             row.append(tuple((key, -c) for key, c in _settle(acc, p).items()))
         proj.append(row)
-    frame.proj = (free, _terms(frame.q, p), proj, degree)
+    frame.proj = (free, tuple(zip(frame.q.keys, frame.q.coeffs)), proj, degree)
     return frame.proj
 
 

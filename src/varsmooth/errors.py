@@ -39,10 +39,6 @@ class DescentError(VarsmoothError):
 class LimitExceededError(VarsmoothError):
     """A configured resource limit was exhausted."""
 
-    def __init__(self, which: str):
-        self.which = which
-        super().__init__(f"limit exceeded: {which}")
-
 
 class ParseError(VarsmoothError):
     """Ideal-file syntax or header error, with position information."""

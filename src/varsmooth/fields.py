@@ -1,8 +1,10 @@
 """Exact coefficient fields: the rationals and prime fields F_p.
 
-Rational scalars are gmpy2.mpq values (fractions.Fraction when gmpy2 is
-missing), always in lowest terms with positive denominator.  Prime-field
-scalars are plain ints reduced to the range [0, p).
+A rational scalar is stored in one canonical form (see `canonical`): an
+int when its value is integral, else a gmpy2.mpq (fractions.Fraction when
+gmpy2 is missing) in lowest terms with denominator above 1; never a float.
+Kernels read ints with no conversion, and mixed int/mpq arithmetic stays
+exact.  Prime-field scalars are plain ints reduced to the range [0, p).
 """
 
 from __future__ import annotations
@@ -43,6 +45,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def canonical(c):
+    """The stored form of the exact rational c, an int or an mpq: c itself
+    unless it is an mpq with denominator 1, which becomes an int."""
+    if type(c) is int or c.denominator != 1:
+        return c
+    return int(c.numerator)
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """Coefficient field descriptor: characteristic 0 means the rationals,
@@ -60,7 +70,9 @@ class FieldSpec:
             raise ValueError(f"{p} is not prime")
 
     def coerce(self, value):
-        """Turn an int, Fraction-like, or same-field scalar into a scalar."""
+        """Turn an int, Fraction-like, or same-field scalar into a scalar:
+        over QQ an int comes back unchanged and anything else in its
+        canonical form."""
         p = self.characteristic
         if p:
             if isinstance(value, int):
@@ -70,19 +82,24 @@ class FieldSpec:
             if num is not None and den is not None:
                 return int(num) % p * pow(int(den), -1, p) % p
             raise TypeError(f"cannot coerce {value!r} into F_{p}")
-        return mpq(value)
+        if type(value) is int:
+            return value
+        return canonical(mpq(value))
 
     def zero(self):
-        return 0 if self.characteristic else mpq(0)
+        """0, an int in either field."""
+        return 0
 
     def one(self):
-        return 1 if self.characteristic else mpq(1)
+        """1, an int in either field."""
+        return 1
 
     def inv(self, a):
+        """The exact inverse of a nonzero scalar, in canonical form."""
         p = self.characteristic
         if p:
             return pow(a, -1, p)
-        return 1 / a
+        return canonical(1 / mpq(a))
 
     def __repr__(self):
         return "QQ" if self.characteristic == 0 else f"GF({self.characteristic})"

@@ -70,7 +70,7 @@ from math import gcd
 from typing import Optional
 
 from .errors import RingMismatchError
-from .fields import mpq
+from .fields import canonical, mpq
 from .limits import Budget, ensure_budget
 from .poly import Polynomial, _content, _mac, _settle
 from .ring import Ring
@@ -171,7 +171,7 @@ class GroebnerBasis:
                 coeffs = (lc,) + tcoeffs
                 if not p:
                     lc = mpq(lc)
-                    coeffs = [mpq(c) / lc for c in coeffs]
+                    coeffs = [canonical(c / lc) for c in coeffs]
                 els.append(Polynomial(ring, (lead,) + tkeys, coeffs))
             els = self._elements = tuple(els)
         return els
@@ -207,7 +207,7 @@ class GroebnerBasis:
         if p:
             return Polynomial(ring, rk, rc)
         factor = scale / mult
-        return Polynomial(ring, rk, [c * factor for c in rc])
+        return Polynomial(ring, rk, [canonical(c * factor) for c in rc])
 
     def __repr__(self):
         return f"<groebner basis, {len(self._lead_keys)} elements>"

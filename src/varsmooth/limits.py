@@ -70,7 +70,7 @@ class Budget:
     def checkpoint(self):
         dl = self.shared.deadline
         if dl is not None and time.monotonic() > dl:
-            raise LimitExceededError("time")
+            raise LimitExceededError("limit exceeded: time")
 
     def record_query(self):
         self.gb_queries += 1

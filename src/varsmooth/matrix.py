@@ -11,10 +11,10 @@ denominator, and never the requested determinants themselves, which
 nothing reads twice; a matrix with more rows than columns
 is expanded as its transpose, whose rows are the shorter side, so the memo
 keeps fewer row suffixes.  There is no elimination (Bareiss) and no
-polynomial division.  Over QQ integral coefficients are plain ints inside
-the kernel (mixing with rationals stays exact), over F_p residues are
-reduced once per subdeterminant, and a Polynomial is built only for each
-result.
+polynomial division.  The kernel reads the stored coefficients as they
+are: over QQ an integral one is already an int (mixing with rationals
+stays exact), over F_p residues are reduced once per subdeterminant, and a
+Polynomial is built only for each result.
 
 `iter_minors` is the one minor enumerator, and it serves both callers:
 the relative criterion's frame tasks, of the hybrid and of the Jacobian
@@ -53,10 +53,11 @@ denominators, and a sum of Fraction products, one per term, is slow.  So
 with integral entries each monomial's normal form and each subdeterminant
 are kept as integer numerators over one denominator (the normal form's
 over the lcm of its coefficients' denominators), and only a yielded minor
-gets Fractions; where every normal form is integral, as on the charts of
-the rational normal curves, every denominator is 1.  Over F_p, and with
-entries that have denominators, the same loop runs on the field's
-coefficients over 1.
+is divided by it, its non-integral coefficients becoming Fractions; where
+every normal form is integral, as on the charts of the rational normal
+curves, every denominator is 1 and every coefficient stays an int.  Over
+F_p, and with entries that have denominators, the same loop runs on the
+field's coefficients over 1.
 
 Jacobians come from a Partials table, which differentiates each polynomial
 once (by _gradient) and keeps its gradient in the kernel's term form.
@@ -72,8 +73,8 @@ from itertools import combinations
 from math import gcd
 
 from .errors import DegreeOverflowError, RingMismatchError
-from .fields import mpq
-from .poly import Polynomial, _mac, _poly, _settle, _terms
+from .fields import canonical, mpq
+from .poly import Polynomial, _mac, _poly, _settle
 from .ring import CAP, EXP_LIMIT, Ring
 
 
@@ -119,9 +120,9 @@ def jacobian(ring: Ring, polys) -> PolyMatrix:
 
 def _gradient(f: Polynomial, p: int):
     """The partial derivatives of f, one (key, coeff) tuple per variable,
-    in the term order of _terms(f, p)."""
+    in the term order of f; over QQ each coefficient in canonical form."""
     ring = f.ring
-    terms = _terms(f, p)
+    terms = tuple(zip(f.keys, f.coeffs))
     out = []
     for i in range(ring.nvars):
         step = ring.var_key(i) - ring.mul_off
@@ -130,7 +131,7 @@ def _gradient(f: Polynomial, p: int):
         for k, c in terms:
             e = (k >> shift) & CAP
             if e:
-                c = c * e % p if p else c * e
+                c = c * e % p if p else canonical(c * e)
                 if c:
                     d.append((k - step, c))
         out.append(tuple(d))
@@ -166,11 +167,8 @@ class Partials:
         """f's partials as Polynomials: its row of the Jacobian."""
         got = self._rows.get(f)
         if got is None:
-            ring = self.ring
-            p = ring.field.characteristic
             got = self._rows[f] = tuple(
-                Polynomial(ring, [k for k, _ in d],
-                           [c if p else mpq(c) for _, c in d])
+                Polynomial(self.ring, [k for k, _ in d], [c for _, c in d])
                 for d in self.gradient(f))
         return got
 
@@ -266,7 +264,7 @@ def _laplace(m: PolyMatrix, reducer=None, transpose=False):
     ring = m.ring
     p = ring.field.characteristic
     memo = {((), ()): ({ring.one_key: 1}, 1)}  # the 0x0 determinant
-    ents = [_terms(e, p) for e in m.entries]
+    ents = [tuple(zip(e.keys, e.coeffs)) for e in m.entries]
     ncols = m.cols
     if transpose:
         ents = [ents[i * ncols + j] for j in range(ncols)
@@ -275,14 +273,14 @@ def _laplace(m: PolyMatrix, reducer=None, transpose=False):
     negs = [tuple((k, -c) for k, c in t) for t in ents]
     nf = None
     if reducer is not None:
-        one = ring.field.one()
         scale = not p and all(type(c) is int for e in ents for _, c in e)
         table = {}  # monomial key -> its normal form as (pairs, den)
 
         def nf(key):
             got = table.get(key)
             if got is None:
-                terms = _terms(reducer(Polynomial(ring, (key,), (one,))), p)
+                r = reducer(Polynomial(ring, (key,), (1,)))
+                terms = tuple(zip(r.keys, r.coeffs))
                 den = 1
                 if scale:
                     for _, c in terms:
@@ -468,6 +466,6 @@ def _distinct_minors(ring, det_of, row_rank, col_rank, size, checkpoint,
             seen.add(value)
             yield Polynomial(ring, [k for k, _ in items],
                              [coerce(c) for _, c in items] if den == 1
-                             else [mpq(c, den) for _, c in items])
+                             else [canonical(mpq(c, den)) for _, c in items])
         if not _advance(pos, n, vanishing_prefix(pos) if vanished else size):
             return

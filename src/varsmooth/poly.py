@@ -2,8 +2,12 @@
 
 Terms are kept as parallel tuples (packed monomial keys, coefficients),
 strictly descending in the degrevlex key order, with no zero coefficients.
-That canonical form makes equality, hashing, and leading-term access O(1)
-and keeps every construction path bit-stable.
+Over QQ each coefficient is stored in the field's canonical form (an int
+when integral, else an mpq; see fields.canonical), which every route that
+can produce a rational by mpq arithmetic applies, so kernels read the
+stored coefficients as they are.  That canonical form makes equality,
+hashing, and leading-term access O(1) and keeps every construction path
+bit-stable.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from math import gcd
 
 from .errors import (DegreeOverflowError, NonHomogeneousError,
                      RingMismatchError, SingularMatrixError)
-from .fields import mpq
+from .fields import canonical, mpq
 from .ring import CAP, EXP_LIMIT, Ring
 
 
@@ -49,12 +53,10 @@ class Polynomial:
     @classmethod
     def from_key_dict(cls, ring: Ring, data: dict) -> "Polynomial":
         p = ring.field.characteristic
-        items = []
-        for k, c in data.items():
-            if p:
-                c %= p
-            if c:
-                items.append((k, c))
+        if p:
+            items = [(k, r) for k, c in data.items() if (r := c % p)]
+        else:
+            items = [(k, canonical(c)) for k, c in data.items() if c]
         items.sort(reverse=True)
         return cls(ring, [k for k, _ in items], [c for _, c in items])
 
@@ -64,7 +66,7 @@ class Polynomial:
         acc = {}
         for exps, c in terms:
             k = ring.pack(exps)
-            acc[k] = acc.get(k, ring.field.zero()) + ring.field.coerce(c)
+            acc[k] = acc.get(k, 0) + ring.field.coerce(c)
         return cls.from_key_dict(ring, acc)
 
     # -- views ----------------------------------------------------------------
@@ -139,8 +141,7 @@ class Polynomial:
                 j += 1
             else:
                 c = ca[i] + cb[j]
-                if p:
-                    c %= p
+                c = c % p if p else canonical(c)
                 if c:
                     keys.append(x)
                     coeffs.append(c)
@@ -177,7 +178,8 @@ class Polynomial:
         if p:
             return Polynomial(self.ring, self._keys,
                               [a * c % p for a in self._coeffs])
-        return Polynomial(self.ring, self._keys, [a * c for a in self._coeffs])
+        return Polynomial(self.ring, self._keys,
+                          [canonical(a * c) for a in self._coeffs])
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
@@ -189,7 +191,6 @@ class Polynomial:
             raise DegreeOverflowError(
                 "product degree exceeds the packed-monomial range")
         off = self.ring.mul_off
-        p = self.ring.field.characteristic
         acc = {}
         ka, ca, kb, cb = self._keys, self._coeffs, other._keys, other._coeffs
         if len(ka) < len(kb):  # outer loop over the shorter operand
@@ -200,15 +201,7 @@ class Polynomial:
                 k = ky + base
                 v = acc.get(k)
                 acc[k] = cx * cy if v is None else v + cx * cy
-        items = []
-        for k, c in acc.items():
-            if p:
-                c %= p
-            if c:
-                items.append((k, c))
-        items.sort(reverse=True)
-        return Polynomial(self.ring,
-                          [k for k, _ in items], [c for _, c in items])
+        return Polynomial.from_key_dict(self.ring, acc)
 
     def __rmul__(self, other):
         return self._scalar_mul(other)
@@ -245,7 +238,7 @@ class Polynomial:
                 if not c:
                     continue
             else:
-                c = c * e
+                c = canonical(c * e)
             keys.append(k - step)
             coeffs.append(c)
         # dropping terms keeps descending order; subtracting a fixed
@@ -257,21 +250,21 @@ class Polynomial:
         ring = self.ring
         vals = [ring.field.coerce(v) for v in values]
         p = ring.field.characteristic
-        total = ring.field.zero()
+        total = 0
         for exps, c in self.terms():
             t = c
             for v, e in zip(vals, exps):
                 if e:
                     t = t * v ** e
             total = total + t
-        return total % p if p else total
+        return total % p if p else canonical(total)
 
     def map_exponents(self, new_ring: Ring, fn) -> "Polynomial":
         """Rebuild the polynomial in new_ring with exponent tuples fn(exps)."""
         acc = {}
         for exps, c in self.terms():
             k = new_ring.pack(fn(exps))
-            acc[k] = acc.get(k, new_ring.field.zero()) + c
+            acc[k] = acc.get(k, 0) + c
         return Polynomial.from_key_dict(new_ring, acc)
 
     def __eq__(self, other):
@@ -283,18 +276,11 @@ class Polynomial:
                 and self._coeffs == other._coeffs)
 
     def __hash__(self):
-        """Over QQ the hash is taken on the integer form (keys, primitive
-        coefficients, scale), which is canonical, so equal polynomials hash
-        equal; ints hash far cheaper than Fractions, and the engine reads
-        that form anyway.  Over F_p it is taken on the stored residues."""
+        """The hash of the stored (ring, keys, coefficients), which are
+        canonical in either field, so equal polynomials hash equal."""
         h = self._hash
         if h is None:
-            if self.ring.field.characteristic:
-                h = hash((self.ring, self._keys, self._coeffs))
-            else:
-                _, ints, scale = self.zform()
-                h = hash((self.ring, self._keys, tuple(ints), scale))
-            self._hash = h
+            h = self._hash = hash((self.ring, self._keys, self._coeffs))
         return h
 
     # -- integer form for the reduction engine --------------------------------
@@ -311,6 +297,9 @@ class Polynomial:
             zf = (list(self._keys), list(self._coeffs), 1)
         elif not self._keys:
             zf = ([], [], mpq(1))
+        elif all(type(c) is int for c in self._coeffs):
+            g = _content(self._coeffs)
+            zf = (list(self._keys), [c // g for c in self._coeffs], mpq(g))
         else:
             den = 1
             for c in self._coeffs:
@@ -373,16 +362,6 @@ def _content(coeffs):
 # pairs and dicts {key: coeff}, and build one Polynomial per result.
 
 
-def _terms(f: Polynomial, p: int):
-    """f as a tuple of (key, coeff) pairs, descending.  Over QQ integral
-    coefficients become ints: int arithmetic is far cheaper, and mixing int
-    with mpq stays exact."""
-    if p:
-        return tuple(zip(f.keys, f.coeffs))
-    return tuple((k, c if c.denominator != 1 else int(c.numerator))
-                 for k, c in zip(f.keys, f.coeffs))
-
-
 def _settle(acc: dict, p: int) -> dict:
     """acc without zero coefficients, residues reduced mod p."""
     if p:
@@ -391,20 +370,13 @@ def _settle(acc: dict, p: int) -> dict:
 
 
 def _poly(ring: Ring, d: dict, sign: int = 1) -> Polynomial:
-    """sign * d as a Polynomial; d must be settled (see _settle).  Over QQ,
-    when every coefficient is an int, the integer form that hashing and the
-    Groebner engine read (Polynomial.zform) is preset from those ints, so
-    the Fractions are never converted back."""
+    """sign * d as a Polynomial; d must be settled (see _settle), and over
+    QQ its coefficients, ints or mpqs, are stored in canonical form."""
     keys = sorted(d, reverse=True)
-    vals = [sign * d[k] for k in keys]
     p = ring.field.characteristic
     if p:
-        return Polynomial(ring, keys, [v % p for v in vals])
-    f = Polynomial(ring, keys, map(mpq, vals))
-    if vals and all(type(v) is int for v in vals):
-        g = _content(vals)
-        f._zform = (keys, [v // g for v in vals], mpq(g))
-    return f
+        return Polynomial(ring, keys, [sign * d[k] % p for k in keys])
+    return Polynomial(ring, keys, [canonical(sign * d[k]) for k in keys])
 
 
 def _mac(acc: dict, a, b, off: int):
@@ -450,9 +422,9 @@ def linear_change(ring: Ring, matrix):
     matrix must be square and invertible; it is checked once, here, however
     many polynomials the function is applied to.
 
-    The expansion runs on the kernel's term tuples (see _terms): over QQ
-    integral coefficients stay ints, so integer input costs no Fraction
-    until the result is built.  The image of each monomial is kept, so the
+    The expansion runs on the kernel's (key, coeff) term tuples; over QQ
+    integral coefficients are stored as ints, so integer input costs no
+    Fraction at all.  The image of each monomial is kept, so the
     images of a monomial's lower powers, and of monomials the polynomials
     share, are expanded once: x^e's image is the image of x^e / x_i times
     x_i's, with x_i the last variable of x^e."""
@@ -464,9 +436,11 @@ def linear_change(ring: Ring, matrix):
         raise SingularMatrixError("coordinate change matrix is singular")
     p = ring.field.characteristic
     off = ring.mul_off
-    lines = [_terms(Polynomial.from_key_dict(
-        ring, {ring.var_key(j): v for j, v in enumerate(row)}), p)
-        for row in rows]
+    lines = []
+    for row in rows:
+        line = Polynomial.from_key_dict(
+            ring, {ring.var_key(j): v for j, v in enumerate(row)})
+        lines.append(tuple(zip(line.keys, line.coeffs)))
     images = {(0,) * n: ((ring.one_key, 1),)}  # exponents -> image terms
 
     def image(exps):
@@ -494,7 +468,7 @@ def linear_change(ring: Ring, matrix):
         unpack = ring.unpack
         acc = {}
         get = acc.get
-        for k, c in _terms(f, p):
+        for k, c in zip(f.keys, f.coeffs):
             for key, v in image(unpack(k)):
                 acc[key] = get(key, 0) + c * v
         return _poly(ring, _settle(acc, p))

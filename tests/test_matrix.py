@@ -14,7 +14,7 @@ from varsmooth.groebner import Ideal, buchberger
 from varsmooth import matrix
 from varsmooth.matrix import (PolyMatrix, adjugate, determinant, iter_minors,
                               jacobian)
-from varsmooth.poly import Polynomial, _terms
+from varsmooth.poly import Polynomial
 from varsmooth.ring import EXP_LIMIT, Ring
 
 
@@ -564,7 +564,7 @@ def _fraction_laplace(m, reducer=None, transpose=False):
     ring = m.ring
     off = ring.mul_off
     one = ring.field.one()
-    ents = [_terms(e, 0) for e in m.entries]
+    ents = [tuple(zip(e.keys, e.coeffs)) for e in m.entries]
     ncols = m.cols
     if transpose:
         ents = [ents[i * ncols + j] for j in range(ncols)
@@ -575,8 +575,8 @@ def _fraction_laplace(m, reducer=None, transpose=False):
 
     def nf(key):
         if key not in table:
-            table[key] = _terms(
-                reducer(Polynomial(ring, (key,), (one,))), 0)
+            r = reducer(Polynomial(ring, (key,), (one,)))
+            table[key] = tuple(zip(r.keys, r.coeffs))
         return table[key]
 
     def expand(rows, cs):

@@ -405,20 +405,17 @@ def test_equal_polynomials_hash_equal_however_built():
             (3 * x * x * y - 2 * y * z + 5) * (-2),
         ]
         first = built[0]
-        preset = first._zform
         for f in built:
             assert f == first and hash(f) == hash(first), field
             assert f.zform() == first.zform(), field
         if not p:
-            # the preset integer form is the one zform computes
-            assert preset == (list(first.keys), [3, -2, 5], Fraction(-2))
+            assert first.zform() == (list(first.keys), [3, -2, 5],
+                                     Fraction(-2))
             first._zform = first._hash = None
-            assert first.zform() == preset
             assert hash(first) == hash(built[3])
         else:
-            assert preset is None   # residues need no integer form
             assert first.zform() == (list(first.keys), list(first.coeffs), 1)
-        # non-unit content with rational coefficients: no preset, same hash
+        # non-unit content with rational coefficients: same hash
         halves = {ring.pack((1, 0, 0)): Fraction(-3, 2),
                   ring.pack((0, 0, 1)): Fraction(9, 4)}
         if p:
@@ -459,3 +456,147 @@ def test_derived_rings_are_kept_and_equal_rings_mix():
         assert f == f2 and hash(f) == hash(f2)
         assert Ideal(ring, [f2]) == Ideal(twin, [f])
         assert hash(Ideal(ring, [f2])) == hash(Ideal(twin, [f]))
+
+
+def test_qq_inverse_is_exact_and_canonical():
+    from varsmooth.errors import SingularMatrixError
+    from varsmooth.fields import mpq
+    from varsmooth.poly import linear_change
+    third = QQ.inv(3)
+    assert third == Fraction(1, 3) and type(third) is mpq
+    assert QQ.inv(-1) == -1 and type(QQ.inv(-1)) is int
+    minus_two = QQ.inv(Fraction(-1, 2))
+    assert minus_two == -2 and type(minus_two) is int
+    ring = Ring(QQ, ("x", "y", "z"))
+    # row 3 is row 1 plus row 2: singular, however the elimination pivots
+    for mat in ([[3, 7, 1], [5, 2, 9], [8, 9, 10]],
+                [[7, 3, 5], [2, 9, 4], [9, 12, 9]],
+                [[6, 10, 3], [7, 11, 3], [13, 21, 6]]):
+        with pytest.raises(SingularMatrixError):
+            linear_change(ring, mat)
+
+
+def _assert_canonical(values, kinds, route):
+    """Every value is an int when integral, else a rational with
+    denominator other than 1, and never a float; kinds[route] gains the
+    kinds seen."""
+    from varsmooth.fields import mpq
+    for c in values:
+        assert type(c) is not float, route
+        if c.denominator == 1:
+            assert type(c) is int, (route, c, type(c))
+            kinds.setdefault(route, set()).add("int")
+        else:
+            assert type(c) is mpq, (route, c, type(c))
+            kinds.setdefault(route, set()).add("rational")
+
+
+def _assert_same(polys, route):
+    """Equal polynomials built by different routes hash equal and have
+    equal integer forms."""
+    first = polys[0]
+    for f in polys[1:]:
+        assert f == first, route
+        assert hash(f) == hash(first), route
+        assert f.zform() == first.zform(), route
+
+
+def test_qq_coefficients_are_canonical_on_every_route():
+    from varsmooth.charts import Chart, enumerate_frames
+    from varsmooth.groebner import Ideal, buchberger
+    from varsmooth.matrix import (Partials, PolyMatrix, adjugate,
+                                  determinant, iter_minors)
+    from varsmooth.poly import _poly, linear_change
+    ring = Ring(QQ, ("x", "y", "z"))
+    x, y, z = variables(ring)
+    rng = random.Random(32)
+    half = Fraction(1, 2)
+    kinds = {}
+
+    def check(polys, route):
+        for f in polys:
+            _assert_canonical(f.coeffs, kinds, route)
+
+    def mixed(deg=None, ints=False):
+        """A nonzero polynomial with coefficients k/1, k/2 or k/3 (k/1
+        only with ints), homogeneous of degree deg if deg is given."""
+        while True:
+            terms = []
+            for _ in range(rng.randint(1, 4)):
+                if deg is None:
+                    exps = tuple(rng.randint(0, 2) for _ in range(3))
+                else:
+                    a = rng.randint(0, deg)
+                    b = rng.randint(0, deg - a)
+                    exps = (a, b, deg - a - b)
+                den = 1 if ints else rng.choice((1, 1, 2, 3))
+                terms.append((exps, Fraction(rng.randint(-6, 6), den)))
+            f = Polynomial.from_terms(ring, terms)
+            if not f.is_constant():
+                return f
+
+    identity = linear_change(
+        ring, [[Fraction(int(i == j)) for j in range(3)] for i in range(3)])
+    shear = linear_change(ring, [[1, half, 0], [0, 1, 0], [0, 0, 2]])
+    for _ in range(30):
+        f, g = mixed(), mixed()
+        fractions = {k: Fraction(c) for k, c in zip(f.keys, f.coeffs)}
+        built = [f, Polynomial.from_key_dict(ring, fractions),
+                 _poly(ring, fractions), _poly(ring, {
+                     k: -c for k, c in fractions.items()}, -1),
+                 f.map_exponents(ring, lambda e: e),
+                 (f * half) * 2, half * (2 * f), f * 3 + f * (-2),
+                 f * half + f * half,
+                 f * Polynomial.constant(ring, Fraction(2, 2)),
+                 identity(f), g + f - g]
+        check(built, "construction")
+        _assert_same(built, "construction")
+        check([f * g, f * half, f * x * y], "mul")
+        check([f + g, f - g, f + half, -f], "add")
+        for i in range(3):
+            d = f.derivative(i)
+            check([d], "derivative")
+            row = Partials(ring).row(f)[i]
+            check([row], "Partials.row")
+            _assert_same([d, row], "derivative")
+        point = [Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
+                 for _ in range(3)]
+        _assert_canonical([f.evaluate(point), g.evaluate(point)], kinds,
+                          "evaluate")
+        check([shear(f), shear(g)], "linear_change")
+        h = mixed(deg=2)
+        for i in range(3):
+            check([dehomogenize(h, i)], "dehomogenize")
+
+        m = PolyMatrix(ring, 2, 2, [mixed() for _ in range(4)])
+        q = determinant(m)
+        adj, q2 = adjugate(m)
+        check([q], "determinant")
+        check(adj.entries, "adjugate")
+        _assert_same([q, q2], "determinant")
+        tall = PolyMatrix(ring, 3, 2, [mixed() for _ in range(6)])
+        minors = list(iter_minors(tall, 2))
+        check(minors, "iter_minors")
+        gb = buchberger(Ideal(ring, [mixed(), mixed()]))
+        check(gb.elements, "GroebnerBasis.elements")
+        u = mixed()
+        nfs = [gb.normal_form(u), gb.normal_form(u + gb.elements[0] * g)]
+        check(nfs, "normal_form")
+        _assert_same(nfs, "normal_form")
+        # integral entries are expanded on scaled integers (den != 1)
+        for ints in (False, True):
+            m = PolyMatrix(ring, 3, 2, [mixed(ints=ints) for _ in range(6)])
+            check(iter_minors(m, 2, gb.normal_form),
+                  f"iter_minors with normal_form, ints={ints}")
+        # a relative Jacobian row on each frame of a one-generator chart
+        w = Ideal(ring, [mixed()])
+        chart = Chart(w, w, Polynomial.constant(ring, 1), depth=1,
+                      check=False)
+        for frame in enumerate_frames(chart).frames:
+            check(frame.row(g), "relative_jacobian")
+    # the field's own scalars
+    _assert_canonical([QQ.coerce(Fraction(6, 2)), QQ.coerce(0.5),
+                       QQ.coerce(-4), QQ.zero(), QQ.one(), QQ.inv(3)],
+                      kinds, "fields")
+    assert all(k == {"int", "rational"} for k in kinds.values()), kinds
+    assert len(kinds) == 17, sorted(kinds)
